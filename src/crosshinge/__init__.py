@@ -8,14 +8,14 @@ from .geometry import (
     check_feasibility,
     sample_random,
 )
-from .kinetostatics import ObjectiveVector, evaluate_objectives
+from .kinetostatics import Evaluation, evaluate_objectives
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DesignVector",
+    "Evaluation",
     "HingeGeometry",
-    "ObjectiveVector",
     "OutOfRange",
     "build_hinge",
     "check_feasibility",

@@ -606,10 +606,12 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS,
               tol: float | None = None) -> SweepResult:
     """Quasi-static prescribed-rotation sweep with per-step condensed data.
 
-    Never raises: failures (non-convergence, singular tangent, strain
-    limit) end the sweep early with converged=False and a partial record
-    list.
+    Solver failures (non-convergence, singular tangent, strain limit) are
+    not raised: they end the sweep early with converged=False and a
+    partial record list. Fewer than one step raises ValueError.
     """
+    if n_steps < 1:
+        raise ValueError("need at least one sweep step")
     state = model.zero_state()
     records: list[SweepRecord] = []
     states: list[BeamState] = []

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kinetostatics, moo, pareto, refine
-from .geometry import (DESIGN_FIELDS, LOWER_BOUNDS, UPPER_BOUNDS, DesignVector,
-                       OutOfRange, build_hinge)
+from . import __version__, beam_fem, kinetostatics, moo, pareto, refine
+from .geometry import DESIGN_FIELDS, LOWER_BOUNDS, UPPER_BOUNDS, DesignVector, build_hinge
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -33,8 +33,8 @@ class RunConfig:
 
     seed: int = 0
     workers: int = 1
-    elements: int = 30
-    steps: int = 20
+    elements: int = beam_fem.DEFAULT_ELEMENTS
+    steps: int = beam_fem.DEFAULT_STEPS
     out: str | None = None
     algorithm: str = "both"         # nsga2 | spea2 | both
     population: int = 500
@@ -48,9 +48,10 @@ class RunConfig:
     upper_bounds: tuple[float, ...] | None = None
 
 
-_GLOBAL_KEYS = {"seed", "workers", "elements", "steps", "out"}
-_OPTIMIZE_KEYS = {"algorithm", "population", "generations", "crossover_prob",
-                  "crossover_eta", "mutation_prob", "mutation_eta", "archive_size"}
+# config-file keys per section, in manifest order ([global] also takes `out`)
+_GLOBAL_KEYS = ("seed", "workers", "elements", "steps")
+_OPTIMIZE_KEYS = ("algorithm", "population", "generations", "crossover_prob",
+                  "crossover_eta", "mutation_prob", "mutation_eta", "archive_size")
 
 
 def load_config_file(path: Path) -> dict:
@@ -62,11 +63,11 @@ def load_config_file(path: Path) -> dict:
     settings: dict = {}
     for section in parser.sections():
         if section == "global":
-            allowed = _GLOBAL_KEYS
+            allowed = _GLOBAL_KEYS + ("out",)
         elif section == "optimize":
             allowed = _OPTIMIZE_KEYS
         elif section == "bounds":
-            allowed = set(DESIGN_FIELDS)
+            allowed = DESIGN_FIELDS
         else:
             raise ValueError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
@@ -92,10 +93,8 @@ def resolve_config(args) -> RunConfig:
     settings = {}
     if getattr(args, "config", None):
         settings = load_config_file(Path(args.config))
-    cfg = RunConfig()
     bound_overrides = settings.pop("bounds", {})
-    valid = {f.name for f in fields(RunConfig)}
-    cfg = replace(cfg, **{k: v for k, v in settings.items() if k in valid})
+    cfg = RunConfig(**settings)
     for name in ("seed", "workers", "elements", "steps", "algorithm",
                  "population", "generations"):
         value = getattr(args, {"population": "pop", "generations": "gens"}.get(name, name), None)
@@ -141,6 +140,20 @@ def write_manifest(out_dir: Path, manifest: dict) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def emit(args, argv: list[str], command: str, filename: str, payload: dict,
+         config: dict, inputs: list[Path]) -> int:
+    """Print the payload as JSON. With --out, also write it to out/filename
+    next to the manifest; otherwise the manifest is embedded in the payload."""
+    manifest = build_manifest(command, argv, config, inputs)
+    if args.out:
+        write_manifest(Path(args.out), manifest)
+        (Path(args.out) / filename).write_text(json.dumps(payload, indent=2) + "\n")
+    else:
+        payload["manifest"] = manifest
+    print(json.dumps(payload, indent=2))
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # design input parsing
 
@@ -165,6 +178,10 @@ def design_from_args(args) -> DesignVector:
 
 def design_dict(design: DesignVector) -> dict:
     return {name: getattr(design, name) for name in DESIGN_FIELDS}
+
+
+def objective_dict(y: np.ndarray) -> dict:
+    return dict(zip(pareto.OBJECTIVE_FIELDS, (float(v) for v in y)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +263,10 @@ def render_trace_svg(trace: dict) -> str:
 # subcommands
 
 def cmd_evaluate(args, argv) -> int:
-    try:
-        design = design_from_args(args)
-        report, sweep, model = kinetostatics.evaluate_with_sweep(
-            design, n_elements=args.elements or 30, n_steps=args.steps or 20)
-    except (OutOfRange, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = resolve_config(args)
+    design = design_from_args(args)
+    report, sweep, model = kinetostatics.evaluate_with_sweep(
+        design, n_elements=cfg.elements, n_steps=cfg.steps)
 
     payload = {
         "design": design_dict(design),
@@ -264,27 +278,15 @@ def cmd_evaluate(args, argv) -> int:
     }
     if not report.feasible:
         payload["failure"] = report.failure
-
-    inputs = [Path(args.archive)] if args.archive else []
-    manifest = build_manifest("evaluate", argv, {
-        "elements": args.elements or 30, "steps": args.steps or 20,
-        "trace": bool(args.trace),
-    }, inputs)
     if args.trace:
         if sweep is None:
             print("error: no sweep to trace (geometry rejected)", file=sys.stderr)
             return EXIT_FAILURE
         Path(args.trace).write_text(
             json.dumps(sweep_trace(design, model, sweep), indent=2) + "\n")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "evaluation.json").write_text(json.dumps(payload, indent=2) + "\n")
-        write_manifest(out, manifest)
-    else:
-        payload["manifest"] = manifest
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return emit(args, argv, "evaluate", "evaluation.json", payload,
+                {"elements": cfg.elements, "steps": cfg.steps, "trace": bool(args.trace)},
+                [Path(args.archive)] if args.archive else [])
 
 
 def _progress_writer(stream_paths):
@@ -298,19 +300,15 @@ def _progress_writer(stream_paths):
 
 
 def cmd_optimize(args, argv) -> int:
-    try:
-        cfg = resolve_config(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    if cfg.algorithm not in ("nsga2", "spea2", "both"):
-        print(f"error: unknown algorithm {cfg.algorithm!r}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = resolve_config(args)
     out_path = args.out or cfg.out
     if out_path is None:
-        print("error: no output directory (give --out or set it in the config)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("no output directory (give --out or set it in the config)")
+    settings = asdict(cfg)
+    shared = {f.name: settings[f.name] for f in fields(moo.MooConfig)}
+    algorithms = ["nsga2", "spea2"] if cfg.algorithm == "both" else [cfg.algorithm]
+    moo_configs = [moo.MooConfig(**{**shared, "algorithm": algorithm}).validated()
+                   for algorithm in algorithms]
     out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -318,69 +316,39 @@ def cmd_optimize(args, argv) -> int:
         n_elements=cfg.elements, n_steps=cfg.steps,
         lower_override=cfg.lower_bounds, upper_override=cfg.upper_bounds,
     )
-    algorithms = ["nsga2", "spea2"] if cfg.algorithm == "both" else [cfg.algorithm]
-    archives = {}
-    for algorithm in algorithms:
-        moo_cfg = moo.MooConfig(
-            algorithm=algorithm, population=cfg.population,
-            generations=cfg.generations, seed=cfg.seed,
-            crossover_prob=cfg.crossover_prob, crossover_eta=cfg.crossover_eta,
-            mutation_prob=cfg.mutation_prob, mutation_eta=cfg.mutation_eta,
-            archive_size=cfg.archive_size, workers=cfg.workers,
-        )
-        try:
-            moo_cfg = moo_cfg.validated()
-        except moo.ConfigError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
-        log_path = out / f"progress_{algorithm}.log"
+    archives = []
+    for moo_cfg in moo_configs:
+        algorithm = moo_cfg.algorithm
         print(f"[{algorithm}] pop={cfg.population} gens={cfg.generations} "
               f"seed={cfg.seed} workers={cfg.workers}")
-        with log_path.open("w") as log:
+        with (out / f"progress_{algorithm}.log").open("w") as log:
             archive = moo.run(moo_cfg, evaluator,
                               progress=_progress_writer([sys.stdout, log]))
-        archives[algorithm] = archive
+        archives.append(archive)
         pareto.write_archive_csv(out / f"archive_{algorithm}.csv", archive)
-
-    merged = archives[algorithms[0]]
-    for algorithm in algorithms[1:]:
-        merged = moo.merge_archives(merged, archives[algorithm])
+    merged = functools.reduce(moo.merge_archives, archives)
     pareto.write_archive_csv(out / "archive_merged.csv", merged)
 
     manifest_config = {
-        "global": {"seed": cfg.seed, "workers": cfg.workers,
-                   "elements": cfg.elements, "steps": cfg.steps},
-        "optimize": {"algorithm": cfg.algorithm, "population": cfg.population,
-                     "generations": cfg.generations,
-                     "crossover_prob": cfg.crossover_prob,
-                     "crossover_eta": cfg.crossover_eta,
-                     "mutation_prob": cfg.mutation_prob,
-                     "mutation_eta": cfg.mutation_eta,
-                     "archive_size": cfg.archive_size},
+        "global": {key: settings[key] for key in _GLOBAL_KEYS},
+        "optimize": {key: settings[key] for key in _OPTIMIZE_KEYS},
         "bounds": {
-            name: [cfg.lower_bounds[i], cfg.upper_bounds[i]]
-            for i, name in enumerate(DESIGN_FIELDS)
+            name: [lo, hi] for name, lo, hi
+            in zip(DESIGN_FIELDS, cfg.lower_bounds, cfg.upper_bounds)
         } if cfg.lower_bounds else None,
     }
     inputs = [Path(args.config)] if args.config else []
     write_manifest(out, build_manifest("optimize", argv, manifest_config, inputs))
 
     if len(merged) == 0:
-        print("no feasible designs", file=sys.stderr)
-        return EXIT_FAILURE
+        raise pareto.EmptyArchive("no feasible designs")
     print(f"merged archive: {len(merged)} designs -> {out / 'archive_merged.csv'}")
     return EXIT_OK
 
 
 def cmd_merge(args, argv) -> int:
-    try:
-        archives = [pareto.read_archive_csv(Path(p)) for p in args.archives]
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    merged = archives[0]
-    for other in archives[1:]:
-        merged = moo.merge_archives(merged, other)
+    archives = [pareto.read_archive_csv(Path(p)) for p in args.archives]
+    merged = functools.reduce(moo.merge_archives, archives)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pareto.write_archive_csv(out / "archive_merged.csv", merged)
@@ -404,15 +372,8 @@ def _parse_weights(text: str) -> np.ndarray:
 
 
 def cmd_select(args, argv) -> int:
-    try:
-        archive = pareto.read_archive_csv(Path(args.archive))
-        target = _parse_weights(args.target_weights)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    if len(archive) == 0:
-        print("error: empty archive", file=sys.stderr)
-        return EXIT_FAILURE
+    archive = pareto.read_archive_csv(Path(args.archive))
+    target = _parse_weights(args.target_weights)
     index, entry = pareto.select_by_target(archive, target)
     normalized, _ = pareto.normalize_front(archive)
     weights = pareto.pseudo_weights(normalized)
@@ -420,7 +381,7 @@ def cmd_select(args, argv) -> int:
         "target_weights": [float(v) for v in target],
         "selected_index": index,
         "design": design_dict(DesignVector.from_array(entry.x)),
-        "objectives": dict(zip(pareto.OBJECTIVE_FIELDS, (float(v) for v in entry.y))),
+        "objectives": objective_dict(entry.y),
         "normalized": [float(v) for v in normalized[index]],
         "pseudo_weights": [float(v) for v in weights[index]],
         "table": [
@@ -429,41 +390,22 @@ def cmd_select(args, argv) -> int:
             for i, w in enumerate(weights)
         ],
     }
-    manifest = build_manifest("select", argv,
-                              {"target_weights": [float(v) for v in target]},
-                              [Path(args.archive)])
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "selection.json").write_text(json.dumps(payload, indent=2) + "\n")
-        write_manifest(out, manifest)
-    else:
-        payload["manifest"] = manifest
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return emit(args, argv, "select", "selection.json", payload,
+                {"target_weights": [float(v) for v in target]}, [Path(args.archive)])
 
 
 def cmd_refine(args, argv) -> int:
-    try:
-        archive = pareto.read_archive_csv(Path(args.archive))
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = resolve_config(args)
+    archive = pareto.read_archive_csv(Path(args.archive))
     if len(archive) == 0:
-        print("error: empty archive", file=sys.stderr)
-        return EXIT_FAILURE
+        raise pareto.EmptyArchive("empty archive")
     index = None
     if args.values:
-        try:
-            start = parse_design_values(args.values)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
+        start = parse_design_values(args.values)
     else:
         if args.row is not None:
             if not 0 <= args.row < len(archive):
-                print(f"error: row {args.row} outside archive", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"row {args.row} outside archive")
             index = args.row
         else:
             target = _parse_weights(args.target_weights or "0.3333333333333333,"
@@ -472,46 +414,29 @@ def cmd_refine(args, argv) -> int:
         start = DesignVector.from_array(archive.entries[index].x)
     weights = _parse_weights(args.weights) if args.weights else None
 
-    try:
-        report = refine.refine_design(
-            start, ideal=archive.ideal, nadir=archive.nadir, weights=weights,
-            max_iters=args.iters, n_elements=args.elements or 30,
-            n_steps=args.steps or 20)
-    except (refine.InfeasibleStart, pareto.DegenerateObjective) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
-
+    report = refine.refine_design(
+        start, ideal=archive.ideal, nadir=archive.nadir, weights=weights,
+        max_iters=args.iters, n_elements=cfg.elements, n_steps=cfg.steps)
     payload = {
         "selected_index": index,
         "weights": [float(v) for v in report.weights],
         "start": {
             "design": design_dict(report.start_design),
-            "objectives": dict(zip(pareto.OBJECTIVE_FIELDS,
-                                   (float(v) for v in report.start_objectives))),
+            "objectives": objective_dict(report.start_objectives),
             "scalar": report.start_scalar,
         },
         "refined": {
             "design": design_dict(report.refined_design),
-            "objectives": dict(zip(pareto.OBJECTIVE_FIELDS,
-                                   (float(v) for v in report.refined_objectives))),
+            "objectives": objective_dict(report.refined_objectives),
             "scalar": report.refined_scalar,
         },
         "iterations": report.iterations,
         "evaluations": report.evaluations,
     }
-    manifest = build_manifest("refine", argv, {
-        "iters": args.iters, "row": index,
-        "elements": args.elements or 30, "steps": args.steps or 20,
-    }, [Path(args.archive)])
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "refined.json").write_text(json.dumps(payload, indent=2) + "\n")
-        write_manifest(out, manifest)
-    else:
-        payload["manifest"] = manifest
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return emit(args, argv, "refine", "refined.json", payload,
+                {"iters": args.iters, "row": index,
+                 "elements": cfg.elements, "steps": cfg.steps},
+                [Path(args.archive)])
 
 
 def cmd_render(args, argv) -> int:
@@ -519,38 +444,29 @@ def cmd_render(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     inputs = []
-    try:
-        if args.trace:
-            trace = json.loads(Path(args.trace).read_text())
-            path = out / (Path(args.trace).stem + "_deformed.svg")
-            path.write_text(render_trace_svg(trace))
+    if args.trace:
+        trace = json.loads(Path(args.trace).read_text())
+        path = out / (Path(args.trace).stem + "_deformed.svg")
+        path.write_text(render_trace_svg(trace))
+        written.append(path)
+        inputs.append(Path(args.trace))
+    if args.values:
+        path = out / "design.svg"
+        path.write_text(render_design_svg(parse_design_values(args.values)))
+        written.append(path)
+    if args.archive:
+        archive = pareto.read_archive_csv(Path(args.archive))
+        inputs.append(Path(args.archive))
+        rows = (range(len(archive)) if args.rows is None
+                else [int(v) for v in args.rows.split(",")])
+        for row in rows:
+            if not 0 <= row < len(archive):
+                raise ValueError(f"row {row} outside archive")
+            path = out / f"design_{row:04d}.svg"
+            path.write_text(render_design_svg(DesignVector.from_array(archive.entries[row].x)))
             written.append(path)
-            inputs.append(Path(args.trace))
-        if args.values:
-            design = parse_design_values(args.values)
-            path = out / "design.svg"
-            path.write_text(render_design_svg(design))
-            written.append(path)
-        if args.archive:
-            archive = pareto.read_archive_csv(Path(args.archive))
-            inputs.append(Path(args.archive))
-            rows = (range(len(archive)) if args.rows is None
-                    else [int(v) for v in args.rows.split(",")])
-            for row in rows:
-                if not 0 <= row < len(archive):
-                    print(f"error: row {row} outside archive", file=sys.stderr)
-                    return EXIT_USAGE
-                design = DesignVector.from_array(archive.entries[row].x)
-                path = out / f"design_{row:04d}.svg"
-                path.write_text(render_design_svg(design))
-                written.append(path)
-    except (OSError, ValueError, OutOfRange, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     if not written:
-        print("error: nothing to render (give --archive, --values or --trace)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("nothing to render (give --archive, --values or --trace)")
     write_manifest(out, build_manifest("render", argv, {}, inputs))
     for path in written:
         print(path)
@@ -558,14 +474,9 @@ def cmd_render(args, argv) -> int:
 
 
 def cmd_front(args, argv) -> int:
-    try:
-        archive = pareto.read_archive_csv(Path(args.archive))
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    archive = pareto.read_archive_csv(Path(args.archive))
     if len(archive) == 0:
-        print("error: empty archive", file=sys.stderr)
-        return EXIT_FAILURE
+        raise pareto.EmptyArchive("empty archive")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pareto.write_archive_csv(out / "front.csv", archive)
@@ -655,10 +566,19 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Exit codes: 0 success, 1 a valid request with no
+    result (infeasible start, degenerate objective, empty archive), 2 bad
+    input (malformed or out-of-range values, unreadable files)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args, argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args, argv)
+    except (refine.InfeasibleStart, pareto.DegenerateObjective, pareto.EmptyArchive) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILURE
+    except (ValueError, OSError, KeyError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beam_fem, geometry
+from .pareto import DegenerateInput
 
 logger = logging.getLogger(__name__)
 
@@ -30,34 +31,44 @@ SELF_INTERSECTION_VIOLATION = 1.0
 SINGULAR_VIOLATION = 1.0
 
 
-class DegenerateInput(ValueError):
-    """Input too small or empty for the requested reduction."""
-
-
 class NotPositiveDefinite(ValueError):
     """Condensed stiffness matrix is not positive definite."""
 
 
 @dataclass(frozen=True)
-class ObjectiveVector:
-    """Objectives of one design; r/c/k are None when infeasible."""
+class Evaluation:
+    """Outcome of one evaluation under constraint handling.
 
-    r_bar: float | None
-    c_bar: float | None
-    k_bar: float | None
+    y holds the objectives of a feasible design (None when infeasible);
+    infeasible outcomes carry a violation magnitude and a failure class.
+    Scalarized problems put their scalar in y.
+    """
+
+    y: np.ndarray | float | None
     feasible: bool
     violation: float = 0.0
     failure: str = ""
 
+    @property
+    def r_bar(self) -> float | None:
+        return None if self.y is None else float(self.y[0])
+
+    @property
+    def c_bar(self) -> float | None:
+        return None if self.y is None else float(self.y[1])
+
+    @property
+    def k_bar(self) -> float | None:
+        return None if self.y is None else float(self.y[2])
+
     def as_array(self) -> np.ndarray:
         if not self.feasible:
             raise ValueError("infeasible design has no objective values")
-        return np.array([self.r_bar, self.c_bar, self.k_bar])
+        return np.array(self.y)
 
-    @staticmethod
-    def infeasible(violation: float, failure: str) -> "ObjectiveVector":
-        return ObjectiveVector(r_bar=None, c_bar=None, k_bar=None, feasible=False,
-                               violation=violation, failure=failure)
+
+def _infeasible(violation: float, failure: str) -> Evaluation:
+    return Evaluation(y=None, feasible=False, violation=violation, failure=failure)
 
 
 def centrode(tip_trajectory: np.ndarray, delta_phi: float) -> np.ndarray:
@@ -166,15 +177,14 @@ def rotational_stiffness_profile(moments: np.ndarray, delta_phi: float) -> np.nd
 
 
 def objectives_from_sweep(sweep: beam_fem.SweepResult, sweep_angle: float,
-                          n_steps: int) -> ObjectiveVector:
+                          n_steps: int) -> Evaluation:
     """Reduce a completed sweep to the three objectives."""
     delta_phi = sweep_angle / n_steps
     _, radius = min_enclosing_circle(centrode(sweep.tip_positions, delta_phi))
     compliances = [principal_compliances(k) for k in sweep.stiffnesses]
     c_max = max(max(pair) for pair in compliances)
     k_max = float(np.max(rotational_stiffness_profile(sweep.moments, delta_phi)))
-    return ObjectiveVector(r_bar=float(radius), c_bar=float(c_max), k_bar=float(k_max),
-                           feasible=True)
+    return Evaluation(y=np.array([radius, c_max, k_max], dtype=float), feasible=True)
 
 
 def evaluate_with_sweep(design: geometry.DesignVector,
@@ -185,25 +195,23 @@ def evaluate_with_sweep(design: geometry.DesignVector,
     """Evaluation pipeline that also returns the sweep and model.
 
     Returns:
-        (ObjectiveVector, SweepResult | None, BeamModel | None); the sweep
+        (Evaluation, SweepResult | None, BeamModel | None); the sweep
         and model are None when the geometry is rejected before analysis.
     """
     hinge = geometry.build_hinge(design)
     report = geometry.check_feasibility(hinge)
     if not report.feasible:
-        return (ObjectiveVector.infeasible(SELF_INTERSECTION_VIOLATION,
-                                           "self-intersection"), None, None)
+        return _infeasible(SELF_INTERSECTION_VIOLATION, "self-intersection"), None, None
 
     model = beam_fem.assemble_model(hinge, n_elements=n_elements)
     sweep = beam_fem.run_sweep(model, n_steps=n_steps, sweep_angle=sweep_angle,
                                strain_limit=strain_limit)
     if not sweep.converged:
         if sweep.failure == "strain":
-            return (ObjectiveVector.infeasible(sweep.max_strain - strain_limit,
-                                               "strain"), sweep, model)
+            return _infeasible(sweep.max_strain - strain_limit, "strain"), sweep, model
         reached = sweep.records[-1].phi if sweep.records else 0.0
-        return (ObjectiveVector.infeasible(1.0 + (1.0 - reached / sweep_angle),
-                                           "nonconvergence"), sweep, model)
+        return (_infeasible(1.0 + (1.0 - reached / sweep_angle), "nonconvergence"),
+                sweep, model)
 
     if np.any(sweep.moments[1:] <= 0.0):
         logger.warning("non-positive reaction moment within the action space "
@@ -211,15 +219,14 @@ def evaluate_with_sweep(design: geometry.DesignVector,
     try:
         return objectives_from_sweep(sweep, sweep_angle, n_steps), sweep, model
     except NotPositiveDefinite:
-        return (ObjectiveVector.infeasible(SINGULAR_VIOLATION,
-                                           "indefinite-stiffness"), sweep, model)
+        return _infeasible(SINGULAR_VIOLATION, "indefinite-stiffness"), sweep, model
 
 
 def evaluate_objectives(design: geometry.DesignVector,
                         n_elements: int = beam_fem.DEFAULT_ELEMENTS,
                         n_steps: int = beam_fem.DEFAULT_STEPS,
                         sweep_angle: float = beam_fem.SWEEP_ANGLE,
-                        strain_limit: float = beam_fem.STRAIN_LIMIT) -> ObjectiveVector:
+                        strain_limit: float = beam_fem.STRAIN_LIMIT) -> Evaluation:
     """Full evaluation pipeline: geometry, feasibility, sweep, objectives.
 
     Infeasibility is reported, never raised: self-intersecting geometry

@@ -14,12 +14,13 @@ order (optionally to a process pool) and reduced in index order.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kinetostatics, pareto
+from . import beam_fem, kinetostatics, pareto
 from .geometry import DesignVector, LOWER_BOUNDS, UPPER_BOUNDS
+from .kinetostatics import Evaluation
 
 
 class ConfigError(ValueError):
@@ -46,9 +47,8 @@ class MooConfig:
             raise ConfigError("population must be an even number >= 4")
         if self.generations < 1:
             raise ConfigError("generations must be >= 1")
-        for name in ("crossover_prob",):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.crossover_prob <= 1.0:
+            raise ConfigError("crossover_prob must lie in [0, 1]")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
             raise ConfigError("mutation_prob must lie in [0, 1]")
         if self.crossover_eta <= 0 or self.mutation_eta <= 0:
@@ -58,15 +58,6 @@ class MooConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Outcome of one objective evaluation under constraint handling."""
-
-    y: np.ndarray | None
-    feasible: bool
-    violation: float = 0.0
 
 
 @dataclass
@@ -86,9 +77,8 @@ class HingeEvaluator:
     lower_override / upper_override (per-variable arrays).
     """
 
-    n_elements: int = 30
-    n_steps: int = 20
-    n_objectives: int = 3
+    n_elements: int = beam_fem.DEFAULT_ELEMENTS
+    n_steps: int = beam_fem.DEFAULT_STEPS
     lower_override: tuple[float, ...] | None = None
     upper_override: tuple[float, ...] | None = None
 
@@ -105,13 +95,10 @@ class HingeEvaluator:
         return np.asarray(self.upper_override, dtype=float)
 
     def __call__(self, x: np.ndarray) -> Evaluation:
-        report = kinetostatics.evaluate_objectives(
+        return kinetostatics.evaluate_objectives(
             DesignVector.from_array(x),
             n_elements=self.n_elements, n_steps=self.n_steps,
         )
-        if not report.feasible:
-            return Evaluation(y=None, feasible=False, violation=report.violation)
-        return Evaluation(y=report.as_array(), feasible=True)
 
 
 def _call_evaluator(payload):
@@ -320,10 +307,11 @@ def _nsga2_survivors(population: list[Individual], size: int) -> list[Individual
     return [population[i] for i in order[:size]]
 
 
-def _binary_tournament(metric_better, n_parents: int, pool_size: int,
+def _binary_tournament(keys: list, n_parents: int,
                        rng: np.random.Generator) -> np.ndarray:
-    picks = rng.integers(0, pool_size, size=(n_parents, 2))
-    return np.array([a if metric_better(a, b) else b for a, b in picks])
+    """Winners of random pairs: the lower key wins, ties go to the lower index."""
+    picks = rng.integers(0, len(keys), size=(n_parents, 2))
+    return np.array([a if (keys[a], a) <= (keys[b], b) else b for a, b in picks])
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +384,12 @@ def _spea2_environmental(population: list[Individual], size: int) -> list[Indivi
 
 
 # ---------------------------------------------------------------------------
-# generation loops
+# generation loop
 
 @dataclass
 class GenerationStats:
     generation: int
-    feasible: int
+    feasible: int           # feasible offspring (initial population at gen 0)
     archive_size: int
     hypervolume: float
 
@@ -417,11 +405,8 @@ def _progress_hv(archive: pareto.ParetoArchive) -> float:
     return pareto.hypervolume(squashed, np.ones(ys.shape[1]))
 
 
-def _initial_population(config: MooConfig, engine: _EvaluationEngine,
-                        lower, upper, rng) -> list[Individual]:
-    xs = rng.uniform(lower, upper, size=(config.population, len(lower)))
-    evals = engine.evaluate(xs)
-    return [Individual(x=x, evaluation=e) for x, e in zip(xs, evals)]
+def _individuals(xs: np.ndarray, engine: _EvaluationEngine) -> list[Individual]:
+    return [Individual(x=x, evaluation=e) for x, e in zip(xs, engine.evaluate(xs))]
 
 
 def _feasible_entries(population: list[Individual]) -> list[pareto.ArchiveEntry]:
@@ -429,92 +414,50 @@ def _feasible_entries(population: list[Individual]) -> list[pareto.ArchiveEntry]
             for ind in population if ind.evaluation.feasible]
 
 
-def nsga2_run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
-    """NSGA-II with constraint domination and an external feasible archive."""
-    config = replace(config, algorithm="nsga2").validated()
-    rng = np.random.default_rng(config.seed)
-    lower, upper = np.asarray(evaluator.lower), np.asarray(evaluator.upper)
-    archive = pareto.ParetoArchive(entries=())
-
-    with _EvaluationEngine(evaluator, config.workers) as engine:
-        population = _initial_population(config, engine, lower, upper, rng)
-        _assign_rank_crowding(population)
-        archive = pareto.archive_insert(archive, _feasible_entries(population))
-        _report(progress, 0, population, archive)
-
-        for gen in range(1, config.generations + 1):
-            def better(i, j):
-                a, b = population[i], population[j]
-                if a.rank != b.rank:
-                    return a.rank < b.rank
-                if a.crowding != b.crowding:
-                    return a.crowding > b.crowding
-                return i <= j
-
-            parent_idx = _binary_tournament(better, config.population,
-                                            len(population), rng)
-            parents = np.array([population[i].x for i in parent_idx])
-            offspring_x = variation(parents, config, rng, lower, upper)
-            evals = engine.evaluate(offspring_x)
-            offspring = [Individual(x=x, evaluation=e)
-                         for x, e in zip(offspring_x, evals)]
-            population = _nsga2_survivors(population + offspring, config.population)
-            archive = pareto.archive_insert(archive, _feasible_entries(offspring))
-            _report(progress, gen, population, archive)
-
-    return archive
-
-
-def spea2_run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
-    """SPEA2 with constraint domination and an external feasible archive."""
-    config = replace(config, algorithm="spea2").validated()
-    rng = np.random.default_rng(config.seed)
-    lower, upper = np.asarray(evaluator.lower), np.asarray(evaluator.upper)
-    env_size = config.archive_size or config.population
-    archive = pareto.ParetoArchive(entries=())
-
-    with _EvaluationEngine(evaluator, config.workers) as engine:
-        population = _initial_population(config, engine, lower, upper, rng)
-        archive = pareto.archive_insert(archive, _feasible_entries(population))
-        env = _spea2_environmental(list(population), env_size)
-        _report(progress, 0, population, archive)
-
-        for gen in range(1, config.generations + 1):
-            def better(i, j):
-                a, b = env[i], env[j]
-                if a.fitness != b.fitness:
-                    return a.fitness < b.fitness
-                return i <= j
-
-            parent_idx = _binary_tournament(better, config.population, len(env), rng)
-            parents = np.array([env[i].x for i in parent_idx])
-            offspring_x = variation(parents, config, rng, lower, upper)
-            evals = engine.evaluate(offspring_x)
-            population = [Individual(x=x, evaluation=e)
-                          for x, e in zip(offspring_x, evals)]
-            archive = pareto.archive_insert(archive, _feasible_entries(population))
-            env = _spea2_environmental(env + population, env_size)
-            _report(progress, gen, population, archive)
-
-    return archive
-
-
-def _report(progress, gen: int, population: list[Individual],
-            archive: pareto.ParetoArchive) -> None:
-    if progress is None:
-        return
-    feasible = sum(1 for ind in population if ind.evaluation.feasible)
-    progress(GenerationStats(generation=gen, feasible=feasible,
-                             archive_size=len(archive),
-                             hypervolume=_progress_hv(archive)))
-
-
 def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
-    """Dispatch on config.algorithm."""
-    config.validated()
-    if config.algorithm == "nsga2":
-        return nsga2_run(config, evaluator, progress)
-    return spea2_run(config, evaluator, progress)
+    """NSGA-II or SPEA2 (config.algorithm) with constraint domination and an
+    external archive of all feasible evaluations.
+
+    Both share one generational loop. They differ in the start step
+    (NSGA-II ranks the initial population in place, SPEA2 selects its
+    environmental archive from it), the binary-tournament key ((rank,
+    -crowding) or SPEA2 fitness) and the survivor selection over parents
+    plus offspring.
+    """
+    config = config.validated()
+    nsga2 = config.algorithm == "nsga2"
+    rng = np.random.default_rng(config.seed)
+    lower, upper = np.asarray(evaluator.lower), np.asarray(evaluator.upper)
+    size = config.population if nsga2 else config.archive_size or config.population
+    survivors = _nsga2_survivors if nsga2 else _spea2_environmental
+    archive = pareto.ParetoArchive(entries=())
+
+    with _EvaluationEngine(evaluator, config.workers) as engine:
+        offspring = _individuals(
+            rng.uniform(lower, upper, size=(config.population, len(lower))), engine)
+        if nsga2:
+            _assign_rank_crowding(offspring)
+            pool = offspring
+        else:
+            pool = _spea2_environmental(list(offspring), size)
+
+        for gen in range(config.generations + 1):
+            if gen > 0:
+                keys = [(ind.rank, -ind.crowding) if nsga2 else (ind.fitness,)
+                        for ind in pool]
+                parents = np.array([pool[i].x for i in
+                                    _binary_tournament(keys, config.population, rng)])
+                offspring = _individuals(
+                    variation(parents, config, rng, lower, upper), engine)
+                pool = survivors(pool + offspring, size)
+            archive = pareto.archive_insert(archive, _feasible_entries(offspring))
+            if progress is not None:
+                progress(GenerationStats(
+                    generation=gen,
+                    feasible=sum(ind.evaluation.feasible for ind in offspring),
+                    archive_size=len(archive), hypervolume=_progress_hv(archive)))
+
+    return archive
 
 
 def merge_archives(a: pareto.ParetoArchive, b: pareto.ParetoArchive) -> pareto.ParetoArchive:

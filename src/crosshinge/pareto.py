@@ -29,7 +29,7 @@ class EmptyArchive(ValueError):
 
 
 class DegenerateInput(ValueError):
-    """Input values admit no meaningful result (e.g. all-nadir point)."""
+    """Input admits no meaningful result (too few points, all-nadir point)."""
 
 
 class DegenerateObjective(ValueError):
@@ -301,7 +301,12 @@ def sidecar_path(csv_path) -> Path:
 
 
 def read_archive_csv(path) -> ParetoArchive:
-    """Read an archive CSV back; only design and objective columns matter."""
+    """Read an archive CSV back; only design and objective columns matter.
+
+    Raises:
+        ValueError: naming the first row (0-based) that holds a non-finite
+            value or is dominated by another row.
+    """
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.DictReader(handle)
@@ -310,8 +315,15 @@ def read_archive_csv(path) -> ParetoArchive:
         if missing:
             raise ValueError(f"archive CSV missing columns: {', '.join(missing)}")
         entries = []
-        for row in reader:
+        for i, row in enumerate(reader):
             x = np.array([float(row[c]) for c in DESIGN_FIELDS])
             y = np.array([float(row[c]) for c in OBJECTIVE_FIELDS])
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise ValueError(f"{path}: row {i} holds a non-finite value")
             entries.append(ArchiveEntry(x=x, y=y))
-    return ParetoArchive(entries=tuple(entries))
+    archive = ParetoArchive(entries=tuple(entries))
+    if entries:
+        dominated = np.flatnonzero(dominated_mask(archive.objectives))
+        if dominated.size:
+            raise ValueError(f"{path}: row {dominated[0]} is dominated by another row")
+    return archive

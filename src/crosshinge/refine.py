@@ -9,12 +9,13 @@ sum to one, so each objective initially contributes equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kinetostatics
+from . import beam_fem, kinetostatics
 from .geometry import DesignVector, LOWER_BOUNDS, UPPER_BOUNDS
+from .kinetostatics import Evaluation
 from .pareto import DegenerateObjective
 
 NM_REFLECTION = 1.0
@@ -48,21 +49,14 @@ def scalarize(normalized: np.ndarray, weights: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class ScalarEvaluation:
-    feasible: bool
-    value: float = 0.0
-    violation: float = 0.0
-
-
-@dataclass(frozen=True)
 class ScalarizedProblem:
     """Frozen-normalization scalar objective over the design space."""
 
     weights: np.ndarray
     ideal: np.ndarray
     nadir: np.ndarray
-    n_elements: int = 30
-    n_steps: int = 20
+    n_elements: int = beam_fem.DEFAULT_ELEMENTS
+    n_steps: int = beam_fem.DEFAULT_STEPS
 
     def normalize(self, objectives: np.ndarray) -> np.ndarray:
         span = self.nadir - self.ideal
@@ -70,15 +64,15 @@ class ScalarizedProblem:
         normalized = (np.asarray(objectives, float) - self.ideal) / safe
         return np.where(span > 0.0, normalized, 0.0)
 
-    def __call__(self, x: np.ndarray) -> ScalarEvaluation:
+    def __call__(self, x: np.ndarray) -> Evaluation:
+        """The evaluation record with the scalar objective in y."""
         report = kinetostatics.evaluate_objectives(
             DesignVector.from_array(x),
             n_elements=self.n_elements, n_steps=self.n_steps,
         )
         if not report.feasible:
-            return ScalarEvaluation(feasible=False, violation=report.violation)
-        value = scalarize(self.normalize(report.as_array()), self.weights)
-        return ScalarEvaluation(feasible=True, value=value)
+            return report
+        return replace(report, y=scalarize(self.normalize(report.y), self.weights))
 
 
 @dataclass
@@ -94,11 +88,11 @@ def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
                 f_tol: float = 1e-14, x_tol: float = 1e-14) -> NelderMeadResult:
     """Bounded Nelder-Mead simplex search tracking the best feasible point.
 
-    The objective returns a ScalarEvaluation; infeasible evaluations are
-    assigned the best feasible value seen so far plus their violation,
-    which steers the simplex back without gradients. Reflection,
-    expansion and contraction points are clipped to the bounds, so every
-    vertex stays admissible.
+    The objective returns an Evaluation with the scalar in y; infeasible
+    evaluations are assigned the best feasible value seen so far plus
+    their violation, which steers the simplex back without gradients.
+    Reflection, expansion and contraction points are clipped to the
+    bounds, so every vertex stays admissible.
 
     Raises:
         InfeasibleStart: if the starting point evaluates infeasible.
@@ -117,10 +111,10 @@ def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
         evaluations += 1
         result = objective(x)
         if result.feasible:
-            if result.value < best_value:
-                best_value = result.value
+            if result.y < best_value:
+                best_value = result.y
                 best_x = x.copy()
-            return result.value
+            return result.y
         penalty_base = best_value if np.isfinite(best_value) else 0.0
         return penalty_base + result.violation
 
@@ -198,7 +192,8 @@ class RefineReport:
 
 def refine_design(start: DesignVector, ideal: np.ndarray, nadir: np.ndarray,
                   weights: np.ndarray | None = None, max_iters: int = 200,
-                  n_elements: int = 30, n_steps: int = 20) -> RefineReport:
+                  n_elements: int = beam_fem.DEFAULT_ELEMENTS,
+                  n_steps: int = beam_fem.DEFAULT_STEPS) -> RefineReport:
     """Scalarized Nelder-Mead refinement of a feasible start design.
 
     With weights=None, inverse-normalization weights are derived from the

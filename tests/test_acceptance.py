@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,9 +258,9 @@ def test_criterion_5_pseudo_weight_arithmetic():
 
 def test_criterion_6_zdt1_validation():
     t0 = time.perf_counter()
-    cfg = moo.MooConfig(population=100, generations=250, seed=42)
-    gd_nsga2 = generational_distance(moo.nsga2_run(cfg, ZDT1()))
-    gd_spea2 = generational_distance(moo.spea2_run(cfg, ZDT1()))
+    cfg = moo.MooConfig(algorithm="nsga2", population=100, generations=250, seed=42)
+    gd_nsga2 = generational_distance(moo.run(cfg, ZDT1()))
+    gd_spea2 = generational_distance(moo.run(replace(cfg, algorithm="spea2"), ZDT1()))
     elapsed = time.perf_counter() - t0
     ok = gd_nsga2 < 0.01 and gd_spea2 < 0.01 and elapsed < 30.0
     report(6, ok, f"generational distance nsga2 {gd_nsga2:.5f}, spea2 "
@@ -323,8 +324,7 @@ def test_criterion_9_refinement(desk_campaign):
     non_increase = result.refined_scalar <= result.start_scalar + 1e-12
 
     quad = refine.nelder_mead(
-        lambda x: refine.ScalarEvaluation(feasible=True,
-                                          value=float(np.sum((x - 0.7) ** 2))),
+        lambda x: refine.Evaluation(y=float(np.sum((x - 0.7) ** 2)), feasible=True),
         np.full(13, 0.65), np.zeros(13), np.ones(13), max_iters=200)
     ok = non_increase and quad.value < 1e-4
     report(9, ok, f"scalar {result.start_scalar:.4e} -> {result.refined_scalar:.4e} "

@@ -267,6 +267,62 @@ class TestRender:
         assert rc == 2
 
 
+def raw_archive_csv(path: Path, objective_rows) -> Path:
+    """Archive CSV holding the regression design on every row with the given
+    objectives, written as-is (no non-domination filter)."""
+    design = [repr(REGRESSION["design"][name]) for name in DESIGN_FIELDS]
+    lines = [",".join([*DESIGN_FIELDS, *pareto.OBJECTIVE_FIELDS])]
+    lines += [",".join(design + [repr(float(v)) for v in y]) for y in objective_rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+BETA1_25 = ",".join(repr(25.0 if name == "beta1" else REGRESSION["design"][name])
+                    for name in DESIGN_FIELDS)
+
+# bad input that must end in an error line and exit code 1 or 2, never in a
+# traceback or a result computed from silently replaced values; {archive},
+# {dominated}, {nan}, {config} and {out} are filled with per-test paths
+BAD_INPUTS = {
+    "select-dominated-row": ["select", "--archive", "{dominated}",
+                             "--target-weights", "0.4,0.3,0.3"],
+    "select-nan-row": ["select", "--archive", "{nan}", "--target-weights", "0.4,0.3,0.3"],
+    "refine-values-out-of-range": ["refine", "--archive", "{archive}",
+                                   "--values", BETA1_25, "--iters", "1"],
+    "refine-malformed-weights": ["refine", "--archive", "{archive}", "--row", "0",
+                                 "--weights", "a,b", "--iters", "1"],
+    "refine-short-target-weights": ["refine", "--archive", "{archive}",
+                                    "--target-weights", "1,2", "--iters", "1"],
+    "refine-one-element": ["refine", "--archive", "{archive}", "--row", "0",
+                           "--elements", "1", "--iters", "1"],
+    "optimize-one-element": ["optimize", "--config", "{config}", "--elements", "1",
+                             "--out", "{out}"],
+    "optimize-zero-steps": ["optimize", "--config", "{config}", "--steps", "0",
+                            "--out", "{out}"],
+    "evaluate-zero-elements": ["evaluate", "--values", REGRESSION_VALUES,
+                               "--elements", "0"],
+    "evaluate-zero-steps": ["evaluate", "--values", REGRESSION_VALUES, "--steps", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_with_error_line(tmp_path, capsys, argv):
+    paths = {
+        "archive": raw_archive_csv(tmp_path / "one.csv", [[1.0, 2.0, 3.0]]),
+        "dominated": raw_archive_csv(tmp_path / "dominated.csv",
+                                     [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]),
+        "nan": raw_archive_csv(tmp_path / "nan.csv",
+                               [[1.0, 2.0, 3.0], [float("nan"), 1.0, 1.0]]),
+        "config": write_point_config(tmp_path, REGRESSION["design"]),
+        "out": tmp_path / "run",
+    }
+    rc = cli.main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc in (cli.EXIT_FAILURE, cli.EXIT_USAGE)
+    assert any(line.startswith("error: ") for line in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "crosshinge.cli", "--version"],

@@ -1,10 +1,11 @@
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from crosshinge import moo, pareto
-from zdt import ZDT1, generational_distance
+from zdt import ZDT1, BandedZDT1, generational_distance
 
 
 @dataclass(frozen=True)
@@ -12,7 +13,6 @@ class Sphere:
     """Single-objective sanity problem duplicated into two objectives."""
 
     n_var: int = 10
-    n_objectives: int = 2
 
     @property
     def lower(self):
@@ -170,32 +170,32 @@ class TestSpea2Selection:
 class TestRuns:
     def test_sphere_collapses_to_origin(self):
         cfg = moo.MooConfig(population=50, generations=100, seed=1)
-        archive = moo.nsga2_run(cfg, Sphere())
+        archive = moo.run(cfg, Sphere())
         assert archive.objectives.min() < 1e-3
 
     def test_nsga2_zdt1_converges(self):
         cfg = moo.MooConfig(population=60, generations=180, seed=5)
-        archive = moo.nsga2_run(cfg, ZDT1())
+        archive = moo.run(cfg, ZDT1())
         assert generational_distance(archive) < 0.02
 
     def test_spea2_zdt1_converges(self):
-        cfg = moo.MooConfig(population=60, generations=180, seed=5)
-        archive = moo.spea2_run(cfg, ZDT1())
+        cfg = moo.MooConfig(algorithm="spea2", population=60, generations=180, seed=5)
+        archive = moo.run(cfg, ZDT1())
         assert generational_distance(archive) < 0.02
 
     def test_fixed_seed_bitwise_deterministic(self):
         cfg = moo.MooConfig(population=20, generations=15, seed=11)
-        a = moo.nsga2_run(cfg, ZDT1(n_var=8))
-        b = moo.nsga2_run(cfg, ZDT1(n_var=8))
+        a = moo.run(cfg, ZDT1(n_var=8))
+        b = moo.run(cfg, ZDT1(n_var=8))
         assert len(a) == len(b)
         for ea, eb in zip(a.entries, b.entries):
             assert np.array_equal(ea.x, eb.x)
             assert np.array_equal(ea.y, eb.y)
 
     def test_parallel_matches_serial(self):
-        serial = moo.nsga2_run(moo.MooConfig(population=12, generations=5, seed=2),
-                               ZDT1(n_var=6))
-        parallel = moo.nsga2_run(
+        serial = moo.run(moo.MooConfig(population=12, generations=5, seed=2),
+                         ZDT1(n_var=6))
+        parallel = moo.run(
             moo.MooConfig(population=12, generations=5, seed=2, workers=2),
             ZDT1(n_var=6))
         assert len(serial) == len(parallel)
@@ -208,8 +208,6 @@ class TestRuns:
 
         @dataclass(frozen=True)
         class Recording:
-            n_objectives: int = 2
-
             @property
             def lower(self):
                 return np.zeros(4)
@@ -224,14 +222,65 @@ class TestRuns:
                                       feasible=True)
 
         cfg = moo.MooConfig(population=16, generations=8, seed=3)
-        moo.nsga2_run(cfg, Recording())
+        moo.run(cfg, Recording())
         stacked = np.array(calls)
         assert np.all(stacked >= 0.0) and np.all(stacked <= 1.0)
 
     def test_archive_hypervolume_nondecreasing(self):
         history = []
         cfg = moo.MooConfig(population=24, generations=30, seed=6)
-        moo.nsga2_run(cfg, ZDT1(n_var=10),
-                      progress=lambda s: history.append(s.hypervolume))
+        moo.run(cfg, ZDT1(n_var=10),
+                progress=lambda s: history.append(s.hypervolume))
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-12)
+
+
+# SHA-256 of the write_archive_csv output of moo.run (population 12,
+# 10 generations, seed 4, 6 variables). They pin the archives across
+# commits, which same-commit reproducibility tests cannot: drift in
+# variation, selection, the archive or the CSV format changes them.
+PINNED_ARCHIVES = [
+    ("nsga2", ZDT1, None,
+     "cd2a8564d44c635be06ba45b60603314d6513c97e6f082df2ab42b9b46f2be43"),
+    ("spea2", ZDT1, None,
+     "673c8ebd1c59d057751017d31c5ba0674e61dfb48acff4b50297e7ad1ec61d5b"),
+    ("nsga2", BandedZDT1, None,
+     "f5b91828d60ea799e76992947716950dacb94b764a08ae1f6342aad24c472fbf"),
+    ("spea2", BandedZDT1, None,
+     "9ffb70907ac8d8a4a8a5b752bb24291addc43f15c5feb08669bcb02c53eb3df4"),
+    ("spea2", BandedZDT1, 8,
+     "b0558cd69e041e9886aef8e1886c3ff602d6d07c05585000ba8ab8336b4419db"),
+]
+
+
+class TestGenerationLoop:
+    @pytest.mark.parametrize("algorithm, problem, archive_size, digest", PINNED_ARCHIVES)
+    def test_archive_digest_pinned(self, tmp_path, algorithm, problem, archive_size,
+                                   digest):
+        cfg = moo.MooConfig(algorithm=algorithm, population=12, generations=10,
+                            seed=4, archive_size=archive_size)
+        path = tmp_path / "archive.csv"
+        pareto.write_archive_csv(path, moo.run(cfg, problem(n_var=6)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
+    def test_progress_counts_feasible_offspring(self, monkeypatch, algorithm):
+        # each engine call evaluates one generation: the initial population,
+        # then the offspring of every later generation
+        batches = []
+        evaluate = moo._EvaluationEngine.evaluate
+
+        def recording(engine, xs):
+            batches.append(xs.copy())
+            return evaluate(engine, xs)
+
+        monkeypatch.setattr(moo._EvaluationEngine, "evaluate", recording)
+        # feasible only for x[-1] <= 0.2: early offspring are mostly
+        # infeasible while the survivors fill up with feasible designs
+        problem = BandedZDT1(n_var=6, band=(0.2, 2.0))
+        stats = []
+        moo.run(moo.MooConfig(algorithm=algorithm, population=12, generations=8,
+                              seed=4), problem, progress=stats.append)
+        assert [s.generation for s in stats] == list(range(9))
+        expected = [sum(problem(x).feasible for x in xs) for xs in batches]
+        assert [s.feasible for s in stats] == expected

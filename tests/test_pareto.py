@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosshinge import pareto
+from crosshinge.geometry import DESIGN_FIELDS
 
 finite_vec = st.lists(st.floats(-10, 10), min_size=3, max_size=3).map(np.array)
 
@@ -259,4 +260,18 @@ class TestArchiveCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="missing columns"):
+            pareto.read_archive_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0, 2.0, 3.0], [float("nan"), 1.0, 1.0]], "row 1 holds a non-finite"),
+        ([[1.0, 2.0, 3.0], [3.0, 1.0, float("inf")]], "row 1 holds a non-finite"),
+        ([[1.0, 2.0, 3.0], [3.0, 1.0, 1.0], [2.0, 2.0, 3.0]], "row 2 is dominated"),
+    ])
+    def test_invalid_rows_rejected(self, tmp_path, rows, message):
+        lines = [",".join([*DESIGN_FIELDS, *pareto.OBJECTIVE_FIELDS])]
+        lines += [",".join(["0.5"] * len(DESIGN_FIELDS) + [repr(v) for v in y])
+                  for y in rows]
+        path = tmp_path / "archive.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
             pareto.read_archive_csv(path)

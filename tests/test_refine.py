@@ -57,14 +57,13 @@ class Quadratic:
 
     def __call__(self, x):
         self.calls += 1
-        return refine.ScalarEvaluation(feasible=True,
-                                       value=float(np.sum((x - self.center) ** 2)))
+        return refine.Evaluation(y=float(np.sum((x - self.center) ** 2)), feasible=True)
 
 
 @dataclass
 class Constant:
     def __call__(self, x):
-        return refine.ScalarEvaluation(feasible=True, value=1.0)
+        return refine.Evaluation(y=1.0, feasible=True)
 
 
 @dataclass
@@ -73,10 +72,8 @@ class DiskConstrained:
 
     def __call__(self, x):
         if 0.55 < x[0] < 0.6:
-            return refine.ScalarEvaluation(feasible=False,
-                                           violation=float(x[0]))
-        return refine.ScalarEvaluation(feasible=True,
-                                       value=float(np.sum((x - 0.7) ** 2)))
+            return refine.Evaluation(y=None, feasible=False, violation=float(x[0]))
+        return refine.Evaluation(y=float(np.sum((x - 0.7) ** 2)), feasible=True)
 
 
 BOX = (np.zeros(13), np.ones(13))
@@ -111,8 +108,7 @@ class TestNelderMead:
         class Recording:
             def __call__(self, x):
                 seen.append(x.copy())
-                return refine.ScalarEvaluation(feasible=True,
-                                               value=float(np.sum((x - 2.0) ** 2)))
+                return refine.Evaluation(y=float(np.sum((x - 2.0) ** 2)), feasible=True)
 
         refine.nelder_mead(Recording(), np.full(13, 0.95), *BOX, max_iters=60)
         stacked = np.array(seen)
@@ -134,7 +130,7 @@ class TestNelderMead:
         @dataclass
         class AlwaysInfeasible:
             def __call__(self, x):
-                return refine.ScalarEvaluation(feasible=False, violation=1.0)
+                return refine.Evaluation(y=None, feasible=False, violation=1.0)
 
         with pytest.raises(refine.InfeasibleStart):
             refine.nelder_mead(AlwaysInfeasible(), np.full(13, 0.5), *BOX)

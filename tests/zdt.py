@@ -12,7 +12,6 @@ class ZDT1:
     """Convex-front benchmark: optimum at x_i = 0 for i >= 2."""
 
     n_var: int = 30
-    n_objectives: int = 2
 
     @property
     def lower(self) -> np.ndarray:
@@ -27,6 +26,21 @@ class ZDT1:
         g = 1.0 + 9.0 * float(np.sum(x[1:])) / (self.n_var - 1)
         f2 = g * (1.0 - np.sqrt(f1 / g))
         return moo.Evaluation(y=np.array([f1, f2]), feasible=True)
+
+
+@dataclass(frozen=True)
+class BandedZDT1(ZDT1):
+    """ZDT1 with an infeasible band on the last variable; the violation is
+    the distance to the nearer band edge."""
+
+    band: tuple[float, float] = (0.55, 0.85)
+
+    def __call__(self, x: np.ndarray) -> moo.Evaluation:
+        lo, hi = self.band
+        if lo < x[-1] < hi:
+            return moo.Evaluation(y=None, feasible=False,
+                                  violation=float(min(x[-1] - lo, hi - x[-1])))
+        return super().__call__(x)
 
 
 def generational_distance(archive, n_front: int = 2001) -> float:
