@@ -227,18 +227,14 @@ class FlexureMesh:
 
 @dataclass
 class BeamState:
-    """Solution state on the reduced (constrained) degrees of freedom."""
+    """Equilibrium on the reduced (constrained) degrees of freedom, with the
+    residual and banded tangent assembled at z."""
 
     z: np.ndarray
     master_index: int           # position of the master triple within z
-    converged: bool = True
+    residual: np.ndarray
+    tangent_band: np.ndarray
     iterations: int = 0
-    residual: np.ndarray | None = None   # assembly at z, cached by the solver
-    tangent_band: np.ndarray | None = None
-
-    @property
-    def master_translation(self) -> np.ndarray:
-        return self.z[self.master_index:self.master_index + 2]
 
     @property
     def rotation(self) -> float:
@@ -352,7 +348,10 @@ class BeamModel:
         return NEWTON_TOL_FACTOR * max(1.0, max(m.section.ea for m in self.meshes))
 
     def zero_state(self) -> BeamState:
-        return BeamState(z=np.zeros(self.n_reduced), master_index=self.idx_mx)
+        z = np.zeros(self.n_reduced)
+        residual, ab = self.assemble(z)
+        return BeamState(z=z, master_index=self.idx_mx, residual=residual,
+                         tangent_band=ab)
 
     def _tip_rotated(self, phi: float, k: int) -> np.ndarray:
         r0 = self.tip_offsets[k]
@@ -514,9 +513,8 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
         if not np.isfinite(norm):
             raise NonConverged("residual diverged to non-finite values")
         if norm < tol:
-            return BeamState(z=z, master_index=model.idx_mx, converged=True,
-                             iterations=iteration, residual=residual,
-                             tangent_band=ab)
+            return BeamState(z=z, master_index=model.idx_mx, residual=residual,
+                             tangent_band=ab, iterations=iteration)
         if norm0 is None:
             norm0 = max(norm, tol)
         elif iteration >= 10 and norm > 1e3 * norm0:
@@ -564,14 +562,10 @@ def solve_step(model: BeamModel, state: BeamState, phi_target: float,
 
 def reaction_moment(model: BeamModel, state: BeamState) -> float:
     """Internal generalized force conjugate to the master rotation."""
-    if state.residual is not None:
-        return float(state.residual[model.idx_phi])
-    residual, _ = model.assemble(state.z, need_tangent=False)
-    return float(residual[model.idx_phi])
+    return float(state.residual[model.idx_phi])
 
 
-def condense_translational_stiffness(model: BeamModel, state: BeamState,
-                                     ab: np.ndarray | None = None) -> np.ndarray:
+def condense_translational_stiffness(model: BeamModel, state: BeamState) -> np.ndarray:
     """Schur complement of the tangent onto the master translations.
 
     All remaining free DOFs, including the master rotation, are condensed
@@ -580,15 +574,11 @@ def condense_translational_stiffness(model: BeamModel, state: BeamState,
     the block-inverse identity: the Schur complement is the inverse of
     the master-translation block of the full inverse tangent.
     """
-    if ab is None:
-        ab = state.tangent_band
-    if ab is None:
-        _, ab = model.assemble(state.z)
     rhs = np.zeros((model.n_reduced, 2))
     rhs[model.idx_mx, 0] = 1.0
     rhs[model.idx_my, 1] = 1.0
     try:
-        sol = solve_banded((_BAND, _BAND), ab, rhs)
+        sol = solve_banded((_BAND, _BAND), state.tangent_band, rhs)
     except LinAlgError as err:
         raise SingularTangent(str(err)) from err
     compliance = sol[[model.idx_mx, model.idx_my], :]
@@ -600,15 +590,14 @@ def condense_translational_stiffness(model: BeamModel, state: BeamState,
     return inv
 
 
-def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS,
-              sweep_angle: float = SWEEP_ANGLE,
-              strain_limit: float = STRAIN_LIMIT,
-              tol: float | None = None) -> SweepResult:
-    """Quasi-static prescribed-rotation sweep with per-step condensed data.
+def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
+    """Quasi-static sweep of the master rotation over SWEEP_ANGLE with
+    per-step condensed data.
 
-    Solver failures (non-convergence, singular tangent, strain limit) are
-    not raised: they end the sweep early with converged=False and a
-    partial record list. Fewer than one step raises ValueError.
+    Solver failures (non-convergence, singular tangent, a bending strain
+    above STRAIN_LIMIT) are not raised: they end the sweep early with
+    converged=False and a partial record list. Fewer than one step raises
+    ValueError.
     """
     if n_steps < 1:
         raise ValueError("need at least one sweep step")
@@ -619,14 +608,10 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS,
 
     def record(st: BeamState, phi: float) -> None:
         nonlocal max_strain
-        if st.residual is not None and st.tangent_band is not None:
-            residual, ab = st.residual, st.tangent_band
-        else:
-            residual, ab = model.assemble(st.z)
-        k_t = condense_translational_stiffness(model, st, ab=ab)
+        k_t = condense_translational_stiffness(model, st)
         max_strain = max(max_strain, model.max_bending_strain(st))
         records.append(SweepRecord(phi=phi, tip_position=model.tip_position(st),
-                                   moment=float(residual[model.idx_phi]),
+                                   moment=reaction_moment(model, st),
                                    stiffness=k_t, max_strain=max_strain))
         states.append(st)
 
@@ -637,18 +622,18 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS,
 
     previous = None
     for k in range(1, n_steps + 1):
-        phi_k = k * sweep_angle / n_steps
+        phi_k = k * SWEEP_ANGLE / n_steps
         guess = None
         if previous is not None:
             guess = 2.0 * state.z - previous  # secant predictor, uniform steps
         try:
             previous = state.z
-            state = solve_step(model, state, phi_k, tol=tol, guess=guess)
+            state = solve_step(model, state, phi_k, guess=guess)
             record(state, phi_k)
         except (NonConverged, SingularTangent):
             return SweepResult(records=records, converged=False,
                                failure="nonconvergence", states=states)
-        if max_strain > strain_limit:
+        if max_strain > STRAIN_LIMIT:
             return SweepResult(records=records, converged=False, failure="strain",
                                states=states)
     return SweepResult(records=records, converged=True, states=states)

@@ -359,8 +359,8 @@ def cmd_merge(args, argv) -> int:
 
 def _parse_weights(text: str) -> np.ndarray:
     weights = np.array([float(v) for v in text.split(",")])
-    if weights.size != 3 or np.any(weights < 0.0):
-        raise ValueError("target weights must be 3 non-negative values")
+    if weights.size != 3 or not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("target weights must be 3 finite non-negative values")
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("target weights must not all be zero")

@@ -176,10 +176,9 @@ def rotational_stiffness_profile(moments: np.ndarray, delta_phi: float) -> np.nd
     return np.diff(m) / delta_phi
 
 
-def objectives_from_sweep(sweep: beam_fem.SweepResult, sweep_angle: float,
-                          n_steps: int) -> Evaluation:
-    """Reduce a completed sweep to the three objectives."""
-    delta_phi = sweep_angle / n_steps
+def objectives_from_sweep(sweep: beam_fem.SweepResult) -> Evaluation:
+    """Reduce a completed sweep (uniform rotation steps) to the three objectives."""
+    delta_phi = sweep.records[1].phi - sweep.records[0].phi
     _, radius = min_enclosing_circle(centrode(sweep.tip_positions, delta_phi))
     compliances = [principal_compliances(k) for k in sweep.stiffnesses]
     c_max = max(max(pair) for pair in compliances)
@@ -189,53 +188,56 @@ def objectives_from_sweep(sweep: beam_fem.SweepResult, sweep_angle: float,
 
 def evaluate_with_sweep(design: geometry.DesignVector,
                         n_elements: int = beam_fem.DEFAULT_ELEMENTS,
-                        n_steps: int = beam_fem.DEFAULT_STEPS,
-                        sweep_angle: float = beam_fem.SWEEP_ANGLE,
-                        strain_limit: float = beam_fem.STRAIN_LIMIT):
+                        n_steps: int = beam_fem.DEFAULT_STEPS):
     """Evaluation pipeline that also returns the sweep and model.
 
     Returns:
         (Evaluation, SweepResult | None, BeamModel | None); the sweep
         and model are None when the geometry is rejected before analysis.
+
+    Raises:
+        ValueError: fewer than two elements per flexure or fewer than one
+            sweep step, whatever the design.
     """
+    if n_elements < 2:
+        raise ValueError("need at least two elements per flexure")
+    if n_steps < 1:
+        raise ValueError("need at least one sweep step")
     hinge = geometry.build_hinge(design)
     report = geometry.check_feasibility(hinge)
     if not report.feasible:
         return _infeasible(SELF_INTERSECTION_VIOLATION, "self-intersection"), None, None
 
     model = beam_fem.assemble_model(hinge, n_elements=n_elements)
-    sweep = beam_fem.run_sweep(model, n_steps=n_steps, sweep_angle=sweep_angle,
-                               strain_limit=strain_limit)
+    sweep = beam_fem.run_sweep(model, n_steps=n_steps)
     if not sweep.converged:
         if sweep.failure == "strain":
-            return _infeasible(sweep.max_strain - strain_limit, "strain"), sweep, model
+            return (_infeasible(sweep.max_strain - beam_fem.STRAIN_LIMIT, "strain"),
+                    sweep, model)
         reached = sweep.records[-1].phi if sweep.records else 0.0
-        return (_infeasible(1.0 + (1.0 - reached / sweep_angle), "nonconvergence"),
-                sweep, model)
+        return (_infeasible(1.0 + (1.0 - reached / beam_fem.SWEEP_ANGLE),
+                            "nonconvergence"), sweep, model)
 
     if np.any(sweep.moments[1:] <= 0.0):
         logger.warning("non-positive reaction moment within the action space "
                        "(possible snap-through)")
     try:
-        return objectives_from_sweep(sweep, sweep_angle, n_steps), sweep, model
+        return objectives_from_sweep(sweep), sweep, model
     except NotPositiveDefinite:
         return _infeasible(SINGULAR_VIOLATION, "indefinite-stiffness"), sweep, model
 
 
 def evaluate_objectives(design: geometry.DesignVector,
                         n_elements: int = beam_fem.DEFAULT_ELEMENTS,
-                        n_steps: int = beam_fem.DEFAULT_STEPS,
-                        sweep_angle: float = beam_fem.SWEEP_ANGLE,
-                        strain_limit: float = beam_fem.STRAIN_LIMIT) -> Evaluation:
+                        n_steps: int = beam_fem.DEFAULT_STEPS) -> Evaluation:
     """Full evaluation pipeline: geometry, feasibility, sweep, objectives.
 
     Infeasibility is reported, never raised: self-intersecting geometry
     carries a fixed violation of 1, a strain-limit hit carries the excess
     over the limit, and non-convergence carries 1 plus the unreached
-    fraction of the action space. Out-of-range design variables are a
-    caller error and do raise OutOfRange.
+    fraction of the action space. Out-of-range design variables and
+    element or step counts are caller errors and do raise (OutOfRange,
+    ValueError).
     """
-    report, _, _ = evaluate_with_sweep(design, n_elements=n_elements,
-                                       n_steps=n_steps, sweep_angle=sweep_angle,
-                                       strain_limit=strain_limit)
+    report, _, _ = evaluate_with_sweep(design, n_elements=n_elements, n_steps=n_steps)
     return report

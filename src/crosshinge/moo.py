@@ -212,19 +212,9 @@ def variation(parents: np.ndarray, config: MooConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # constraint-dominated comparisons
 
-def constrained_dominates(a: Evaluation, b: Evaluation) -> bool:
-    """Feasibility first, then violation, then Pareto dominance."""
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if not a.feasible:
-        return a.violation < b.violation
-    return pareto.dominates(a.y, b.y)
-
-
 def _domination_matrix(evals: list[Evaluation]) -> np.ndarray:
-    """d[i, j] == True iff individual i constraint-dominates individual j."""
+    """d[i, j] == True iff individual i constraint-dominates individual j:
+    feasibility first, then violation, then Pareto dominance."""
     n = len(evals)
     feasible = np.array([e.feasible for e in evals])
     viol = np.array([e.violation for e in evals])
@@ -237,9 +227,7 @@ def _domination_matrix(evals: list[Evaluation]) -> np.ndarray:
     feas_idx = np.where(feasible)[0]
     if feas_idx.size:
         ys = np.array([evals[i].y for i in feas_idx])
-        le = np.all(ys[:, None, :] <= ys[None, :, :], axis=2)
-        lt = np.any(ys[:, None, :] < ys[None, :, :], axis=2)
-        d[np.ix_(feas_idx, feas_idx)] = le & lt
+        d[np.ix_(feas_idx, feas_idx)] = pareto.dominance(ys, ys)
     return d
 
 
@@ -335,20 +323,12 @@ def _spea2_fitness(evals: list[Evaluation]) -> np.ndarray:
 def _density_coordinates(evals: list[Evaluation]) -> np.ndarray:
     """Objective-space coordinates (normalized); infeasible points sit
     beyond the feasible cloud at a distance set by their violation."""
-    feasible = [e for e in evals if e.feasible]
-    m = len(feasible[0].y) if feasible else 1
-    coords = np.zeros((len(evals), m))
-    if feasible:
-        ys = np.array([e.y for e in feasible])
-        lo, hi = ys.min(axis=0), ys.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-    else:
-        lo, span = np.zeros(m), np.ones(m)
-    for i, e in enumerate(evals):
-        if e.feasible:
-            coords[i] = (e.y - lo) / span
-        else:
-            coords[i] = 2.0 + e.violation
+    feasible = np.array([e.feasible for e in evals])
+    coords = np.array([[2.0 + e.violation] for e in evals])
+    if feasible.any():
+        ys = np.array([e.y for e in evals if e.feasible])
+        coords = np.repeat(coords, ys.shape[1], axis=1)
+        coords[feasible] = pareto.normalize(ys, ys.min(axis=0), ys.max(axis=0))[0]
     return coords
 
 

@@ -72,11 +72,17 @@ class ParetoArchive:
         return self.objectives.max(axis=0)
 
 
+def dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d[i, j] == True iff row a[i] Pareto-dominates row b[j]: no worse in
+    all objectives, better in at least one."""
+    a = np.asarray(a, dtype=float)[:, None, :]
+    b = np.asarray(b, dtype=float)[None, :, :]
+    return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+
+
 def dominates(y: np.ndarray, y_other: np.ndarray) -> bool:
-    """Pareto dominance: no worse in all objectives, better in at least one."""
-    y = np.asarray(y, dtype=float)
-    y_other = np.asarray(y_other, dtype=float)
-    return bool(np.all(y <= y_other) and np.any(y < y_other))
+    """Pareto dominance of one objective vector over another."""
+    return bool(dominance(np.atleast_2d(y), np.atleast_2d(y_other))[0, 0])
 
 
 def _canonical_sort(entries: list[ArchiveEntry]) -> tuple[ArchiveEntry, ...]:
@@ -108,10 +114,7 @@ def dominated_mask(objectives: np.ndarray) -> np.ndarray:
     n = len(ys)
     out = np.zeros(n, dtype=bool)
     for start in range(0, n, 256):
-        chunk = ys[start:start + 256]
-        le = np.all(chunk[:, None, :] <= ys[None, :, :], axis=2)
-        lt = np.any(chunk[:, None, :] < ys[None, :, :], axis=2)
-        out |= np.any(le & lt, axis=0)
+        out |= np.any(dominance(ys[start:start + 256], ys), axis=0)
     return out
 
 
@@ -132,57 +135,37 @@ def nondominated_filter(entries) -> ParetoArchive:
 
 
 def archive_insert(archive: ParetoArchive, entries) -> ParetoArchive:
-    """Insert new entries, keeping only the non-dominated set.
+    """Insert new entries, keeping only the non-dominated set of the union."""
+    return nondominated_filter([*archive.entries, *entries])
 
-    Equivalent to nondominated_filter over the union, but only compares
-    newcomers against the current front.
+
+def normalize(objectives: np.ndarray, ideal: np.ndarray, nadir: np.ndarray):
+    """Map objectives (one vector or rows) to the unit cube of (ideal, nadir).
+
+    Coordinates with nadir <= ideal carry no information; they map to 0
+    and are flagged in the returned mask.
+
+    Returns:
+        (normalized array shaped like objectives, degenerate (m,) bool mask)
     """
-    new = _dedupe_objective_ties(_entry_list(entries))
-    if not new:
-        return archive
-    new = nondominated_filter(new).entries
-    current = list(archive.entries)
-    if not current:
-        return ParetoArchive(entries=_canonical_sort(list(new)))
-    cur_y = np.array([e.y for e in current])
-    keep = np.ones(len(current), dtype=bool)
-    added = []
-    for e in new:
-        # a stale (already removed) dominator implies a new dominator by
-        # transitivity, so checking against the full original front is sound
-        if np.any(np.all(cur_y <= e.y, axis=1) & np.any(cur_y < e.y, axis=1)):
-            continue
-        equal = keep & np.all(cur_y == e.y, axis=1)
-        if np.any(equal):
-            j = int(np.argmax(equal))
-            if tuple(e.x) < tuple(current[j].x):
-                keep[j] = False
-                added.append(e)
-            continue
-        keep &= ~(np.all(e.y <= cur_y, axis=1) & np.any(e.y < cur_y, axis=1))
-        added.append(e)
-    survivors = [c for c, k in zip(current, keep) if k] + added
-    return ParetoArchive(entries=_canonical_sort(survivors))
+    ideal = np.asarray(ideal, dtype=float)
+    span = np.asarray(nadir, dtype=float) - ideal
+    degenerate = span <= 0.0
+    safe = np.where(degenerate, 1.0, span)
+    normalized = (np.asarray(objectives, dtype=float) - ideal) / safe
+    normalized[..., degenerate] = 0.0
+    return normalized, degenerate
 
 
 def normalize_front(archive: ParetoArchive):
-    """Map archive objectives to the unit cube via ideal/nadir.
-
-    Coordinates with nadir == ideal carry no information; they map to 0
-    and are flagged in the returned mask.
+    """Archive objectives normalized by the archive's own ideal/nadir.
 
     Returns:
         (normalized (n, m) array, degenerate (m,) bool mask)
     """
     if len(archive) == 0:
         raise EmptyArchive("cannot normalize an empty archive")
-    ideal, nadir = archive.ideal, archive.nadir
-    span = nadir - ideal
-    degenerate = span <= 0.0
-    safe = np.where(degenerate, 1.0, span)
-    normalized = (archive.objectives - ideal) / safe
-    normalized[:, degenerate] = 0.0
-    return normalized, degenerate
+    return normalize(archive.objectives, archive.ideal, archive.nadir)
 
 
 def pseudo_weights(normalized: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from . import beam_fem, kinetostatics
 from .geometry import DesignVector, LOWER_BOUNDS, UPPER_BOUNDS
 from .kinetostatics import Evaluation
-from .pareto import DegenerateObjective
+from .pareto import DegenerateObjective, normalize
 
 NM_REFLECTION = 1.0
 NM_EXPANSION = 2.0
@@ -58,12 +58,6 @@ class ScalarizedProblem:
     n_elements: int = beam_fem.DEFAULT_ELEMENTS
     n_steps: int = beam_fem.DEFAULT_STEPS
 
-    def normalize(self, objectives: np.ndarray) -> np.ndarray:
-        span = self.nadir - self.ideal
-        safe = np.where(span > 0.0, span, 1.0)
-        normalized = (np.asarray(objectives, float) - self.ideal) / safe
-        return np.where(span > 0.0, normalized, 0.0)
-
     def __call__(self, x: np.ndarray) -> Evaluation:
         """The evaluation record with the scalar objective in y."""
         report = kinetostatics.evaluate_objectives(
@@ -72,7 +66,8 @@ class ScalarizedProblem:
         )
         if not report.feasible:
             return report
-        return replace(report, y=scalarize(self.normalize(report.y), self.weights))
+        normalized, _ = normalize(report.y, self.ideal, self.nadir)
+        return replace(report, y=scalarize(normalized, self.weights))
 
 
 @dataclass
@@ -197,17 +192,16 @@ def refine_design(start: DesignVector, ideal: np.ndarray, nadir: np.ndarray,
     """Scalarized Nelder-Mead refinement of a feasible start design.
 
     With weights=None, inverse-normalization weights are derived from the
-    start design's normalized objectives under the frozen (ideal, nadir).
+    start design's normalized objectives under the frozen (ideal, nadir);
+    a degenerate coordinate (nadir <= ideal) normalizes to 0 there as in
+    the scalar objective, so deriving weights raises DegenerateObjective.
     """
     start_report = kinetostatics.evaluate_objectives(
         start, n_elements=n_elements, n_steps=n_steps)
     if not start_report.feasible:
         raise InfeasibleStart("starting design is infeasible")
 
-    ideal = np.asarray(ideal, float)
-    nadir = np.asarray(nadir, float)
-    span = np.where(nadir > ideal, nadir - ideal, 1.0)
-    start_norm = (start_report.as_array() - ideal) / span
+    start_norm, _ = normalize(start_report.y, ideal, nadir)
     if weights is None:
         weights = inverse_normalization_weights(start_norm)
     weights = np.asarray(weights, float)

@@ -302,7 +302,7 @@ class TestSweep:
         golden = json.loads((DATA / "regression_cross_hinge.json").read_text())
         fine = golden["refined_check"]["objectives"]
         from crosshinge import kinetostatics as ks
-        coarse = ks.objectives_from_sweep(sweep, math.pi / 2, 20)
+        coarse = ks.objectives_from_sweep(sweep)
         assert coarse.r_bar == pytest.approx(fine["r_bar"], rel=5e-3)
         assert coarse.c_bar == pytest.approx(fine["c_bar"], rel=5e-3)
         assert coarse.k_bar == pytest.approx(fine["k_bar"], rel=5e-3)

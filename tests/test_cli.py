@@ -279,10 +279,14 @@ def raw_archive_csv(path: Path, objective_rows) -> Path:
 
 BETA1_25 = ",".join(repr(25.0 if name == "beta1" else REGRESSION["design"][name])
                     for name in DESIGN_FIELDS)
+# a design that geometry rejects (self-intersection) before meshing
+SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1.315,"
+                            "19.03,17.24,0.5041,0.8574")
 
 # bad input that must end in an error line and exit code 1 or 2, never in a
 # traceback or a result computed from silently replaced values; {archive},
-# {dominated}, {nan}, {config} and {out} are filled with per-test paths
+# {dominated}, {nan}, {degenerate}, {config} and {out} are filled with
+# per-test paths
 BAD_INPUTS = {
     "select-dominated-row": ["select", "--archive", "{dominated}",
                              "--target-weights", "0.4,0.3,0.3"],
@@ -302,6 +306,16 @@ BAD_INPUTS = {
     "evaluate-zero-elements": ["evaluate", "--values", REGRESSION_VALUES,
                                "--elements", "0"],
     "evaluate-zero-steps": ["evaluate", "--values", REGRESSION_VALUES, "--steps", "0"],
+    "evaluate-rejected-design-zero-elements": ["evaluate", "--values",
+                                               SELF_INTERSECTING_VALUES, "--elements", "0"],
+    "evaluate-rejected-design-zero-steps": ["evaluate", "--values",
+                                            SELF_INTERSECTING_VALUES, "--steps", "0"],
+    "select-nan-target-weights": ["select", "--archive", "{archive}",
+                                  "--target-weights", "nan,0.5,0.5"],
+    "select-inf-target-weights": ["select", "--archive", "{archive}",
+                                  "--target-weights", "inf,1,1"],
+    "refine-degenerate-objective": ["refine", "--archive", "{degenerate}",
+                                    "--values", REGRESSION_VALUES, "--iters", "1"],
 }
 
 
@@ -313,6 +327,7 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, argv):
                                      [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]),
         "nan": raw_archive_csv(tmp_path / "nan.csv",
                                [[1.0, 2.0, 3.0], [float("nan"), 1.0, 1.0]]),
+        "degenerate": raw_archive_csv(tmp_path / "degenerate.csv", [[1e-9, 1e-9, 1e-9]]),
         "config": write_point_config(tmp_path, REGRESSION["design"]),
         "out": tmp_path / "run",
     }

@@ -89,14 +89,14 @@ class TestConstraintDomination:
     def test_feasible_beats_infeasible(self):
         feas = moo.Evaluation(y=np.array([9.0, 9.0]), feasible=True)
         infeas = moo.Evaluation(y=None, feasible=False, violation=0.01)
-        assert moo.constrained_dominates(feas, infeas)
-        assert not moo.constrained_dominates(infeas, feas)
+        d = moo._domination_matrix([feas, infeas])
+        assert d[0, 1] and not d[1, 0]
 
     def test_infeasible_compare_by_violation(self):
         a = moo.Evaluation(y=None, feasible=False, violation=0.5)
         b = moo.Evaluation(y=None, feasible=False, violation=1.5)
-        assert moo.constrained_dominates(a, b)
-        assert not moo.constrained_dominates(b, a)
+        d = moo._domination_matrix([a, b])
+        assert d[0, 1] and not d[1, 0]
 
     def test_feasible_rank_before_infeasible(self):
         rng = np.random.default_rng(9)

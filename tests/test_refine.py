@@ -1,10 +1,16 @@
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crosshinge import refine
+from crosshinge import kinetostatics, refine
+from crosshinge.geometry import DesignVector
 from crosshinge.pareto import DegenerateObjective
+
+REGRESSION = json.loads(
+    (Path(__file__).parent / "data" / "regression_cross_hinge.json").read_text())
 
 # normalized objectives of the reference uniform-weighting selection
 ROW_A = np.array([5.978e-2, 3.228e-2, 4.534e-2])
@@ -139,3 +145,18 @@ class TestNelderMead:
         objective = Quadratic()
         result = refine.nelder_mead(objective, np.full(13, 0.2), *BOX, max_iters=25)
         assert result.iterations <= 25
+
+
+class TestRefineDesign:
+    def test_start_scalar_is_the_scalarized_objective(self):
+        # a degenerate coordinate (nadir == ideal) normalizes to 0 in both
+        start = DesignVector(**REGRESSION["design"])
+        y = kinetostatics.evaluate_objectives(start, n_elements=6).as_array()
+        ideal, nadir = 0.5 * y, 2.0 * y
+        nadir[2] = ideal[2]
+        weights = np.array([0.2, 0.3, 0.5])
+        report = refine.refine_design(start, ideal, nadir, weights=weights,
+                                      max_iters=1, n_elements=6)
+        problem = refine.ScalarizedProblem(weights=weights, ideal=ideal, nadir=nadir,
+                                           n_elements=6)
+        assert report.start_scalar == problem(start.as_array()).y
