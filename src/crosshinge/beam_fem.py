@@ -17,16 +17,18 @@ moment, condensed translational stiffness and peak bending strain.
 The reduced system is assembled directly in LAPACK band storage (first
 flexure ascending, master triple, second flexure descending, which keeps
 the half-bandwidth at 11), so each Newton iteration costs a single banded
-factorization.
+factorization. The elements of both flexures are stacked into one call of
+the element kernel, which reduces to two matrix products with constant
+reference-element operators (one for the forces, one for the tangents).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .geometry import Flexure, HingeGeometry, centerline
 
@@ -74,6 +76,43 @@ _XI_GAUSS, _W_GAUSS = np.polynomial.legendre.leggauss(4)
 _SHAPE, _DSHAPE_DXI = _lagrange_matrices(_XI_NODES, _XI_GAUSS)
 
 
+def _element_operators():
+    """Constant maps of the reference element, Gauss weights folded in.
+
+    Element dofs are grouped as [ux(4), uy(4), theta(4)]. Per Gauss point g
+    the kernel interpolates the fields [dux/dxi, duy/dxi, theta, dtheta/dxi]
+    (16 columns, field-major). The virtual-work force map is the transposed
+    interpolation weighted by W_g. The tangent is a sum over six coefficient
+    fields (xx, xy, yy, x-theta, y-theta, theta-theta) times the weighted
+    outer products of the basis, plus one row for the state-independent
+    curvature block EI * sum_g W_g D_g D_g^T.
+    """
+    interp = np.zeros((12, 16))
+    interp[0:4, 0:4] = _DSHAPE_DXI.T
+    interp[4:8, 4:8] = _DSHAPE_DXI.T
+    interp[8:12, 8:12] = _SHAPE.T
+    interp[8:12, 12:16] = _DSHAPE_DXI.T
+    force = np.tile(_W_GAUSS, 4)[:, None] * interp.T
+
+    x, y, t = slice(0, 4), slice(4, 8), slice(8, 12)
+    tangent = np.zeros((25, 12, 12))
+    for g, w in enumerate(_W_GAUSS):
+        dd = w * np.outer(_DSHAPE_DXI[g], _DSHAPE_DXI[g])
+        dn = w * np.outer(_DSHAPE_DXI[g], _SHAPE[g])
+        nn = w * np.outer(_SHAPE[g], _SHAPE[g])
+        tangent[g, x, x] = dd
+        tangent[4 + g, x, y] = tangent[4 + g, y, x] = dd
+        tangent[8 + g, y, y] = dd
+        tangent[12 + g, x, t], tangent[12 + g, t, x] = dn, dn.T
+        tangent[16 + g, y, t], tangent[16 + g, t, y] = dn, dn.T
+        tangent[20 + g, t, t] = nn
+        tangent[24, t, t] += dd
+    return interp, force, tangent.reshape(25, 144)
+
+
+_INTERP, _FORCE, _TANGENT = _element_operators()
+
+
 @dataclass(frozen=True)
 class Section:
     """Linear constitutive constants of a rectangular cross-section."""
@@ -82,6 +121,80 @@ class Section:
     gas: float
     ei: float
     height: float
+
+
+@dataclass(frozen=True)
+class ElementData:
+    """Reference data of a stack of elements, one row per element.
+
+    Rows of several flexures can be stacked, so one kernel call serves
+    them all.
+    """
+
+    gauss: np.ndarray      # (n_el, 12) reference dx/dxi, dy/dxi, theta at Gauss points
+    stretch: np.ndarray    # (n_el, 8) reference axial and shear stretch (a, g)
+    stiffness: np.ndarray  # (n_el, 3) EA, GAs, EI
+    jac: np.ndarray        # (n_el, 1) arc length per unit xi
+
+    @classmethod
+    def stack(cls, parts: list["ElementData"]) -> "ElementData":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
+
+    def __getitem__(self, index) -> "ElementData":
+        return ElementData(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+def _kinematics(data: ElementData, ue: np.ndarray):
+    """Gauss-point strains (axial, shear, curvature) and the rotated frame
+    (c, s, a, g) for grouped element displacements ue of shape (n_el, 12)."""
+    du = ue @ _INTERP
+    current = data.gauss + du[:, :12]
+    inv_j = 1.0 / data.jac
+    dx, dy = current[:, 0:4] * inv_j, current[:, 4:8] * inv_j
+    c, s = np.cos(current[:, 8:12]), np.sin(current[:, 8:12])
+    a = c * dx + s * dy
+    g = -s * dx + c * dy
+    strains = (a - data.stretch[:, 0:4], g - data.stretch[:, 4:8], du[:, 12:16] * inv_j)
+    return strains, (c, s, a, g)
+
+
+def element_kernel(data: ElementData, ue: np.ndarray, need_tangent: bool = True):
+    """Internal forces and consistent tangents of a stack of elements.
+
+    Returns:
+        forces: (n_el, 12) grouped as [ux(4), uy(4), theta(4)]
+        tangents: (n_el, 12, 12) in the same ordering, or None
+    """
+    (eps, gam, kap), (c, s, a, g) = _kinematics(data, ue)
+    ea, gas, ei = data.stiffness[:, 0:1], data.stiffness[:, 1:2], data.stiffness[:, 2:3]
+    j = data.jac
+    nf = ea * eps
+    qf = gas * gam
+    forces = np.concatenate(
+        [nf * c - qf * s, nf * s + qf * c, j * (nf * g - qf * a), ei * kap], axis=1
+    ) @ _FORCE
+    if not need_tangent:
+        return forces, None
+
+    # material part B^T D B plus the geometric part from second derivatives
+    # of the strains; d/ds = (1/j) d/dxi and ds = j dxi fold into each field
+    inv_j = 1.0 / j
+    coeffs = np.concatenate([
+        (ea * c * c + gas * s * s) * inv_j,
+        (ea - gas) * c * s * inv_j,
+        (ea * s * s + gas * c * c) * inv_j,
+        ea * c * g + gas * s * a - nf * s - qf * c,
+        ea * s * g - gas * c * a + nf * c - qf * s,
+        j * (ea * g * g + gas * a * a - nf * a - qf * g),
+        ei * inv_j,
+    ], axis=1)
+    return forces, (coeffs @ _TANGENT).reshape(-1, 12, 12)
+
+
+def _grouped(nodal: np.ndarray, conn: np.ndarray) -> np.ndarray:
+    """Per-node (n_nodes, 3) values to grouped element rows (n_el, 12)."""
+    return nodal[conn].transpose(0, 2, 1).reshape(len(conn), 12)
 
 
 class FlexureMesh:
@@ -107,110 +220,25 @@ class FlexureMesh:
 
         self.conn = 3 * np.arange(n_elements)[:, None] + np.arange(4)[None, :]
 
-        jac = (flexure.length / n_elements) / 2.0  # parent [-1, 1] -> arc length
-        self.shape = _SHAPE
-        self.dshape = _DSHAPE_DXI / jac
-        self.weights = _W_GAUSS * jac
-
         # reference configuration interpolated at the Gauss points; strains
-        # are measured relative to these so the reference is stress free
-        xe = self.node_pos[self.conn]                      # (nel, 4, 2)
-        th = self.node_angle[self.conn]                    # (nel, 4)
-        self._ref_dx = np.einsum("gk,ekc->egc", self.dshape, xe)
-        self._ref_theta = th @ self.shape.T
-        self._ref_dtheta = th @ self.dshape.T
-        c0, s0 = np.cos(self._ref_theta), np.sin(self._ref_theta)
-        self._ref_a = c0 * self._ref_dx[..., 0] + s0 * self._ref_dx[..., 1]
-        self._ref_g = -s0 * self._ref_dx[..., 0] + c0 * self._ref_dx[..., 1]
-
-        # static outer products of the basis for the geometric tangent
-        self._dn_outer = np.einsum("gk,gl->gkl", self.dshape, self.shape)
-        self._nn_outer = np.einsum("gk,gl->gkl", self.shape, self.shape)
-
-    def _gauss_state(self, displacements: np.ndarray):
-        """Kinematic quantities at all Gauss points for nodal displacements."""
-        ue = displacements[self.conn]                      # (nel, 4, 3)
-        dx = self._ref_dx + np.einsum("gk,ekc->egc", self.dshape, ue[..., :2])
-        theta = self._ref_theta + ue[..., 2] @ self.shape.T
-        dtheta = self._ref_dtheta + ue[..., 2] @ self.dshape.T
-        c, s = np.cos(theta), np.sin(theta)
-        a = c * dx[..., 0] + s * dx[..., 1]
-        g = -s * dx[..., 0] + c * dx[..., 1]
-        return ue, dx, c, s, a, g, dtheta
-
-    def strains(self, displacements: np.ndarray):
-        """Reissner strain measures (axial, shear, curvature) at Gauss points."""
-        _, _, _, _, a, g, dtheta = self._gauss_state(displacements)
-        return a - self._ref_a, g - self._ref_g, dtheta - self._ref_dtheta
-
-    def strain_energy(self, displacements: np.ndarray) -> float:
-        eps, gam, kap = self.strains(displacements)
+        # are measured relative to it so the reference is stress free
+        jac = np.full((n_elements, 1), (flexure.length / n_elements) / 2.0)
+        nodal = np.column_stack([self.node_pos, self.node_angle])
+        gauss = (_grouped(nodal, self.conn) @ _INTERP)[:, :12]
+        dx, dy = gauss[:, 0:4] / jac, gauss[:, 4:8] / jac
+        c0, s0 = np.cos(gauss[:, 8:12]), np.sin(gauss[:, 8:12])
         sec = self.section
-        density = sec.ea * eps ** 2 + sec.gas * gam ** 2 + sec.ei * kap ** 2
-        return 0.5 * float(np.sum(density * self.weights[None, :]))
-
-    def max_bending_strain(self, displacements: np.ndarray) -> float:
-        """Peak outer-fiber bending strain |d kappa| * h / 2 over Gauss points."""
-        _, _, kap = self.strains(displacements)
-        return float(np.max(np.abs(kap))) * self.section.height / 2.0
-
-    def element_kernels(self, displacements: np.ndarray, need_tangent: bool = True):
-        """Per-element internal forces and tangents (before assembly).
-
-        Returns:
-            forces: (n_elements, 12) grouped as [ux(4), uy(4), theta(4)]
-            tangents: (n_elements, 12, 12) in the same ordering, or None
-        """
-        ue, dx, c, s, a, g, dtheta = self._gauss_state(displacements)
-        sec = self.section
-        eps = a - self._ref_a
-        gam = g - self._ref_g
-        kap = dtheta - self._ref_dtheta
-        nf = sec.ea * eps
-        qf = sec.gas * gam
-        mb = sec.ei * kap
-
-        w = self.weights[None, :]
-        fx = ((nf * c - qf * s) * w) @ self.dshape
-        fy = ((nf * s + qf * c) * w) @ self.dshape
-        ft = ((nf * g - qf * a) * w) @ self.shape + (mb * w) @ self.dshape
-        forces = np.concatenate([fx, fy, ft], axis=1)
-        if not need_tangent:
-            return forces, None
-
-        # material tangent: B^T D B with B rows for (eps, gam, kap)
-        nel = self.n_elements
-        b_eps = np.zeros((nel, 4, 12))
-        b_gam = np.zeros((nel, 4, 12))
-        b_kap = np.zeros((nel, 4, 12))
-        d_, n_ = self.dshape[None, :, :], self.shape[None, :, :]
-        b_eps[..., 0:4] = c[..., None] * d_
-        b_eps[..., 4:8] = s[..., None] * d_
-        b_eps[..., 8:12] = g[..., None] * n_
-        b_gam[..., 0:4] = -s[..., None] * d_
-        b_gam[..., 4:8] = c[..., None] * d_
-        b_gam[..., 8:12] = -a[..., None] * n_
-        b_kap[..., 8:12] = np.broadcast_to(d_, (nel, 4, 4))
-
-        tangents = (
-            sec.ea * np.einsum("egi,g,egj->eij", b_eps, self.weights, b_eps)
-            + sec.gas * np.einsum("egi,g,egj->eij", b_gam, self.weights, b_gam)
-            + sec.ei * np.einsum("egi,g,egj->eij", b_kap, self.weights, b_kap)
+        self.elements = ElementData(
+            gauss=gauss,
+            stretch=np.concatenate([c0 * dx + s0 * dy, -s0 * dx + c0 * dy], axis=1),
+            stiffness=np.tile([sec.ea, sec.gas, sec.ei], (n_elements, 1)),
+            jac=jac,
         )
 
-        # geometric tangent from the second derivatives of the strains
-        cxt = (-nf * s - qf * c) * w   # (ux, theta) block coefficient
-        cyt = (nf * c - qf * s) * w    # (uy, theta)
-        ctt = (-nf * a - qf * g) * w   # (theta, theta)
-        block_xt = np.einsum("eg,gkl->ekl", cxt, self._dn_outer)
-        block_yt = np.einsum("eg,gkl->ekl", cyt, self._dn_outer)
-        tangents[:, 0:4, 8:12] += block_xt
-        tangents[:, 8:12, 0:4] += np.swapaxes(block_xt, 1, 2)
-        tangents[:, 4:8, 8:12] += block_yt
-        tangents[:, 8:12, 4:8] += np.swapaxes(block_yt, 1, 2)
-        tangents[:, 8:12, 8:12] += np.einsum("eg,gkl->ekl", ctt, self._nn_outer)
-
-        return forces, tangents
+    def strains(self, displacements: np.ndarray):
+        """Reissner strain measures (axial, shear, curvature) at Gauss points
+        for nodal displacements of shape (n_nodes, 3)."""
+        return _kinematics(self.elements, _grouped(displacements, self.conn))[0]
 
     def element_forces(self, element: int, element_dofs: np.ndarray):
         """Internal force vector and consistent tangent of one element.
@@ -219,10 +247,9 @@ class FlexureMesh:
         nodes as a (4, 3) array; results use the grouped 12-dof ordering
         [ux(4), uy(4), theta(4)].
         """
-        displacements = np.zeros((self.n_nodes, 3))
-        displacements[self.conn[element]] = element_dofs
-        forces, tangents = self.element_kernels(displacements)
-        return forces[element], tangents[element]
+        forces, tangents = element_kernel(self.elements[element:element + 1],
+                                          np.asarray(element_dofs).T.reshape(1, 12))
+        return forces[0], tangents[0]
 
 
 @dataclass
@@ -287,13 +314,17 @@ class BeamModel:
     the master triple (u_x, u_y, phi), then interior nodes of the second
     flexure in descending node order. Clamped base nodes are eliminated;
     tip nodes are slaved to the master pose, which keeps the tangent
-    banded with half-bandwidth 11.
+    banded with half-bandwidth 11. The elements of all flexures are
+    stacked (first flexure, then second), so one kernel call serves both.
     """
 
     def __init__(self, meshes: list[FlexureMesh]):
         if not 1 <= len(meshes) <= 2:
             raise ValueError("model supports one or two flexures")
         self.meshes = meshes
+        self.elements = ElementData.stack([m.elements for m in meshes])
+        self._half_height = np.concatenate(
+            [np.full((m.n_elements, 1), m.section.height / 2.0) for m in meshes])
 
         n0 = meshes[0].n_nodes
         base_master = 3 * (n0 - 2)
@@ -303,14 +334,18 @@ class BeamModel:
         self.n_reduced = base_master + 3
         if len(meshes) == 2:
             self.n_reduced += 3 * (meshes[1].n_nodes - 2)
+        n = self.n_reduced
 
         self.master_ref = meshes[0].node_pos[-1].copy()
-        # reference offsets of the slaved tips relative to the master point
-        self.tip_offsets = [m.node_pos[-1] - self.master_ref for m in meshes[1:]]
+        # reference offset of the slaved tip relative to the master point
+        self.tip_offset = meshes[1].node_pos[-1] - self.master_ref if len(meshes) == 2 \
+            else None
 
-        # reduced dof index per node and component; -1 marks eliminated dofs
-        self._node_maps = []
-        self._interior_gather = []
+        # reduced dof index per node and component, -1 marking eliminated
+        # dofs (scatter), and the index of each nodal displacement in the
+        # extended vector of _extended (read)
+        scatter = []
+        self._node_reads = []
         for k, m in enumerate(meshes):
             node_map = np.full((m.n_nodes, 3), -1, dtype=np.int64)
             interior = np.arange(1, m.n_nodes - 1)
@@ -321,27 +356,26 @@ class BeamModel:
                 node_map[interior] = (start + 3 * (m.n_nodes - 2 - interior))[:, None] \
                     + np.arange(3)
             node_map[-1] = (self.idx_mx, self.idx_my, self.idx_phi)
-            self._node_maps.append(node_map)
-            self._interior_gather.append(node_map[1:-1].ravel())
+            read = np.where(node_map >= 0, node_map, n)
+            if k == 1:
+                read[-1, :2] = (n + 1, n + 2)
+            scatter.append(_grouped(node_map, m.conn))
+            self._node_reads.append(read)
+        self._gather = np.concatenate(
+            [_grouped(read, m.conn) for m, read in zip(meshes, self._node_reads)])
 
-        # static scatter patterns: element dof ids in grouped ordering
-        self._force_idx = []
-        self._pair_mask = []
-        self._band_idx = []
-        n = self.n_reduced
-        for m, node_map in zip(self.meshes, self._node_maps):
-            edof = np.concatenate(
-                [node_map[m.conn, 0], node_map[m.conn, 1], node_map[m.conn, 2]], axis=1
-            )
-            valid = edof >= 0
-            self._force_idx.append((valid, edof[valid]))
-            pmask = valid[:, :, None] & valid[:, None, :]
-            i_idx = np.broadcast_to(edof[:, :, None], pmask.shape)[pmask]
-            j_idx = np.broadcast_to(edof[:, None, :], pmask.shape)[pmask]
-            if np.any(np.abs(i_idx - j_idx) > _BAND):
-                raise AssertionError("band structure violated")
-            self._pair_mask.append(pmask)
-            self._band_idx.append((_BAND + i_idx - j_idx) * n + j_idx)
+        # static scatter patterns into the residual and the flat band
+        edof = np.concatenate(scatter)
+        valid = edof >= 0
+        self._force_sel = np.flatnonzero(valid)
+        self._force_idx = edof[valid]
+        pmask = valid[:, :, None] & valid[:, None, :]
+        i_idx = np.broadcast_to(edof[:, :, None], pmask.shape)[pmask]
+        j_idx = np.broadcast_to(edof[:, None, :], pmask.shape)[pmask]
+        if np.any(np.abs(i_idx - j_idx) > _BAND):
+            raise AssertionError("band structure violated")
+        self._band_sel = np.flatnonzero(pmask)
+        self._band_idx = (_BAND + i_idx - j_idx) * n + j_idx
 
     @property
     def newton_tolerance(self) -> float:
@@ -353,26 +387,24 @@ class BeamModel:
         return BeamState(z=z, master_index=self.idx_mx, residual=residual,
                          tangent_band=ab)
 
-    def _tip_rotated(self, phi: float, k: int) -> np.ndarray:
-        r0 = self.tip_offsets[k]
+    def _extended(self, z: np.ndarray):
+        """z followed by [0 (clamped dofs), slaved tip u_x, slaved tip u_y],
+        and the rotated slaved-tip offset R(phi) r0 (None for one flexure)."""
+        n = self.n_reduced
+        z_ext = np.zeros(n + 3)
+        z_ext[:n] = z
+        if self.tip_offset is None:
+            return z_ext, None
+        r0, phi = self.tip_offset, float(z[self.idx_phi])
         cp, sp = math.cos(phi), math.sin(phi)
-        return np.array([cp * r0[0] - sp * r0[1], sp * r0[0] + cp * r0[1]])
+        rot = np.array([cp * r0[0] - sp * r0[1], sp * r0[0] + cp * r0[1]])
+        z_ext[n + 1:] = z[self.idx_mx:self.idx_my + 1] + rot - r0
+        return z_ext, rot
 
     def full_displacements(self, z: np.ndarray) -> list[np.ndarray]:
         """Nodal displacement arrays per flexure for a reduced vector."""
-        mx, my, phi = z[self.idx_mx], z[self.idx_my], z[self.idx_phi]
-        out = []
-        for k, (m, gather) in enumerate(zip(self.meshes, self._interior_gather)):
-            u = np.zeros((m.n_nodes, 3))
-            u[1:-1] = z[gather].reshape(-1, 3)
-            if k == 0:
-                u[-1] = (mx, my, phi)
-            else:
-                rot = self._tip_rotated(phi, k - 1)
-                u[-1, :2] = (mx, my) + rot - self.tip_offsets[k - 1]
-                u[-1, 2] = phi
-            out.append(u)
-        return out
+        z_ext, _ = self._extended(z)
+        return [z_ext[read] for read in self._node_reads]
 
     def deformed_centerlines(self, state: BeamState) -> list[np.ndarray]:
         disp = self.full_displacements(state.z)
@@ -381,13 +413,20 @@ class BeamModel:
     def tip_position(self, state: BeamState) -> np.ndarray:
         return self.master_ref + state.z[self.idx_mx:self.idx_my + 1]
 
+    def _strains(self, z: np.ndarray):
+        z_ext, _ = self._extended(z)
+        return _kinematics(self.elements, z_ext[self._gather])[0]
+
     def strain_energy(self, state: BeamState) -> float:
-        disp = self.full_displacements(state.z)
-        return sum(m.strain_energy(u) for m, u in zip(self.meshes, disp))
+        eps, gam, kap = self._strains(state.z)
+        ea, gas, ei = (self.elements.stiffness[:, k:k + 1] for k in range(3))
+        density = ea * eps ** 2 + gas * gam ** 2 + ei * kap ** 2
+        return 0.5 * float(np.sum(density * _W_GAUSS * self.elements.jac))
 
     def max_bending_strain(self, state: BeamState) -> float:
-        disp = self.full_displacements(state.z)
-        return max(m.max_bending_strain(u) for m, u in zip(self.meshes, disp))
+        """Peak outer-fiber bending strain |d kappa| * h / 2 over Gauss points."""
+        _, _, kap = self._strains(state.z)
+        return float(np.max(np.abs(kap) * self._half_height))
 
     def assemble(self, z: np.ndarray, need_tangent: bool = True):
         """Reduced residual and banded tangent at state z.
@@ -395,42 +434,32 @@ class BeamModel:
         The banded tangent uses LAPACK storage: entry (i, j) of the
         reduced matrix sits in ab[_BAND + i - j, j].
         """
-        phi = float(z[self.idx_phi])
-        disp = self.full_displacements(z)
         n = self.n_reduced
-        residual = np.zeros(n)
-        ab = np.zeros((2 * _BAND + 1) * n) if need_tangent else None
+        z_ext, rot = self._extended(z)
+        forces, tangents = element_kernel(self.elements, z_ext[self._gather],
+                                          need_tangent=need_tangent)
+        if rot is not None:
+            # the slaved tip (local dofs 3, 7, 11 of the last element) folds
+            # into the master pose through te: its translation picks up
+            # w * dphi with w = e_z x (R(phi) r0)
+            fx, fy = forces[-1, 3], forces[-1, 7]
+            forces[-1, 11] += -rot[1] * fx + rot[0] * fy
+        residual = np.bincount(self._force_idx, weights=forces.ravel()[self._force_sel],
+                               minlength=n)
+        if not need_tangent:
+            return residual, None
 
-        for k, (m, u) in enumerate(zip(self.meshes, disp)):
-            forces, tangents = m.element_kernels(u, need_tangent=need_tangent)
-            valid, idx = self._force_idx[k]
-            slaved = k >= 1
-            if slaved:
-                rot = self._tip_rotated(phi, k - 1)
-                w_vec = np.array([-rot[1], rot[0]])  # e_z x (R(phi) r0)
-                f_tip = forces[-1].copy()
-                # tip dofs fold into the master pose: the phi component
-                # additionally picks up w . f_tip_translation
-                residual[self.idx_phi] += w_vec[0] * f_tip[3] + w_vec[1] * f_tip[7]
-            residual += np.bincount(idx, weights=forces[valid], minlength=n)
-
-            if need_tangent:
-                if slaved:
-                    te = np.eye(12)
-                    te[3, 11] = w_vec[0]
-                    te[7, 11] = w_vec[1]
-                    tangents = tangents.copy()
-                    tangents[-1] = te.T @ tangents[-1] @ te
-                ab += np.bincount(self._band_idx[k], weights=tangents[self._pair_mask[k]],
-                                  minlength=ab.size)
-                if slaved:
-                    # curvature of the slaved-tip map: d^2 u_tip/d phi^2 = -R r0
-                    corr = -(rot[0] * f_tip[3] + rot[1] * f_tip[7])
-                    ab[_BAND * n + self.idx_phi] += corr
-
-        if need_tangent:
-            ab = ab.reshape(2 * _BAND + 1, n)
-        return residual, ab
+        if rot is not None:
+            te = np.eye(12)
+            te[3, 11] = -rot[1]
+            te[7, 11] = rot[0]
+            tangents[-1] = te.T @ tangents[-1] @ te
+        ab = np.bincount(self._band_idx, weights=tangents.ravel()[self._band_sel],
+                         minlength=(2 * _BAND + 1) * n)
+        if rot is not None:
+            # curvature of the slaved-tip map: d^2 u_tip/d phi^2 = -R r0
+            ab[_BAND * n + self.idx_phi] -= rot[0] * fx + rot[1] * fy
+        return residual, ab.reshape(2 * _BAND + 1, n)
 
     def residual_tangent(self, z: np.ndarray):
         """Residual and dense tangent (test/oracle convenience)."""
@@ -445,6 +474,29 @@ def banded_to_dense(ab: np.ndarray) -> np.ndarray:
         j = np.arange(max(0, -d), min(n, n - d))
         dense[j + d, j] = ab[_BAND + d, j]
     return dense
+
+
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the reduced system in the band storage of BeamModel.assemble.
+
+    LAPACK dgbsv factorizes in place in a work buffer with _BAND extra
+    rows on top for the fill-in of partial pivoting; those rows need not
+    be set on entry.
+
+    Raises:
+        SingularTangent: an exactly singular factor, or a non-finite
+            matrix, right-hand side or solution.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise SingularTangent("non-finite banded system")
+    work = np.empty((3 * _BAND + 1, ab.shape[1]), order="F")
+    work[_BAND:] = ab
+    _, _, solution, info = dgbsv(_BAND, _BAND, work, rhs, overwrite_ab=1)
+    if info != 0:
+        raise SingularTangent(f"banded factorization failed (dgbsv info {info})")
+    if not np.isfinite(solution).all():
+        raise SingularTangent("non-finite banded solution")
+    return solution
 
 
 def _apply_constraints(ab: np.ndarray, rhs: np.ndarray, fixed: np.ndarray) -> None:
@@ -523,13 +575,7 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
             break
         rhs = rhs.copy()
         _apply_constraints(ab, rhs, fixed)
-        try:
-            step = solve_banded((_BAND, _BAND), ab, rhs)
-        except LinAlgError as err:
-            raise SingularTangent(str(err)) from err
-        if not np.all(np.isfinite(step)):
-            raise SingularTangent("non-finite Newton step")
-        z -= step
+        z -= solve_banded(ab, rhs)
     raise NonConverged(f"no equilibrium within {max_iter} iterations")
 
 
@@ -577,10 +623,7 @@ def condense_translational_stiffness(model: BeamModel, state: BeamState) -> np.n
     rhs = np.zeros((model.n_reduced, 2))
     rhs[model.idx_mx, 0] = 1.0
     rhs[model.idx_my, 1] = 1.0
-    try:
-        sol = solve_banded((_BAND, _BAND), state.tangent_band, rhs)
-    except LinAlgError as err:
-        raise SingularTangent(str(err)) from err
+    sol = solve_banded(state.tangent_band, rhs)
     compliance = sol[[model.idx_mx, model.idx_my], :]
     det = compliance[0, 0] * compliance[1, 1] - compliance[0, 1] * compliance[1, 0]
     if not np.isfinite(det) or det == 0.0:

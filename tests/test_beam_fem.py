@@ -211,6 +211,26 @@ class TestEquilibriumSolver:
         dU = (model.strain_energy(up) - model.strain_energy(down)) / (2 * h)
         assert moment == pytest.approx(dU, rel=1e-6)
 
+    def test_assembled_tangent_matches_finite_differences(self, cross_hinge_model):
+        # covers the stacked element order, the slaved-tip transform and the
+        # curvature of the slaved-tip map at a deformed two-flexure state
+        model = cross_hinge_model
+        state = bf.solve_step(model, model.zero_state(), 0.6, tol=1e-13)
+        dense = bf.banded_to_dense(state.tangent_band)
+        rng = np.random.default_rng(11)
+        around_master = np.arange(model.idx_mx - 6, model.idx_phi + 7)
+        columns = np.union1d(around_master,
+                             rng.choice(model.n_reduced, size=24, replace=False))
+        assert len(columns) >= 30
+        h = 1e-6
+        for j in columns:
+            up, um = state.z.copy(), state.z.copy()
+            up[j] += h
+            um[j] -= h
+            fd = (model.assemble(up, need_tangent=False)[0]
+                  - model.assemble(um, need_tangent=False)[0]) / (2 * h)
+            assert np.max(np.abs(dense[:, j] - fd)) < 1e-6 * np.max(np.abs(dense[:, j]))
+
     def test_condensed_stiffness_matches_reaction_differences(self, cross_hinge_model):
         model = cross_hinge_model
         state = bf.solve_step(model, model.zero_state(), 0.4, tol=1e-13)

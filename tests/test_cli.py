@@ -283,44 +283,50 @@ BETA1_25 = ",".join(repr(25.0 if name == "beta1" else REGRESSION["design"][name]
 SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1.315,"
                             "19.03,17.24,0.5041,0.8574")
 
-# bad input that must end in an error line and exit code 1 or 2, never in a
-# traceback or a result computed from silently replaced values; {archive},
-# {dominated}, {nan}, {degenerate}, {config} and {out} are filled with
-# per-test paths
+# bad input that must end in an error line and the exit code the README
+# documents (2 for malformed, non-finite or out-of-range input, 1 for a
+# well-formed request without a result), never in a traceback or a result
+# computed from silently replaced values; {archive}, {dominated}, {nan},
+# {degenerate}, {config} and {out} are filled with per-test paths
 BAD_INPUTS = {
-    "select-dominated-row": ["select", "--archive", "{dominated}",
-                             "--target-weights", "0.4,0.3,0.3"],
-    "select-nan-row": ["select", "--archive", "{nan}", "--target-weights", "0.4,0.3,0.3"],
-    "refine-values-out-of-range": ["refine", "--archive", "{archive}",
-                                   "--values", BETA1_25, "--iters", "1"],
-    "refine-malformed-weights": ["refine", "--archive", "{archive}", "--row", "0",
-                                 "--weights", "a,b", "--iters", "1"],
-    "refine-short-target-weights": ["refine", "--archive", "{archive}",
-                                    "--target-weights", "1,2", "--iters", "1"],
-    "refine-one-element": ["refine", "--archive", "{archive}", "--row", "0",
-                           "--elements", "1", "--iters", "1"],
-    "optimize-one-element": ["optimize", "--config", "{config}", "--elements", "1",
-                             "--out", "{out}"],
-    "optimize-zero-steps": ["optimize", "--config", "{config}", "--steps", "0",
-                            "--out", "{out}"],
-    "evaluate-zero-elements": ["evaluate", "--values", REGRESSION_VALUES,
-                               "--elements", "0"],
-    "evaluate-zero-steps": ["evaluate", "--values", REGRESSION_VALUES, "--steps", "0"],
-    "evaluate-rejected-design-zero-elements": ["evaluate", "--values",
-                                               SELF_INTERSECTING_VALUES, "--elements", "0"],
-    "evaluate-rejected-design-zero-steps": ["evaluate", "--values",
-                                            SELF_INTERSECTING_VALUES, "--steps", "0"],
-    "select-nan-target-weights": ["select", "--archive", "{archive}",
-                                  "--target-weights", "nan,0.5,0.5"],
-    "select-inf-target-weights": ["select", "--archive", "{archive}",
-                                  "--target-weights", "inf,1,1"],
-    "refine-degenerate-objective": ["refine", "--archive", "{degenerate}",
-                                    "--values", REGRESSION_VALUES, "--iters", "1"],
+    "select-dominated-row": (cli.EXIT_USAGE, [
+        "select", "--archive", "{dominated}", "--target-weights", "0.4,0.3,0.3"]),
+    "select-nan-row": (cli.EXIT_USAGE, [
+        "select", "--archive", "{nan}", "--target-weights", "0.4,0.3,0.3"]),
+    "refine-values-out-of-range": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--values", BETA1_25, "--iters", "1"]),
+    "refine-malformed-weights": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--row", "0", "--weights", "a,b",
+        "--iters", "1"]),
+    "refine-short-target-weights": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--target-weights", "1,2", "--iters", "1"]),
+    "refine-one-element": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--row", "0", "--elements", "1",
+        "--iters", "1"]),
+    "optimize-one-element": (cli.EXIT_USAGE, [
+        "optimize", "--config", "{config}", "--elements", "1", "--out", "{out}"]),
+    "optimize-zero-steps": (cli.EXIT_USAGE, [
+        "optimize", "--config", "{config}", "--steps", "0", "--out", "{out}"]),
+    "evaluate-zero-elements": (cli.EXIT_USAGE, [
+        "evaluate", "--values", REGRESSION_VALUES, "--elements", "0"]),
+    "evaluate-zero-steps": (cli.EXIT_USAGE, [
+        "evaluate", "--values", REGRESSION_VALUES, "--steps", "0"]),
+    "evaluate-rejected-design-zero-elements": (cli.EXIT_USAGE, [
+        "evaluate", "--values", SELF_INTERSECTING_VALUES, "--elements", "0"]),
+    "evaluate-rejected-design-zero-steps": (cli.EXIT_USAGE, [
+        "evaluate", "--values", SELF_INTERSECTING_VALUES, "--steps", "0"]),
+    "select-nan-target-weights": (cli.EXIT_USAGE, [
+        "select", "--archive", "{archive}", "--target-weights", "nan,0.5,0.5"]),
+    "select-inf-target-weights": (cli.EXIT_USAGE, [
+        "select", "--archive", "{archive}", "--target-weights", "inf,1,1"]),
+    "refine-degenerate-objective": (cli.EXIT_FAILURE, [
+        "refine", "--archive", "{degenerate}", "--values", REGRESSION_VALUES,
+        "--iters", "1"]),
 }
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_with_error_line(tmp_path, capsys, argv):
+@pytest.mark.parametrize("expected, argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
     paths = {
         "archive": raw_archive_csv(tmp_path / "one.csv", [[1.0, 2.0, 3.0]]),
         "dominated": raw_archive_csv(tmp_path / "dominated.csv",
@@ -333,7 +339,7 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, argv):
     }
     rc = cli.main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
-    assert rc in (cli.EXIT_FAILURE, cli.EXIT_USAGE)
+    assert rc == expected
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
 

@@ -208,3 +208,41 @@ class TestEvaluateObjectives:
         coarse = ks.evaluate_objectives(design, n_steps=10)
         fine = ks.evaluate_objectives(design, n_steps=20)
         assert fine.c_bar >= coarse.c_bar - 1e-6 * abs(coarse.c_bar)
+
+
+class TestSweepReference:
+    """Outcomes recorded before the solver's element kernel and banded solve
+    were rewritten. 1e-6 relative leaves room for round-off carried along
+    the Newton path (r_bar differences tip positions and amplifies it)."""
+
+    CASES = json.loads((DATA / "sweep_reference.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES["designs"], ids=lambda c: c["failure"] or "feasible")
+    def test_same_outcome(self, case):
+        report = ks.evaluate_objectives(geo.DesignVector.from_array(case["values"]),
+                                        n_elements=self.CASES["n_elements"],
+                                        n_steps=self.CASES["n_steps"])
+        assert report.failure == case["failure"]
+        assert report.violation == pytest.approx(case["violation"], rel=1e-6)
+        if case["objectives"] is None:
+            assert report.y is None
+        else:
+            assert report.y == pytest.approx(np.array(case["objectives"]), rel=1e-6)
+
+
+class TestDiscretization:
+    """Discretization error of the golden design's objectives. The element
+    count barely matters; the step count matters at first order, because
+    the centrode samples midpoints and misses the ends of the stroke."""
+
+    def test_element_count_converged(self):
+        design, _ = regression_design()
+        coarse = ks.evaluate_objectives(design, n_elements=15)
+        fine = ks.evaluate_objectives(design, n_elements=30)
+        assert coarse.y == pytest.approx(fine.y, rel=1e-5)
+
+    def test_r_bar_first_order_in_steps(self):
+        design, _ = regression_design()
+        r20, r40, r80 = (ks.evaluate_objectives(design, n_steps=n).r_bar
+                         for n in (20, 40, 80))
+        assert 1.5 <= (r40 - r20) / (r80 - r40) <= 3.0
