@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,89 +27,67 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings; defaults reproduce the reference campaign."""
-
-    seed: int = 0
-    workers: int = 1
-    elements: int = beam_fem.DEFAULT_ELEMENTS
-    steps: int = beam_fem.DEFAULT_STEPS
-    out: str | None = None
-    algorithm: str = "both"         # nsga2 | spea2 | both
-    population: int = 500
-    generations: int = 1000
-    crossover_prob: float = 0.9
-    crossover_eta: float = 15.0
-    mutation_prob: float | None = None
-    mutation_eta: float = 20.0
-    archive_size: int | None = None
-    lower_bounds: tuple[float, ...] | None = None
-    upper_bounds: tuple[float, ...] | None = None
+def _bounds_pair(text: str) -> tuple[float, float]:
+    parts = [float(v) for v in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError("a bounds override needs 'low,high'")
+    return parts[0], parts[1]
 
 
-# config-file keys per section, in manifest order ([global] also takes `out`)
-_GLOBAL_KEYS = ("seed", "workers", "elements", "steps")
-_OPTIMIZE_KEYS = ("algorithm", "population", "generations", "crossover_prob",
-                  "crossover_eta", "mutation_prob", "mutation_eta", "archive_size")
+# INI section -> key -> type, in manifest order; [global] `out` names the
+# output directory and is not recorded in the manifest
+SETTINGS = {
+    "global": {"seed": int, "workers": int, "elements": int, "steps": int, "out": str},
+    "optimize": {"algorithm": str, "population": int, "generations": int,
+                 "crossover_prob": float, "crossover_eta": float,
+                 "mutation_prob": float, "mutation_eta": float, "archive_size": int},
+    "bounds": dict.fromkeys(DESIGN_FIELDS, _bounds_pair),
+}
+# defaults reproduce the reference campaign; [bounds] defaults to the admissible box
+DEFAULTS = {f.name: f.default for f in fields(moo.MooConfig)} | {
+    "algorithm": "both", "elements": beam_fem.DEFAULT_ELEMENTS,
+    "steps": beam_fem.DEFAULT_STEPS, "out": None}
 
 
 def load_config_file(path: Path) -> dict:
     """Parse the INI config file into a flat settings dict."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
     settings: dict = {}
     for section in parser.sections():
-        if section == "global":
-            allowed = _GLOBAL_KEYS + ("out",)
-        elif section == "optimize":
-            allowed = _OPTIMIZE_KEYS
-        elif section == "bounds":
-            allowed = DESIGN_FIELDS
-        else:
+        if section not in SETTINGS:
             raise ValueError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in allowed:
+            if key not in SETTINGS[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
-            if section == "bounds":
-                parts = [float(v) for v in raw.split(",")]
-                if len(parts) != 2:
-                    raise ValueError(f"bounds override {key!r} needs 'low,high'")
-                settings.setdefault("bounds", {})[key] = tuple(parts)
-            elif key in ("algorithm", "out"):
-                settings[key] = raw.strip()
-            elif key in ("crossover_prob", "crossover_eta", "mutation_prob",
-                         "mutation_eta"):
-                settings[key] = float(raw)
-            else:
-                settings[key] = int(raw)
+            try:
+                settings[key] = SETTINGS[section][key](raw.strip())
+            except ValueError as err:
+                raise ValueError(f"[{section}] {key}: {err}") from None
     return settings
 
 
-def resolve_config(args) -> RunConfig:
-    """Defaults < config file < command-line flags."""
-    settings = {}
+def resolve_config(args) -> dict:
+    """Defaults < config file < command-line flags, by setting name."""
+    settings = dict(DEFAULTS)
     if getattr(args, "config", None):
-        settings = load_config_file(Path(args.config))
-    bound_overrides = settings.pop("bounds", {})
-    cfg = RunConfig(**settings)
-    for name in ("seed", "workers", "elements", "steps", "algorithm",
-                 "population", "generations"):
-        value = getattr(args, {"population": "pop", "generations": "gens"}.get(name, name), None)
-        if value is not None:
-            cfg = replace(cfg, **{name: value})
-    if bound_overrides:
-        lower = LOWER_BOUNDS.copy()
-        upper = UPPER_BOUNDS.copy()
-        for key, (lo, hi) in bound_overrides.items():
-            i = DESIGN_FIELDS.index(key)
-            if lo > hi or lo < LOWER_BOUNDS[i] or hi > UPPER_BOUNDS[i]:
-                raise ValueError(f"bounds override for {key} outside admissible range")
+        settings |= load_config_file(Path(args.config))
+    settings |= {key: value for key, value in vars(args).items()
+                 if key in DEFAULTS and value is not None}
+    return settings
+
+
+def sampling_bounds(settings: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The admissible box narrowed by the [bounds] overrides."""
+    lower, upper = LOWER_BOUNDS.copy(), UPPER_BOUNDS.copy()
+    for i, name in enumerate(DESIGN_FIELDS):
+        if name in settings:
+            lo, hi = settings[name]
+            if not LOWER_BOUNDS[i] <= lo <= hi <= UPPER_BOUNDS[i]:
+                raise ValueError(f"bounds override for {name} outside admissible range")
             lower[i], upper[i] = lo, hi
-        cfg = replace(cfg, lower_bounds=tuple(lower), upper_bounds=tuple(upper))
-    return cfg
+    return lower, upper
 
 
 def _sha256(path: Path) -> str:
@@ -154,6 +132,20 @@ def emit(args, argv: list[str], command: str, filename: str, payload: dict,
     return EXIT_OK
 
 
+def write_archive(out: Path, filename: str, archives: list[pareto.ParetoArchive],
+                  manifest: dict) -> tuple[Path, int]:
+    """Write the non-dominated union of the archives to out/filename next to
+    the manifest; return its path and size. An empty union is written too,
+    then raises EmptyArchive."""
+    merged = functools.reduce(moo.merge_archives, archives)
+    write_manifest(out, manifest)
+    path = out / filename
+    pareto.write_archive_csv(path, merged)
+    if len(merged) == 0:
+        raise pareto.EmptyArchive(f"no feasible designs in {path}")
+    return path, len(merged)
+
+
 # ---------------------------------------------------------------------------
 # design input parsing
 
@@ -164,16 +156,23 @@ def parse_design_values(text: str) -> DesignVector:
     return DesignVector.from_array([float(p) for p in parts])
 
 
+def archive_designs(archive: pareto.ParetoArchive, rows) -> list[DesignVector]:
+    """The designs on the given rows of an archive."""
+    if len(archive) == 0:
+        raise pareto.EmptyArchive("empty archive")
+    for row in rows:
+        if not 0 <= row < len(archive):
+            raise ValueError(f"row {row} outside archive of size {len(archive)}")
+    return [DesignVector.from_array(archive.entries[row].x) for row in rows]
+
+
 def design_from_args(args) -> DesignVector:
-    if getattr(args, "values", None):
+    if args.values:
         return parse_design_values(args.values)
-    if getattr(args, "archive", None) is None:
+    if args.archive is None:
         raise ValueError("provide a design via --values or --archive/--row")
     archive = pareto.read_archive_csv(Path(args.archive))
-    row = getattr(args, "row", None) or 0
-    if not 0 <= row < len(archive):
-        raise ValueError(f"row {row} outside archive of size {len(archive)}")
-    return DesignVector.from_array(archive.entries[row].x)
+    return archive_designs(archive, [args.row or 0])[0]
 
 
 def design_dict(design: DesignVector) -> dict:
@@ -263,10 +262,10 @@ def render_trace_svg(trace: dict) -> str:
 # subcommands
 
 def cmd_evaluate(args, argv) -> int:
-    cfg = resolve_config(args)
+    settings = resolve_config(args)
     design = design_from_args(args)
     report, sweep, model = kinetostatics.evaluate_with_sweep(
-        design, n_elements=cfg.elements, n_steps=cfg.steps)
+        design, n_elements=settings["elements"], n_steps=settings["steps"])
 
     payload = {
         "design": design_dict(design),
@@ -285,7 +284,8 @@ def cmd_evaluate(args, argv) -> int:
         Path(args.trace).write_text(
             json.dumps(sweep_trace(design, model, sweep), indent=2) + "\n")
     return emit(args, argv, "evaluate", "evaluation.json", payload,
-                {"elements": cfg.elements, "steps": cfg.steps, "trace": bool(args.trace)},
+                {"elements": settings["elements"], "steps": settings["steps"],
+                 "trace": bool(args.trace)},
                 [Path(args.archive)] if args.archive else [])
 
 
@@ -300,60 +300,47 @@ def _progress_writer(stream_paths):
 
 
 def cmd_optimize(args, argv) -> int:
-    cfg = resolve_config(args)
-    out_path = args.out or cfg.out
-    if out_path is None:
+    settings = resolve_config(args)
+    if not settings["out"]:
         raise ValueError("no output directory (give --out or set it in the config)")
-    settings = asdict(cfg)
+    lower, upper = sampling_bounds(settings)
     shared = {f.name: settings[f.name] for f in fields(moo.MooConfig)}
-    algorithms = ["nsga2", "spea2"] if cfg.algorithm == "both" else [cfg.algorithm]
-    moo_configs = [moo.MooConfig(**{**shared, "algorithm": algorithm}).validated()
+    algorithms = ["nsga2", "spea2"] if shared["algorithm"] == "both" else [shared["algorithm"]]
+    moo_configs = [moo.MooConfig(**(shared | {"algorithm": algorithm})).validated()
                    for algorithm in algorithms]
-    out = Path(out_path)
+    out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    evaluator = moo.HingeEvaluator(
-        n_elements=cfg.elements, n_steps=cfg.steps,
-        lower_override=cfg.lower_bounds, upper_override=cfg.upper_bounds,
-    )
+    evaluator = moo.HingeEvaluator(n_elements=settings["elements"],
+                                   n_steps=settings["steps"], lower=lower, upper=upper)
     archives = []
     for moo_cfg in moo_configs:
         algorithm = moo_cfg.algorithm
-        print(f"[{algorithm}] pop={cfg.population} gens={cfg.generations} "
-              f"seed={cfg.seed} workers={cfg.workers}")
+        print(f"[{algorithm}] pop={moo_cfg.population} gens={moo_cfg.generations} "
+              f"seed={moo_cfg.seed} workers={moo_cfg.workers}")
         with (out / f"progress_{algorithm}.log").open("w") as log:
             archive = moo.run(moo_cfg, evaluator,
                               progress=_progress_writer([sys.stdout, log]))
         archives.append(archive)
         pareto.write_archive_csv(out / f"archive_{algorithm}.csv", archive)
-    merged = functools.reduce(moo.merge_archives, archives)
-    pareto.write_archive_csv(out / "archive_merged.csv", merged)
 
-    manifest_config = {
-        "global": {key: settings[key] for key in _GLOBAL_KEYS},
-        "optimize": {key: settings[key] for key in _OPTIMIZE_KEYS},
-        "bounds": {
-            name: [lo, hi] for name, lo, hi
-            in zip(DESIGN_FIELDS, cfg.lower_bounds, cfg.upper_bounds)
-        } if cfg.lower_bounds else None,
-    }
+    config = {section: {key: settings[key] for key in SETTINGS[section] if key != "out"}
+              for section in ("global", "optimize")}
+    config["bounds"] = ({name: [lo, hi] for name, lo, hi in zip(DESIGN_FIELDS, lower, upper)}
+                        if any(name in settings for name in DESIGN_FIELDS) else None)
     inputs = [Path(args.config)] if args.config else []
-    write_manifest(out, build_manifest("optimize", argv, manifest_config, inputs))
-
-    if len(merged) == 0:
-        raise pareto.EmptyArchive("no feasible designs")
-    print(f"merged archive: {len(merged)} designs -> {out / 'archive_merged.csv'}")
+    path, size = write_archive(out, "archive_merged.csv", archives,
+                               build_manifest("optimize", argv, config, inputs))
+    print(f"merged archive: {size} designs -> {path}")
     return EXIT_OK
 
 
 def cmd_merge(args, argv) -> int:
-    archives = [pareto.read_archive_csv(Path(p)) for p in args.archives]
-    merged = functools.reduce(moo.merge_archives, archives)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pareto.write_archive_csv(out / "archive_merged.csv", merged)
-    write_manifest(out, build_manifest("merge", argv, {}, [Path(p) for p in args.archives]))
-    print(f"merged archive: {len(merged)} designs -> {out / 'archive_merged.csv'}")
+    inputs = [Path(p) for p in args.archives]
+    path, size = write_archive(Path(args.out), "archive_merged.csv",
+                               [pareto.read_archive_csv(p) for p in inputs],
+                               build_manifest("merge", argv, {}, inputs))
+    print(f"merged archive: {size} designs -> {path}")
     return EXIT_OK
 
 
@@ -361,9 +348,10 @@ def _parse_weights(text: str) -> np.ndarray:
     weights = np.array([float(v) for v in text.split(",")])
     if weights.size != 3 or not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise ValueError("target weights must be 3 finite non-negative values")
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("target weights must not all be zero")
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError("target weights must have a positive, finite sum")
     if abs(total - 1.0) > 1e-9:
         print(f"warning: target weights sum to {total:.6g}; normalizing",
               file=sys.stderr)
@@ -395,28 +383,23 @@ def cmd_select(args, argv) -> int:
 
 
 def cmd_refine(args, argv) -> int:
-    cfg = resolve_config(args)
+    settings = resolve_config(args)
     archive = pareto.read_archive_csv(Path(args.archive))
-    if len(archive) == 0:
-        raise pareto.EmptyArchive("empty archive")
     index = None
     if args.values:
         start = parse_design_values(args.values)
     else:
-        if args.row is not None:
-            if not 0 <= args.row < len(archive):
-                raise ValueError(f"row {args.row} outside archive")
-            index = args.row
-        else:
+        index = args.row
+        if index is None:
             target = _parse_weights(args.target_weights or "0.3333333333333333,"
                                     "0.3333333333333333,0.3333333333333333")
             index, _ = pareto.select_by_target(archive, target)
-        start = DesignVector.from_array(archive.entries[index].x)
+        start = archive_designs(archive, [index])[0]
     weights = _parse_weights(args.weights) if args.weights else None
 
     report = refine.refine_design(
         start, ideal=archive.ideal, nadir=archive.nadir, weights=weights,
-        max_iters=args.iters, n_elements=cfg.elements, n_steps=cfg.steps)
+        max_iters=args.iters, n_elements=settings["elements"], n_steps=settings["steps"])
     payload = {
         "selected_index": index,
         "weights": [float(v) for v in report.weights],
@@ -435,7 +418,7 @@ def cmd_refine(args, argv) -> int:
     }
     return emit(args, argv, "refine", "refined.json", payload,
                 {"iters": args.iters, "row": index,
-                 "elements": cfg.elements, "steps": cfg.steps},
+                 "elements": settings["elements"], "steps": settings["steps"]},
                 [Path(args.archive)])
 
 
@@ -459,11 +442,9 @@ def cmd_render(args, argv) -> int:
         inputs.append(Path(args.archive))
         rows = (range(len(archive)) if args.rows is None
                 else [int(v) for v in args.rows.split(",")])
-        for row in rows:
-            if not 0 <= row < len(archive):
-                raise ValueError(f"row {row} outside archive")
+        for row, design in zip(rows, archive_designs(archive, rows)):
             path = out / f"design_{row:04d}.svg"
-            path.write_text(render_design_svg(DesignVector.from_array(archive.entries[row].x)))
+            path.write_text(render_design_svg(design))
             written.append(path)
     if not written:
         raise ValueError("nothing to render (give --archive, --values or --trace)")
@@ -474,14 +455,10 @@ def cmd_render(args, argv) -> int:
 
 
 def cmd_front(args, argv) -> int:
-    archive = pareto.read_archive_csv(Path(args.archive))
-    if len(archive) == 0:
-        raise pareto.EmptyArchive("empty archive")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pareto.write_archive_csv(out / "front.csv", archive)
-    write_manifest(out, build_manifest("front", argv, {}, [Path(args.archive)]))
-    print(out / "front.csv")
+    path, _ = write_archive(Path(args.out), "front.csv",
+                            [pareto.read_archive_csv(Path(args.archive))],
+                            build_manifest("front", argv, {}, [Path(args.archive)]))
+    print(path)
     return EXIT_OK
 
 
@@ -495,27 +472,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_design_source(p):
-        p.add_argument("--values", help="13 comma-separated design values")
-        p.add_argument("--archive", help="archive CSV to read the design from")
-        p.add_argument("--row", type=int, help="archive row index (default 0)")
+    mesh = argparse.ArgumentParser(add_help=False)
+    mesh.add_argument("--elements", type=int, help="beam elements per flexure")
+    mesh.add_argument("--steps", type=int, help="rotation sweep steps")
 
-    p = sub.add_parser("evaluate", help="evaluate one design")
-    add_design_source(p)
-    p.add_argument("--elements", type=int, help="beam elements per flexure")
-    p.add_argument("--steps", type=int, help="rotation sweep steps")
+    p = sub.add_parser("evaluate", parents=[mesh], help="evaluate one design")
+    p.add_argument("--values", help="13 comma-separated design values")
+    p.add_argument("--archive", help="archive CSV to read the design from")
+    p.add_argument("--row", type=int, help="archive row index (default 0)")
     p.add_argument("--trace", help="write the per-step sweep JSON here")
     p.add_argument("--out", help="output directory (evaluation.json + manifest)")
 
-    p = sub.add_parser("optimize", help="run the evolutionary synthesis")
+    p = sub.add_parser("optimize", parents=[mesh], help="run the evolutionary synthesis")
     p.add_argument("--config", help="INI config file")
     p.add_argument("--algorithm", choices=["nsga2", "spea2", "both"])
-    p.add_argument("--pop", type=int, help="population size")
-    p.add_argument("--gens", type=int, help="number of generations")
+    p.add_argument("--pop", type=int, dest="population", help="population size")
+    p.add_argument("--gens", type=int, dest="generations", help="number of generations")
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--elements", type=int)
-    p.add_argument("--steps", type=int)
     p.add_argument("--out", help="output directory (or set in the config file)")
 
     p = sub.add_parser("merge", help="merge archive CSVs")
@@ -528,16 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="3 comma-separated target weights")
     p.add_argument("--out")
 
-    p = sub.add_parser("refine", help="scalarized Nelder-Mead refinement")
+    p = sub.add_parser("refine", parents=[mesh], help="scalarized Nelder-Mead refinement")
     p.add_argument("--archive", required=True,
                    help="archive CSV (start design source and frozen normalization)")
     p.add_argument("--row", type=int, help="start design row")
     p.add_argument("--target-weights", help="select the start design by target")
     p.add_argument("--values", help="explicit start design (13 comma-separated)")
     p.add_argument("--weights", help="explicit scalarization weights")
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--elements", type=int)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--iters", type=int, default=refine.MAX_ITERS)
     p.add_argument("--out")
 
     p = sub.add_parser("render", help="SVG schematics of designs")
@@ -576,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     except (refine.InfeasibleStart, pareto.DegenerateObjective, pareto.EmptyArchive) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
-    except (ValueError, OSError, KeyError) as err:
+    except (ValueError, OSError, KeyError, configparser.Error) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -147,10 +147,6 @@ class Flexure:
     points: np.ndarray        # (n, 2) sampled centerline
     angles: np.ndarray        # (n,) tangent angles on the same grid
 
-    @property
-    def s_grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, len(self.angles))
-
 
 @dataclass(frozen=True)
 class HingeGeometry:
@@ -273,24 +269,13 @@ def _segment_pairs_intersect(p1, p2, p3, p4, tol) -> bool:
     return False
 
 
-def check_feasibility(geometry: HingeGeometry, strict: bool = False) -> FeasibilityReport:
-    """Reject geometries whose flexure centerlines self-intersect.
-
-    With strict=True, intersections between the two flexures are also
-    rejected; by default the flexures may cross (they occupy different
-    planes in the physical mechanism).
-    """
+def check_feasibility(geometry: HingeGeometry) -> FeasibilityReport:
+    """Reject geometries whose flexure centerlines self-intersect. The two
+    flexures may cross each other: they occupy different planes in the
+    physical mechanism."""
     for i, flexure in enumerate(geometry.flexures, start=1):
         if polyline_self_intersects(flexure.points):
             return FeasibilityReport(False, f"flexure {i} centerline self-intersects")
-    if strict:
-        f1, f2 = geometry.flexures
-        a1, b1 = f1.points[:-1], f1.points[1:]
-        a2, b2 = f2.points[:-1], f2.points[1:]
-        i_idx, j_idx = np.meshgrid(np.arange(len(a1)), np.arange(len(a2)), indexing="ij")
-        i_idx, j_idx = i_idx.ravel(), j_idx.ravel()
-        if _segment_pairs_intersect(a1[i_idx], b1[i_idx], a2[j_idx], b2[j_idx], 1e-12):
-            return FeasibilityReport(False, "flexure centerlines intersect each other")
     return FeasibilityReport(True)
 
 

@@ -13,8 +13,9 @@ order (optionally to a process pool) and reduced in index order.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class MooConfig:
             raise ConfigError("crossover_prob must lie in [0, 1]")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
             raise ConfigError("mutation_prob must lie in [0, 1]")
-        if self.crossover_eta <= 0 or self.mutation_eta <= 0:
+        if not (self.crossover_eta > 0 and self.mutation_eta > 0):  # NaN fails too
             raise ConfigError("distribution indices must be positive")
         if self.archive_size is not None and self.archive_size < 2:
             raise ConfigError("archive_size must be >= 2")
@@ -71,28 +72,13 @@ class Individual:
 
 @dataclass(frozen=True)
 class HingeEvaluator:
-    """Cross-hinge objective evaluation over the 13 design variables.
-
-    Sampling bounds may be narrowed within the admissible ranges via
-    lower_override / upper_override (per-variable arrays).
-    """
+    """Cross-hinge objective evaluation over the 13 design variables,
+    sampled within [lower, upper] (the admissible box by default)."""
 
     n_elements: int = beam_fem.DEFAULT_ELEMENTS
     n_steps: int = beam_fem.DEFAULT_STEPS
-    lower_override: tuple[float, ...] | None = None
-    upper_override: tuple[float, ...] | None = None
-
-    @property
-    def lower(self) -> np.ndarray:
-        if self.lower_override is None:
-            return LOWER_BOUNDS
-        return np.asarray(self.lower_override, dtype=float)
-
-    @property
-    def upper(self) -> np.ndarray:
-        if self.upper_override is None:
-            return UPPER_BOUNDS
-        return np.asarray(self.upper_override, dtype=float)
+    lower: np.ndarray = field(default_factory=LOWER_BOUNDS.copy)
+    upper: np.ndarray = field(default_factory=UPPER_BOUNDS.copy)
 
     def __call__(self, x: np.ndarray) -> Evaluation:
         return kinetostatics.evaluate_objectives(
@@ -117,7 +103,9 @@ class _EvaluationEngine:
 
     def __enter__(self):
         if self.workers > 1:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # the pool starts all its processes at once; results do not
+            # depend on their number, so more than the CPUs only costs memory
+            self._pool = ProcessPoolExecutor(max_workers=min(self.workers, os.cpu_count() or 1))
         return self
 
     def __exit__(self, *exc):

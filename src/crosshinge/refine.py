@@ -23,6 +23,7 @@ NM_EXPANSION = 2.0
 NM_CONTRACTION = 0.5
 NM_SHRINK = 0.5
 SIMPLEX_STEP_FRACTION = 0.05   # of each variable's admissible range
+MAX_ITERS = 200                # default Nelder-Mead iteration budget
 
 
 class InfeasibleStart(ValueError):
@@ -79,7 +80,7 @@ class NelderMeadResult:
 
 
 def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
-                upper: np.ndarray = UPPER_BOUNDS, max_iters: int = 200,
+                upper: np.ndarray = UPPER_BOUNDS, max_iters: int = MAX_ITERS,
                 f_tol: float = 1e-14, x_tol: float = 1e-14) -> NelderMeadResult:
     """Bounded Nelder-Mead simplex search tracking the best feasible point.
 
@@ -186,7 +187,7 @@ class RefineReport:
 
 
 def refine_design(start: DesignVector, ideal: np.ndarray, nadir: np.ndarray,
-                  weights: np.ndarray | None = None, max_iters: int = 200,
+                  weights: np.ndarray | None = None, max_iters: int = MAX_ITERS,
                   n_elements: int = beam_fem.DEFAULT_ELEMENTS,
                   n_steps: int = beam_fem.DEFAULT_STEPS) -> RefineReport:
     """Scalarized Nelder-Mead refinement of a feasible start design.

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crosshinge import cli, pareto
 from crosshinge.geometry import DESIGN_FIELDS
@@ -285,9 +289,10 @@ SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1
 
 # bad input that must end in an error line and the exit code the README
 # documents (2 for malformed, non-finite or out-of-range input, 1 for a
-# well-formed request without a result), never in a traceback or a result
-# computed from silently replaced values; {archive}, {dominated}, {nan},
-# {degenerate}, {config} and {out} are filled with per-test paths
+# well-formed request without a result, such as an empty archive), never in
+# a traceback or a result computed from silently replaced values; {archive},
+# {dominated}, {nan}, {degenerate}, {empty}, {config}, {nan_bounds} and {out}
+# are filled with per-test paths
 BAD_INPUTS = {
     "select-dominated-row": (cli.EXIT_USAGE, [
         "select", "--archive", "{dominated}", "--target-weights", "0.4,0.3,0.3"]),
@@ -319,14 +324,40 @@ BAD_INPUTS = {
         "select", "--archive", "{archive}", "--target-weights", "nan,0.5,0.5"]),
     "select-inf-target-weights": (cli.EXIT_USAGE, [
         "select", "--archive", "{archive}", "--target-weights", "inf,1,1"]),
+    "select-overflowing-target-weights": (cli.EXIT_USAGE, [
+        "select", "--archive", "{archive}", "--target-weights", "1e308,1e308,1e308"]),
     "refine-degenerate-objective": (cli.EXIT_FAILURE, [
         "refine", "--archive", "{degenerate}", "--values", REGRESSION_VALUES,
         "--iters", "1"]),
+    "optimize-nan-bounds": (cli.EXIT_USAGE, [
+        "optimize", "--config", "{nan_bounds}", "--out", "{out}"]),
+    "evaluate-row-out-of-range": (cli.EXIT_USAGE, [
+        "evaluate", "--archive", "{archive}", "--row", "1"]),
+    "render-row-out-of-range": (cli.EXIT_USAGE, [
+        "render", "--archive", "{archive}", "--rows", "0,1", "--out", "{out}"]),
+    "evaluate-empty-archive": (cli.EXIT_FAILURE, [
+        "evaluate", "--archive", "{empty}"]),
+    "render-empty-archive": (cli.EXIT_FAILURE, [
+        "render", "--archive", "{empty}", "--out", "{out}"]),
+    "merge-empty-archives": (cli.EXIT_FAILURE, [
+        "merge", "{empty}", "{empty}", "--out", "{out}"]),
+    "select-empty-archive": (cli.EXIT_FAILURE, [
+        "select", "--archive", "{empty}", "--target-weights", "0.4,0.3,0.3"]),
+    "refine-empty-archive": (cli.EXIT_FAILURE, [
+        "refine", "--archive", "{empty}", "--iters", "1"]),
+    "refine-empty-archive-row": (cli.EXIT_FAILURE, [
+        "refine", "--archive", "{empty}", "--row", "0", "--iters", "1"]),
+    "refine-empty-archive-values": (cli.EXIT_FAILURE, [
+        "refine", "--archive", "{empty}", "--values", REGRESSION_VALUES, "--iters", "1"]),
+    "front-empty-archive": (cli.EXIT_FAILURE, [
+        "front", "--archive", "{empty}", "--out", "{out}"]),
 }
 
 
 @pytest.mark.parametrize("expected, argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
+    nan_dir = tmp_path / "nan-bounds"
+    nan_dir.mkdir()
     paths = {
         "archive": raw_archive_csv(tmp_path / "one.csv", [[1.0, 2.0, 3.0]]),
         "dominated": raw_archive_csv(tmp_path / "dominated.csv",
@@ -334,7 +365,9 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
         "nan": raw_archive_csv(tmp_path / "nan.csv",
                                [[1.0, 2.0, 3.0], [float("nan"), 1.0, 1.0]]),
         "degenerate": raw_archive_csv(tmp_path / "degenerate.csv", [[1e-9, 1e-9, 1e-9]]),
+        "empty": raw_archive_csv(tmp_path / "empty.csv", []),
         "config": write_point_config(tmp_path, REGRESSION["design"]),
+        "nan_bounds": write_point_config(nan_dir, {"alpha": float("nan")}),
         "out": tmp_path / "run",
     }
     rc = cli.main([arg.format(**paths) for arg in argv])
@@ -342,6 +375,64 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
     assert rc == expected
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
+
+
+# malformed text for every free-form CLI string: arbitrary text, and joined
+# lists of numeric, non-finite, empty and garbage tokens
+TOKENS = st.sampled_from(["nan", "-inf", "inf", "1e309", "1e308", "-1", "0", "0.5",
+                          "1", "2", "20", "1e-320", "", " ", "x", "1_0", "%", "\n"])
+MALFORMED = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda sep, tokens: sep.join(tokens),
+              st.sampled_from([",", ";"]), st.lists(TOKENS, max_size=4)),
+)
+# the regression design with one value replaced
+DESIGN_TEXT = st.builds(
+    lambda i, token: ",".join(token if j == i else v
+                              for j, v in enumerate(REGRESSION_VALUES.split(","))),
+    st.integers(0, 12), TOKENS)
+SMALL = ["--elements", "2", "--steps", "1"]
+SURFACES = {
+    "--values": lambda text, d: ["evaluate", f"--values={text}", *SMALL],
+    "--target-weights": lambda text, d: [
+        "select", "--archive", d["archive"], f"--target-weights={text}"],
+    "--weights": lambda text, d: [
+        "refine", "--archive", d["archive"], "--row", "0", f"--weights={text}",
+        "--iters", "1", *SMALL],
+    "--rows": lambda text, d: [
+        "render", "--archive", d["archive"], f"--rows={text}", "--out", d["out"]],
+    "[bounds]": lambda text, d: [
+        "optimize", "--config", d["config"](text), "--pop", "4", "--gens", "1",
+        *SMALL, "--out", d["out"]],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    archive = raw_archive_csv(root / "archive.csv", [[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
+
+    def config(text: str) -> str:
+        path = root / "bounds.ini"
+        path.write_text(f"[bounds]\nalpha = {text}\n")
+        return str(path)
+
+    return {"archive": str(archive), "out": str(root / "out"), "config": config}
+
+
+@settings(max_examples=150, deadline=None)
+@given(surface=st.sampled_from(sorted(SURFACES)),
+       text=st.one_of(MALFORMED, DESIGN_TEXT))
+@example(surface="[bounds]", text="nan,nan")
+def test_malformed_strings_never_raise(fuzz_paths, surface, text):
+    """Any text for a free-form string exits 0, 1 or 2; a non-zero exit
+    comes with an error line, never with an exception."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = cli.main(SURFACES[surface](text, fuzz_paths))
+    assert rc in (cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_USAGE)
+    if rc != cli.EXIT_OK:
+        assert any(line.startswith("error: ") for line in stderr.getvalue().splitlines())
 
 
 def test_console_entry_point_runs():

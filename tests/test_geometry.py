@@ -182,15 +182,6 @@ class TestFeasibility:
             n_infeasible += got
         assert n_infeasible > 0  # the sample must exercise both outcomes
 
-    def test_strict_mode_rejects_crossing_flexures(self):
-        d = geo.DesignVector(math.pi / 4, math.pi / 4, 0.0, 0.0,
-                             3 * math.pi / 4, 3 * math.pi / 4, 0.0, 0.0,
-                             alpha=1.0, beta1=20.0, beta2=20.0, gamma=1.0,
-                             delta=math.sqrt(2) / 2)
-        hinge = geo.build_hinge(d)
-        assert geo.check_feasibility(hinge).feasible
-        assert not geo.check_feasibility(hinge, strict=True).feasible
-
 
 class TestSampleRandom:
     def test_deterministic_for_seed(self):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ class TestConfig:
     def test_bad_probability_rejected(self):
         with pytest.raises(moo.ConfigError):
             moo.MooConfig(crossover_prob=1.5).validated()
+
+    @pytest.mark.parametrize("field", ["crossover_eta", "mutation_eta"])
+    def test_nan_distribution_index_rejected(self, field):
+        with pytest.raises(moo.ConfigError):
+            moo.MooConfig(**{field: float("nan")}).validated()
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(moo.ConfigError):
@@ -202,6 +208,31 @@ class TestRuns:
         for ea, eb in zip(serial.entries, parallel.entries):
             assert np.array_equal(ea.x, eb.x)
             assert np.array_equal(ea.y, eb.y)
+
+    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
+        # a fake pool records the size it is asked for; a real pool would
+        # start that many processes at its first submit
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(moo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        capped = moo.run(moo.MooConfig(population=8, generations=2, seed=2,
+                                       workers=100_000), ZDT1(n_var=6))
+        serial = moo.run(moo.MooConfig(population=8, generations=2, seed=2),
+                         ZDT1(n_var=6))
+        assert sizes == [3]
+        assert [e.y.tolist() for e in capped.entries] == \
+            [e.y.tolist() for e in serial.entries]
 
     def test_no_out_of_bounds_evaluations(self):
         calls = []
