@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import functools
 import hashlib
 import json
@@ -163,7 +164,7 @@ def archive_designs(archive: pareto.ParetoArchive, rows) -> list[DesignVector]:
     for row in rows:
         if not 0 <= row < len(archive):
             raise ValueError(f"row {row} outside archive of size {len(archive)}")
-    return [DesignVector.from_array(archive.entries[row].x) for row in rows]
+    return [DesignVector.from_array(archive.designs[row]) for row in rows]
 
 
 def design_from_args(args) -> DesignVector:
@@ -362,14 +363,14 @@ def _parse_weights(text: str) -> np.ndarray:
 def cmd_select(args, argv) -> int:
     archive = pareto.read_archive_csv(Path(args.archive))
     target = _parse_weights(args.target_weights)
-    index, entry = pareto.select_by_target(archive, target)
+    index = pareto.select_by_target(archive, target)
     normalized, _ = pareto.normalize_front(archive)
     weights = pareto.pseudo_weights(normalized)
     payload = {
         "target_weights": [float(v) for v in target],
         "selected_index": index,
-        "design": design_dict(DesignVector.from_array(entry.x)),
-        "objectives": objective_dict(entry.y),
+        "design": design_dict(DesignVector.from_array(archive.designs[index])),
+        "objectives": objective_dict(archive.objectives[index]),
         "normalized": [float(v) for v in normalized[index]],
         "pseudo_weights": [float(v) for v in weights[index]],
         "table": [
@@ -393,7 +394,7 @@ def cmd_refine(args, argv) -> int:
         if index is None:
             target = _parse_weights(args.target_weights or "0.3333333333333333,"
                                     "0.3333333333333333,0.3333333333333333")
-            index, _ = pareto.select_by_target(archive, target)
+            index = pareto.select_by_target(archive, target)
         start = archive_designs(archive, [index])[0]
     weights = _parse_weights(args.weights) if args.weights else None
 
@@ -548,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     except (refine.InfeasibleStart, pareto.DegenerateObjective, pareto.EmptyArchive) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
-    except (ValueError, OSError, KeyError, configparser.Error) as err:
+    except (ValueError, OSError, KeyError, configparser.Error, csv.Error) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -196,13 +196,13 @@ def evaluate_with_sweep(design: geometry.DesignVector,
         and model are None when the geometry is rejected before analysis.
 
     Raises:
-        ValueError: fewer than two elements per flexure or fewer than one
-            sweep step, whatever the design.
+        ValueError: fewer than two elements per flexure or fewer than two
+            sweep steps (one step gives a one-point centrode), whatever the design.
     """
     if n_elements < 2:
         raise ValueError("need at least two elements per flexure")
-    if n_steps < 1:
-        raise ValueError("need at least one sweep step")
+    if n_steps < 2:
+        raise ValueError("need at least two sweep steps")
     hinge = geometry.build_hinge(design)
     report = geometry.check_feasibility(hinge)
     if not report.feasible:

@@ -115,20 +115,15 @@ class _EvaluationEngine:
 
     def evaluate(self, xs: np.ndarray) -> list[Evaluation]:
         keys = [np.ascontiguousarray(x).tobytes() for x in xs]
-        missing: list[bytes] = []
-        batch: list[np.ndarray] = []
-        for key, x in zip(keys, xs):
-            if key not in self.cache and key not in missing:
-                missing.append(key)
-                batch.append(x)
+        # designs not yet cached, each once, in first-occurrence order
+        batch = {key: x for key, x in zip(keys, xs) if key not in self.cache}
         if batch:
             if self._pool is not None:
-                results = list(self._pool.map(
-                    _call_evaluator, [(self.evaluator, x) for x in batch]))
+                results = self._pool.map(
+                    _call_evaluator, [(self.evaluator, x) for x in batch.values()])
             else:
-                results = [self.evaluator(x) for x in batch]
-            for key, result in zip(missing, results):
-                self.cache[key] = result
+                results = [self.evaluator(x) for x in batch.values()]
+            self.cache.update(zip(batch, results))
         return [self.cache[key] for key in keys]
 
 
@@ -377,11 +372,6 @@ def _individuals(xs: np.ndarray, engine: _EvaluationEngine) -> list[Individual]:
     return [Individual(x=x, evaluation=e) for x, e in zip(xs, engine.evaluate(xs))]
 
 
-def _feasible_entries(population: list[Individual]) -> list[pareto.ArchiveEntry]:
-    return [pareto.ArchiveEntry(x=ind.x.copy(), y=ind.evaluation.y.copy())
-            for ind in population if ind.evaluation.feasible]
-
-
 def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
     """NSGA-II or SPEA2 (config.algorithm) with constraint domination and an
     external archive of all feasible evaluations.
@@ -398,7 +388,7 @@ def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
     lower, upper = np.asarray(evaluator.lower), np.asarray(evaluator.upper)
     size = config.population if nsga2 else config.archive_size or config.population
     survivors = _nsga2_survivors if nsga2 else _spea2_environmental
-    archive = pareto.ParetoArchive(entries=())
+    archive = pareto.ParetoArchive()
 
     with _EvaluationEngine(evaluator, config.workers) as engine:
         offspring = _individuals(
@@ -418,11 +408,13 @@ def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
                 offspring = _individuals(
                     variation(parents, config, rng, lower, upper), engine)
                 pool = survivors(pool + offspring, size)
-            archive = pareto.archive_insert(archive, _feasible_entries(offspring))
+            feasible = [ind for ind in offspring if ind.evaluation.feasible]
+            archive = pareto.archive_insert(
+                archive, np.array([ind.x for ind in feasible]),
+                np.array([ind.evaluation.y for ind in feasible]))
             if progress is not None:
                 progress(GenerationStats(
-                    generation=gen,
-                    feasible=sum(ind.evaluation.feasible for ind in offspring),
+                    generation=gen, feasible=len(feasible),
                     archive_size=len(archive), hypervolume=_progress_hv(archive)))
 
     return archive
@@ -430,4 +422,4 @@ def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
 
 def merge_archives(a: pareto.ParetoArchive, b: pareto.ParetoArchive) -> pareto.ParetoArchive:
     """Non-dominated union with refreshed ideal/nadir."""
-    return pareto.nondominated_filter(list(a.entries) + list(b.entries))
+    return pareto.archive_insert(a, b.designs, b.objectives)

@@ -1,8 +1,8 @@
 """Pareto dominance, front normalization and pseudo-weight selection.
 
-An archive holds mutually non-dominated (design, objectives) pairs
-together with the componentwise best (ideal) and worst (nadir) objective
-values, which normalize the front to the unit cube. Pseudo-weights
+An archive holds the designs and objectives of mutually non-dominated
+points as two row-aligned arrays; the componentwise best (ideal) and
+worst (nadir) objective values normalize the front to the unit cube. Pseudo-weights
 locate each solution's implicit objective weighting from its normalized
 distance to the nadir point; selection picks the archive member whose
 pseudo-weights are L1-closest to a requested target weighting.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,37 +37,30 @@ class DegenerateObjective(ValueError):
 
 
 @dataclass(frozen=True)
-class ArchiveEntry:
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
 class ParetoArchive:
-    """Mutually non-dominated entries in canonical (objective, design) order."""
+    """Mutually non-dominated points: designs (n, d) and objectives (n, m),
+    one row per point; the default archive is empty (zero rows).
 
-    entries: tuple[ArchiveEntry, ...]
+    Archives built by nondominated_filter are in canonical order (ascending
+    objectives, then designs, lexicographically); archives read by
+    read_archive_csv keep their file's row order.
+    """
+
+    designs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    objectives: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def objectives(self) -> np.ndarray:
-        return np.array([e.y for e in self.entries])
-
-    @property
-    def designs(self) -> np.ndarray:
-        return np.array([e.x for e in self.entries])
+        return len(self.objectives)
 
     @property
     def ideal(self) -> np.ndarray:
-        if not self.entries:
+        if len(self) == 0:
             raise EmptyArchive("empty archive has no ideal point")
         return self.objectives.min(axis=0)
 
     @property
     def nadir(self) -> np.ndarray:
-        if not self.entries:
+        if len(self) == 0:
             raise EmptyArchive("empty archive has no nadir point")
         return self.objectives.max(axis=0)
 
@@ -85,29 +78,6 @@ def dominates(y: np.ndarray, y_other: np.ndarray) -> bool:
     return bool(dominance(np.atleast_2d(y), np.atleast_2d(y_other))[0, 0])
 
 
-def _canonical_sort(entries: list[ArchiveEntry]) -> tuple[ArchiveEntry, ...]:
-    return tuple(sorted(entries, key=lambda e: (tuple(e.y), tuple(e.x))))
-
-
-def _dedupe_objective_ties(entries: list[ArchiveEntry]) -> list[ArchiveEntry]:
-    """Keep the lexicographically smallest design per exact objective vector."""
-    best: dict[tuple, ArchiveEntry] = {}
-    for e in entries:
-        key = tuple(e.y)
-        kept = best.get(key)
-        if kept is None or tuple(e.x) < tuple(kept.x):
-            best[key] = e
-    return list(best.values())
-
-
-def _entry_list(entries) -> list[ArchiveEntry]:
-    return [
-        e if isinstance(e, ArchiveEntry)
-        else ArchiveEntry(x=np.asarray(e[0], dtype=float), y=np.asarray(e[1], dtype=float))
-        for e in entries
-    ]
-
-
 def dominated_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of rows dominated by some other row (chunked)."""
     ys = np.asarray(objectives, dtype=float)
@@ -118,25 +88,37 @@ def dominated_mask(objectives: np.ndarray) -> np.ndarray:
     return out
 
 
-def nondominated_filter(entries) -> ParetoArchive:
-    """Non-dominated subset of (design, objective) pairs.
+def nondominated_filter(designs: np.ndarray, objectives: np.ndarray) -> ParetoArchive:
+    """Non-dominated subset of the rows, in canonical order.
 
-    Accepts ArchiveEntry instances or (x, y) pairs. Exact duplicates in
-    objective space are deduplicated by lexicographic design tie-break;
-    the result is canonically ordered, so it is permutation invariant.
+    Rows are sorted by objectives, then designs (lexicographically); of
+    rows with exactly equal objectives only the first, the one with the
+    smallest design, is kept. The result is permutation invariant.
     """
-    normalized = _dedupe_objective_ties(_entry_list(entries))
-    if not normalized:
-        return ParetoArchive(entries=())
-    ys = np.array([e.y for e in normalized])
-    dominated = dominated_mask(ys)
-    keep = [e for e, d in zip(normalized, dominated) if not d]
-    return ParetoArchive(entries=_canonical_sort(keep))
+    ys = np.asarray(objectives, dtype=float)
+    if len(ys) == 0:
+        return ParetoArchive()
+    xs = np.asarray(designs, dtype=float)
+    # np.lexsort sorts by its last key first
+    order = np.lexsort(np.column_stack([ys, xs]).T[::-1])
+    xs, ys = xs[order], ys[order]
+    keep = np.ones(len(ys), dtype=bool)
+    keep[1:] = np.any(ys[1:] != ys[:-1], axis=1)
+    xs, ys = xs[keep], ys[keep]
+    keep = ~dominated_mask(ys)
+    return ParetoArchive(designs=xs[keep], objectives=ys[keep])
 
 
-def archive_insert(archive: ParetoArchive, entries) -> ParetoArchive:
-    """Insert new entries, keeping only the non-dominated set of the union."""
-    return nondominated_filter([*archive.entries, *entries])
+def archive_insert(archive: ParetoArchive, designs: np.ndarray,
+                   objectives: np.ndarray) -> ParetoArchive:
+    """Non-dominated set of the archive plus the new rows; an empty side
+    contributes nothing, so only the other side is filtered."""
+    if len(archive) and len(objectives):
+        designs = np.concatenate([archive.designs, designs])
+        objectives = np.concatenate([archive.objectives, objectives])
+    elif len(archive):
+        designs, objectives = archive.designs, archive.objectives
+    return nondominated_filter(designs, objectives)
 
 
 def normalize(objectives: np.ndarray, ideal: np.ndarray, nadir: np.ndarray):
@@ -187,22 +169,16 @@ def pseudo_weights(normalized: np.ndarray) -> np.ndarray:
     return weights[0] if single else weights
 
 
-def select_by_target(archive: ParetoArchive, target: np.ndarray):
-    """Archive entry whose pseudo-weights are L1-closest to the target.
-
-    Ties break toward the lowest archive index.
-
-    Returns:
-        (index, entry)
-    """
+def select_by_target(archive: ParetoArchive, target: np.ndarray) -> int:
+    """Index of the archive row whose pseudo-weights are L1-closest to the
+    target; ties break toward the lowest index."""
     if len(archive) == 0:
         raise EmptyArchive("cannot select from an empty archive")
     target = np.asarray(target, dtype=float)
     normalized, _ = normalize_front(archive)
     weights = pseudo_weights(normalized)
     distances = np.sum(np.abs(weights - target[None, :]), axis=1)
-    index = int(np.argmin(distances))  # argmin returns the first minimum
-    return index, archive.entries[index]
+    return int(np.argmin(distances))  # argmin returns the first minimum
 
 
 def _staircase_area(points: np.ndarray, reference: np.ndarray) -> float:
@@ -261,9 +237,8 @@ def write_archive_csv(path, archive: ParetoArchive) -> None:
     rows = []
     if len(archive) > 0:
         normalized, _ = normalize_front(archive)
-        weights = pseudo_weights(normalized)
-        for entry, norm, w in zip(archive.entries, normalized, weights):
-            rows.append([*entry.x, *entry.y, *norm, *w])
+        rows = np.hstack([archive.designs, archive.objectives,
+                          normalized, pseudo_weights(normalized)])
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -284,29 +259,33 @@ def sidecar_path(csv_path) -> Path:
 
 
 def read_archive_csv(path) -> ParetoArchive:
-    """Read an archive CSV back; only design and objective columns matter.
+    """Read an archive CSV back in file row order; only the design and
+    objective columns matter.
 
     Raises:
-        ValueError: naming the first row (0-based) that holds a non-finite
-            value or is dominated by another row.
+        ValueError: naming the first row (0-based) that is shorter than the
+            header, holds a non-finite value or is dominated by another row.
     """
     path = Path(path)
+    columns = (*DESIGN_FIELDS, *OBJECTIVE_FIELDS)
     with path.open(newline="") as handle:
         reader = csv.DictReader(handle)
-        missing = [c for c in (*DESIGN_FIELDS, *OBJECTIVE_FIELDS)
-                   if c not in (reader.fieldnames or [])]
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"archive CSV missing columns: {', '.join(missing)}")
-        entries = []
+        rows = []
         for i, row in enumerate(reader):
-            x = np.array([float(row[c]) for c in DESIGN_FIELDS])
-            y = np.array([float(row[c]) for c in OBJECTIVE_FIELDS])
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValueError(f"{path}: row {i} holds a non-finite value")
-            entries.append(ArchiveEntry(x=x, y=y))
-    archive = ParetoArchive(entries=tuple(entries))
-    if entries:
-        dominated = np.flatnonzero(dominated_mask(archive.objectives))
-        if dominated.size:
-            raise ValueError(f"{path}: row {dominated[0]} is dominated by another row")
+            cells = [row[c] for c in columns]
+            if None in cells:  # DictReader fills absent fields with None
+                raise ValueError(f"{path}: row {i} has fewer fields than the header")
+            rows.append([float(v) for v in cells])
+    values = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    non_finite = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if non_finite.size:
+        raise ValueError(f"{path}: row {non_finite[0]} holds a non-finite value")
+    archive = ParetoArchive(designs=values[:, :len(DESIGN_FIELDS)],
+                            objectives=values[:, len(DESIGN_FIELDS):])
+    dominated = np.flatnonzero(dominated_mask(archive.objectives))
+    if dominated.size:
+        raise ValueError(f"{path}: row {dominated[0]} is dominated by another row")
     return archive

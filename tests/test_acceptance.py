@@ -242,11 +242,10 @@ def test_criterion_5_pseudo_weight_arithmetic():
     scalar = refine.scalarize(rows[0], weights)
     err_s = abs(scalar - 4.300e-2)
 
-    archive = pareto.nondominated_filter(
-        [(np.full(13, float(i)), rows[i]) for i in range(4)])
+    archive = pareto.nondominated_filter(np.repeat(np.arange(4.0)[:, None], 13, axis=1), rows)
     targets = [(1 / 3, 1 / 3, 1 / 3), (0.8, 0.1, 0.1),
                (0.1, 0.8, 0.1), (0.1, 0.1, 0.8)]
-    pairings = [int(pareto.select_by_target(archive, np.array(t))[1].x[0])
+    pairings = [int(archive.designs[pareto.select_by_target(archive, np.array(t)), 0])
                 for t in targets]
 
     ok = (err_a < 5e-4 and err_c < 5e-4 and err_w < 1e-3 and err_s < 2e-4
@@ -276,8 +275,8 @@ def test_criterion_7_desk_campaign(desk_campaign):
 
     # every archived design satisfies the bending-strain bound
     worst_strain = 0.0
-    for entry in merged.entries:
-        design = geo.DesignVector.from_array(entry.x)
+    for x in merged.designs:
+        design = geo.DesignVector.from_array(x)
         _, sweep, _ = ks.evaluate_with_sweep(design)
         assert sweep is not None and sweep.converged
         worst_strain = max(worst_strain, sweep.max_strain)
@@ -317,8 +316,8 @@ def test_criterion_8_per_design_cost():
 def test_criterion_9_refinement(desk_campaign):
     out, _ = desk_campaign
     merged = pareto.read_archive_csv(out / "archive_merged.csv")
-    index, entry = pareto.select_by_target(merged, np.ones(3) / 3)
-    start = geo.DesignVector.from_array(entry.x)
+    index = pareto.select_by_target(merged, np.ones(3) / 3)
+    start = geo.DesignVector.from_array(merged.designs[index])
     result = refine.refine_design(start, ideal=merged.ideal, nadir=merged.nadir,
                                   max_iters=200)
     non_increase = result.refined_scalar <= result.start_scalar + 1e-12

@@ -36,8 +36,7 @@ def reference_archive_csv(path: Path) -> Path:
         [8.727e-1, 1.077e-4, 8.234e-1],
         [5.115e-1, 8.298e-1, 6.610e-5],
     ])
-    entries = [(np.full(13, float(i)), rows[i]) for i in range(4)]
-    archive = pareto.nondominated_filter(entries)
+    archive = pareto.nondominated_filter(np.repeat(np.arange(4.0)[:, None], 13, axis=1), rows)
     csv_path = path / "reference.csv"
     pareto.write_archive_csv(csv_path, archive)
     return csv_path
@@ -137,9 +136,9 @@ class TestMergeSelectFront:
         rng = np.random.default_rng(4)
         parts = []
         for name in ("one", "two"):
-            entries = [(rng.random(13), rng.integers(0, 5, 3).astype(float))
-                       for _ in range(25)]
-            archive = pareto.nondominated_filter(entries)
+            pairs = [(rng.random(13), rng.integers(0, 5, 3).astype(float))
+                     for _ in range(25)]
+            archive = pareto.nondominated_filter(*map(np.array, zip(*pairs)))
             p = tmp_path / f"{name}.csv"
             pareto.write_archive_csv(p, archive)
             parts.append((p, archive))
@@ -150,10 +149,16 @@ class TestMergeSelectFront:
         capsys.readouterr()
         merged = pareto.read_archive_csv(out / "archive_merged.csv")
         brute = pareto.nondominated_filter(
-            list(parts[0][1].entries) + list(parts[1][1].entries))
+            np.concatenate([parts[0][1].designs, parts[1][1].designs]),
+            np.concatenate([parts[0][1].objectives, parts[1][1].objectives]))
         assert len(merged) == len(brute)
-        for ea, eb in zip(merged.entries, brute.entries):
-            assert ea.y == pytest.approx(eb.y, rel=1e-15)
+        assert merged.objectives == pytest.approx(brute.objectives, rel=1e-15)
+        # reading a merged archive and writing it back reproduces the file
+        again = tmp_path / "again.csv"
+        pareto.write_archive_csv(again, merged)
+        assert again.read_bytes() == (out / "archive_merged.csv").read_bytes()
+        assert pareto.sidecar_path(again).read_bytes() == \
+            pareto.sidecar_path(out / "archive_merged.csv").read_bytes()
 
     def test_select_reproduces_reference_pairings(self, tmp_path, capsys):
         csv_path = reference_archive_csv(tmp_path)
@@ -177,7 +182,7 @@ class TestMergeSelectFront:
         assert payload["target_weights"] == pytest.approx([1 / 3] * 3)
 
     def test_select_empty_archive_fails(self, tmp_path, capsys):
-        empty = pareto.ParetoArchive(entries=())
+        empty = pareto.ParetoArchive()
         path = tmp_path / "empty.csv"
         pareto.write_archive_csv(path, empty)
         rc = cli.main(["select", "--archive", str(path),
@@ -214,12 +219,12 @@ def small_archive(tmp_path_factory):
         v[9] += db   # beta1
         v[12] += dd  # delta
         variants.append(v)
-    entries = []
+    objectives = []
     for v in variants:
         report = ks.evaluate_objectives(DesignVector.from_array(v))
         assert report.feasible
-        entries.append((v, report.as_array()))
-    archive = pareto.nondominated_filter(entries)
+        objectives.append(report.as_array())
+    archive = pareto.nondominated_filter(np.array(variants), np.array(objectives))
     path = tmp_path_factory.mktemp("refine") / "archive.csv"
     pareto.write_archive_csv(path, archive)
     return path
@@ -243,9 +248,9 @@ class TestRefineCommand:
 class TestRender:
     def test_archive_batch_render_deterministic_names(self, tmp_path, capsys):
         csv_path = tmp_path / "archive.csv"
-        entries = [(np.array([float(v) for v in REGRESSION["design"].values()]),
-                    np.array([1.0, 2.0, 3.0]))]
-        pareto.write_archive_csv(csv_path, pareto.nondominated_filter(entries))
+        design = np.array([[float(v) for v in REGRESSION["design"].values()]])
+        pareto.write_archive_csv(
+            csv_path, pareto.nondominated_filter(design, np.array([[1.0, 2.0, 3.0]])))
         out = tmp_path / "svg"
         rc = cli.main(["render", "--archive", str(csv_path), "--out", str(out)])
         assert rc == 0
@@ -281,6 +286,15 @@ def raw_archive_csv(path: Path, objective_rows) -> Path:
     return path
 
 
+def short_row_csv(path: Path) -> Path:
+    """Archive CSV whose second data row holds only its first 5 fields."""
+    raw_archive_csv(path, [[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:5])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 BETA1_25 = ",".join(repr(25.0 if name == "beta1" else REGRESSION["design"][name])
                     for name in DESIGN_FIELDS)
 # a design that geometry rejects (self-intersection) before meshing
@@ -291,13 +305,15 @@ SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1
 # documents (2 for malformed, non-finite or out-of-range input, 1 for a
 # well-formed request without a result, such as an empty archive), never in
 # a traceback or a result computed from silently replaced values; {archive},
-# {dominated}, {nan}, {degenerate}, {empty}, {config}, {nan_bounds} and {out}
-# are filled with per-test paths
+# {dominated}, {nan}, {short}, {degenerate}, {empty}, {config}, {nan_bounds}
+# and {out} are filled with per-test paths
 BAD_INPUTS = {
     "select-dominated-row": (cli.EXIT_USAGE, [
         "select", "--archive", "{dominated}", "--target-weights", "0.4,0.3,0.3"]),
     "select-nan-row": (cli.EXIT_USAGE, [
         "select", "--archive", "{nan}", "--target-weights", "0.4,0.3,0.3"]),
+    "select-short-row": (cli.EXIT_USAGE, [
+        "select", "--archive", "{short}", "--target-weights", "1,1,1"]),
     "refine-values-out-of-range": (cli.EXIT_USAGE, [
         "refine", "--archive", "{archive}", "--values", BETA1_25, "--iters", "1"]),
     "refine-malformed-weights": (cli.EXIT_USAGE, [
@@ -316,6 +332,8 @@ BAD_INPUTS = {
         "evaluate", "--values", REGRESSION_VALUES, "--elements", "0"]),
     "evaluate-zero-steps": (cli.EXIT_USAGE, [
         "evaluate", "--values", REGRESSION_VALUES, "--steps", "0"]),
+    "evaluate-one-step": (cli.EXIT_USAGE, [
+        "evaluate", "--values", REGRESSION_VALUES, "--steps", "1"]),
     "evaluate-rejected-design-zero-elements": (cli.EXIT_USAGE, [
         "evaluate", "--values", SELF_INTERSECTING_VALUES, "--elements", "0"]),
     "evaluate-rejected-design-zero-steps": (cli.EXIT_USAGE, [
@@ -364,6 +382,7 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
                                      [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]),
         "nan": raw_archive_csv(tmp_path / "nan.csv",
                                [[1.0, 2.0, 3.0], [float("nan"), 1.0, 1.0]]),
+        "short": short_row_csv(tmp_path / "short.csv"),
         "degenerate": raw_archive_csv(tmp_path / "degenerate.csv", [[1e-9, 1e-9, 1e-9]]),
         "empty": raw_archive_csv(tmp_path / "empty.csv", []),
         "config": write_point_config(tmp_path, REGRESSION["design"]),
@@ -391,7 +410,7 @@ DESIGN_TEXT = st.builds(
     lambda i, token: ",".join(token if j == i else v
                               for j, v in enumerate(REGRESSION_VALUES.split(","))),
     st.integers(0, 12), TOKENS)
-SMALL = ["--elements", "2", "--steps", "1"]
+SMALL = ["--elements", "2", "--steps", "2"]
 SURFACES = {
     "--values": lambda text, d: ["evaluate", f"--values={text}", *SMALL],
     "--target-weights": lambda text, d: [
@@ -404,6 +423,8 @@ SURFACES = {
     "[bounds]": lambda text, d: [
         "optimize", "--config", d["config"](text), "--pop", "4", "--gens", "1",
         *SMALL, "--out", d["out"]],
+    "archive row": lambda text, d: [
+        "select", "--archive", d["row_archive"](text), "--target-weights", "1,1,1"],
 }
 
 
@@ -417,13 +438,22 @@ def fuzz_paths(tmp_path_factory):
         path.write_text(f"[bounds]\nalpha = {text}\n")
         return str(path)
 
-    return {"archive": str(archive), "out": str(root / "out"), "config": config}
+    def row_archive(text: str) -> str:
+        # the text stands for the design fields of a row with objectives 1,2,3
+        path = root / "row.csv"
+        path.write_text(",".join([*DESIGN_FIELDS, *pareto.OBJECTIVE_FIELDS])
+                        + f"\n{text},1,2,3\n")
+        return str(path)
+
+    return {"archive": str(archive), "out": str(root / "out"), "config": config,
+            "row_archive": row_archive}
 
 
 @settings(max_examples=150, deadline=None)
 @given(surface=st.sampled_from(sorted(SURFACES)),
        text=st.one_of(MALFORMED, DESIGN_TEXT))
 @example(surface="[bounds]", text="nan,nan")
+@example(surface="archive row", text="1,2,3")
 def test_malformed_strings_never_raise(fuzz_paths, surface, text):
     """Any text for a free-form string exits 0, 1 or 2; a non-zero exit
     comes with an error line, never with an exception."""

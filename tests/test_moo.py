@@ -123,17 +123,17 @@ class TestConstraintDomination:
 
 class TestMergeArchives:
     def _random_archive(self, rng, n):
-        entries = [(rng.random(4), rng.integers(0, 6, 3).astype(float))
-                   for _ in range(n)]
-        return pareto.nondominated_filter(entries)
+        pairs = [(rng.random(4), rng.integers(0, 6, 3).astype(float))
+                 for _ in range(n)]
+        return pareto.nondominated_filter(*map(np.array, zip(*pairs)))
 
     def test_merge_with_empty_is_identity(self):
         rng = np.random.default_rng(1)
         a = self._random_archive(rng, 20)
-        merged = moo.merge_archives(a, pareto.ParetoArchive(entries=()))
+        merged = moo.merge_archives(a, pareto.ParetoArchive())
         assert len(merged) == len(a)
-        for ea, eb in zip(a.entries, merged.entries):
-            assert np.array_equal(ea.y, eb.y)
+        assert np.array_equal(a.objectives, merged.objectives)
+        assert len(moo.merge_archives(pareto.ParetoArchive(), a)) == len(a)
 
     def test_merge_idempotent(self):
         rng = np.random.default_rng(2)
@@ -146,10 +146,11 @@ class TestMergeArchives:
         a = self._random_archive(rng, 30)
         b = self._random_archive(rng, 30)
         merged = moo.merge_archives(a, b)
-        brute = pareto.nondominated_filter(list(a.entries) + list(b.entries))
+        brute = pareto.nondominated_filter(np.concatenate([a.designs, b.designs]),
+                                           np.concatenate([a.objectives, b.objectives]))
         assert len(merged) == len(brute)
-        for ea, eb in zip(merged.entries, brute.entries):
-            assert np.array_equal(ea.y, eb.y) and np.array_equal(ea.x, eb.x)
+        assert np.array_equal(merged.objectives, brute.objectives)
+        assert np.array_equal(merged.designs, brute.designs)
 
 
 class TestSpea2Selection:
@@ -194,9 +195,8 @@ class TestRuns:
         a = moo.run(cfg, ZDT1(n_var=8))
         b = moo.run(cfg, ZDT1(n_var=8))
         assert len(a) == len(b)
-        for ea, eb in zip(a.entries, b.entries):
-            assert np.array_equal(ea.x, eb.x)
-            assert np.array_equal(ea.y, eb.y)
+        assert np.array_equal(a.designs, b.designs)
+        assert np.array_equal(a.objectives, b.objectives)
 
     def test_parallel_matches_serial(self):
         serial = moo.run(moo.MooConfig(population=12, generations=5, seed=2),
@@ -205,9 +205,8 @@ class TestRuns:
             moo.MooConfig(population=12, generations=5, seed=2, workers=2),
             ZDT1(n_var=6))
         assert len(serial) == len(parallel)
-        for ea, eb in zip(serial.entries, parallel.entries):
-            assert np.array_equal(ea.x, eb.x)
-            assert np.array_equal(ea.y, eb.y)
+        assert np.array_equal(serial.designs, parallel.designs)
+        assert np.array_equal(serial.objectives, parallel.objectives)
 
     def test_pool_size_capped_at_cpu_count(self, monkeypatch):
         # a fake pool records the size it is asked for; a real pool would
@@ -231,8 +230,7 @@ class TestRuns:
         serial = moo.run(moo.MooConfig(population=8, generations=2, seed=2),
                          ZDT1(n_var=6))
         assert sizes == [3]
-        assert [e.y.tolist() for e in capped.entries] == \
-            [e.y.tolist() for e in serial.entries]
+        assert capped.objectives.tolist() == serial.objectives.tolist()
 
     def test_no_out_of_bounds_evaluations(self):
         calls = []

@@ -31,8 +31,8 @@ REFERENCE_TARGETS = np.array([
 
 
 def reference_archive():
-    entries = [(np.full(13, float(i)), REFERENCE_ROWS[i]) for i in range(4)]
-    return pareto.nondominated_filter(entries)
+    designs = np.repeat(np.arange(4.0)[:, None], 13, axis=1)
+    return pareto.nondominated_filter(designs, REFERENCE_ROWS)
 
 
 class TestDominates:
@@ -57,65 +57,100 @@ class TestDominates:
             assert pareto.dominates(a, c)
 
 
-def brute_force_front(entries):
+def brute_force_front(ys):
     keep = []
-    for i, (_, y) in enumerate(entries):
-        if not any(pareto.dominates(y2, y) for j, (_, y2) in enumerate(entries) if j != i):
+    for i, y in enumerate(ys):
+        if not any(pareto.dominates(y2, y) for j, y2 in enumerate(ys) if j != i):
             keep.append(i)
-    return {tuple(entries[i][1]) for i in keep}
+    return {tuple(ys[i]) for i in keep}
+
+
+def tuple_reference_filter(xs, ys):
+    """The filter with Python tuple keys: the smallest design per exact
+    objective vector (first one on equal designs), dominated rows dropped,
+    sorted by (objectives, design)."""
+    best = {}
+    for x, y in zip(xs, ys):
+        key = tuple(y)
+        if key not in best or tuple(x) < tuple(best[key][0]):
+            best[key] = (x, y)
+    kept = list(best.values())
+    dominated = pareto.dominated_mask(np.array([y for _, y in kept]))
+    kept = sorted((e for e, d in zip(kept, dominated) if not d),
+                  key=lambda e: (tuple(e[1]), tuple(e[0])))
+    return np.array([x for x, _ in kept]), np.array([y for _, y in kept])
 
 
 class TestNondominatedFilter:
+    def test_matches_tuple_reference_bitwise(self):
+        # small integer grids give exact objective ties, repeated rows and,
+        # with some entries negated, signed zeros
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            xs = rng.integers(-1, 2, size=(n, 3)).astype(float)
+            ys = rng.integers(-1, 3, size=(n, 3)).astype(float)
+            xs[rng.random(xs.shape) < 0.2] *= -1.0
+            ys[rng.random(ys.shape) < 0.2] *= -1.0
+            repeat = rng.integers(0, n, size=n // 3)
+            xs[:n // 3], ys[:n // 3] = xs[repeat], ys[repeat]
+            archive = pareto.nondominated_filter(xs, ys)
+            ref_xs, ref_ys = tuple_reference_filter(xs, ys)
+            assert archive.designs.tobytes() == ref_xs.tobytes()
+            assert archive.objectives.tobytes() == ref_ys.tobytes()
+
     def test_simple_domination(self):
-        archive = pareto.nondominated_filter([
-            (np.zeros(2), np.array([1.0, 1.0, 1.0])),
-            (np.ones(2), np.array([2.0, 2.0, 2.0])),
-        ])
+        archive = pareto.nondominated_filter(
+            np.array([np.zeros(2), np.ones(2)]),
+            np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))
         assert len(archive) == 1
-        assert archive.entries[0].y == pytest.approx([1, 1, 1])
+        assert archive.objectives[0] == pytest.approx([1, 1, 1])
 
     def test_incomparable_set_unchanged(self):
         ys = [np.array([1.0, 3.0, 2.0]), np.array([2.0, 1.0, 3.0]),
               np.array([3.0, 2.0, 1.0])]
-        archive = pareto.nondominated_filter([(np.zeros(1), y) for y in ys])
+        archive = pareto.nondominated_filter(np.zeros((3, 1)), np.array(ys))
         assert len(archive) == 3
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(13)
-        entries = [(rng.random(2), rng.integers(0, 6, size=3).astype(float))
-                   for _ in range(500)]
-        archive = pareto.nondominated_filter(entries)
-        got = {tuple(e.y) for e in archive.entries}
-        assert got == brute_force_front(entries)
+        pairs = [(rng.random(2), rng.integers(0, 6, size=3).astype(float))
+                 for _ in range(500)]
+        xs, ys = map(np.array, zip(*pairs))
+        archive = pareto.nondominated_filter(xs, ys)
+        got = {tuple(y) for y in archive.objectives}
+        assert got == brute_force_front(ys)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
-        entries = [(rng.random(3), rng.random(3)) for _ in range(40)]
-        a = pareto.nondominated_filter(entries)
-        b = pareto.nondominated_filter(entries[::-1])
+        pairs = [(rng.random(3), rng.random(3)) for _ in range(40)]
+        xs, ys = map(np.array, zip(*pairs))
+        a = pareto.nondominated_filter(xs, ys)
+        b = pareto.nondominated_filter(xs[::-1], ys[::-1])
         assert len(a) == len(b)
-        for ea, eb in zip(a.entries, b.entries):
-            assert np.array_equal(ea.y, eb.y) and np.array_equal(ea.x, eb.x)
+        assert np.array_equal(a.objectives, b.objectives)
+        assert np.array_equal(a.designs, b.designs)
 
     def test_objective_ties_deduplicated_lexicographically(self):
         y = np.array([1.0, 2.0, 3.0])
-        archive = pareto.nondominated_filter([
-            (np.array([2.0, 0.0]), y), (np.array([1.0, 9.0]), y),
-        ])
+        archive = pareto.nondominated_filter(np.array([[2.0, 0.0], [1.0, 9.0]]),
+                                             np.array([y, y]))
         assert len(archive) == 1
-        assert archive.entries[0].x == pytest.approx([1.0, 9.0])
+        assert archive.designs[0] == pytest.approx([1.0, 9.0])
 
     def test_incremental_insert_matches_batch(self):
         rng = np.random.default_rng(3)
-        entries = [(rng.random(2), rng.integers(0, 5, size=3).astype(float))
-                   for _ in range(300)]
-        batch = pareto.nondominated_filter(entries)
-        incremental = pareto.ParetoArchive(entries=())
+        pairs = [(rng.random(2), rng.integers(0, 5, size=3).astype(float))
+                 for _ in range(300)]
+        xs, ys = map(np.array, zip(*pairs))
+        batch = pareto.nondominated_filter(xs, ys)
+        incremental = pareto.ParetoArchive()
         for start in range(0, 300, 37):
-            incremental = pareto.archive_insert(incremental, entries[start:start + 37])
+            incremental = pareto.archive_insert(
+                incremental, xs[start:start + 37], ys[start:start + 37])
         assert len(batch) == len(incremental)
-        for ea, eb in zip(batch.entries, incremental.entries):
-            assert np.array_equal(ea.y, eb.y) and np.array_equal(ea.x, eb.x)
+        assert np.array_equal(batch.objectives, incremental.objectives)
+        assert np.array_equal(batch.designs, incremental.designs)
 
 
 class TestNormalization:
@@ -127,26 +162,22 @@ class TestNormalization:
         assert normalized.max(axis=0) == pytest.approx([1, 1, 1], abs=1e-15)
 
     def test_two_entries_complementary(self):
-        archive = pareto.nondominated_filter([
-            (np.zeros(1), np.array([1.0, 5.0, 2.0])),
-            (np.ones(1), np.array([3.0, 1.0, 1.0])),
-        ])
+        archive = pareto.nondominated_filter(
+            np.array([[0.0], [1.0]]), np.array([[1.0, 5.0, 2.0], [3.0, 1.0, 1.0]]))
         normalized, _ = pareto.normalize_front(archive)
         assert sorted(normalized[:, 0].tolist()) == [0.0, 1.0]
         assert normalized[0] + normalized[1] == pytest.approx([1, 1, 1])
 
     def test_degenerate_axis_flagged(self):
-        archive = pareto.nondominated_filter([
-            (np.zeros(1), np.array([1.0, 5.0, 2.0])),
-            (np.ones(1), np.array([3.0, 1.0, 2.0])),
-        ])
+        archive = pareto.nondominated_filter(
+            np.array([[0.0], [1.0]]), np.array([[1.0, 5.0, 2.0], [3.0, 1.0, 2.0]]))
         normalized, degenerate = pareto.normalize_front(archive)
         assert degenerate.tolist() == [False, False, True]
         assert np.all(normalized[:, 2] == 0.0)
 
     def test_empty_archive_raises(self):
         with pytest.raises(pareto.EmptyArchive):
-            pareto.normalize_front(pareto.ParetoArchive(entries=()))
+            pareto.normalize_front(pareto.ParetoArchive())
 
 
 class TestPseudoWeights:
@@ -179,33 +210,32 @@ class TestSelectByTarget:
     def test_reference_pairings(self):
         archive = reference_archive()
         for target, expected_row in zip(REFERENCE_TARGETS, range(4)):
-            index, entry = pareto.select_by_target(archive, target)
-            assert int(entry.x[0]) == expected_row
+            index = pareto.select_by_target(archive, target)
+            assert int(archive.designs[index][0]) == expected_row
 
     def test_singleton_archive(self):
-        archive = pareto.nondominated_filter([(np.zeros(1), np.array([1.0, 2.0, 3.0]))])
-        index, entry = pareto.select_by_target(archive, np.array([0.2, 0.3, 0.5]))
+        archive = pareto.nondominated_filter(np.zeros((1, 1)), np.array([[1.0, 2.0, 3.0]]))
+        index = pareto.select_by_target(archive, np.array([0.2, 0.3, 0.5]))
         assert index == 0
 
     def test_empty_raises(self):
         with pytest.raises(pareto.EmptyArchive):
-            pareto.select_by_target(pareto.ParetoArchive(entries=()), np.ones(3) / 3)
+            pareto.select_by_target(pareto.ParetoArchive(), np.ones(3) / 3)
 
     def test_scale_invariance_of_selection(self):
         # selection consumes normalized values only, so positive affine
         # rescaling of raw objectives must not change the chosen entry
         rng = np.random.default_rng(5)
         ys = rng.random((12, 3))
-        entries = [(np.array([float(i)]), y) for i, y in enumerate(ys)]
-        archive = pareto.nondominated_filter(entries)
+        xs = np.arange(12.0)[:, None]
+        archive = pareto.nondominated_filter(xs, ys)
         target = np.array([0.5, 0.2, 0.3])
-        base_idx, base = pareto.select_by_target(archive, target)
+        base = archive.designs[pareto.select_by_target(archive, target)]
         scale = np.array([3.0, 0.02, 40.0])
         shift = np.array([10.0, -1.0, 5.0])
-        rescaled = [(x, y * scale + shift) for x, y in entries]
-        other_archive = pareto.nondominated_filter(rescaled)
-        _, other = pareto.select_by_target(other_archive, target)
-        assert np.array_equal(other.x, base.x)
+        other_archive = pareto.nondominated_filter(xs, ys * scale + shift)
+        other = other_archive.designs[pareto.select_by_target(other_archive, target)]
+        assert np.array_equal(other, base)
 
 
 class TestHypervolume:
@@ -244,15 +274,14 @@ class TestHypervolume:
 class TestArchiveCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
-        entries = [(rng.random(13), rng.random(3)) for _ in range(8)]
-        archive = pareto.nondominated_filter(entries)
+        pairs = [(rng.random(13), rng.random(3)) for _ in range(8)]
+        archive = pareto.nondominated_filter(*map(np.array, zip(*pairs)))
         path = tmp_path / "archive.csv"
         pareto.write_archive_csv(path, archive)
         back = pareto.read_archive_csv(path)
         assert len(back) == len(archive)
-        for ea, eb in zip(archive.entries, back.entries):
-            assert np.array_equal(ea.x, eb.x)
-            assert np.array_equal(ea.y, eb.y)
+        assert np.array_equal(archive.designs, back.designs)
+        assert np.array_equal(archive.objectives, back.objectives)
         sidecar = pareto.sidecar_path(path)
         assert sidecar.exists()
 
@@ -262,10 +291,24 @@ class TestArchiveCsv:
         with pytest.raises(ValueError, match="missing columns"):
             pareto.read_archive_csv(path)
 
+    def test_file_row_order_kept(self, tmp_path):
+        # canonical order would put the second row first; row indices given
+        # to select/refine --row must stay file rows
+        rows = [[3.0, 1.0, 2.0], [1.0, 3.0, 2.0], [2.0, 2.0, 1.0]]
+        lines = [",".join([*DESIGN_FIELDS, *pareto.OBJECTIVE_FIELDS])]
+        lines += [",".join([str(0.1 * i)] * len(DESIGN_FIELDS) + [repr(v) for v in y])
+                  for i, y in enumerate(rows)]
+        path = tmp_path / "archive.csv"
+        path.write_text("\n".join(lines) + "\n")
+        archive = pareto.read_archive_csv(path)
+        assert archive.objectives.tolist() == rows
+        assert archive.designs[:, 0].tolist() == [0.0, 0.1, 0.2]
+
     @pytest.mark.parametrize("rows, message", [
         ([[1.0, 2.0, 3.0], [float("nan"), 1.0, 1.0]], "row 1 holds a non-finite"),
         ([[1.0, 2.0, 3.0], [3.0, 1.0, float("inf")]], "row 1 holds a non-finite"),
         ([[1.0, 2.0, 3.0], [3.0, 1.0, 1.0], [2.0, 2.0, 3.0]], "row 2 is dominated"),
+        ([[1.0, 2.0, 3.0], [3.0, 1.0]], "row 1 has fewer fields"),
     ])
     def test_invalid_rows_rejected(self, tmp_path, rows, message):
         lines = [",".join([*DESIGN_FIELDS, *pareto.OBJECTIVE_FIELDS])]
