@@ -461,20 +461,6 @@ class BeamModel:
             ab[_BAND * n + self.idx_phi] -= rot[0] * fx + rot[1] * fy
         return residual, ab.reshape(2 * _BAND + 1, n)
 
-    def residual_tangent(self, z: np.ndarray):
-        """Residual and dense tangent (test/oracle convenience)."""
-        residual, ab = self.assemble(z)
-        return residual, banded_to_dense(ab)
-
-
-def banded_to_dense(ab: np.ndarray) -> np.ndarray:
-    n = ab.shape[1]
-    dense = np.zeros((n, n))
-    for d in range(-_BAND, _BAND + 1):
-        j = np.arange(max(0, -d), min(n, n - d))
-        dense[j + d, j] = ab[_BAND + d, j]
-    return dense
-
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the reduced system in the band storage of BeamModel.assemble.

@@ -250,9 +250,26 @@ def render_design_svg(design: DesignVector) -> str:
 
 
 def render_trace_svg(trace: dict) -> str:
-    reference = [np.asarray(line) for line in trace["centerlines"]["reference"]]
-    deformed = [np.asarray(line) for line in trace["centerlines"]["deformed"][-1]]
-    widths = [float(h) for h in trace["heights"]]
+    """Reference and last deformed centerlines of an `evaluate --trace` file.
+
+    Raises:
+        ValueError: unless the trace holds two reference polylines, a last
+            deformed step of two polylines and two finite positive heights.
+    """
+    try:
+        reference = [np.asarray(line, dtype=float)
+                     for line in trace["centerlines"]["reference"]]
+        deformed = [np.asarray(line, dtype=float)
+                    for line in trace["centerlines"]["deformed"][-1]]
+        widths = np.asarray(trace["heights"], dtype=float)
+    except (TypeError, KeyError, IndexError) as err:
+        raise ValueError(f"malformed sweep trace ({type(err).__name__}: {err})") from None
+    if not (len(reference) == len(deformed) == widths.size == 2
+            and np.isfinite(widths).all() and (widths > 0).all()
+            and all(line.ndim == 2 and line.shape[1] == 2 and np.isfinite(line).all()
+                    for line in reference + deformed)):
+        raise ValueError("malformed sweep trace: need two reference polylines, a "
+                         "deformed step of two polylines and two finite positive heights")
     return centerlines_svg([
         (reference, widths, "#b0b0b0"),
         (deformed, widths, "#202020"),
@@ -399,8 +416,8 @@ def cmd_refine(args, argv) -> int:
     weights = _parse_weights(args.weights) if args.weights else None
 
     report = refine.refine_design(
-        start, ideal=archive.ideal, nadir=archive.nadir, weights=weights,
-        max_iters=args.iters, n_elements=settings["elements"], n_steps=settings["steps"])
+        start, archive, weights=weights, max_iters=args.iters,
+        n_elements=settings["elements"], n_steps=settings["steps"])
     payload = {
         "selected_index": index,
         "weights": [float(v) for v in report.weights],

@@ -194,20 +194,6 @@ def build_hinge(design: DesignVector, n_samples: int = 81) -> HingeGeometry:
     return HingeGeometry(flexures=(flexures[0], flexures[1]))
 
 
-def design_parameters(geometry: HingeGeometry) -> DesignVector:
-    """Read the 13 design variables back from realized geometry."""
-    f1, f2 = geometry.flexures
-    return DesignVector(
-        *(float(c) for c in f1.coeffs),
-        *(float(c) for c in f2.coeffs),
-        alpha=f2.length / f1.length,
-        beta1=f1.length / f1.height,
-        beta2=f2.length / f2.height,
-        gamma=f2.width / f1.width,
-        delta=float(f2.base[0]) / f1.length,
-    )
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool

@@ -6,6 +6,11 @@ always beats an infeasible one; infeasible individuals compare by
 violation) and an unbounded external archive of all feasible evaluations,
 whose non-dominated subset is the returned Pareto approximation.
 
+The population is a design array plus the list of its Evaluation
+records, one record type per evaluation. Selection functions take the
+records and return index arrays (and the tournament keys of the chosen
+members); nothing is written onto members.
+
 Runs are bit-reproducible for a fixed seed: random draws happen only in
 the sequential generation loop, evaluations are dispatched in index
 order (optionally to a process pool) and reduced in index order.
@@ -59,15 +64,6 @@ class MooConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self
-
-
-@dataclass
-class Individual:
-    x: np.ndarray
-    evaluation: Evaluation
-    rank: int = 0
-    crowding: float = 0.0
-    fitness: float = 0.0        # SPEA2 scalar fitness (lower is better)
 
 
 @dataclass(frozen=True)
@@ -203,10 +199,7 @@ def _domination_matrix(evals: list[Evaluation]) -> np.ndarray:
     viol = np.array([e.violation for e in evals])
     d = np.zeros((n, n), dtype=bool)
     d[np.ix_(feasible, ~feasible)] = True
-    inf_idx = np.where(~feasible)[0]
-    if inf_idx.size:
-        v = viol[inf_idx]
-        d[np.ix_(inf_idx, inf_idx)] = v[:, None] < v[None, :]
+    d[np.ix_(~feasible, ~feasible)] = viol[~feasible, None] < viol[None, ~feasible]
     feas_idx = np.where(feasible)[0]
     if feas_idx.size:
         ys = np.array([evals[i].y for i in feas_idx])
@@ -217,9 +210,8 @@ def _domination_matrix(evals: list[Evaluation]) -> np.ndarray:
 def fast_nondominated_sort(evals: list[Evaluation]) -> np.ndarray:
     """Front index per individual under constraint domination."""
     d = _domination_matrix(evals)
-    n = len(evals)
     n_dom = d.sum(axis=0).astype(np.int64)
-    ranks = np.full(n, -1, dtype=np.int64)
+    ranks = np.full(len(evals), -1, dtype=np.int64)
     current = np.where(n_dom == 0)[0]
     front = 0
     while current.size:
@@ -249,40 +241,39 @@ def crowding_distance(keys: np.ndarray) -> np.ndarray:
     return distance
 
 
-def _front_keys(members: list[Individual]) -> np.ndarray:
-    """Crowding keys: objectives for feasible fronts, violation otherwise."""
-    if members[0].evaluation.feasible:
-        return np.array([ind.evaluation.y for ind in members])
-    return np.array([[ind.evaluation.violation] for ind in members])
-
-
-def _assign_rank_crowding(population: list[Individual]) -> None:
-    ranks = fast_nondominated_sort([ind.evaluation for ind in population])
-    for ind, rank in zip(population, ranks):
-        ind.rank = int(rank)
+def _nsga2_keys(evals: list[Evaluation]) -> np.ndarray:
+    """Tournament keys, one (rank, -crowding) row per member: the front
+    index under constraint domination, then the crowding distance within
+    the front (over objectives for feasible fronts, violation otherwise)."""
+    ranks = fast_nondominated_sort(evals)
+    keys = np.column_stack([ranks, np.zeros(len(ranks))])
     for front in range(int(ranks.max()) + 1):
-        idx = np.where(ranks == front)[0]
-        members = [population[i] for i in idx]
-        dist = crowding_distance(_front_keys(members))
-        for ind, cd in zip(members, dist):
-            ind.crowding = float(cd)
+        idx = np.flatnonzero(ranks == front)
+        coords = (np.array([evals[i].y for i in idx]) if evals[idx[0]].feasible
+                  else np.array([[evals[i].violation] for i in idx]))
+        keys[idx, 1] = -crowding_distance(coords)
+    return keys
 
 
-def _nsga2_survivors(population: list[Individual], size: int) -> list[Individual]:
-    _assign_rank_crowding(population)
-    order = np.lexsort((
-        np.arange(len(population)),
-        [-ind.crowding for ind in population],
-        [ind.rank for ind in population],
-    ))
-    return [population[i] for i in order[:size]]
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """Member indices by ascending key row (columns compared in turn),
+    ties to the lower index."""
+    return np.lexsort((np.arange(len(keys)), *keys.T[::-1]))
 
 
-def _binary_tournament(keys: list, n_parents: int,
+def _nsga2_survivors(evals: list[Evaluation], size: int):
+    """Indices of the size best members by (rank, -crowding), and their keys."""
+    keys = _nsga2_keys(evals)
+    chosen = _key_order(keys)[:size]
+    return chosen, keys[chosen]
+
+
+def _binary_tournament(keys: np.ndarray, n_parents: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Winners of random pairs: the lower key wins, ties go to the lower index."""
-    picks = rng.integers(0, len(keys), size=(n_parents, 2))
-    return np.array([a if (keys[a], a) <= (keys[b], b) else b for a, b in picks])
+    """Winners of random pairs: the lower key row wins, ties go to the lower index."""
+    a, b = rng.integers(0, len(keys), size=(n_parents, 2)).T
+    pos = np.argsort(_key_order(keys))  # each member's place in key order
+    return np.where(pos[a] <= pos[b], a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +282,9 @@ def _binary_tournament(keys: list, n_parents: int,
 def _spea2_fitness(evals: list[Evaluation]) -> np.ndarray:
     """Strength-based raw fitness plus k-nearest-neighbor density."""
     d = _domination_matrix(evals)
+    # strengths are integer counts, so the sums are exact in any order
     strength = d.sum(axis=1).astype(float)
-    raw = np.array([strength[d[:, j]].sum() for j in range(len(evals))])
+    raw = strength @ d
     coords = _density_coordinates(evals)
     dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
@@ -315,35 +307,35 @@ def _density_coordinates(evals: list[Evaluation]) -> np.ndarray:
     return coords
 
 
-def _spea2_truncate(candidates: list[Individual], size: int) -> list[Individual]:
-    """Iteratively drop the individual with the lexicographically smallest
-    sorted distance vector until the archive fits."""
-    coords = _density_coordinates([ind.evaluation for ind in candidates])
+def _spea2_truncate(evals: list[Evaluation], size: int) -> np.ndarray:
+    """Indices that survive iteratively dropping the member with the
+    lexicographically smallest sorted distance vector until size remain."""
+    coords = _density_coordinates(evals)
     dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
-    alive = list(range(len(candidates)))
+    alive = list(range(len(evals)))
     while len(alive) > size:
         sub = dist[np.ix_(alive, alive)]
         ordered = np.sort(sub, axis=1)
         # lexicographic comparison over ascending neighbor distances
         victim = np.lexsort(ordered.T[::-1])[0]
         del alive[victim]
-    return [candidates[i] for i in alive]
+    return np.array(alive)
 
 
-def _spea2_environmental(population: list[Individual], size: int) -> list[Individual]:
-    fitness = _spea2_fitness([ind.evaluation for ind in population])
-    for ind, f in zip(population, fitness):
-        ind.fitness = float(f)
-    nondominated = [ind for ind in population if ind.fitness < 1.0]
-    if len(nondominated) > size:
-        return _spea2_truncate(nondominated, size)
-    if len(nondominated) < size:
-        dominated = [ind for ind in population if ind.fitness >= 1.0]
-        order = np.lexsort((np.arange(len(dominated)),
-                            [ind.fitness for ind in dominated]))
-        nondominated += [dominated[i] for i in order[:size - len(nondominated)]]
-    return nondominated
+def _spea2_environmental(evals: list[Evaluation], size: int):
+    """Indices of the SPEA2 environmental archive, and their fitness as
+    (n, 1) keys: the non-dominated members (fitness < 1), truncated to
+    size or filled up with dominated members in stable fitness order."""
+    fitness = _spea2_fitness(evals)
+    chosen = np.flatnonzero(fitness < 1.0)
+    if len(chosen) > size:
+        chosen = chosen[_spea2_truncate([evals[i] for i in chosen], size)]
+    elif len(chosen) < size:
+        dominated = np.flatnonzero(fitness >= 1.0)
+        order = np.argsort(fitness[dominated], kind="stable")
+        chosen = np.concatenate([chosen, dominated[order[:size - len(chosen)]]])
+    return chosen, fitness[chosen, None]
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +360,16 @@ def _progress_hv(archive: pareto.ParetoArchive) -> float:
     return pareto.hypervolume(squashed, np.ones(ys.shape[1]))
 
 
-def _individuals(xs: np.ndarray, engine: _EvaluationEngine) -> list[Individual]:
-    return [Individual(x=x, evaluation=e) for x, e in zip(xs, engine.evaluate(xs))]
-
-
 def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
     """NSGA-II or SPEA2 (config.algorithm) with constraint domination and an
     external archive of all feasible evaluations.
 
-    Both share one generational loop. They differ in the start step
-    (NSGA-II ranks the initial population in place, SPEA2 selects its
-    environmental archive from it), the binary-tournament key ((rank,
-    -crowding) or SPEA2 fitness) and the survivor selection over parents
-    plus offspring.
+    Both share one generational loop over a pool held as a design array
+    plus its Evaluation records; selection returns pool indices and the
+    tournament keys ((rank, -crowding) or SPEA2 fitness) of the chosen
+    members. They differ in the start step (NSGA-II keeps the initial
+    population, SPEA2 selects its environmental archive from it), the
+    tournament key and the survivor selection over parents plus offspring.
     """
     config = config.validated()
     nsga2 = config.algorithm == "nsga2"
@@ -391,30 +380,26 @@ def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
     archive = pareto.ParetoArchive()
 
     with _EvaluationEngine(evaluator, config.workers) as engine:
-        offspring = _individuals(
-            rng.uniform(lower, upper, size=(config.population, len(lower))), engine)
-        if nsga2:
-            _assign_rank_crowding(offspring)
-            pool = offspring
-        else:
-            pool = _spea2_environmental(list(offspring), size)
+        xs = rng.uniform(lower, upper, size=(config.population, len(lower)))
+        evals = engine.evaluate(xs)
+        chosen, keys = ((np.arange(len(xs)), _nsga2_keys(evals)) if nsga2
+                        else _spea2_environmental(evals, size))
+        pool_x, pool = xs[chosen], [evals[i] for i in chosen]
 
         for gen in range(config.generations + 1):
             if gen > 0:
-                keys = [(ind.rank, -ind.crowding) if nsga2 else (ind.fitness,)
-                        for ind in pool]
-                parents = np.array([pool[i].x for i in
-                                    _binary_tournament(keys, config.population, rng)])
-                offspring = _individuals(
-                    variation(parents, config, rng, lower, upper), engine)
-                pool = survivors(pool + offspring, size)
-            feasible = [ind for ind in offspring if ind.evaluation.feasible]
+                parents = pool_x[_binary_tournament(keys, config.population, rng)]
+                xs = variation(parents, config, rng, lower, upper)
+                evals = engine.evaluate(xs)
+                pool_x, pool = np.concatenate([pool_x, xs]), pool + evals
+                chosen, keys = survivors(pool, size)
+                pool_x, pool = pool_x[chosen], [pool[i] for i in chosen]
+            feasible = np.array([e.feasible for e in evals])
             archive = pareto.archive_insert(
-                archive, np.array([ind.x for ind in feasible]),
-                np.array([ind.evaluation.y for ind in feasible]))
+                archive, xs[feasible], np.array([e.y for e in evals if e.feasible]))
             if progress is not None:
                 progress(GenerationStats(
-                    generation=gen, feasible=len(feasible),
+                    generation=gen, feasible=int(feasible.sum()),
                     archive_size=len(archive), hypervolume=_progress_hv(archive)))
 
     return archive

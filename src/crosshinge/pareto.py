@@ -73,11 +73,6 @@ def dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
 
 
-def dominates(y: np.ndarray, y_other: np.ndarray) -> bool:
-    """Pareto dominance of one objective vector over another."""
-    return bool(dominance(np.atleast_2d(y), np.atleast_2d(y_other))[0, 0])
-
-
 def dominated_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of rows dominated by some other row (chunked)."""
     ys = np.asarray(objectives, dtype=float)

@@ -5,6 +5,13 @@ values, with the normalization (ideal/nadir) frozen from the archive the
 start design was selected from. Weights default to inverse normalization:
 the reciprocals of the start design's normalized objectives, rescaled to
 sum to one, so each objective initially contributes equally.
+
+A start design at the archive's ideal in some objective normalizes to 0
+there and has no finite reciprocal. So before the weights are derived,
+each normalized start objective is floored at the smallest positive
+value in that objective's normalized archive column (weight_floor). A
+column without a positive value is degenerate (nadir == ideal); its floor
+is 0 and deriving weights still raises DegenerateObjective.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 from . import beam_fem, kinetostatics
 from .geometry import DesignVector, LOWER_BOUNDS, UPPER_BOUNDS
 from .kinetostatics import Evaluation
-from .pareto import DegenerateObjective, normalize
+from .pareto import DegenerateObjective, ParetoArchive, normalize, normalize_front
 
 NM_REFLECTION = 1.0
 NM_EXPANSION = 2.0
@@ -42,6 +49,14 @@ def inverse_normalization_weights(normalized: np.ndarray) -> np.ndarray:
                                   "positive normalized objectives")
     inverse = 1.0 / y
     return inverse / inverse.sum()
+
+
+def weight_floor(archive: ParetoArchive) -> np.ndarray:
+    """Smallest positive value of each normalized archive column; 0 for a
+    column without one."""
+    normalized, _ = normalize_front(archive)
+    floor = np.where(normalized > 0.0, normalized, np.inf).min(axis=0)
+    return np.where(np.isfinite(floor), floor, 0.0)
 
 
 def scalarize(normalized: np.ndarray, weights: np.ndarray) -> float:
@@ -186,17 +201,24 @@ class RefineReport:
     evaluations: int
 
 
-def refine_design(start: DesignVector, ideal: np.ndarray, nadir: np.ndarray,
+def refine_design(start: DesignVector, archive: ParetoArchive,
                   weights: np.ndarray | None = None, max_iters: int = MAX_ITERS,
                   n_elements: int = beam_fem.DEFAULT_ELEMENTS,
                   n_steps: int = beam_fem.DEFAULT_STEPS) -> RefineReport:
-    """Scalarized Nelder-Mead refinement of a feasible start design.
+    """Scalarized Nelder-Mead refinement of a feasible start design, with
+    the normalization frozen at the archive's (ideal, nadir).
 
     With weights=None, inverse-normalization weights are derived from the
-    start design's normalized objectives under the frozen (ideal, nadir);
-    a degenerate coordinate (nadir <= ideal) normalizes to 0 there as in
-    the scalar objective, so deriving weights raises DegenerateObjective.
+    start design's normalized objectives, each raised to the archive's
+    weight_floor first; the start scalar uses the objectives as they are.
+    A degenerate coordinate (nadir <= ideal) normalizes to 0 there as in
+    the scalar objective and has a 0 floor, so deriving weights raises
+    DegenerateObjective.
+
+    Raises:
+        EmptyArchive: if the archive has no rows.
     """
+    ideal, nadir = archive.ideal, archive.nadir
     start_report = kinetostatics.evaluate_objectives(
         start, n_elements=n_elements, n_steps=n_steps)
     if not start_report.feasible:
@@ -204,7 +226,8 @@ def refine_design(start: DesignVector, ideal: np.ndarray, nadir: np.ndarray,
 
     start_norm, _ = normalize(start_report.y, ideal, nadir)
     if weights is None:
-        weights = inverse_normalization_weights(start_norm)
+        weights = inverse_normalization_weights(
+            np.maximum(start_norm, weight_floor(archive)))
     weights = np.asarray(weights, float)
 
     problem = ScalarizedProblem(weights=weights, ideal=ideal, nadir=nadir,

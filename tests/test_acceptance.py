@@ -318,8 +318,7 @@ def test_criterion_9_refinement(desk_campaign):
     merged = pareto.read_archive_csv(out / "archive_merged.csv")
     index = pareto.select_by_target(merged, np.ones(3) / 3)
     start = geo.DesignVector.from_array(merged.designs[index])
-    result = refine.refine_design(start, ideal=merged.ideal, nadir=merged.nadir,
-                                  max_iters=200)
+    result = refine.refine_design(start, merged, max_iters=200)
     non_increase = result.refined_scalar <= result.start_scalar + 1e-12
 
     quad = refine.nelder_mead(

@@ -239,6 +239,20 @@ class TestRefineCommand:
         assert payload["refined"]["scalar"] <= payload["start"]["scalar"] + 1e-12
         assert payload["iterations"] <= 4
 
+    def test_extreme_row_refines_with_floored_weights(self, small_archive, capsys):
+        # row 0 attains the archive's ideal r_bar, so its normalized r_bar is
+        # 0; the weights floor it at the column's smallest positive value
+        rc = cli.main(["refine", "--archive", str(small_archive), "--row", "0",
+                       "--iters", "2"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        normalized, _ = pareto.normalize_front(pareto.read_archive_csv(small_archive))
+        assert normalized[0, 0] == 0.0
+        floor = np.where(normalized > 0.0, normalized, np.inf).min(axis=0)
+        inverse = 1.0 / np.maximum(normalized[0], floor)
+        assert payload["weights"] == pytest.approx(inverse / inverse.sum(), rel=1e-12)
+        assert payload["refined"]["scalar"] <= payload["start"]["scalar"] + 1e-12
+
     def test_refine_row_out_of_range(self, small_archive, capsys):
         rc = cli.main(["refine", "--archive", str(small_archive), "--row", "99",
                        "--iters", "1"])
@@ -295,6 +309,18 @@ def short_row_csv(path: Path) -> Path:
     return path
 
 
+# the fields `render --trace` reads from a sweep trace: two bent polylines
+TRACE_LINE = [[0.0, 0.0], [0.5, 0.1], [1.0, 0.0]]
+GOOD_TRACE = {"heights": [0.05, 0.05],
+              "centerlines": {"reference": [TRACE_LINE, TRACE_LINE],
+                              "deformed": [[TRACE_LINE, TRACE_LINE]]}}
+
+
+def trace_file(path: Path, trace) -> Path:
+    path.write_text(json.dumps(trace))
+    return path
+
+
 BETA1_25 = ",".join(repr(25.0 if name == "beta1" else REGRESSION["design"][name])
                     for name in DESIGN_FIELDS)
 # a design that geometry rejects (self-intersection) before meshing
@@ -305,8 +331,8 @@ SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1
 # documents (2 for malformed, non-finite or out-of-range input, 1 for a
 # well-formed request without a result, such as an empty archive), never in
 # a traceback or a result computed from silently replaced values; {archive},
-# {dominated}, {nan}, {short}, {degenerate}, {empty}, {config}, {nan_bounds}
-# and {out} are filled with per-test paths
+# {dominated}, {nan}, {short}, {degenerate}, {empty}, {config}, {nan_bounds},
+# the {trace_...} files and {out} are filled with per-test paths
 BAD_INPUTS = {
     "select-dominated-row": (cli.EXIT_USAGE, [
         "select", "--archive", "{dominated}", "--target-weights", "0.4,0.3,0.3"]),
@@ -369,6 +395,12 @@ BAD_INPUTS = {
         "refine", "--archive", "{empty}", "--values", REGRESSION_VALUES, "--iters", "1"]),
     "front-empty-archive": (cli.EXIT_FAILURE, [
         "front", "--archive", "{empty}", "--out", "{out}"]),
+    "render-trace-without-deformed-step": (cli.EXIT_USAGE, [
+        "render", "--trace", "{trace_no_step}", "--out", "{out}"]),
+    "render-trace-json-list": (cli.EXIT_USAGE, [
+        "render", "--trace", "{trace_list}", "--out", "{out}"]),
+    "render-trace-one-height": (cli.EXIT_USAGE, [
+        "render", "--trace", "{trace_one_height}", "--out", "{out}"]),
 }
 
 
@@ -387,6 +419,11 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
         "empty": raw_archive_csv(tmp_path / "empty.csv", []),
         "config": write_point_config(tmp_path, REGRESSION["design"]),
         "nan_bounds": write_point_config(nan_dir, {"alpha": float("nan")}),
+        "trace_no_step": trace_file(tmp_path / "no_step.json", {
+            **GOOD_TRACE, "centerlines": {**GOOD_TRACE["centerlines"], "deformed": []}}),
+        "trace_list": trace_file(tmp_path / "list.json", [GOOD_TRACE]),
+        "trace_one_height": trace_file(tmp_path / "one_height.json",
+                                       {**GOOD_TRACE, "heights": [0.05]}),
         "out": tmp_path / "run",
     }
     rc = cli.main([arg.format(**paths) for arg in argv])

@@ -156,22 +156,43 @@ class TestMergeArchives:
 class TestSpea2Selection:
     def test_truncation_hits_exact_size_with_duplicate_distances(self):
         # mutually non-dominated grid points with many equal pairwise gaps
-        ys = [np.array([float(i), float(9 - i)]) for i in range(10)]
-        population = [moo.Individual(x=np.array([float(i)]),
-                                     evaluation=moo.Evaluation(y=y, feasible=True))
-                      for i, y in enumerate(ys)]
+        evals = [moo.Evaluation(y=np.array([float(i), float(9 - i)]), feasible=True)
+                 for i in range(10)]
         for size in (3, 5, 8):
-            env = moo._spea2_environmental(list(population), size)
-            assert len(env) == size
+            chosen, fitness = moo._spea2_environmental(evals, size)
+            assert len(chosen) == size
+            assert fitness.shape == (size, 1)
 
     def test_fill_from_dominated_when_underfull(self):
         ys = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
-        population = [moo.Individual(x=np.array([float(i)]),
-                                     evaluation=moo.Evaluation(y=y, feasible=True))
-                      for i, y in enumerate(ys)]
-        env = moo._spea2_environmental(list(population), 2)
-        assert len(env) == 2
-        assert env[0].evaluation.y == pytest.approx([0.0, 0.0])
+        evals = [moo.Evaluation(y=y, feasible=True) for y in ys]
+        chosen, _ = moo._spea2_environmental(evals, 2)
+        assert len(chosen) == 2
+        assert evals[chosen[0]].y == pytest.approx([0.0, 0.0])
+
+
+def _tuple_tournament(keys, n_parents, rng):
+    """The tournament as first written: a tuple comparator per pair."""
+    picks = rng.integers(0, len(keys), size=(n_parents, 2))
+    keys = [tuple(row) for row in keys.tolist()]
+    return np.array([a if (keys[a], a) <= (keys[b], b) else b for a, b in picks])
+
+
+class TestBinaryTournament:
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_matches_tuple_reference(self, columns):
+        # few distinct values, so ties are common; the crowding column
+        # holds -crowding as NSGA-II builds it, with +-0.0 and +-inf
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            n = int(rng.integers(2, 25))
+            first = rng.integers(0, 3, n).astype(float)
+            crowding = rng.choice([0.0, -0.0, np.inf, -np.inf, 0.25, 1.5], n)
+            keys = np.column_stack([first, crowding])[:, :columns]
+            got_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = moo._binary_tournament(keys, 16, got_rng)
+            assert np.array_equal(got, _tuple_tournament(keys, 16, ref_rng))
+            assert got_rng.random() == ref_rng.random()  # same draws
 
 
 class TestRuns:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crosshinge import kinetostatics, refine
+from crosshinge import kinetostatics, pareto, refine
 from crosshinge.geometry import DesignVector
 from crosshinge.pareto import DegenerateObjective
 
@@ -155,7 +155,10 @@ class TestRefineDesign:
         ideal, nadir = 0.5 * y, 2.0 * y
         nadir[2] = ideal[2]
         weights = np.array([0.2, 0.3, 0.5])
-        report = refine.refine_design(start, ideal, nadir, weights=weights,
+        # an archive whose componentwise min and max are ideal and nadir
+        archive = pareto.ParetoArchive(designs=np.zeros((2, 13)),
+                                       objectives=np.array([ideal, nadir]))
+        report = refine.refine_design(start, archive, weights=weights,
                                       max_iters=1, n_elements=6)
         problem = refine.ScalarizedProblem(weights=weights, ideal=ideal, nadir=nadir,
                                            n_elements=6)
