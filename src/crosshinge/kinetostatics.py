@@ -222,9 +222,16 @@ def evaluate_with_sweep(design: geometry.DesignVector,
         logger.warning("non-positive reaction moment within the action space "
                        "(possible snap-through)")
     try:
-        return objectives_from_sweep(sweep), sweep, model
+        report = objectives_from_sweep(sweep)
     except NotPositiveDefinite:
         return _infeasible(SINGULAR_VIOLATION, "indefinite-stiffness"), sweep, model
+    # no feasible record carries a non-finite objective or a non-positive k_bar;
+    # a non-finite one gets the non-convergence violation of the whole stroke reached
+    if not np.all(np.isfinite(report.y)):
+        return _infeasible(1.0, "nonconvergence"), sweep, model
+    if report.k_bar <= 0.0:
+        return _infeasible(SINGULAR_VIOLATION, "indefinite-stiffness"), sweep, model
+    return report, sweep, model
 
 
 def evaluate_objectives(design: geometry.DesignVector,
@@ -235,7 +242,9 @@ def evaluate_objectives(design: geometry.DesignVector,
     Infeasibility is reported, never raised: self-intersecting geometry
     carries a fixed violation of 1, a strain-limit hit carries the excess
     over the limit, and non-convergence carries 1 plus the unreached
-    fraction of the action space. Out-of-range design variables and
+    fraction of the action space. A completed sweep with a non-finite
+    objective is non-convergence (violation 1), one with k_bar <= 0 is
+    indefinite stiffness (violation 1). Out-of-range design variables and
     element or step counts are caller errors and do raise (OutOfRange,
     ValueError).
     """

@@ -279,18 +279,31 @@ def _binary_tournament(keys: np.ndarray, n_parents: int,
 # ---------------------------------------------------------------------------
 # SPEA2 machinery
 
+def _distances(coords: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances with an infinite diagonal. The squared
+    distance is summed one coordinate column at a time on (n, n) arrays,
+    in column order, so it equals np.linalg.norm over the (n, n, m)
+    difference array bit for bit without building that array."""
+    squared = np.zeros((len(coords), len(coords)))
+    for j in range(coords.shape[1]):
+        squared += (coords[:, j, None] - coords[None, :, j]) ** 2
+    dist = np.sqrt(squared)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
 def _spea2_fitness(evals: list[Evaluation]) -> np.ndarray:
-    """Strength-based raw fitness plus k-nearest-neighbor density."""
+    """Strength-based raw fitness plus k-nearest-neighbor density: the
+    k-th smallest of the column-wise built distances (_distances), found
+    by a partial partition rather than a full row sort."""
     d = _domination_matrix(evals)
     # strengths are integer counts, so the sums are exact in any order
     strength = d.sum(axis=1).astype(float)
     raw = strength @ d
-    coords = _density_coordinates(evals)
-    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
+    dist = _distances(_density_coordinates(evals))
     k = max(1, int(round(np.sqrt(len(evals)))))
     k = min(k, len(evals) - 1) if len(evals) > 1 else 1
-    sigma_k = np.sort(dist, axis=1)[:, k - 1] if len(evals) > 1 else np.zeros(1)
+    sigma_k = np.partition(dist, k - 1, axis=1)[:, k - 1] if len(evals) > 1 else np.zeros(1)
     density = 1.0 / (sigma_k + 2.0)
     return raw + density
 
@@ -309,10 +322,9 @@ def _density_coordinates(evals: list[Evaluation]) -> np.ndarray:
 
 def _spea2_truncate(evals: list[Evaluation], size: int) -> np.ndarray:
     """Indices that survive iteratively dropping the member with the
-    lexicographically smallest sorted distance vector until size remain."""
-    coords = _density_coordinates(evals)
-    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
+    lexicographically smallest sorted distance vector until size remain;
+    the distances are built once, column-wise (_distances)."""
+    dist = _distances(_density_coordinates(evals))
     alive = list(range(len(evals)))
     while len(alive) > size:
         sub = dist[np.ix_(alive, alive)]

@@ -10,6 +10,7 @@ pseudo-weights are L1-closest to a requested target weighting.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 from dataclasses import dataclass, field
@@ -68,9 +69,15 @@ class ParetoArchive:
 def dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d[i, j] == True iff row a[i] Pareto-dominates row b[j]: no worse in
     all objectives, better in at least one."""
-    a = np.asarray(a, dtype=float)[:, None, :]
-    b = np.asarray(b, dtype=float)[None, :, :]
-    return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    # one objective column at a time on (n_a, n_b) arrays: no (n_a, n_b, m) temporaries
+    no_worse = np.ones((len(a), len(b)), dtype=bool)
+    better = np.zeros((len(a), len(b)), dtype=bool)
+    for j in range(a.shape[1]):
+        no_worse &= a[:, j, None] <= b[None, :, j]
+        better |= a[:, j, None] < b[None, :, j]
+    return no_worse & better
 
 
 def dominated_mask(objectives: np.ndarray) -> np.ndarray:
@@ -176,52 +183,47 @@ def select_by_target(archive: ParetoArchive, target: np.ndarray) -> int:
     return int(np.argmin(distances))  # argmin returns the first minimum
 
 
-def _staircase_area(points: np.ndarray, reference: np.ndarray) -> float:
-    """Area dominated by 2D points up to the reference corner."""
-    inside = np.all(points < reference[None, :], axis=1)
-    pts = points[inside]
-    if pts.size == 0:
-        return 0.0
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    area = 0.0
-    best_y = np.inf
-    xs, ys = pts[:, 0], pts[:, 1]
-    for i in range(len(pts)):
-        if ys[i] >= best_y:
-            continue
-        next_x = xs[i + 1:][ys[i + 1:] < ys[i]]
-        right = next_x[0] if next_x.size else reference[0]
-        area += (right - xs[i]) * (reference[1] - ys[i])
-        best_y = ys[i]
-    return float(area)
-
-
 def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
     """Lebesgue measure of the region dominated by the points.
 
     Supports two or three objectives; points at or beyond the reference
-    in any coordinate contribute nothing.
+    in any coordinate contribute nothing. Three objectives use the
+    dimension sweep of Fonseca, Paquete & Lopez-Ibanez (CEC 2006): points
+    enter in ascending z, the (x, y) staircase of the points seen so far
+    is kept as two bisected lists (x ascending, y descending) whose
+    dominated area is updated on each insert, and the volume adds
+    area * (z - z_prev) between levels. Two objectives are one level of
+    unit depth.
     """
     pts = np.asarray(points, dtype=float)
     ref = np.asarray(reference, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2D array")
     if pts.shape[1] == 2:
-        return _staircase_area(pts, ref)
-    if pts.shape[1] != 3:
+        pts, ref = np.column_stack([pts, np.zeros(len(pts))]), np.append(ref, 1.0)
+    elif pts.shape[1] != 3:
         raise ValueError("hypervolume supports 2 or 3 objectives")
-    inside = np.all(pts < ref[None, :], axis=1)
-    pts = pts[inside]
-    if pts.size == 0:
-        return 0.0
-    levels = np.unique(pts[:, 2])
-    volume = 0.0
-    for i, z in enumerate(levels):
-        z_next = levels[i + 1] if i + 1 < len(levels) else ref[2]
-        active = pts[pts[:, 2] <= z][:, :2]
-        volume += _staircase_area(active, ref[:2]) * (z_next - z)
-    return float(volume)
+    pts = pts[np.all(pts < ref[None, :], axis=1)]
+    xs: list[float] = []
+    ys: list[float] = []
+    area = volume = z_prev = 0.0
+    for x, y, z in pts[np.argsort(pts[:, 2], kind="stable")].tolist():
+        volume += area * (z - z_prev)
+        z_prev = z
+        i = bisect.bisect_right(xs, x)
+        if i and ys[i - 1] <= y:
+            continue  # weakly dominated by a staircase point
+        # steps j..k-1 lie at or beyond the new point in x and y: it replaces them
+        j = k = bisect.bisect_left(xs, x)
+        while k < len(xs) and ys[k] >= y:
+            k += 1
+        left, height = x, ys[j - 1] if j else float(ref[1])
+        for q in range(j, k):
+            area += (xs[q] - left) * (height - y)
+            left, height = xs[q], ys[q]
+        area += ((xs[k] if k < len(xs) else float(ref[0])) - left) * (height - y)
+        xs[j:k], ys[j:k] = [x], [y]
+    return float(volume + area * (ref[2] - z_prev)) if xs else 0.0
 
 
 def write_archive_csv(path, archive: ParetoArchive) -> None:

@@ -1,6 +1,8 @@
 """Reference implementations that only the tests call: a dense view of
-the banded tangent, dominance of one objective vector over another, and
-the design variables read back from realized geometry."""
+the banded tangent, dominance of one objective vector over another, the
+broadcast dominance matrix and per-level hypervolume that pareto's
+column-wise dominance and dimension sweep replaced, and the design
+variables read back from realized geometry."""
 
 import numpy as np
 
@@ -28,6 +30,54 @@ def residual_tangent(model: beam_fem.BeamModel, z: np.ndarray):
 def dominates(y: np.ndarray, y_other: np.ndarray) -> bool:
     """Pareto dominance of one objective vector over another."""
     return bool(pareto.dominance(np.atleast_2d(y), np.atleast_2d(y_other))[0, 0])
+
+
+def dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d[i, j] == True iff row a[i] Pareto-dominates row b[j], from one
+    (n_a, n_b, m) broadcast comparison."""
+    a = np.asarray(a, dtype=float)[:, None, :]
+    b = np.asarray(b, dtype=float)[None, :, :]
+    return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+
+
+def staircase_area(points: np.ndarray, reference: np.ndarray) -> float:
+    """Area dominated by 2D points up to the reference corner."""
+    inside = np.all(points < reference[None, :], axis=1)
+    pts = points[inside]
+    if pts.size == 0:
+        return 0.0
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+    area = 0.0
+    best_y = np.inf
+    xs, ys = pts[:, 0], pts[:, 1]
+    for i in range(len(pts)):
+        if ys[i] >= best_y:
+            continue
+        next_x = xs[i + 1:][ys[i + 1:] < ys[i]]
+        right = next_x[0] if next_x.size else reference[0]
+        area += (right - xs[i]) * (reference[1] - ys[i])
+        best_y = ys[i]
+    return float(area)
+
+
+def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
+    """Hypervolume of 2 or 3 objectives: in 3D, the staircase area of the
+    points at or below each distinct z level times the gap to the next."""
+    pts = np.asarray(points, dtype=float)
+    ref = np.asarray(reference, dtype=float)
+    if pts.shape[1] == 2:
+        return staircase_area(pts, ref)
+    pts = pts[np.all(pts < ref[None, :], axis=1)]
+    if pts.size == 0:
+        return 0.0
+    levels = np.unique(pts[:, 2])
+    volume = 0.0
+    for i, z in enumerate(levels):
+        z_next = levels[i + 1] if i + 1 < len(levels) else ref[2]
+        active = pts[pts[:, 2] <= z][:, :2]
+        volume += staircase_area(active, ref[:2]) * (z_next - z)
+    return float(volume)
 
 
 def design_parameters(geometry: HingeGeometry) -> DesignVector:

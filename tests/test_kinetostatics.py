@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosshinge import geometry as geo
 from crosshinge import kinetostatics as ks
@@ -208,6 +210,32 @@ class TestEvaluateObjectives:
         coarse = ks.evaluate_objectives(design, n_steps=10)
         fine = ks.evaluate_objectives(design, n_steps=20)
         assert fine.c_bar >= coarse.c_bar - 1e-6 * abs(coarse.c_bar)
+
+    @pytest.mark.parametrize("y, failure, violation", [
+        ([math.nan, 1.0, 1.0], "nonconvergence", 1.0),
+        ([1.0, math.inf, 1.0], "nonconvergence", 1.0),
+        ([1.0, 1.0, math.nan], "nonconvergence", 1.0),
+        ([1.0, 1.0, -1.0], "indefinite-stiffness", ks.SINGULAR_VIOLATION),
+        ([1.0, 1.0, 0.0], "indefinite-stiffness", ks.SINGULAR_VIOLATION),
+    ])
+    def test_bad_objective_is_infeasible(self, monkeypatch, y, failure, violation):
+        design, _ = regression_design()
+        monkeypatch.setattr(ks, "objectives_from_sweep",
+                            lambda sweep: ks.Evaluation(y=np.array(y), feasible=True))
+        report, sweep, _ = ks.evaluate_with_sweep(design)
+        assert sweep.converged
+        assert (report.feasible, report.failure, report.violation) == (False, failure, violation)
+        assert report.y is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
+           st.integers(2, 6), st.integers(2, 4))
+    def test_feasible_objectives_finite_and_positive(self, unit, n_elements, n_steps):
+        values = geo.LOWER_BOUNDS + np.array(unit) * (geo.UPPER_BOUNDS - geo.LOWER_BOUNDS)
+        report = ks.evaluate_objectives(geo.DesignVector.from_array(values),
+                                        n_elements=n_elements, n_steps=n_steps)
+        if report.feasible:
+            assert np.all(np.isfinite(report.y)) and np.all(report.y > 0.0)
 
 
 class TestSweepReference:

@@ -57,6 +57,22 @@ class TestDominates:
         if oracles.dominates(a, b) and oracles.dominates(b, c):
             assert oracles.dominates(a, c)
 
+    def test_matches_broadcast_oracle(self):
+        # few distinct values, so objective ties are common; NaN compares
+        # false either way, so a NaN row neither dominates nor is dominated
+        values = np.array([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+        share = [0.2, 0.2, 0.2, 0.2, 0.08, 0.08, 0.04]
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            m = int(rng.integers(1, 5))
+            a, b = (rng.choice(values, size=(int(rng.integers(0, 15)), m), p=share)
+                    for _ in range(2))
+            if len(a):
+                a[rng.integers(len(a))] = np.nan
+            got = pareto.dominance(a, b)
+            assert got.shape == (len(a), len(b))
+            assert np.array_equal(got, oracles.dominance(a, b))
+
 
 def brute_force_front(ys):
     keep = []
@@ -255,6 +271,22 @@ class TestHypervolume:
     def test_2d_staircase(self):
         points = np.array([[0.0, 0.5], [0.5, 0.0]])
         assert pareto.hypervolume(points, np.array([1.0, 1.0])) == pytest.approx(0.75)
+
+    def test_matches_per_level_oracle(self):
+        rng = np.random.default_rng(8)
+        for case in range(600):
+            m = 2 + case % 2
+            n = int(rng.integers(0, 30))
+            if case % 3:
+                # a coarse grid: duplicate z levels, ties, dominated points
+                # and points on the reference
+                points = rng.integers(0, 6, size=(n, m)) / 5.0
+            else:
+                points = rng.random((n, m)) * 1.2  # some beyond the reference
+            reference = np.ones(m)
+            expected = oracles.hypervolume(points, reference)
+            got = pareto.hypervolume(points, reference)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(21)
