@@ -14,12 +14,13 @@ master reference point being the tip of the first flexure. A quasi-static
 sweep imposes the master rotation phi in equal steps and records reaction
 moment, condensed translational stiffness and peak bending strain.
 
-The reduced system is assembled directly in LAPACK band storage (first
-flexure ascending, master triple, second flexure descending, which keeps
-the half-bandwidth at 11), so each Newton iteration costs a single banded
-factorization. The elements of both flexures are stacked into one call of
-the element kernel, which reduces to two matrix products with constant
-reference-element operators (one for the forces, one for the tangents).
+The reduced tangent is symmetric, and only its upper band is assembled,
+directly in LAPACK band storage (first flexure ascending, master triple,
+second flexure descending, which keeps the half-bandwidth at 11). Each
+Newton iteration costs one banded Cholesky factorization, or banded LU
+when the tangent is indefinite. All elements are stacked into one call of
+the element kernel: two matrix products with constant reference-element
+operators (the forces, and the upper triangle of the tangents).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dpbsv
 
 from .geometry import Flexure, HingeGeometry, centerline
 
@@ -71,6 +72,7 @@ def _lagrange_matrices(xi_nodes: np.ndarray, xi_eval: np.ndarray):
     return vals, ders
 
 
+_TRIU = np.triu_indices(12)  # packing order of element tangents
 _XI_NODES = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
 _XI_GAUSS, _W_GAUSS = np.polynomial.legendre.leggauss(4)
 _SHAPE, _DSHAPE_DXI = _lagrange_matrices(_XI_NODES, _XI_GAUSS)
@@ -85,7 +87,8 @@ def _element_operators():
     interpolation weighted by W_g. The tangent is a sum over six coefficient
     fields (xx, xy, yy, x-theta, y-theta, theta-theta) times the weighted
     outer products of the basis, plus one row for the state-independent
-    curvature block EI * sum_g W_g D_g D_g^T.
+    curvature block EI * sum_g W_g D_g D_g^T. Only the 78 upper-triangle
+    columns (_TRIU) of the symmetric tangents are kept.
     """
     interp = np.zeros((12, 16))
     interp[0:4, 0:4] = _DSHAPE_DXI.T
@@ -107,7 +110,7 @@ def _element_operators():
         tangent[16 + g, y, t], tangent[16 + g, t, y] = dn, dn.T
         tangent[20 + g, t, t] = nn
         tangent[24, t, t] += dd
-    return interp, force, tangent.reshape(25, 144)
+    return interp, force, tangent[:, _TRIU[0], _TRIU[1]]
 
 
 _INTERP, _FORCE, _TANGENT = _element_operators()
@@ -164,7 +167,8 @@ def element_kernel(data: ElementData, ue: np.ndarray, need_tangent: bool = True)
 
     Returns:
         forces: (n_el, 12) grouped as [ux(4), uy(4), theta(4)]
-        tangents: (n_el, 12, 12) in the same ordering, or None
+        tangents: (n_el, 78) upper triangles in the same ordering, packed
+            in _TRIU order (see _unpack), or None
     """
     (eps, gam, kap), (c, s, a, g) = _kinematics(data, ue)
     ea, gas, ei = data.stiffness[:, 0:1], data.stiffness[:, 1:2], data.stiffness[:, 2:3]
@@ -189,7 +193,14 @@ def element_kernel(data: ElementData, ue: np.ndarray, need_tangent: bool = True)
         j * (ea * g * g + gas * a * a - nf * a - qf * g),
         ei * inv_j,
     ], axis=1)
-    return forces, (coeffs @ _TANGENT).reshape(-1, 12, 12)
+    return forces, coeffs @ _TANGENT
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """Full symmetric (12, 12) tangent of a packed upper triangle."""
+    full = np.empty((12, 12))
+    full[_TRIU] = full[_TRIU[::-1]] = packed
+    return full
 
 
 def _grouped(nodal: np.ndarray, conn: np.ndarray) -> np.ndarray:
@@ -249,7 +260,7 @@ class FlexureMesh:
         """
         forces, tangents = element_kernel(self.elements[element:element + 1],
                                           np.asarray(element_dofs).T.reshape(1, 12))
-        return forces[0], tangents[0]
+        return forces[0], _unpack(tangents[0])
 
 
 @dataclass
@@ -364,15 +375,17 @@ class BeamModel:
         self._gather = np.concatenate(
             [_grouped(read, m.conn) for m, read in zip(meshes, self._node_reads)])
 
-        # static scatter patterns into the residual and the flat band
+        # static scatter patterns into the residual and the flat upper band;
+        # local pair (a, b), a <= b, lands on reduced (min, max)
         edof = np.concatenate(scatter)
         valid = edof >= 0
         self._force_sel = np.flatnonzero(valid)
         self._force_idx = edof[valid]
-        pmask = valid[:, :, None] & valid[:, None, :]
-        i_idx = np.broadcast_to(edof[:, :, None], pmask.shape)[pmask]
-        j_idx = np.broadcast_to(edof[:, None, :], pmask.shape)[pmask]
-        if np.any(np.abs(i_idx - j_idx) > _BAND):
+        rows, cols = edof[:, _TRIU[0]], edof[:, _TRIU[1]]
+        pmask = (rows >= 0) & (cols >= 0)
+        i_idx = np.minimum(rows, cols)[pmask]
+        j_idx = np.maximum(rows, cols)[pmask]
+        if np.any(j_idx - i_idx > _BAND):
             raise AssertionError("band structure violated")
         self._band_sel = np.flatnonzero(pmask)
         self._band_idx = (_BAND + i_idx - j_idx) * n + j_idx
@@ -431,8 +444,8 @@ class BeamModel:
     def assemble(self, z: np.ndarray, need_tangent: bool = True):
         """Reduced residual and banded tangent at state z.
 
-        The banded tangent uses LAPACK storage: entry (i, j) of the
-        reduced matrix sits in ab[_BAND + i - j, j].
+        Only the upper band of the symmetric tangent is stored, in LAPACK
+        storage: entry (i, j), i <= j, sits in ab[_BAND + i - j, j].
         """
         n = self.n_reduced
         z_ext, rot = self._extended(z)
@@ -453,21 +466,21 @@ class BeamModel:
             te = np.eye(12)
             te[3, 11] = -rot[1]
             te[7, 11] = rot[0]
-            tangents[-1] = te.T @ tangents[-1] @ te
+            tangents[-1] = (te.T @ _unpack(tangents[-1]) @ te)[_TRIU]
         ab = np.bincount(self._band_idx, weights=tangents.ravel()[self._band_sel],
-                         minlength=(2 * _BAND + 1) * n)
+                         minlength=(_BAND + 1) * n)
         if rot is not None:
             # curvature of the slaved-tip map: d^2 u_tip/d phi^2 = -R r0
             ab[_BAND * n + self.idx_phi] -= rot[0] * fx + rot[1] * fy
-        return residual, ab.reshape(2 * _BAND + 1, n)
+        return residual, ab.reshape(_BAND + 1, n)
 
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the reduced system in the band storage of BeamModel.assemble.
+    """Solve the reduced system in the upper band storage of assemble.
 
-    LAPACK dgbsv factorizes in place in a work buffer with _BAND extra
-    rows on top for the fill-in of partial pivoting; those rows need not
-    be set on entry.
+    LAPACK dpbsv (banded Cholesky) solves on a copy. An indefinite tangent
+    fails it; the band is then mirrored into a work buffer for dgbsv (LU
+    with partial pivoting), whose _BAND fill-in rows on top need not be set.
 
     Raises:
         SingularTangent: an exactly singular factor, or a non-finite
@@ -475,9 +488,13 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise SingularTangent("non-finite banded system")
-    work = np.empty((3 * _BAND + 1, ab.shape[1]), order="F")
-    work[_BAND:] = ab
-    _, _, solution, info = dgbsv(_BAND, _BAND, work, rhs, overwrite_ab=1)
+    _, solution, info = dpbsv(np.array(ab, order="F"), rhs, overwrite_ab=1)
+    if info:
+        work = np.zeros((3 * _BAND + 1, ab.shape[1]), order="F")
+        work[_BAND:2 * _BAND + 1] = ab
+        for d in range(1, _BAND + 1):  # entry (j + d, j) mirrors (j, j + d)
+            work[2 * _BAND + d, :-d] = ab[_BAND - d, d:]
+        _, _, solution, info = dgbsv(_BAND, _BAND, work, rhs, overwrite_ab=1)
     if info != 0:
         raise SingularTangent(f"banded factorization failed (dgbsv info {info})")
     if not np.isfinite(solution).all():
@@ -486,11 +503,11 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _apply_constraints(ab: np.ndarray, rhs: np.ndarray, fixed: np.ndarray) -> None:
-    """Zero rows/columns of fixed dofs in band storage, unit diagonal."""
+    """Zero rows/columns of fixed dofs in upper band storage, unit diagonal."""
     n = ab.shape[1]
     for p in fixed:
         ab[:, p] = 0.0
-        j = np.arange(max(0, p - _BAND), min(n, p + _BAND + 1))
+        j = np.arange(p, min(n, p + _BAND + 1))
         ab[_BAND + p - j, j] = 0.0
         ab[_BAND, p] = 1.0
         rhs[p] = 0.0

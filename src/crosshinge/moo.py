@@ -322,17 +322,28 @@ def _density_coordinates(evals: list[Evaluation]) -> np.ndarray:
 
 def _spea2_truncate(evals: list[Evaluation], size: int) -> np.ndarray:
     """Indices that survive iteratively dropping the member with the
-    lexicographically smallest sorted distance vector until size remain;
-    the distances are built once, column-wise (_distances)."""
+    lexicographically smallest sorted distance vector (the lowest index on
+    a full tie) until size remain. The rows are sorted once; each deletion
+    drops the victim's row, and from every other row one entry equal to
+    its distance to the victim."""
     dist = _distances(_density_coordinates(evals))
-    alive = list(range(len(evals)))
+    alive = np.arange(len(evals))
+    ordered = np.sort(dist, axis=1)
     while len(alive) > size:
-        sub = dist[np.ix_(alive, alive)]
-        ordered = np.sort(sub, axis=1)
-        # lexicographic comparison over ascending neighbor distances
-        victim = np.lexsort(ordered.T[::-1])[0]
-        del alive[victim]
-    return np.array(alive)
+        candidates = np.arange(len(alive))
+        for column in ordered.T:
+            values = column[candidates]
+            candidates = candidates[values == values.min()]
+            if len(candidates) == 1:
+                break
+        victim = candidates[0]
+        gone = dist[alive, alive[victim]]
+        keep = np.ones(ordered.shape, dtype=bool)
+        keep[np.arange(len(alive)), (ordered < gone[:, None]).sum(axis=1)] = False
+        keep[victim] = False
+        alive = np.delete(alive, victim)
+        ordered = ordered[keep].reshape(len(alive), -1)
+    return alive
 
 
 def _spea2_environmental(evals: list[Evaluation], size: int):

@@ -1,23 +1,25 @@
 """Reference implementations that only the tests call: a dense view of
 the banded tangent, dominance of one objective vector over another, the
 broadcast dominance matrix and per-level hypervolume that pareto's
-column-wise dominance and dimension sweep replaced, and the design
-variables read back from realized geometry."""
+column-wise dominance and dimension sweep replaced, the SPEA2 truncation
+that re-sorts every round, and the design variables read back from
+realized geometry."""
 
 import numpy as np
 
-from crosshinge import beam_fem, pareto
+from crosshinge import beam_fem, moo, pareto
 from crosshinge.geometry import DesignVector, HingeGeometry
 
 
 def banded_to_dense(ab: np.ndarray) -> np.ndarray:
-    """Dense matrix of a tangent in BeamModel.assemble's band storage."""
+    """Dense symmetric matrix of a tangent in BeamModel.assemble's upper
+    band storage, the lower triangle mirrored from the upper."""
     band = beam_fem._BAND
     n = ab.shape[1]
     dense = np.zeros((n, n))
-    for d in range(-band, band + 1):
-        j = np.arange(max(0, -d), min(n, n - d))
-        dense[j + d, j] = ab[band + d, j]
+    for d in range(band + 1):
+        j = np.arange(d, n)
+        dense[j - d, j] = dense[j, j - d] = ab[band - d, j]
     return dense
 
 
@@ -78,6 +80,21 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
         active = pts[pts[:, 2] <= z][:, :2]
         volume += staircase_area(active, ref[:2]) * (z_next - z)
     return float(volume)
+
+
+def spea2_truncate(evals: list, size: int) -> np.ndarray:
+    """Indices that survive iteratively dropping the member with the
+    lexicographically smallest sorted distance vector until size remain,
+    re-sorting the alive distance submatrix for every deletion."""
+    dist = moo._distances(moo._density_coordinates(evals))
+    alive = list(range(len(evals)))
+    while len(alive) > size:
+        sub = dist[np.ix_(alive, alive)]
+        ordered = np.sort(sub, axis=1)
+        # lexicographic comparison over ascending neighbor distances
+        victim = np.lexsort(ordered.T[::-1])[0]
+        del alive[victim]
+    return np.array(alive)
 
 
 def design_parameters(geometry: HingeGeometry) -> DesignVector:

@@ -194,6 +194,74 @@ class TestClosedForms:
         assert k_t[0, 0] == pytest.approx(ea1 / l1 + ea2 / l2, rel=1e-4)
 
 
+def symmetric_band(rng, n, definite):
+    """Random symmetric matrix of half-bandwidth _BAND, strictly diagonally
+    dominant (so nonsingular), with a positive diagonal when definite and
+    alternating diagonal signs otherwise; returned dense and in the upper
+    band storage of BeamModel.assemble."""
+    band = bf._BAND
+    dense = np.triu(np.tril(rng.uniform(-1.0, 1.0, (n, n)), band), 1)
+    dense += dense.T
+    diag = np.abs(dense).sum(axis=1) + 1.0
+    dense[np.diag_indices(n)] = diag if definite else diag * (-1.0) ** np.arange(n)
+    ab = np.zeros((band + 1, n))
+    for d in range(band + 1):
+        ab[band - d, d:] = np.diagonal(dense, d)
+    assert np.array_equal(oracles.banded_to_dense(ab), dense)
+    return dense, ab
+
+
+class TestBandedSolve:
+    N = 40
+
+    @pytest.fixture
+    def lu_calls(self, monkeypatch):
+        """Records each dgbsv fallback of solve_banded."""
+        calls, dgbsv = [], bf.dgbsv
+        monkeypatch.setattr(bf, "dgbsv", lambda *a, **k: calls.append(a) or dgbsv(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("definite", [True, False], ids=["cholesky", "lu-fallback"])
+    @pytest.mark.parametrize("n_rhs", [None, 2])
+    def test_matches_dense_solve(self, lu_calls, definite, n_rhs):
+        rng = np.random.default_rng(3 if definite else 4)
+        dense, ab = symmetric_band(rng, self.N, definite)
+        rhs = rng.normal(size=self.N if n_rhs is None else (self.N, n_rhs))
+        before = ab.copy()
+        solution = bf.solve_banded(ab, rhs)
+        assert solution.shape == rhs.shape
+        np.testing.assert_allclose(solution, np.linalg.solve(dense, rhs),
+                                   rtol=1e-10, atol=1e-12)
+        assert np.array_equal(ab, before)
+        assert len(lu_calls) == (0 if definite else 1)
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_zero_column_is_singular(self, definite):
+        _, ab = symmetric_band(np.random.default_rng(5), self.N, definite)
+        p = 17  # zero row and column p of the symmetric matrix
+        ab[:, p] = 0.0
+        ab[bf._BAND - np.arange(1, bf._BAND + 1), p + np.arange(1, bf._BAND + 1)] = 0.0
+        with pytest.raises(bf.SingularTangent):
+            bf.solve_banded(ab, np.ones(self.N))
+
+    def test_nan_entry_is_singular(self):
+        _, ab = symmetric_band(np.random.default_rng(6), self.N, True)
+        ab[bf._BAND - 3, 20] = np.nan
+        with pytest.raises(bf.SingularTangent):
+            bf.solve_banded(ab, np.ones(self.N))
+
+    @pytest.mark.parametrize("fixed", [[0], [5, 21], [39], [bf._BAND, 39 - bf._BAND]])
+    def test_constraints_clear_row_and_column(self, fixed):
+        dense, ab = symmetric_band(np.random.default_rng(7), self.N, False)
+        rhs = np.ones(self.N)
+        bf._apply_constraints(ab, rhs, np.array(fixed))
+        dense[fixed, :] = 0.0
+        dense[:, fixed] = 0.0
+        dense[fixed, fixed] = 1.0
+        assert np.array_equal(oracles.banded_to_dense(ab), dense)
+        assert np.array_equal(rhs == 0.0, np.isin(np.arange(self.N), fixed))
+
+
 class TestEquilibriumSolver:
     def test_noop_step_zero_iterations(self, cross_hinge_model):
         state = bf.solve_step(cross_hinge_model, cross_hinge_model.zero_state(), 0.1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crosshinge import moo, pareto
+import oracles
 from zdt import ZDT1, BandedZDT1, generational_distance
 
 
@@ -162,6 +163,20 @@ class TestSpea2Selection:
             chosen, fitness = moo._spea2_environmental(evals, size)
             assert len(chosen) == size
             assert fitness.shape == (size, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_truncation_matches_resorting_oracle(self, seed):
+        # rounded coordinates give tied distances; infeasible members sit
+        # beyond the feasible cloud at their violation
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(20, 60)), int(rng.integers(2, 4))
+        evals = [moo.Evaluation(y=np.round(rng.random(m), 1), feasible=True)
+                 for _ in range(n)]
+        evals += [moo.Evaluation(y=None, feasible=False, violation=v)
+                  for v in np.round(rng.random(int(rng.integers(0, 6))), 1)]
+        for size in (1, len(evals) // 2, len(evals) - 1, len(evals)):
+            np.testing.assert_array_equal(moo._spea2_truncate(evals, size),
+                                          oracles.spea2_truncate(evals, size))
 
     def test_fill_from_dominated_when_underfull(self):
         ys = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
