@@ -11,8 +11,10 @@ Boundary conditions of the cross-hinge model: the s=0 end of every
 flexure is clamped; the s=1 ends are condensed onto a single master node
 with degrees of freedom (u_x, u_y, phi) by master-slave elimination, the
 master reference point being the tip of the first flexure. A quasi-static
-sweep imposes the master rotation phi in equal steps and records reaction
-moment, condensed translational stiffness and peak bending strain.
+sweep imposes the master rotation phi in equal steps and returns one row
+per completed step in row-aligned arrays: rotation, tip position,
+reaction moment, condensed translational stiffness, running peak bending
+strain and the equilibrium state vector.
 
 The reduced tangent is symmetric, and only its upper band is assembled,
 directly in LAPACK band storage (first flexure ascending, master triple,
@@ -26,7 +28,7 @@ operators (the forces, and the upper triangle of the tangents).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dpbsv
@@ -117,16 +119,6 @@ _INTERP, _FORCE, _TANGENT = _element_operators()
 
 
 @dataclass(frozen=True)
-class Section:
-    """Linear constitutive constants of a rectangular cross-section."""
-
-    ea: float
-    gas: float
-    ei: float
-    height: float
-
-
-@dataclass(frozen=True)
 class ElementData:
     """Reference data of a stack of elements, one row per element.
 
@@ -162,13 +154,13 @@ def _kinematics(data: ElementData, ue: np.ndarray):
     return strains, (c, s, a, g)
 
 
-def element_kernel(data: ElementData, ue: np.ndarray, need_tangent: bool = True):
+def element_kernel(data: ElementData, ue: np.ndarray):
     """Internal forces and consistent tangents of a stack of elements.
 
     Returns:
         forces: (n_el, 12) grouped as [ux(4), uy(4), theta(4)]
         tangents: (n_el, 78) upper triangles in the same ordering, packed
-            in _TRIU order (see _unpack), or None
+            in _TRIU order (see _unpack)
     """
     (eps, gam, kap), (c, s, a, g) = _kinematics(data, ue)
     ea, gas, ei = data.stiffness[:, 0:1], data.stiffness[:, 1:2], data.stiffness[:, 2:3]
@@ -178,8 +170,6 @@ def element_kernel(data: ElementData, ue: np.ndarray, need_tangent: bool = True)
     forces = np.concatenate(
         [nf * c - qf * s, nf * s + qf * c, j * (nf * g - qf * a), ei * kap], axis=1
     ) @ _FORCE
-    if not need_tangent:
-        return forces, None
 
     # material part B^T D B plus the geometric part from second derivatives
     # of the strains; d/ds = (1/j) d/dxi and ds = j dxi fold into each field
@@ -218,12 +208,7 @@ class FlexureMesh:
         self.n_elements = n_elements
         self.n_nodes = 3 * n_elements + 1
         self.length = flexure.length
-        self.section = Section(
-            ea=young_modulus * flexure.width * flexure.height,
-            gas=SHEAR_CORRECTION * shear_modulus * flexure.width * flexure.height,
-            ei=young_modulus * flexure.width * flexure.height ** 3 / 12.0,
-            height=flexure.height,
-        )
+        self.height = flexure.height
         # nodes on the exact centerline at the cubic element grid
         self.node_pos, self.node_angle = centerline(
             flexure.coeffs, flexure.length, flexure.base, self.n_nodes
@@ -238,11 +223,13 @@ class FlexureMesh:
         gauss = (_grouped(nodal, self.conn) @ _INTERP)[:, :12]
         dx, dy = gauss[:, 0:4] / jac, gauss[:, 4:8] / jac
         c0, s0 = np.cos(gauss[:, 8:12]), np.sin(gauss[:, 8:12])
-        sec = self.section
+        w, h = flexure.width, flexure.height
         self.elements = ElementData(
             gauss=gauss,
             stretch=np.concatenate([c0 * dx + s0 * dy, -s0 * dx + c0 * dy], axis=1),
-            stiffness=np.tile([sec.ea, sec.gas, sec.ei], (n_elements, 1)),
+            stiffness=np.tile([young_modulus * w * h,
+                               SHEAR_CORRECTION * shear_modulus * w * h,
+                               young_modulus * w * h ** 3 / 12.0], (n_elements, 1)),
             jac=jac,
         )
 
@@ -269,53 +256,30 @@ class BeamState:
     residual and banded tangent assembled at z."""
 
     z: np.ndarray
-    master_index: int           # position of the master triple within z
     residual: np.ndarray
     tangent_band: np.ndarray
     iterations: int = 0
 
-    @property
-    def rotation(self) -> float:
-        return float(self.z[self.master_index + 2])
-
-
-@dataclass
-class SweepRecord:
-    phi: float
-    tip_position: np.ndarray
-    moment: float
-    stiffness: np.ndarray       # condensed 2x2 translational tangent
-    max_strain: float           # running maximum up to this step
-
 
 @dataclass
 class SweepResult:
-    """Per-step records of a quasi-static prescribed-rotation sweep."""
+    """A quasi-static prescribed-rotation sweep as row-aligned arrays.
 
-    records: list[SweepRecord]
-    converged: bool
+    Row k holds step k, row 0 being the unloaded reference; a sweep that
+    ends early (failure set) keeps the rows of the steps it completed.
+    """
+
+    phi: np.ndarray             # (k,) master rotation
+    tip_positions: np.ndarray   # (k, 2) master point
+    moments: np.ndarray         # (k,) reaction moment
+    stiffnesses: np.ndarray     # (k, 2, 2) condensed translational tangent
+    max_strains: np.ndarray     # (k,) running maximum of the peak bending strain
+    z: np.ndarray               # (k, n_reduced) equilibrium state
     failure: str | None = None  # None | "nonconvergence" | "strain"
-    states: list[BeamState] = field(default_factory=list)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.array([r.phi for r in self.records])
-
-    @property
-    def tip_positions(self) -> np.ndarray:
-        return np.array([r.tip_position for r in self.records])
-
-    @property
-    def moments(self) -> np.ndarray:
-        return np.array([r.moment for r in self.records])
-
-    @property
-    def stiffnesses(self) -> np.ndarray:
-        return np.array([r.stiffness for r in self.records])
 
     @property
     def max_strain(self) -> float:
-        return self.records[-1].max_strain if self.records else 0.0
+        return float(self.max_strains[-1]) if len(self.max_strains) else 0.0
 
 
 class BeamModel:
@@ -335,7 +299,7 @@ class BeamModel:
         self.meshes = meshes
         self.elements = ElementData.stack([m.elements for m in meshes])
         self._half_height = np.concatenate(
-            [np.full((m.n_elements, 1), m.section.height / 2.0) for m in meshes])
+            [np.full((m.n_elements, 1), m.height / 2.0) for m in meshes])
 
         n0 = meshes[0].n_nodes
         base_master = 3 * (n0 - 2)
@@ -392,13 +356,12 @@ class BeamModel:
 
     @property
     def newton_tolerance(self) -> float:
-        return NEWTON_TOL_FACTOR * max(1.0, max(m.section.ea for m in self.meshes))
+        return NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[:, 0].max())
 
     def zero_state(self) -> BeamState:
         z = np.zeros(self.n_reduced)
         residual, ab = self.assemble(z)
-        return BeamState(z=z, master_index=self.idx_mx, residual=residual,
-                         tangent_band=ab)
+        return BeamState(z=z, residual=residual, tangent_band=ab)
 
     def _extended(self, z: np.ndarray):
         """z followed by [0 (clamped dofs), slaved tip u_x, slaved tip u_y],
@@ -419,8 +382,8 @@ class BeamModel:
         z_ext, _ = self._extended(z)
         return [z_ext[read] for read in self._node_reads]
 
-    def deformed_centerlines(self, state: BeamState) -> list[np.ndarray]:
-        disp = self.full_displacements(state.z)
+    def deformed_centerlines(self, z: np.ndarray) -> list[np.ndarray]:
+        disp = self.full_displacements(z)
         return [m.node_pos + u[:, :2] for m, u in zip(self.meshes, disp)]
 
     def tip_position(self, state: BeamState) -> np.ndarray:
@@ -441,7 +404,7 @@ class BeamModel:
         _, _, kap = self._strains(state.z)
         return float(np.max(np.abs(kap) * self._half_height))
 
-    def assemble(self, z: np.ndarray, need_tangent: bool = True):
+    def assemble(self, z: np.ndarray):
         """Reduced residual and banded tangent at state z.
 
         Only the upper band of the symmetric tangent is stored, in LAPACK
@@ -449,8 +412,7 @@ class BeamModel:
         """
         n = self.n_reduced
         z_ext, rot = self._extended(z)
-        forces, tangents = element_kernel(self.elements, z_ext[self._gather],
-                                          need_tangent=need_tangent)
+        forces, tangents = element_kernel(self.elements, z_ext[self._gather])
         if rot is not None:
             # the slaved tip (local dofs 3, 7, 11 of the last element) folds
             # into the master pose through te: its translation picks up
@@ -459,9 +421,6 @@ class BeamModel:
             forces[-1, 11] += -rot[1] * fx + rot[0] * fy
         residual = np.bincount(self._force_idx, weights=forces.ravel()[self._force_sel],
                                minlength=n)
-        if not need_tangent:
-            return residual, None
-
         if rot is not None:
             te = np.eye(12)
             te[3, 11] = -rot[1]
@@ -538,8 +497,7 @@ def assemble_cantilever(coeffs, length: float = 1.0, height: float = 0.1,
 def solve_equilibrium(model: BeamModel, z0: np.ndarray,
                       prescribed: dict[int, float] | None = None,
                       external: np.ndarray | None = None,
-                      tol: float | None = None,
-                      max_iter: int = NEWTON_MAX_ITER) -> BeamState:
+                      tol: float | None = None) -> BeamState:
     """Newton-Raphson equilibrium with selected reduced DOFs prescribed.
 
     Clearly diverging iterations (non-finite residual, or a residual that
@@ -548,7 +506,7 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
     in the caller is the recovery path.
 
     Raises:
-        NonConverged: residual tolerance not met within max_iter.
+        NonConverged: residual tolerance not met within NEWTON_MAX_ITER.
         SingularTangent: tangent factorization failed.
     """
     tol = model.newton_tolerance if tol is None else tol
@@ -561,25 +519,25 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
     mask[fixed] = False
 
     norm0 = None
-    for iteration in range(max_iter + 1):
+    for iteration in range(NEWTON_MAX_ITER + 1):
         residual, ab = model.assemble(z)
         rhs = residual if external is None else residual - external
         norm = float(np.max(np.abs(rhs[mask]))) if mask.any() else 0.0
         if not np.isfinite(norm):
             raise NonConverged("residual diverged to non-finite values")
         if norm < tol:
-            return BeamState(z=z, master_index=model.idx_mx, residual=residual,
-                             tangent_band=ab, iterations=iteration)
+            return BeamState(z=z, residual=residual, tangent_band=ab,
+                             iterations=iteration)
         if norm0 is None:
             norm0 = max(norm, tol)
         elif iteration >= 10 and norm > 1e3 * norm0:
             raise NonConverged("residual diverging")
-        if iteration == max_iter:
+        if iteration == NEWTON_MAX_ITER:
             break
         rhs = rhs.copy()
         _apply_constraints(ab, rhs, fixed)
         z -= solve_banded(ab, rhs)
-    raise NonConverged(f"no equilibrium within {max_iter} iterations")
+    raise NonConverged(f"no equilibrium within {NEWTON_MAX_ITER} iterations")
 
 
 def solve_step(model: BeamModel, state: BeamState, phi_target: float,
@@ -606,7 +564,7 @@ def solve_step(model: BeamModel, state: BeamState, phi_target: float,
             return advance(mid.z, phi_mid, phi_to, depth + 1)
 
     start = state.z if guess is None else guess
-    return advance(start, state.rotation, phi_target, 0)
+    return advance(start, float(state.z[model.idx_phi]), phi_target, 0)
 
 
 def reaction_moment(model: BeamModel, state: BeamState) -> float:
@@ -637,52 +595,44 @@ def condense_translational_stiffness(model: BeamModel, state: BeamState) -> np.n
 
 
 def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
-    """Quasi-static sweep of the master rotation over SWEEP_ANGLE with
-    per-step condensed data.
+    """Quasi-static sweep of the master rotation over SWEEP_ANGLE in n_steps
+    equal steps, as row-aligned per-step arrays (see SweepResult).
 
-    Solver failures (non-convergence, singular tangent, a bending strain
-    above STRAIN_LIMIT) are not raised: they end the sweep early with
-    converged=False and a partial record list. Fewer than one step raises
+    Solver failures (non-convergence, singular tangent) and a bending
+    strain above STRAIN_LIMIT are not raised: they end the sweep early,
+    with failure set and the rows of the completed steps kept (the step
+    that crossed the strain limit included). Fewer than one step raises
     ValueError.
     """
     if n_steps < 1:
         raise ValueError("need at least one sweep step")
-    state = model.zero_state()
-    records: list[SweepRecord] = []
-    states: list[BeamState] = []
+    rows = []
     max_strain = 0.0
-
-    def record(st: BeamState, phi: float) -> None:
-        nonlocal max_strain
-        k_t = condense_translational_stiffness(model, st)
-        max_strain = max(max_strain, model.max_bending_strain(st))
-        records.append(SweepRecord(phi=phi, tip_position=model.tip_position(st),
-                                   moment=reaction_moment(model, st),
-                                   stiffness=k_t, max_strain=max_strain))
-        states.append(st)
-
+    failure = None
     try:
-        record(state, 0.0)
-    except SingularTangent:
-        return SweepResult(records=[], converged=False, failure="nonconvergence")
-
-    previous = None
-    for k in range(1, n_steps + 1):
-        phi_k = k * SWEEP_ANGLE / n_steps
-        guess = None
-        if previous is not None:
-            guess = 2.0 * state.z - previous  # secant predictor, uniform steps
-        try:
-            previous = state.z
-            state = solve_step(model, state, phi_k, guess=guess)
-            record(state, phi_k)
-        except (NonConverged, SingularTangent):
-            return SweepResult(records=records, converged=False,
-                               failure="nonconvergence", states=states)
-        if max_strain > STRAIN_LIMIT:
-            return SweepResult(records=records, converged=False, failure="strain",
-                               states=states)
-    return SweepResult(records=records, converged=True, states=states)
+        for k in range(n_steps + 1):
+            phi = k * SWEEP_ANGLE / n_steps
+            if k == 0:
+                state = model.zero_state()
+            else:
+                # secant predictor from the second step on (uniform steps)
+                guess = 2.0 * state.z - previous if k > 1 else None
+                previous = state.z
+                state = solve_step(model, state, phi, guess=guess)
+            k_t = condense_translational_stiffness(model, state)
+            max_strain = max(max_strain, model.max_bending_strain(state))
+            rows.append((phi, model.tip_position(state), reaction_moment(model, state),
+                         k_t, max_strain, state.z))
+            if max_strain > STRAIN_LIMIT:
+                failure = "strain"
+                break
+    except (NonConverged, SingularTangent):
+        failure = "nonconvergence"
+    # one array per SweepResult field; the reshape also shapes empty columns
+    shapes = [(), (2,), (), (2, 2), (), (model.n_reduced,)]
+    return SweepResult(*(np.array([row[i] for row in rows], dtype=float)
+                         .reshape(len(rows), *shape) for i, shape in enumerate(shapes)),
+                       failure=failure)
 
 
 def solve_tip_moment(model: BeamModel, moment: float, n_steps: int = 20,

@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+SVG_SIZE = 300.0  # pixels along the longer side of a rendered schematic
+
 
 def _bounds_pair(text: str) -> tuple[float, float]:
     parts = [float(v) for v in text.split(",")]
@@ -190,33 +192,27 @@ def objective_dict(y: np.ndarray) -> dict:
 def sweep_trace(design: DesignVector, model, sweep) -> dict:
     """Per-step sweep dump used by `evaluate --trace` and `render`."""
     steps = [
-        {
-            "phi": rec.phi,
-            "x_a": [float(v) for v in rec.tip_position],
-            "moment": rec.moment,
-            "stiffness": [[float(v) for v in row] for row in rec.stiffness],
-            "max_strain": rec.max_strain,
-        }
-        for rec in sweep.records
+        {"phi": phi, "x_a": tip, "moment": moment, "stiffness": stiffness,
+         "max_strain": max_strain}
+        for phi, tip, moment, stiffness, max_strain in zip(
+            sweep.phi.tolist(), sweep.tip_positions.tolist(), sweep.moments.tolist(),
+            sweep.stiffnesses.tolist(), sweep.max_strains.tolist())
     ]
     reference = [m.node_pos.tolist() for m in model.meshes]
-    deformed = [
-        [line.tolist() for line in model.deformed_centerlines(state)]
-        for state in sweep.states
-    ]
+    deformed = [[line.tolist() for line in model.deformed_centerlines(z)] for z in sweep.z]
     return {
         "design": design_dict(design),
-        "converged": sweep.converged,
+        "converged": sweep.failure is None,
         "failure": sweep.failure,
-        "heights": [m.section.height for m in model.meshes],
+        "heights": [m.height for m in model.meshes],
         "steps": steps,
         "centerlines": {"reference": reference, "deformed": deformed},
     }
 
 
-def centerlines_svg(layers: list[tuple[list[np.ndarray], list[float], str]],
-                    scale: float = 300.0) -> str:
-    """SVG document from layers of (polylines, stroke widths, color)."""
+def centerlines_svg(layers: list[tuple[list[np.ndarray], list[float], str]]) -> str:
+    """SVG document from layers of (polylines, stroke widths, color), its
+    longer side SVG_SIZE pixels."""
     all_points = np.concatenate([np.asarray(line) for lines, _, _ in layers
                                  for line in lines])
     widths = [w for _, ws, _ in layers for w in ws]
@@ -226,8 +222,8 @@ def centerlines_svg(layers: list[tuple[list[np.ndarray], list[float], str]],
     span = np.maximum(hi - lo, 1e-6)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{scale * span[0] / span.max():.0f}" '
-        f'height="{scale * span[1] / span.max():.0f}" '
+        f'width="{SVG_SIZE * span[0] / span.max():.0f}" '
+        f'height="{SVG_SIZE * span[1] / span.max():.0f}" '
         f'viewBox="{lo[0]:.6g} {-hi[1]:.6g} {span[0]:.6g} {span[1]:.6g}">'
     ]
     for lines, ws, color in layers:

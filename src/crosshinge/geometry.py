@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 POISSON_RATIO = 0.49  # nearly incompressible, typical for printed elastomers
+TOUCH_TOL = 1e-12  # relative gap below which centerline segments count as touching
 
 DESIGN_FIELDS = (
     "theta0_1", "theta1_1", "theta2_1", "theta3_1",
@@ -79,10 +80,10 @@ class DesignVector:
             return np.array([self.theta0_2, self.theta1_2, self.theta2_2, self.theta3_2])
         raise ValueError("flexure index must be 1 or 2")
 
-    def validate(self, lower: np.ndarray = LOWER_BOUNDS, upper: np.ndarray = UPPER_BOUNDS) -> None:
-        """Raise OutOfRange naming the first variable outside its bounds."""
+    def validate(self) -> None:
+        """Raise OutOfRange naming the first variable outside the admissible box."""
         values = self.as_array()
-        for name, v, lo, hi in zip(DESIGN_FIELDS, values, lower, upper):
+        for name, v, lo, hi in zip(DESIGN_FIELDS, values, LOWER_BOUNDS, UPPER_BOUNDS):
             if not (lo <= v <= hi):
                 raise OutOfRange(f"{name} = {v:.6g} outside [{lo:.6g}, {hi:.6g}]")
 
@@ -204,11 +205,11 @@ def _cross2(ax, ay, bx, by):
     return ax * by - ay * bx
 
 
-def polyline_self_intersects(points: np.ndarray, tol: float = 1e-12) -> bool:
+def polyline_self_intersects(points: np.ndarray) -> bool:
     """True if any two non-adjacent segments of the polyline intersect.
 
-    Touching within tol counts as an intersection, so exactly closed
-    loops are rejected.
+    Touching within TOUCH_TOL (relative) counts as an intersection, so
+    exactly closed loops are rejected.
     """
     n_seg = len(points) - 1
     if n_seg < 3:
@@ -217,13 +218,13 @@ def polyline_self_intersects(points: np.ndarray, tol: float = 1e-12) -> bool:
     b = points[1:]
     # all pairs (i, j) with j >= i + 2
     i_idx, j_idx = np.triu_indices(n_seg, k=2)
-    return _segment_pairs_intersect(a[i_idx], b[i_idx], a[j_idx], b[j_idx], tol)
+    return _segment_pairs_intersect(a[i_idx], b[i_idx], a[j_idx], b[j_idx])
 
 
-def _segment_pairs_intersect(p1, p2, p3, p4, tol) -> bool:
+def _segment_pairs_intersect(p1, p2, p3, p4) -> bool:
     """Vectorized segment-pair intersection with inclusive touching."""
     scale = max(1.0, float(np.max(np.abs(np.concatenate([p1, p2, p3, p4])))))
-    eps = tol * scale * scale  # cross products scale with length squared
+    eps = TOUCH_TOL * scale * scale  # cross products scale with length squared
 
     d1 = _cross2(p4[:, 0] - p3[:, 0], p4[:, 1] - p3[:, 1],
                  p1[:, 0] - p3[:, 0], p1[:, 1] - p3[:, 1])
@@ -247,8 +248,8 @@ def _segment_pairs_intersect(p1, p2, p3, p4, tol) -> bool:
         if not np.any(near):
             continue
         qn, an, bn = q[near], a[near], b[near]
-        lo = np.minimum(an, bn) - tol * scale
-        hi = np.maximum(an, bn) + tol * scale
+        lo = np.minimum(an, bn) - TOUCH_TOL * scale
+        hi = np.maximum(an, bn) + TOUCH_TOL * scale
         on = np.all((qn >= lo) & (qn <= hi), axis=1)
         if bool(np.any(on)):
             return True

@@ -110,21 +110,11 @@ def _circle_three(p, q, r):
     return center, float(np.linalg.norm(p - center))
 
 
-def _circle_of_support(support):
-    if not support:
-        return np.zeros(2), 0.0
-    if len(support) == 1:
-        return support[0].copy(), 0.0
-    if len(support) == 2:
-        return _circle_two(support[0], support[1])
-    return _circle_three(support[0], support[1], support[2])
-
-
-def min_enclosing_circle(points: np.ndarray, seed: int | None = None):
+def min_enclosing_circle(points: np.ndarray):
     """Smallest circle containing all points (Welzl, move-to-front).
 
-    The randomized permutation is seeded from the point count by default,
-    so results are deterministic for a fixed input.
+    The randomized permutation is seeded from the point count, so results
+    are deterministic for a fixed input.
 
     Returns:
         (center, radius)
@@ -133,15 +123,15 @@ def min_enclosing_circle(points: np.ndarray, seed: int | None = None):
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 2:
         raise DegenerateInput("need a non-empty set of planar points")
     order = list(range(len(pts)))
-    random.Random(len(pts) if seed is None else seed).shuffle(order)
+    random.Random(len(pts)).shuffle(order)
     shuffled = pts[order]
 
-    center, radius = _circle_of_support([])
+    center, radius = np.zeros(2), 0.0
     tol = 1e-12 * max(1.0, float(np.max(np.abs(pts))))
     for i in range(len(shuffled)):
         if np.linalg.norm(shuffled[i] - center) <= radius + tol:
             continue
-        center, radius = _circle_of_support([shuffled[i]])
+        center, radius = shuffled[i].copy(), 0.0
         for j in range(i):
             if np.linalg.norm(shuffled[j] - center) <= radius + tol:
                 continue
@@ -178,7 +168,7 @@ def rotational_stiffness_profile(moments: np.ndarray, delta_phi: float) -> np.nd
 
 def objectives_from_sweep(sweep: beam_fem.SweepResult) -> Evaluation:
     """Reduce a completed sweep (uniform rotation steps) to the three objectives."""
-    delta_phi = sweep.records[1].phi - sweep.records[0].phi
+    delta_phi = sweep.phi[1] - sweep.phi[0]
     _, radius = min_enclosing_circle(centrode(sweep.tip_positions, delta_phi))
     compliances = [principal_compliances(k) for k in sweep.stiffnesses]
     c_max = max(max(pair) for pair in compliances)
@@ -210,11 +200,11 @@ def evaluate_with_sweep(design: geometry.DesignVector,
 
     model = beam_fem.assemble_model(hinge, n_elements=n_elements)
     sweep = beam_fem.run_sweep(model, n_steps=n_steps)
-    if not sweep.converged:
-        if sweep.failure == "strain":
-            return (_infeasible(sweep.max_strain - beam_fem.STRAIN_LIMIT, "strain"),
-                    sweep, model)
-        reached = sweep.records[-1].phi if sweep.records else 0.0
+    if sweep.failure == "strain":
+        return (_infeasible(sweep.max_strain - beam_fem.STRAIN_LIMIT, "strain"),
+                sweep, model)
+    if sweep.failure is not None:
+        reached = float(sweep.phi[-1]) if len(sweep.phi) else 0.0
         return (_infeasible(1.0 + (1.0 - reached / beam_fem.SWEEP_ANGLE),
                             "nonconvergence"), sweep, model)
 

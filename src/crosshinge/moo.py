@@ -83,11 +83,6 @@ class HingeEvaluator:
         )
 
 
-def _call_evaluator(payload):
-    evaluator, x = payload
-    return evaluator(x)
-
-
 class _EvaluationEngine:
     """Caching, optionally parallel evaluation preserving index order."""
 
@@ -115,8 +110,7 @@ class _EvaluationEngine:
         batch = {key: x for key, x in zip(keys, xs) if key not in self.cache}
         if batch:
             if self._pool is not None:
-                results = self._pool.map(
-                    _call_evaluator, [(self.evaluator, x) for x in batch.values()])
+                results = self._pool.map(self.evaluator, batch.values())
             else:
                 results = [self.evaluator(x) for x in batch.values()]
             self.cache.update(zip(batch, results))

@@ -31,6 +31,7 @@ NM_CONTRACTION = 0.5
 NM_SHRINK = 0.5
 SIMPLEX_STEP_FRACTION = 0.05   # of each variable's admissible range
 MAX_ITERS = 200                # default Nelder-Mead iteration budget
+NM_TOL = 1e-14                 # stop once the simplex spread is this small in f and x
 
 
 class InfeasibleStart(ValueError):
@@ -95,8 +96,7 @@ class NelderMeadResult:
 
 
 def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
-                upper: np.ndarray = UPPER_BOUNDS, max_iters: int = MAX_ITERS,
-                f_tol: float = 1e-14, x_tol: float = 1e-14) -> NelderMeadResult:
+                upper: np.ndarray = UPPER_BOUNDS, max_iters: int = MAX_ITERS) -> NelderMeadResult:
     """Bounded Nelder-Mead simplex search tracking the best feasible point.
 
     The objective returns an Evaluation with the scalar in y; infeasible
@@ -106,8 +106,11 @@ def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
     bounds, so every vertex stays admissible.
 
     Raises:
+        ValueError: if max_iters is negative.
         InfeasibleStart: if the starting point evaluates infeasible.
     """
+    if max_iters < 0:
+        raise ValueError(f"iteration budget must be >= 0, got {max_iters}")
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
     x0 = np.clip(np.asarray(x0, float), lower, upper)
@@ -150,8 +153,8 @@ def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
     for iterations in range(1, max_iters + 1):
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
-        if (values[-1] - values[0] <= f_tol
-                and np.max(np.abs(simplex[1:] - simplex[0])) <= x_tol):
+        if (values[-1] - values[0] <= NM_TOL
+                and np.max(np.abs(simplex[1:] - simplex[0])) <= NM_TOL):
             break
 
         centroid = simplex[:-1].mean(axis=0)

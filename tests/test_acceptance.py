@@ -53,7 +53,7 @@ def test_criterion_1_beam_closed_forms():
     # tip rotation under a pure moment is M l / EI
     moment = 0.5 * EI / L
     state = bf.solve_tip_moment(model, moment, n_steps=5, tol=1e-13)
-    rot_err = abs(state.rotation - moment * L / EI)
+    rot_err = abs(state.z[model.idx_phi] - moment * L / EI)
 
     # full-circle roll-up
     moment = 2 * math.pi * EI / L
@@ -137,7 +137,7 @@ def test_criterion_2_tangent_consistency():
                     pert = bf.solve_equilibrium(model, state.z,
                                                 prescribed=prescribed,
                                                 external=external, tol=1e-13)
-                    residual, _ = model.assemble(pert.z, need_tangent=False)
+                    residual, _ = model.assemble(pert.z)
                     reactions.append(residual[[model.idx_mx, model.idx_my]])
                 fd[:, j] = (reactions[0] - reactions[1]) / (2 * step)
             condensed_worst = max(condensed_worst,
@@ -278,7 +278,7 @@ def test_criterion_7_desk_campaign(desk_campaign):
     for x in merged.designs:
         design = geo.DesignVector.from_array(x)
         _, sweep, _ = ks.evaluate_with_sweep(design)
-        assert sweep is not None and sweep.converged
+        assert sweep is not None and sweep.failure is None
         worst_strain = max(worst_strain, sweep.max_strain)
 
     # non-decreasing archive hypervolume in both progress logs

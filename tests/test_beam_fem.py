@@ -32,6 +32,13 @@ def cross_hinge_design():
     )
 
 
+def strain_abort_design():
+    """Slender, strongly curved flexure pair that exceeds the strain bound."""
+    return geo.DesignVector(0.0, math.pi, math.pi, 0.0,
+                            1.0, 1.0, 0.0, 0.0,
+                            alpha=1.0, beta1=5.0, beta2=5.0, gamma=1.0, delta=0.5)
+
+
 @pytest.fixture(scope="module")
 def cross_hinge_model():
     return bf.assemble_model(geo.build_hinge(cross_hinge_design()))
@@ -59,18 +66,17 @@ class TestAssembly:
         assert mesh.node_angle == pytest.approx(geo.angle_profile(coeffs, s), abs=1e-12)
 
     def test_section_properties(self, cantilever):
-        sec = cantilever.meshes[0].section
-        assert sec.ea == pytest.approx(0.1)
-        assert sec.ei == pytest.approx(8.3333333333e-5, rel=1e-6)
-        assert sec.gas == pytest.approx((5 / 6) * 0.1 / (2 * 1.49), rel=1e-12)
+        ea, gas, ei = cantilever.meshes[0].elements.stiffness[0]
+        assert ea == pytest.approx(0.1)
+        assert ei == pytest.approx(8.3333333333e-5, rel=1e-6)
+        assert gas == pytest.approx((5 / 6) * 0.1 / (2 * 1.49), rel=1e-12)
 
     def test_free_dof_count(self, cross_hinge_model):
         # two clamped nodes removed, two tips replaced by one master triple
         assert cross_hinge_model.n_reduced == 2 * (91 - 2) * 3 + 3
 
     def test_reference_state_is_stress_free(self, cross_hinge_model):
-        residual, _ = cross_hinge_model.assemble(
-            np.zeros(cross_hinge_model.n_reduced), need_tangent=False)
+        residual, _ = cross_hinge_model.assemble(np.zeros(cross_hinge_model.n_reduced))
         assert np.max(np.abs(residual)) < 1e-14
 
     def test_tangent_spd_at_reference(self, cross_hinge_model):
@@ -156,7 +162,7 @@ class TestClosedForms:
     def test_tip_rotation_under_pure_moment(self, cantilever):
         moment = 0.5 * EI / L
         state = bf.solve_tip_moment(cantilever, moment, n_steps=5, tol=1e-13)
-        assert state.rotation == pytest.approx(moment * L / EI, abs=1e-8)
+        assert state.z[cantilever.idx_phi] == pytest.approx(moment * L / EI, abs=1e-8)
 
     def test_full_circle_rollup(self, cantilever):
         moment = 2 * math.pi * EI / L
@@ -189,8 +195,8 @@ class TestClosedForms:
                              alpha=1.5, beta1=10.0, beta2=15.0, gamma=0.8, delta=0.4)
         model = bf.assemble_model(geo.build_hinge(d))
         k_t = bf.condense_translational_stiffness(model, model.zero_state())
-        ea1, l1 = model.meshes[0].section.ea, model.meshes[0].length
-        ea2, l2 = model.meshes[1].section.ea, model.meshes[1].length
+        ea1, l1 = model.meshes[0].elements.stiffness[0, 0], model.meshes[0].length
+        ea2, l2 = model.meshes[1].elements.stiffness[0, 0], model.meshes[1].length
         assert k_t[0, 0] == pytest.approx(ea1 / l1 + ea2 / l2, rel=1e-4)
 
 
@@ -296,8 +302,7 @@ class TestEquilibriumSolver:
             up, um = state.z.copy(), state.z.copy()
             up[j] += h
             um[j] -= h
-            fd = (model.assemble(up, need_tangent=False)[0]
-                  - model.assemble(um, need_tangent=False)[0]) / (2 * h)
+            fd = (model.assemble(up)[0] - model.assemble(um)[0]) / (2 * h)
             assert np.max(np.abs(dense[:, j] - fd)) < 1e-6 * np.max(np.abs(dense[:, j]))
 
     def test_condensed_stiffness_matches_reaction_differences(self, cross_hinge_model):
@@ -317,7 +322,7 @@ class TestEquilibriumSolver:
                 prescribed[idx] = state.z[idx] + sign * h
                 pert = bf.solve_equilibrium(model, state.z, prescribed=prescribed,
                                             external=external, tol=1e-13)
-                residual, _ = model.assemble(pert.z, need_tangent=False)
+                residual, _ = model.assemble(pert.z)
                 reactions.append(residual[[model.idx_mx, model.idx_my]])
             fd[:, j] = (reactions[0] - reactions[1]) / (2 * h)
         assert np.max(np.abs(fd - k_t)) / np.max(np.abs(k_t)) < 1e-5
@@ -328,28 +333,31 @@ def sweep(cross_hinge_model):
     return bf.run_sweep(cross_hinge_model)
 
 
+def always_fails(*args, **kwargs):
+    raise bf.NonConverged("forced failure")
+
+
 class TestSweep:
     def test_step_schedule(self, sweep):
-        assert sweep.converged
-        assert len(sweep.records) == 21
+        assert sweep.failure is None
+        assert len(sweep.phi) == 21
         assert sweep.phi == pytest.approx(np.arange(21) * math.pi / 40, abs=1e-15)
 
     def test_zero_moment_at_reference(self, sweep):
         assert sweep.moments[0] == 0.0
 
     def test_stiffness_symmetry(self, sweep):
-        for rec in sweep.records:
-            scale = np.max(np.abs(rec.stiffness))
-            assert abs(rec.stiffness[0, 1] - rec.stiffness[1, 0]) < 1e-10 * scale
+        for stiffness in sweep.stiffnesses:
+            scale = np.max(np.abs(stiffness))
+            assert abs(stiffness[0, 1] - stiffness[1, 0]) < 1e-10 * scale
 
     def test_resisting_moment_positive(self, sweep):
         assert np.all(sweep.moments[1:] > 0.0)
 
     def test_deterministic(self, cross_hinge_model):
-        other = bf.run_sweep(cross_hinge_model)
-        for a, b in zip(other.records, bf.run_sweep(cross_hinge_model).records):
-            assert np.array_equal(a.stiffness, b.stiffness)
-            assert a.moment == b.moment
+        a, b = bf.run_sweep(cross_hinge_model), bf.run_sweep(cross_hinge_model)
+        assert np.array_equal(a.stiffnesses, b.stiffnesses)
+        assert np.array_equal(a.moments, b.moments)
 
     def test_matches_regression_baseline(self, sweep):
         # 1e-5 absorbs Newton-path noise (residual tolerance 1e-9 against
@@ -360,32 +368,41 @@ class TestSweep:
                                                   rel=1e-3)
         assert sweep.tip_positions == pytest.approx(
             np.array(golden["tip_positions"]), abs=1e-5)
-        assert sweep.records[-1].max_strain == pytest.approx(
+        assert sweep.max_strains[-1] == pytest.approx(
             golden["max_strain"], rel=1e-3)
 
     def test_strain_abort_marks_failure(self):
-        # slender, strongly curved flexure pair exceeds the strain bound
-        d = geo.DesignVector(0.0, math.pi, math.pi, 0.0,
-                             1.0, 1.0, 0.0, 0.0,
-                             alpha=1.0, beta1=5.0, beta2=5.0, gamma=1.0, delta=0.5)
-        hinge = geo.build_hinge(d)
+        hinge = geo.build_hinge(strain_abort_design())
         assert geo.check_feasibility(hinge).feasible
         result = bf.run_sweep(bf.assemble_model(hinge))
-        assert not result.converged
+        assert result.failure is not None
         assert result.failure == "strain"
         assert result.max_strain > bf.STRAIN_LIMIT
-        assert len(result.records) < 21
+        assert len(result.phi) < 21
 
     def test_first_step_failure_keeps_reference_record(self, cross_hinge_model,
                                                        monkeypatch):
-        def always_fails(*args, **kwargs):
-            raise bf.NonConverged("forced failure")
-
         monkeypatch.setattr(bf, "solve_step", always_fails)
         result = bf.run_sweep(cross_hinge_model)
-        assert not result.converged
+        assert result.failure is not None
         assert result.failure == "nonconvergence"
-        assert len(result.records) == 1
+        assert len(result.phi) == 1
+
+    def test_columns_align(self, sweep, cross_hinge_model, monkeypatch):
+        strain_model = bf.assemble_model(geo.build_hinge(strain_abort_design()))
+        strain = bf.run_sweep(strain_model)
+        monkeypatch.setattr(bf, "solve_step", always_fails)
+        first_step = bf.run_sweep(cross_hinge_model)
+        cases = ((sweep, cross_hinge_model, True), (strain, strain_model, False),
+                 (first_step, cross_hinge_model, False))
+        for result, model, full in cases:
+            k = len(result.phi)
+            assert result.phi.shape == result.moments.shape == result.max_strains.shape == (k,)
+            assert result.tip_positions.shape == (k, 2)
+            assert result.stiffnesses.shape == (k, 2, 2)
+            assert result.z.shape == (k, model.n_reduced)
+            assert np.all(np.diff(result.max_strains) >= 0.0)
+            assert (result.failure is None) == full
 
     def test_mesh_refinement_agreement(self, sweep):
         golden = json.loads((DATA / "regression_cross_hinge.json").read_text())

@@ -347,6 +347,9 @@ BAD_INPUTS = {
         "--iters", "1"]),
     "refine-short-target-weights": (cli.EXIT_USAGE, [
         "refine", "--archive", "{archive}", "--target-weights", "1,2", "--iters", "1"]),
+    "refine-negative-iters": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--row", "0", "--weights", "1,1,1",
+        "--iters", "-1"]),
     "refine-one-element": (cli.EXIT_USAGE, [
         "refine", "--archive", "{archive}", "--row", "0", "--elements", "1",
         "--iters", "1"]),

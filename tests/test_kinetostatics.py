@@ -223,7 +223,7 @@ class TestEvaluateObjectives:
         monkeypatch.setattr(ks, "objectives_from_sweep",
                             lambda sweep: ks.Evaluation(y=np.array(y), feasible=True))
         report, sweep, _ = ks.evaluate_with_sweep(design)
-        assert sweep.converged
+        assert sweep.failure is None
         assert (report.feasible, report.failure, report.violation) == (False, failure, violation)
         assert report.y is None
 
