@@ -5,7 +5,7 @@ Each flexure is discretized with 4-node cubic Lagrange elements carrying
 (axial strain, shear strain, curvature change), evaluated relative to the
 interpolated reference configuration so the undeformed state is exactly
 stress free. Stress resultants follow from the linear constitutive map
-(EA, GAs, EI).
+(EA, GAs, EI) of geometry's fixed YOUNG_MODULUS and SHEAR_MODULUS.
 
 Boundary conditions of the cross-hinge model: the s=0 end of every
 flexure is clamped; the s=1 ends are condensed onto a single master node
@@ -22,7 +22,8 @@ second flexure descending, which keeps the half-bandwidth at 11). Each
 Newton iteration costs one banded Cholesky factorization, or banded LU
 when the tangent is indefinite. All elements are stacked into one call of
 the element kernel: two matrix products with constant reference-element
-operators (the forces, and the upper triangle of the tangents).
+operators (the forces, and the upper triangle of the tangents). The
+cantilever and probes that check all this are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dpbsv
 
-from .geometry import Flexure, HingeGeometry, centerline
+from .geometry import SHEAR_MODULUS, YOUNG_MODULUS, Flexure, HingeGeometry, centerline
 
 SHEAR_CORRECTION = 5.0 / 6.0  # rectangular cross-section
 
@@ -136,9 +137,6 @@ class ElementData:
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
                      for f in fields(cls)))
 
-    def __getitem__(self, index) -> "ElementData":
-        return ElementData(*(getattr(self, f.name)[index] for f in fields(self)))
-
 
 def _kinematics(data: ElementData, ue: np.ndarray):
     """Gauss-point strains (axial, shear, curvature) and the rotated frame
@@ -201,10 +199,7 @@ def _grouped(nodal: np.ndarray, conn: np.ndarray) -> np.ndarray:
 class FlexureMesh:
     """One flexure meshed with cubic elements, with reference data cached."""
 
-    def __init__(self, flexure: Flexure, young_modulus: float, shear_modulus: float,
-                 n_elements: int):
-        if n_elements < 2:
-            raise ValueError("need at least two elements per flexure")
+    def __init__(self, flexure: Flexure, n_elements: int):
         self.n_elements = n_elements
         self.n_nodes = 3 * n_elements + 1
         self.length = flexure.length
@@ -227,27 +222,11 @@ class FlexureMesh:
         self.elements = ElementData(
             gauss=gauss,
             stretch=np.concatenate([c0 * dx + s0 * dy, -s0 * dx + c0 * dy], axis=1),
-            stiffness=np.tile([young_modulus * w * h,
-                               SHEAR_CORRECTION * shear_modulus * w * h,
-                               young_modulus * w * h ** 3 / 12.0], (n_elements, 1)),
+            stiffness=np.tile([YOUNG_MODULUS * w * h,
+                               SHEAR_CORRECTION * SHEAR_MODULUS * w * h,
+                               YOUNG_MODULUS * w * h ** 3 / 12.0], (n_elements, 1)),
             jac=jac,
         )
-
-    def strains(self, displacements: np.ndarray):
-        """Reissner strain measures (axial, shear, curvature) at Gauss points
-        for nodal displacements of shape (n_nodes, 3)."""
-        return _kinematics(self.elements, _grouped(displacements, self.conn))[0]
-
-    def element_forces(self, element: int, element_dofs: np.ndarray):
-        """Internal force vector and consistent tangent of one element.
-
-        `element_dofs` holds the nodal displacements of the element's four
-        nodes as a (4, 3) array; results use the grouped 12-dof ordering
-        [ux(4), uy(4), theta(4)].
-        """
-        forces, tangents = element_kernel(self.elements[element:element + 1],
-                                          np.asarray(element_dofs).T.reshape(1, 12))
-        return forces[0], _unpack(tangents[0])
 
 
 @dataclass
@@ -393,12 +372,6 @@ class BeamModel:
         z_ext, _ = self._extended(z)
         return _kinematics(self.elements, z_ext[self._gather])[0]
 
-    def strain_energy(self, state: BeamState) -> float:
-        eps, gam, kap = self._strains(state.z)
-        ea, gas, ei = (self.elements.stiffness[:, k:k + 1] for k in range(3))
-        density = ea * eps ** 2 + gas * gam ** 2 + ei * kap ** 2
-        return 0.5 * float(np.sum(density * _W_GAUSS * self.elements.jac))
-
     def max_bending_strain(self, state: BeamState) -> float:
         """Peak outer-fiber bending strain |d kappa| * h / 2 over Gauss points."""
         _, _, kap = self._strains(state.z)
@@ -474,29 +447,11 @@ def _apply_constraints(ab: np.ndarray, rhs: np.ndarray, fixed: np.ndarray) -> No
 
 def assemble_model(geometry: HingeGeometry, n_elements: int = DEFAULT_ELEMENTS) -> BeamModel:
     """Mesh a cross-hinge geometry into the two-flexure beam model."""
-    meshes = [
-        FlexureMesh(f, geometry.young_modulus, geometry.shear_modulus, n_elements)
-        for f in geometry.flexures
-    ]
-    return BeamModel(meshes)
-
-
-def assemble_cantilever(coeffs, length: float = 1.0, height: float = 0.1,
-                        width: float = 1.0, young_modulus: float = 1.0,
-                        poisson_ratio: float = 0.49,
-                        n_elements: int = DEFAULT_ELEMENTS) -> BeamModel:
-    """Single-flexure model clamped at s=0 with the master at its tip."""
-    points, angles = centerline(coeffs, length, np.zeros(2), 3 * n_elements + 1)
-    flexure = Flexure(coeffs=np.asarray(coeffs, dtype=float), length=length,
-                      height=height, width=width, base=np.zeros(2),
-                      points=points, angles=angles)
-    shear_modulus = young_modulus / (2.0 * (1.0 + poisson_ratio))
-    return BeamModel([FlexureMesh(flexure, young_modulus, shear_modulus, n_elements)])
+    return BeamModel([FlexureMesh(f, n_elements) for f in geometry.flexures])
 
 
 def solve_equilibrium(model: BeamModel, z0: np.ndarray,
                       prescribed: dict[int, float] | None = None,
-                      external: np.ndarray | None = None,
                       tol: float | None = None) -> BeamState:
     """Newton-Raphson equilibrium with selected reduced DOFs prescribed.
 
@@ -521,8 +476,7 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
     norm0 = None
     for iteration in range(NEWTON_MAX_ITER + 1):
         residual, ab = model.assemble(z)
-        rhs = residual if external is None else residual - external
-        norm = float(np.max(np.abs(rhs[mask]))) if mask.any() else 0.0
+        norm = float(np.max(np.abs(residual[mask]))) if mask.any() else 0.0
         if not np.isfinite(norm):
             raise NonConverged("residual diverged to non-finite values")
         if norm < tol:
@@ -534,7 +488,7 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
             raise NonConverged("residual diverging")
         if iteration == NEWTON_MAX_ITER:
             break
-        rhs = rhs.copy()
+        rhs = residual.copy()
         _apply_constraints(ab, rhs, fixed)
         z -= solve_banded(ab, rhs)
     raise NonConverged(f"no equilibrium within {NEWTON_MAX_ITER} iterations")
@@ -634,13 +588,3 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
                          .reshape(len(rows), *shape) for i, shape in enumerate(shapes)),
                        failure=failure)
 
-
-def solve_tip_moment(model: BeamModel, moment: float, n_steps: int = 20,
-                     tol: float | None = None) -> BeamState:
-    """Ramp an external moment on the free master rotation (test harness)."""
-    state = model.zero_state()
-    external = np.zeros(model.n_reduced)
-    for k in range(1, n_steps + 1):
-        external[model.idx_phi] = moment * k / n_steps
-        state = solve_equilibrium(model, state.z, external=external, tol=tol)
-    return state

@@ -169,13 +169,14 @@ def archive_designs(archive: pareto.ParetoArchive, rows) -> list[DesignVector]:
     return [DesignVector.from_array(archive.designs[row]) for row in rows]
 
 
-def design_from_args(args) -> DesignVector:
+def design_from_args(args) -> tuple[DesignVector, list[Path]]:
+    """The design and the files it was read from (none for --values)."""
     if args.values:
-        return parse_design_values(args.values)
+        return parse_design_values(args.values), []
     if args.archive is None:
         raise ValueError("provide a design via --values or --archive/--row")
     archive = pareto.read_archive_csv(Path(args.archive))
-    return archive_designs(archive, [args.row or 0])[0]
+    return archive_designs(archive, [args.row or 0])[0], [Path(args.archive)]
 
 
 def design_dict(design: DesignVector) -> dict:
@@ -277,7 +278,7 @@ def render_trace_svg(trace: dict) -> str:
 
 def cmd_evaluate(args, argv) -> int:
     settings = resolve_config(args)
-    design = design_from_args(args)
+    design, inputs = design_from_args(args)
     report, sweep, model = kinetostatics.evaluate_with_sweep(
         design, n_elements=settings["elements"], n_steps=settings["steps"])
 
@@ -299,8 +300,7 @@ def cmd_evaluate(args, argv) -> int:
             json.dumps(sweep_trace(design, model, sweep), indent=2) + "\n")
     return emit(args, argv, "evaluate", "evaluation.json", payload,
                 {"elements": settings["elements"], "steps": settings["steps"],
-                 "trace": bool(args.trace)},
-                [Path(args.archive)] if args.archive else [])
+                 "trace": bool(args.trace)}, inputs)
 
 
 def _progress_writer(stream_paths):
@@ -322,6 +322,7 @@ def cmd_optimize(args, argv) -> int:
     algorithms = ["nsga2", "spea2"] if shared["algorithm"] == "both" else [shared["algorithm"]]
     moo_configs = [moo.MooConfig(**(shared | {"algorithm": algorithm})).validated()
                    for algorithm in algorithms]
+    kinetostatics.check_resolution(settings["elements"], settings["steps"])
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -377,7 +378,7 @@ def cmd_select(args, argv) -> int:
     archive = pareto.read_archive_csv(Path(args.archive))
     target = _parse_weights(args.target_weights)
     index = pareto.select_by_target(archive, target)
-    normalized, _ = pareto.normalize_front(archive)
+    normalized = pareto.normalize_front(archive)
     weights = pareto.pseudo_weights(normalized)
     payload = {
         "target_weights": [float(v) for v in target],
@@ -437,34 +438,29 @@ def cmd_refine(args, argv) -> int:
 
 
 def cmd_render(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    # every document is built before --out is created, so bad input leaves nothing
+    svgs = []  # (file name, document)
     inputs = []
     if args.trace:
         trace = json.loads(Path(args.trace).read_text())
-        path = out / (Path(args.trace).stem + "_deformed.svg")
-        path.write_text(render_trace_svg(trace))
-        written.append(path)
+        svgs.append((Path(args.trace).stem + "_deformed.svg", render_trace_svg(trace)))
         inputs.append(Path(args.trace))
     if args.values:
-        path = out / "design.svg"
-        path.write_text(render_design_svg(parse_design_values(args.values)))
-        written.append(path)
+        svgs.append(("design.svg", render_design_svg(parse_design_values(args.values))))
     if args.archive:
         archive = pareto.read_archive_csv(Path(args.archive))
         inputs.append(Path(args.archive))
         rows = (range(len(archive)) if args.rows is None
                 else [int(v) for v in args.rows.split(",")])
-        for row, design in zip(rows, archive_designs(archive, rows)):
-            path = out / f"design_{row:04d}.svg"
-            path.write_text(render_design_svg(design))
-            written.append(path)
-    if not written:
+        svgs += [(f"design_{row:04d}.svg", render_design_svg(design))
+                 for row, design in zip(rows, archive_designs(archive, rows))]
+    if not svgs:
         raise ValueError("nothing to render (give --archive, --values or --trace)")
+    out = Path(args.out)
     write_manifest(out, build_manifest("render", argv, {}, inputs))
-    for path in written:
-        print(path)
+    for name, svg in svgs:
+        (out / name).write_text(svg)
+        print(out / name)
     return EXIT_OK
 
 

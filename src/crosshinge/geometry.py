@@ -5,7 +5,8 @@ angle coefficients per flexure, the length ratio alpha, the slendernesses
 beta1/beta2, the width ratio gamma and the horizontal base offset delta.
 This module realizes that description as explicit centerline geometry
 (working in normalized units l1 = w1 = E = 1) and checks geometric
-feasibility (no self-intersecting centerlines).
+feasibility (no self-intersecting centerlines). The material constants
+are fixed: E = 1, nu = 0.49 and the isotropic G = E / (2 (1 + nu)).
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+YOUNG_MODULUS = 1.0  # the normalization E = 1
 POISSON_RATIO = 0.49  # nearly incompressible, typical for printed elastomers
+SHEAR_MODULUS = YOUNG_MODULUS / (2.0 * (1.0 + POISSON_RATIO))
+CENTERLINE_SAMPLES = 81  # points sampled along each flexure centerline
 TOUCH_TOL = 1e-12  # relative gap below which centerline segments count as touching
 
 DESIGN_FIELDS = (
@@ -145,29 +149,22 @@ class Flexure:
     height: float
     width: float
     base: np.ndarray          # position of the s=0 end
-    points: np.ndarray        # (n, 2) sampled centerline
-    angles: np.ndarray        # (n,) tangent angles on the same grid
+    points: np.ndarray        # (CENTERLINE_SAMPLES, 2) sampled centerline
 
 
 @dataclass(frozen=True)
 class HingeGeometry:
-    """Undeformed cross-hinge geometry with material constants.
+    """Undeformed cross-hinge geometry.
 
     Normalization: the first flexure has unit length and width and the
-    Young's modulus is 1, so raw computed stiffnesses and compliances
-    coincide with their dimensionless counterparts.
+    Young's modulus is 1 (YOUNG_MODULUS), so raw computed stiffnesses and
+    compliances coincide with their dimensionless counterparts.
     """
 
     flexures: tuple[Flexure, Flexure]
-    young_modulus: float = 1.0
-    poisson_ratio: float = POISSON_RATIO
-
-    @property
-    def shear_modulus(self) -> float:
-        return self.young_modulus / (2.0 * (1.0 + self.poisson_ratio))
 
 
-def build_hinge(design: DesignVector, n_samples: int = 81) -> HingeGeometry:
+def build_hinge(design: DesignVector) -> HingeGeometry:
     """Realize a design vector as explicit geometry (l1 = w1 = E = 1).
 
     Raises:
@@ -187,18 +184,15 @@ def build_hinge(design: DesignVector, n_samples: int = 81) -> HingeGeometry:
         (design.coefficients(1), l1, h1, w1, base1),
         (design.coefficients(2), l2, h2, w2, base2),
     ):
-        points, angles = centerline(coeffs, length, base, n_samples)
-        flexures.append(
-            Flexure(coeffs=coeffs, length=length, height=height, width=width,
-                    base=base, points=points, angles=angles)
-        )
+        points, _ = centerline(coeffs, length, base, CENTERLINE_SAMPLES)
+        flexures.append(Flexure(coeffs=coeffs, length=length, height=height,
+                                width=width, base=base, points=points))
     return HingeGeometry(flexures=(flexures[0], flexures[1]))
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
-    reason: str = ""
 
 
 def _cross2(ax, ay, bx, by):
@@ -260,16 +254,14 @@ def check_feasibility(geometry: HingeGeometry) -> FeasibilityReport:
     """Reject geometries whose flexure centerlines self-intersect. The two
     flexures may cross each other: they occupy different planes in the
     physical mechanism."""
-    for i, flexure in enumerate(geometry.flexures, start=1):
-        if polyline_self_intersects(flexure.points):
-            return FeasibilityReport(False, f"flexure {i} centerline self-intersects")
-    return FeasibilityReport(True)
+    return FeasibilityReport(not any(polyline_self_intersects(f.points)
+                                     for f in geometry.flexures))
 
 
-def sample_random(seed, lower: np.ndarray = LOWER_BOUNDS, upper: np.ndarray = UPPER_BOUNDS) -> DesignVector:
-    """Uniform independent sample of the design space, deterministic per seed.
+def sample_random(seed) -> DesignVector:
+    """Uniform independent sample of the admissible box, deterministic per seed.
 
     `seed` may be an int or a numpy Generator (drawn from, for batches).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return DesignVector.from_array(rng.uniform(lower, upper))
+    return DesignVector.from_array(rng.uniform(LOWER_BOUNDS, UPPER_BOUNDS))

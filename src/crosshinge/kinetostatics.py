@@ -176,6 +176,15 @@ def objectives_from_sweep(sweep: beam_fem.SweepResult) -> Evaluation:
     return Evaluation(y=np.array([radius, c_max, k_max], dtype=float), feasible=True)
 
 
+def check_resolution(n_elements: int, n_steps: int) -> None:
+    """Raise ValueError for fewer than two elements per flexure or fewer
+    than two sweep steps (one step gives a one-point centrode)."""
+    if n_elements < 2:
+        raise ValueError("need at least two elements per flexure")
+    if n_steps < 2:
+        raise ValueError("need at least two sweep steps")
+
+
 def evaluate_with_sweep(design: geometry.DesignVector,
                         n_elements: int = beam_fem.DEFAULT_ELEMENTS,
                         n_steps: int = beam_fem.DEFAULT_STEPS):
@@ -186,13 +195,9 @@ def evaluate_with_sweep(design: geometry.DesignVector,
         and model are None when the geometry is rejected before analysis.
 
     Raises:
-        ValueError: fewer than two elements per flexure or fewer than two
-            sweep steps (one step gives a one-point centrode), whatever the design.
+        ValueError: from check_resolution, whatever the design.
     """
-    if n_elements < 2:
-        raise ValueError("need at least two elements per flexure")
-    if n_steps < 2:
-        raise ValueError("need at least two sweep steps")
+    check_resolution(n_elements, n_steps)
     hinge = geometry.build_hinge(design)
     report = geometry.check_feasibility(hinge)
     if not report.feasible:

@@ -61,6 +61,8 @@ class MooConfig:
             raise ConfigError("distribution indices must be positive")
         if self.archive_size is not None and self.archive_size < 2:
             raise ConfigError("archive_size must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self
@@ -310,7 +312,7 @@ def _density_coordinates(evals: list[Evaluation]) -> np.ndarray:
     if feasible.any():
         ys = np.array([e.y for e in evals if e.feasible])
         coords = np.repeat(coords, ys.shape[1], axis=1)
-        coords[feasible] = pareto.normalize(ys, ys.min(axis=0), ys.max(axis=0))[0]
+        coords[feasible] = pareto.normalize(ys, ys.min(axis=0), ys.max(axis=0))
     return coords
 
 

@@ -124,51 +124,36 @@ def archive_insert(archive: ParetoArchive, designs: np.ndarray,
 
 
 def normalize(objectives: np.ndarray, ideal: np.ndarray, nadir: np.ndarray):
-    """Map objectives (one vector or rows) to the unit cube of (ideal, nadir).
-
-    Coordinates with nadir <= ideal carry no information; they map to 0
-    and are flagged in the returned mask.
-
-    Returns:
-        (normalized array shaped like objectives, degenerate (m,) bool mask)
-    """
+    """Objectives (one vector or rows) mapped to the unit cube of (ideal,
+    nadir), shaped like objectives. A coordinate with nadir <= ideal
+    carries no information and maps to 0."""
     ideal = np.asarray(ideal, dtype=float)
     span = np.asarray(nadir, dtype=float) - ideal
     degenerate = span <= 0.0
-    safe = np.where(degenerate, 1.0, span)
-    normalized = (np.asarray(objectives, dtype=float) - ideal) / safe
+    normalized = (np.asarray(objectives, dtype=float) - ideal) / np.where(degenerate, 1.0, span)
     normalized[..., degenerate] = 0.0
-    return normalized, degenerate
+    return normalized
 
 
-def normalize_front(archive: ParetoArchive):
-    """Archive objectives normalized by the archive's own ideal/nadir.
-
-    Returns:
-        (normalized (n, m) array, degenerate (m,) bool mask)
-    """
+def normalize_front(archive: ParetoArchive) -> np.ndarray:
+    """Archive objectives (n, m) normalized by its own ideal/nadir (normalize)."""
     if len(archive) == 0:
         raise EmptyArchive("cannot normalize an empty archive")
     return normalize(archive.objectives, archive.ideal, archive.nadir)
 
 
 def pseudo_weights(normalized: np.ndarray) -> np.ndarray:
-    """Pseudo-weights from normalized objectives: w_i ~ (1 - y_i).
-
-    Supports a single vector or a stack of rows; rows sum to one.
+    """Pseudo-weights of rows of normalized objectives (n, m): w_i ~ (1 - y_i),
+    each row summing to one.
 
     Raises:
         DegenerateInput: if a row equals the nadir point (all ones).
     """
-    y = np.asarray(normalized, dtype=float)
-    single = y.ndim == 1
-    rows = np.atleast_2d(y)
-    distance = 1.0 - rows
+    distance = 1.0 - np.asarray(normalized, dtype=float)
     totals = distance.sum(axis=1)
     if np.any(totals <= 0.0):
         raise DegenerateInput("pseudo-weights undefined at the nadir point")
-    weights = distance / totals[:, None]
-    return weights[0] if single else weights
+    return distance / totals[:, None]
 
 
 def select_by_target(archive: ParetoArchive, target: np.ndarray) -> int:
@@ -177,8 +162,7 @@ def select_by_target(archive: ParetoArchive, target: np.ndarray) -> int:
     if len(archive) == 0:
         raise EmptyArchive("cannot select from an empty archive")
     target = np.asarray(target, dtype=float)
-    normalized, _ = normalize_front(archive)
-    weights = pseudo_weights(normalized)
+    weights = pseudo_weights(normalize_front(archive))
     distances = np.sum(np.abs(weights - target[None, :]), axis=1)
     return int(np.argmin(distances))  # argmin returns the first minimum
 
@@ -233,7 +217,7 @@ def write_archive_csv(path, archive: ParetoArchive) -> None:
         + list(NORMALIZED_FIELDS) + list(PSEUDO_WEIGHT_FIELDS)
     rows = []
     if len(archive) > 0:
-        normalized, _ = normalize_front(archive)
+        normalized = normalize_front(archive)
         rows = np.hstack([archive.designs, archive.objectives,
                           normalized, pseudo_weights(normalized)])
     with path.open("w", newline="") as handle:

@@ -55,7 +55,7 @@ def inverse_normalization_weights(normalized: np.ndarray) -> np.ndarray:
 def weight_floor(archive: ParetoArchive) -> np.ndarray:
     """Smallest positive value of each normalized archive column; 0 for a
     column without one."""
-    normalized, _ = normalize_front(archive)
+    normalized = normalize_front(archive)
     floor = np.where(normalized > 0.0, normalized, np.inf).min(axis=0)
     return np.where(np.isfinite(floor), floor, 0.0)
 
@@ -83,8 +83,8 @@ class ScalarizedProblem:
         )
         if not report.feasible:
             return report
-        normalized, _ = normalize(report.y, self.ideal, self.nadir)
-        return replace(report, y=scalarize(normalized, self.weights))
+        return replace(report, y=scalarize(normalize(report.y, self.ideal, self.nadir),
+                                           self.weights))
 
 
 @dataclass
@@ -227,7 +227,7 @@ def refine_design(start: DesignVector, archive: ParetoArchive,
     if not start_report.feasible:
         raise InfeasibleStart("starting design is infeasible")
 
-    start_norm, _ = normalize(start_report.y, ideal, nadir)
+    start_norm = normalize(start_report.y, ideal, nadir)
     if weights is None:
         weights = inverse_normalization_weights(
             np.maximum(start_norm, weight_floor(archive)))

@@ -1,14 +1,87 @@
-"""Reference implementations that only the tests call: a dense view of
-the banded tangent, dominance of one objective vector over another, the
-broadcast dominance matrix and per-level hypervolume that pareto's
-column-wise dominance and dimension sweep replaced, the SPEA2 truncation
-that re-sorts every round, and the design variables read back from
-realized geometry."""
+"""Reference implementations that only the tests call: the beam harness
+(a clamped single-flexure cantilever, an applied tip moment, one-element
+forces and tangents, strains and strain energy) that checks beam_fem
+against closed forms and finite differences, a dense view of the banded
+tangent, dominance of one objective vector over another, the broadcast
+dominance matrix and per-level hypervolume that pareto's column-wise
+dominance and dimension sweep replaced, the SPEA2 truncation that
+re-sorts every round, and the design variables read back from realized
+geometry."""
+
+from dataclasses import fields
 
 import numpy as np
 
 from crosshinge import beam_fem, moo, pareto
-from crosshinge.geometry import DesignVector, HingeGeometry
+from crosshinge.geometry import DesignVector, Flexure, HingeGeometry, centerline
+
+
+def assemble_cantilever(coeffs, length: float = 1.0, height: float = 0.1,
+                        width: float = 1.0,
+                        n_elements: int = beam_fem.DEFAULT_ELEMENTS) -> beam_fem.BeamModel:
+    """Single-flexure model clamped at s=0 with the master at its tip, of
+    the fixed material of geometry."""
+    points, _ = centerline(coeffs, length, np.zeros(2), 3 * n_elements + 1)
+    flexure = Flexure(coeffs=np.asarray(coeffs, dtype=float), length=length,
+                      height=height, width=width, base=np.zeros(2), points=points)
+    return beam_fem.BeamModel([beam_fem.FlexureMesh(flexure, n_elements)])
+
+
+class Loaded:
+    """A model under a fixed external load on its reduced dofs: assemble
+    returns the residual minus the load, so solve_equilibrium on it finds
+    the loaded equilibrium (and its states carry that loaded residual)."""
+
+    def __init__(self, model: beam_fem.BeamModel, external: np.ndarray):
+        self.model, self.external = model, external
+        self.n_reduced = model.n_reduced
+        self.newton_tolerance = model.newton_tolerance
+
+    def assemble(self, z: np.ndarray):
+        residual, ab = self.model.assemble(z)
+        return residual - self.external, ab
+
+
+def solve_tip_moment(model: beam_fem.BeamModel, moment: float, n_steps: int = 20,
+                     tol: float | None = None) -> beam_fem.BeamState:
+    """Ramp an external moment on the free master rotation in n_steps equal
+    increments. The returned state holds the unloaded residual, so
+    reaction_moment reads the reaction."""
+    state = model.zero_state()
+    for k in range(1, n_steps + 1):
+        external = np.zeros(model.n_reduced)
+        external[model.idx_phi] = moment * k / n_steps
+        state = beam_fem.solve_equilibrium(Loaded(model, external), state.z, tol=tol)
+    residual, ab = model.assemble(state.z)
+    return beam_fem.BeamState(z=state.z, residual=residual, tangent_band=ab,
+                              iterations=state.iterations)
+
+
+def element_forces(mesh: beam_fem.FlexureMesh, element: int, element_dofs: np.ndarray):
+    """Internal force vector and consistent (12, 12) tangent of one element.
+
+    `element_dofs` holds the nodal displacements of the element's four
+    nodes as a (4, 3) array; results use the grouped 12-dof ordering
+    [ux(4), uy(4), theta(4)].
+    """
+    data = beam_fem.ElementData(*(getattr(mesh.elements, f.name)[element:element + 1]
+                                  for f in fields(beam_fem.ElementData)))
+    forces, tangents = beam_fem.element_kernel(data, np.asarray(element_dofs).T.reshape(1, 12))
+    return forces[0], beam_fem._unpack(tangents[0])
+
+
+def strains(mesh: beam_fem.FlexureMesh, displacements: np.ndarray):
+    """Reissner strain measures (axial, shear, curvature) at Gauss points
+    for nodal displacements of shape (n_nodes, 3)."""
+    return beam_fem._kinematics(mesh.elements, beam_fem._grouped(displacements, mesh.conn))[0]
+
+
+def strain_energy(model: beam_fem.BeamModel, state: beam_fem.BeamState) -> float:
+    """Stored elastic energy of a state, Gauss-integrated over all elements."""
+    eps, gam, kap = model._strains(state.z)
+    ea, gas, ei = (model.elements.stiffness[:, k:k + 1] for k in range(3))
+    density = ea * eps ** 2 + gas * gam ** 2 + ei * kap ** 2
+    return 0.5 * float(np.sum(density * beam_fem._W_GAUSS * model.elements.jac))
 
 
 def banded_to_dense(ab: np.ndarray) -> np.ndarray:

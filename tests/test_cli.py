@@ -77,6 +77,20 @@ class TestEvaluate:
         assert len(step["stiffness"]) == 2
         assert len(data["centerlines"]["deformed"]) == 21
 
+    def test_manifest_inputs_are_the_files_read(self, tmp_path, capsys):
+        # with --values the archive is not read, so it is no input, even missing
+        archive = raw_archive_csv(tmp_path / "one.csv", [[1.0, 2.0, 3.0]])
+        cases = ((["--values", REGRESSION_VALUES, "--archive", str(tmp_path / "none.csv")], []),
+                 (["--values", REGRESSION_VALUES, "--archive", str(archive)], []),
+                 (["--archive", str(archive)], [str(archive)]))
+        for k, (source, inputs) in enumerate(cases):
+            out = tmp_path / f"out{k}"
+            rc = cli.main(["evaluate", *source, "--elements", "2", "--steps", "2",
+                           "--out", str(out)])
+            assert rc == 0
+            assert list(json.loads((out / "manifest.json").read_text())["inputs"]) == inputs
+        capsys.readouterr()
+
 
 def write_point_config(path: Path, design: dict, pop=8, gens=1, seed=5) -> Path:
     lines = ["[global]", f"seed = {seed}", "workers = 1",
@@ -201,7 +215,7 @@ class TestMergeSelectFront:
         for column in (*pareto.NORMALIZED_FIELDS, *pareto.PSEUDO_WEIGHT_FIELDS):
             assert column in header
         archive = pareto.read_archive_csv(csv_path)
-        normalized, _ = pareto.normalize_front(archive)
+        normalized = pareto.normalize_front(archive)
         weights = pareto.pseudo_weights(normalized)
         first = dict(zip(header, (float(v) for v in text[1].split(","))))
         assert first["r_norm"] == pytest.approx(normalized[0, 0], rel=1e-12)
@@ -246,7 +260,7 @@ class TestRefineCommand:
                        "--iters", "2"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        normalized, _ = pareto.normalize_front(pareto.read_archive_csv(small_archive))
+        normalized = pareto.normalize_front(pareto.read_archive_csv(small_archive))
         assert normalized[0, 0] == 0.0
         floor = np.where(normalized > 0.0, normalized, np.inf).min(axis=0)
         inverse = 1.0 / np.maximum(normalized[0], floor)
@@ -330,7 +344,8 @@ SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1
 # bad input that must end in an error line and the exit code the README
 # documents (2 for malformed, non-finite or out-of-range input, 1 for a
 # well-formed request without a result, such as an empty archive), never in
-# a traceback or a result computed from silently replaced values; {archive},
+# a traceback or a result computed from silently replaced values, and bad
+# input (exit 2) leaves no {out} directory behind; {archive},
 # {dominated}, {nan}, {short}, {degenerate}, {empty}, {config}, {nan_bounds},
 # the {trace_...} files and {out} are filled with per-test paths
 BAD_INPUTS = {
@@ -357,6 +372,10 @@ BAD_INPUTS = {
         "optimize", "--config", "{config}", "--elements", "1", "--out", "{out}"]),
     "optimize-zero-steps": (cli.EXIT_USAGE, [
         "optimize", "--config", "{config}", "--steps", "0", "--out", "{out}"]),
+    "optimize-one-step": (cli.EXIT_USAGE, [
+        "optimize", "--config", "{config}", "--steps", "1", "--out", "{out}"]),
+    "optimize-negative-seed": (cli.EXIT_USAGE, [
+        "optimize", "--config", "{config}", "--seed", "-1", "--out", "{out}"]),
     "evaluate-zero-elements": (cli.EXIT_USAGE, [
         "evaluate", "--values", REGRESSION_VALUES, "--elements", "0"]),
     "evaluate-zero-steps": (cli.EXIT_USAGE, [
@@ -404,6 +423,9 @@ BAD_INPUTS = {
         "render", "--trace", "{trace_list}", "--out", "{out}"]),
     "render-trace-one-height": (cli.EXIT_USAGE, [
         "render", "--trace", "{trace_one_height}", "--out", "{out}"]),
+    "render-trace-with-bad-row": (cli.EXIT_USAGE, [
+        "render", "--trace", "{trace_good}", "--archive", "{archive}", "--rows", "5",
+        "--out", "{out}"]),
 }
 
 
@@ -427,6 +449,7 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
         "trace_list": trace_file(tmp_path / "list.json", [GOOD_TRACE]),
         "trace_one_height": trace_file(tmp_path / "one_height.json",
                                        {**GOOD_TRACE, "heights": [0.05]}),
+        "trace_good": trace_file(tmp_path / "good.json", GOOD_TRACE),
         "out": tmp_path / "run",
     }
     rc = cli.main([arg.format(**paths) for arg in argv])
@@ -434,6 +457,8 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
     assert rc == expected
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
+    if expected == cli.EXIT_USAGE:
+        assert not paths["out"].exists()
 
 
 # malformed text for every free-form CLI string: arbitrary text, and joined

@@ -173,23 +173,23 @@ class TestNondominatedFilter:
 class TestNormalization:
     def test_ideal_maps_to_zero(self):
         archive = reference_archive()
-        normalized, degenerate = pareto.normalize_front(archive)
-        assert not degenerate.any()
+        normalized = pareto.normalize_front(archive)
+        assert not np.all(normalized == 0.0, axis=0).any()
         assert normalized.min(axis=0) == pytest.approx([0, 0, 0], abs=1e-15)
         assert normalized.max(axis=0) == pytest.approx([1, 1, 1], abs=1e-15)
 
     def test_two_entries_complementary(self):
         archive = pareto.nondominated_filter(
             np.array([[0.0], [1.0]]), np.array([[1.0, 5.0, 2.0], [3.0, 1.0, 1.0]]))
-        normalized, _ = pareto.normalize_front(archive)
+        normalized = pareto.normalize_front(archive)
         assert sorted(normalized[:, 0].tolist()) == [0.0, 1.0]
         assert normalized[0] + normalized[1] == pytest.approx([1, 1, 1])
 
     def test_degenerate_axis_flagged(self):
         archive = pareto.nondominated_filter(
             np.array([[0.0], [1.0]]), np.array([[1.0, 5.0, 2.0], [3.0, 1.0, 2.0]]))
-        normalized, degenerate = pareto.normalize_front(archive)
-        assert degenerate.tolist() == [False, False, True]
+        normalized = pareto.normalize_front(archive)
+        assert np.all(normalized == 0.0, axis=0).tolist() == [False, False, True]
         assert np.all(normalized[:, 2] == 0.0)
 
     def test_empty_archive_raises(self):
@@ -199,26 +199,26 @@ class TestNormalization:
 
 class TestPseudoWeights:
     def test_reference_row_uniform(self):
-        w = pareto.pseudo_weights(REFERENCE_ROWS[0])
+        w = pareto.pseudo_weights(REFERENCE_ROWS[:1])[0]
         assert w == pytest.approx(REFERENCE_PSEUDO[0], abs=5e-4)
 
     def test_reference_row_compliance(self):
-        w = pareto.pseudo_weights(REFERENCE_ROWS[2])
+        w = pareto.pseudo_weights(REFERENCE_ROWS[2:3])[0]
         assert w == pytest.approx(REFERENCE_PSEUDO[2], abs=5e-4)
 
     def test_symmetric_input(self):
         for t in (0.0, 0.4, 0.99):
-            w = pareto.pseudo_weights(np.array([t, t, t]))
+            w = pareto.pseudo_weights(np.array([[t, t, t]]))[0]
             assert w == pytest.approx([1 / 3] * 3, rel=1e-12)
 
     def test_all_nadir_raises(self):
         with pytest.raises(pareto.DegenerateInput):
-            pareto.pseudo_weights(np.array([1.0, 1.0, 1.0]))
+            pareto.pseudo_weights(np.array([[1.0, 1.0, 1.0]]))
 
     @settings(max_examples=100)
     @given(st.lists(st.floats(0, 0.999), min_size=3, max_size=3))
     def test_sums_to_one_nonnegative(self, values):
-        w = pareto.pseudo_weights(np.array(values))
+        w = pareto.pseudo_weights(np.array([values]))[0]
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w >= 0.0)
 
