@@ -14,7 +14,8 @@ master reference point being the tip of the first flexure. A quasi-static
 sweep imposes the master rotation phi in equal steps and returns one row
 per completed step in row-aligned arrays: rotation, tip position,
 reaction moment, condensed translational stiffness, running peak bending
-strain and the equilibrium state vector.
+strain and the equilibrium state vector. Each step's Newton solve starts
+from a prediction along the path tangent dz/dphi of the condensation.
 
 The reduced tangent is symmetric, and only its upper band is assembled,
 directly in LAPACK band storage (first flexure ascending, master triple,
@@ -44,7 +45,7 @@ SWEEP_ANGLE = math.pi / 2.0
 STRAIN_LIMIT = 0.2
 
 NEWTON_MAX_ITER = 50
-NEWTON_TOL_FACTOR = 1e-9
+NEWTON_TOL_FACTOR = 1e-11
 MAX_BISECTIONS = 2
 
 _BAND = 11  # half-bandwidth of the reduced tangent in the chain ordering
@@ -501,8 +502,9 @@ def solve_step(model: BeamModel, state: BeamState, phi_target: float,
 
     Starting from an equilibrium, the rotation increment is halved up to
     MAX_BISECTIONS times before NonConverged propagates. An optional
-    predictor `guess` seeds the first attempt; bisection always restarts
-    from the converged state.
+    predictor `guess` (run_sweep passes one along the path tangent) seeds
+    only the first attempt; bisection always restarts from the converged
+    state.
     """
 
     def advance(z_from: np.ndarray, phi_from: float, phi_to: float, depth: int):
@@ -526,18 +528,21 @@ def reaction_moment(model: BeamModel, state: BeamState) -> float:
     return float(state.residual[model.idx_phi])
 
 
-def condense_translational_stiffness(model: BeamModel, state: BeamState) -> np.ndarray:
-    """Schur complement of the tangent onto the master translations.
+def condense_translational_stiffness(model: BeamModel, state: BeamState
+                                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(stiffness, path_tangent): the Schur complement (2, 2) of the tangent
+    onto the master translations, and dz/dphi (n_reduced,) at the state.
 
     All remaining free DOFs, including the master rotation, are condensed
-    out, so the result is the 2x2 stiffness seen by parasitic loads at
-    the moving body under moment-free rotation increments. Computed via
-    the block-inverse identity: the Schur complement is the inverse of
-    the master-translation block of the full inverse tangent.
+    out, so the stiffness is the one seen by parasitic loads at the moving
+    body under moment-free rotation increments. One factorization serves
+    both. By the block-inverse identity, the Schur complement is the
+    inverse of the master-translation block of the inverse tangent. Free
+    DOFs carry no load, so along the path K dz = e_phi dM: the e_phi
+    column of the inverse, scaled to a unit phi entry, is dz/dphi.
     """
-    rhs = np.zeros((model.n_reduced, 2))
-    rhs[model.idx_mx, 0] = 1.0
-    rhs[model.idx_my, 1] = 1.0
+    rhs = np.zeros((model.n_reduced, 3))
+    rhs[[model.idx_mx, model.idx_my, model.idx_phi], [0, 1, 2]] = 1.0
     sol = solve_banded(state.tangent_band, rhs)
     compliance = sol[[model.idx_mx, model.idx_my], :]
     det = compliance[0, 0] * compliance[1, 1] - compliance[0, 1] * compliance[1, 0]
@@ -545,7 +550,7 @@ def condense_translational_stiffness(model: BeamModel, state: BeamState) -> np.n
         raise SingularTangent("singular condensed compliance")
     inv = np.array([[compliance[1, 1], -compliance[0, 1]],
                     [-compliance[1, 0], compliance[0, 0]]]) / det
-    return inv
+    return inv, sol[:, 2] / sol[model.idx_phi, 2]
 
 
 def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
@@ -560,20 +565,22 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
     """
     if n_steps < 1:
         raise ValueError("need at least one sweep step")
+    h = SWEEP_ANGLE / n_steps
     rows = []
     max_strain = 0.0
-    failure = None
+    failure = tangent = None
     try:
         for k in range(n_steps + 1):
             phi = k * SWEEP_ANGLE / n_steps
             if k == 0:
                 state = model.zero_state()
             else:
-                # secant predictor from the second step on (uniform steps)
-                guess = 2.0 * state.z - previous if k > 1 else None
-                previous = state.z
-                state = solve_step(model, state, phi, guess=guess)
-            k_t = condense_translational_stiffness(model, state)
+                # z_k + h t_k + (h/2)(t_k - t_{k-1}) along the path tangents
+                # t = dz/dphi (second-order Adams-Bashforth), Euler at step 1
+                slope = tangent if k == 1 else 1.5 * tangent - 0.5 * previous
+                state = solve_step(model, state, phi, guess=state.z + h * slope)
+            previous = tangent
+            k_t, tangent = condense_translational_stiffness(model, state)
             max_strain = max(max_strain, model.max_bending_strain(state))
             rows.append((phi, model.tip_position(state), reaction_moment(model, state),
                          k_t, max_strain, state.z))

@@ -279,6 +279,8 @@ def render_trace_svg(trace: dict) -> str:
 def cmd_evaluate(args, argv) -> int:
     settings = resolve_config(args)
     design, inputs = design_from_args(args)
+    if args.trace and not Path(args.trace).parent.is_dir():
+        raise ValueError(f"no such directory for --trace: {Path(args.trace).parent}")
     report, sweep, model = kinetostatics.evaluate_with_sweep(
         design, n_elements=settings["elements"], n_steps=settings["steps"])
 

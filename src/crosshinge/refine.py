@@ -106,11 +106,8 @@ def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
     bounds, so every vertex stays admissible.
 
     Raises:
-        ValueError: if max_iters is negative.
         InfeasibleStart: if the starting point evaluates infeasible.
     """
-    if max_iters < 0:
-        raise ValueError(f"iteration budget must be >= 0, got {max_iters}")
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
     x0 = np.clip(np.asarray(x0, float), lower, upper)
@@ -219,8 +216,11 @@ def refine_design(start: DesignVector, archive: ParetoArchive,
     DegenerateObjective.
 
     Raises:
+        ValueError: if max_iters is negative (before any evaluation).
         EmptyArchive: if the archive has no rows.
     """
+    if max_iters < 0:
+        raise ValueError(f"iteration budget must be >= 0, got {max_iters}")
     ideal, nadir = archive.ideal, archive.nadir
     start_report = kinetostatics.evaluate_objectives(
         start, n_elements=n_elements, n_steps=n_steps)

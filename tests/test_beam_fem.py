@@ -183,7 +183,7 @@ class TestClosedForms:
         assert bf.reaction_moment(cantilever, state) == pytest.approx(moment, abs=1e-10)
 
     def test_timoshenko_compliances_from_schur(self, cantilever):
-        k_t = bf.condense_translational_stiffness(cantilever, cantilever.zero_state())
+        k_t, _ = bf.condense_translational_stiffness(cantilever, cantilever.zero_state())
         c_lateral = L ** 3 / (3 * EI) + L / GAS
         assert k_t[0, 0] == pytest.approx(EA / L, rel=1e-4)
         assert k_t[1, 1] == pytest.approx(1.0 / c_lateral, rel=1e-4)
@@ -193,7 +193,7 @@ class TestClosedForms:
         d = geo.DesignVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                              alpha=1.5, beta1=10.0, beta2=15.0, gamma=0.8, delta=0.4)
         model = bf.assemble_model(geo.build_hinge(d))
-        k_t = bf.condense_translational_stiffness(model, model.zero_state())
+        k_t, _ = bf.condense_translational_stiffness(model, model.zero_state())
         ea1, l1 = model.meshes[0].elements.stiffness[0, 0], model.meshes[0].length
         ea2, l2 = model.meshes[1].elements.stiffness[0, 0], model.meshes[1].length
         assert k_t[0, 0] == pytest.approx(ea1 / l1 + ea2 / l2, rel=1e-4)
@@ -307,7 +307,7 @@ class TestEquilibriumSolver:
     def test_condensed_stiffness_matches_reaction_differences(self, cross_hinge_model):
         model = cross_hinge_model
         state = bf.solve_step(model, model.zero_state(), 0.4, tol=1e-13)
-        k_t = bf.condense_translational_stiffness(model, state)
+        k_t, _ = bf.condense_translational_stiffness(model, state)
         moment = bf.reaction_moment(model, state)
         external = np.zeros(model.n_reduced)
         external[model.idx_phi] = moment
@@ -325,6 +325,18 @@ class TestEquilibriumSolver:
                 reactions.append(residual[[model.idx_mx, model.idx_my]])
             fd[:, j] = (reactions[0] - reactions[1]) / (2 * h)
         assert np.max(np.abs(fd - k_t)) / np.max(np.abs(k_t)) < 1e-5
+
+    def test_path_tangent_matches_path_differences(self, cross_hinge_model):
+        # the sweep's predictor direction is dz/dphi along the equilibrium path
+        model = cross_hinge_model
+        phi, h = 0.4, 1e-4
+        state = bf.solve_step(model, model.zero_state(), phi, tol=1e-13)
+        _, tangent = bf.condense_translational_stiffness(model, state)
+        up = bf.solve_step(model, state, phi + h, tol=1e-13)
+        down = bf.solve_step(model, state, phi - h, tol=1e-13)
+        fd = (up.z - down.z) / (2 * h)
+        assert tangent[model.idx_phi] == 1.0
+        assert np.max(np.abs(tangent - fd)) < 1e-5 * np.max(np.abs(fd))
 
 
 @pytest.fixture(scope="module")
@@ -359,9 +371,9 @@ class TestSweep:
         assert np.array_equal(a.moments, b.moments)
 
     def test_matches_regression_baseline(self, sweep):
-        # 1e-5 absorbs Newton-path noise (residual tolerance 1e-9 against
-        # soft-direction stiffness ~1e-4) while staying far below the 0.1%
-        # regression bound on the objectives
+        # 1e-5 absorbs the Newton-path noise of the baseline (recorded at
+        # residual tolerance 1e-9, against soft-direction stiffness ~1e-4)
+        # while staying far below the 0.1% regression bound on the objectives
         golden = json.loads((DATA / "regression_cross_hinge.json").read_text())
         assert sweep.moments[1:] == pytest.approx(np.array(golden["moments"])[1:],
                                                   rel=1e-3)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosshinge import cli, pareto
+from crosshinge import beam_fem, cli, pareto
 from crosshinge.geometry import DESIGN_FIELDS
 
 DATA = Path(__file__).parent / "data"
@@ -397,6 +397,8 @@ BAD_INPUTS = {
         "--iters", "1"]),
     "optimize-nan-bounds": (cli.EXIT_USAGE, [
         "optimize", "--config", "{nan_bounds}", "--out", "{out}"]),
+    "evaluate-trace-in-missing-dir": (cli.EXIT_USAGE, [
+        "evaluate", "--values", REGRESSION_VALUES, "--trace", "{out}/t.json"]),
     "evaluate-row-out-of-range": (cli.EXIT_USAGE, [
         "evaluate", "--archive", "{archive}", "--row", "1"]),
     "render-row-out-of-range": (cli.EXIT_USAGE, [
@@ -430,7 +432,15 @@ BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("expected, argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
+def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected, argv):
+    sweeps = []
+    run_sweep = beam_fem.run_sweep
+
+    def counted_sweep(*args, **kwargs):
+        sweeps.append(args)
+        return run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(beam_fem, "run_sweep", counted_sweep)
     nan_dir = tmp_path / "nan-bounds"
     nan_dir.mkdir()
     paths = {
@@ -458,6 +468,8 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, expected, argv):
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
     if expected == cli.EXIT_USAGE:
+        # bad input is rejected before any work: no sweep runs, nothing is written
+        assert not sweeps
         assert not paths["out"].exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosshinge import beam_fem as bf
 from crosshinge import geometry as geo
 from crosshinge import kinetostatics as ks
 
@@ -256,6 +257,22 @@ class TestSweepReference:
             assert report.y is None
         else:
             assert report.y == pytest.approx(np.array(case["objectives"]), rel=1e-6)
+
+
+class TestSolverTolerance:
+    """The default Newton tolerance leaves no solver error in the
+    objectives: they agree with a solve at NEWTON_TOL_FACTOR 1e-13 within
+    1e-6 relative. Designs of TestSweepReference by their test ids."""
+
+    @pytest.mark.parametrize("index", [0, 4, 5, 19],
+                             ids=["feasible0", "feasible4", "feasible5", "feasible13"])
+    def test_objectives_match_tight_tolerance(self, index, monkeypatch):
+        design = geo.DesignVector.from_array(TestSweepReference.CASES["designs"][index]["values"])
+        default = ks.evaluate_objectives(design)
+        monkeypatch.setattr(bf, "NEWTON_TOL_FACTOR", 1e-13)
+        tight = ks.evaluate_objectives(design)
+        assert default.feasible and tight.feasible
+        assert default.y == pytest.approx(tight.y, rel=1e-6)
 
 
 class TestDiscretization:
