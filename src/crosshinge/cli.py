@@ -72,12 +72,15 @@ def load_config_file(path: Path) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """Defaults < config file < command-line flags, by setting name."""
+    """Defaults < config file < command-line flags; an `out` at or below a file raises."""
     settings = dict(DEFAULTS)
     if getattr(args, "config", None):
         settings |= load_config_file(Path(args.config))
     settings |= {key: value for key, value in vars(args).items()
                  if key in DEFAULTS and value is not None}
+    out = settings["out"] and Path(settings["out"])
+    if out and not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ValueError(f"--out is not a directory: {out}")
     return settings
 
 

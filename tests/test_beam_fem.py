@@ -415,6 +415,30 @@ class TestSweep:
             assert np.all(np.diff(result.max_strains) >= 0.0)
             assert (result.failure is None) == full
 
+    def test_assemblies_per_sweep(self, cross_hinge_model, monkeypatch):
+        # from step 3 on the predictor leaves one Newton correction per step:
+        # 1 + 4 + 4 + 18 * 2 = 45 assemblies
+        calls = []
+        assemble = bf.BeamModel.assemble
+        monkeypatch.setattr(bf.BeamModel, "assemble",
+                            lambda model, z: calls.append(z) or assemble(model, z))
+        assert bf.run_sweep(cross_hinge_model).failure is None
+        assert len(calls) <= 46
+
+    @pytest.mark.parametrize("points, degree", [(1, 1), (2, 2), (3, 4)])
+    def test_predictor_exact_on_polynomial_paths(self, points, degree):
+        # Euler, Adams-Bashforth 2 and the quartic Hermite extrapolation
+        # reproduce any path z(phi) of their degree, up to rounding
+        coeffs = np.random.default_rng(degree).standard_normal((degree + 1, 5))
+        path = np.polynomial.Polynomial
+        z = [path(coeffs[:, i]) for i in range(5)]
+        h, grid = 0.1, 0.3 + 0.1 * np.arange(points)
+        zs = [np.array([zi(phi) for zi in z]) for phi in grid]
+        ts = [np.array([zi.deriv()(phi) for zi in z]) for phi in grid]
+        guess = bf.predict_state(zs, ts[-2:], h)
+        exact = np.array([zi(grid[-1] + h) for zi in z])
+        assert np.max(np.abs(guess - exact)) < 1e-12 * np.max(np.abs(exact))
+
     def test_mesh_refinement_agreement(self, sweep):
         golden = json.loads((DATA / "regression_cross_hinge.json").read_text())
         fine = golden["refined_check"]["objectives"]

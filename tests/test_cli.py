@@ -399,6 +399,11 @@ BAD_INPUTS = {
         "optimize", "--config", "{nan_bounds}", "--out", "{out}"]),
     "evaluate-trace-in-missing-dir": (cli.EXIT_USAGE, [
         "evaluate", "--values", REGRESSION_VALUES, "--trace", "{out}/t.json"]),
+    "evaluate-out-is-file": (cli.EXIT_USAGE, [
+        "evaluate", "--values", REGRESSION_VALUES, "--out", "{archive}"]),
+    "refine-out-is-file": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--row", "0", "--weights", "1,1,1",
+        "--iters", "1", "--out", "{archive}/sub"]),
     "evaluate-row-out-of-range": (cli.EXIT_USAGE, [
         "evaluate", "--archive", "{archive}", "--row", "1"]),
     "render-row-out-of-range": (cli.EXIT_USAGE, [

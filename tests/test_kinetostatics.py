@@ -261,18 +261,23 @@ class TestSweepReference:
 
 class TestSolverTolerance:
     """The default Newton tolerance leaves no solver error in the
-    objectives: they agree with a solve at NEWTON_TOL_FACTOR 1e-13 within
-    1e-6 relative. Designs of TestSweepReference by their test ids."""
+    objectives, nor in the violation of a strain exit: they agree with a
+    solve at NEWTON_TOL_FACTOR 1e-13 within 1e-6 relative. Designs of
+    TestSweepReference by their test ids."""
 
-    @pytest.mark.parametrize("index", [0, 4, 5, 19],
-                             ids=["feasible0", "feasible4", "feasible5", "feasible13"])
+    @pytest.mark.parametrize("index", [0, 4, 5, 19, 13],
+                             ids=["feasible0", "feasible4", "feasible5", "feasible13",
+                                  "strain1"])
     def test_objectives_match_tight_tolerance(self, index, monkeypatch):
-        design = geo.DesignVector.from_array(TestSweepReference.CASES["designs"][index]["values"])
+        case = TestSweepReference.CASES["designs"][index]
+        design = geo.DesignVector.from_array(case["values"])
         default = ks.evaluate_objectives(design)
         monkeypatch.setattr(bf, "NEWTON_TOL_FACTOR", 1e-13)
         tight = ks.evaluate_objectives(design)
-        assert default.feasible and tight.feasible
-        assert default.y == pytest.approx(tight.y, rel=1e-6)
+        assert default.failure == tight.failure == case["failure"]
+        assert default.violation == pytest.approx(tight.violation, rel=1e-6)
+        if case["failure"] is None:
+            assert default.y == pytest.approx(tight.y, rel=1e-6)
 
 
 class TestDiscretization:
