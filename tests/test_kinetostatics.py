@@ -263,20 +263,31 @@ class TestSolverTolerance:
     """The default Newton tolerance leaves no solver error in the
     objectives, nor in the violation of a strain exit: they agree with a
     solve at NEWTON_TOL_FACTOR 1e-13 within 1e-6 relative. Designs of
-    TestSweepReference by their test ids."""
+    TestSweepReference by their test ids, and the feasible design of the
+    full box whose r_bar is the most sensitive to the tolerance (point 191
+    of perfbench's uniform_designs(seed 1, n 300)): off by 3.2e-6 relative
+    at NEWTON_TOL_FACTOR 1e-11, 1.2e-6 at 1e-12, 2e-15 at 5e-13."""
 
-    @pytest.mark.parametrize("index", [0, 4, 5, 19, 13],
+    UNIFORM191 = {"failure": "", "values": [
+        2.8213839930712057, -1.857655231445057, 1.4007849876527114, -1.3401485706607694,
+        2.5817418689912657, -0.017859870700838165, 2.122090630231014, 1.3140697822641085,
+        1.213135241029093, 18.476587031879887, 18.089365558865182, 0.7902291195553417,
+        0.7948856183461004]}
+
+    @pytest.mark.parametrize("case", [TestSweepReference.CASES["designs"][i]
+                                      for i in (0, 4, 5, 19, 13)] + [UNIFORM191],
                              ids=["feasible0", "feasible4", "feasible5", "feasible13",
-                                  "strain1"])
-    def test_objectives_match_tight_tolerance(self, index, monkeypatch):
-        case = TestSweepReference.CASES["designs"][index]
+                                  "strain1", "uniform191"])
+    def test_objectives_match_tight_tolerance(self, case, monkeypatch):
         design = geo.DesignVector.from_array(case["values"])
         default = ks.evaluate_objectives(design)
         monkeypatch.setattr(bf, "NEWTON_TOL_FACTOR", 1e-13)
         tight = ks.evaluate_objectives(design)
         assert default.failure == tight.failure == case["failure"]
         assert default.violation == pytest.approx(tight.violation, rel=1e-6)
-        if case["failure"] is None:
+        if case["failure"]:
+            assert default.y is None and tight.y is None
+        else:
             assert default.y == pytest.approx(tight.y, rel=1e-6)
 
 
