@@ -453,8 +453,7 @@ def assemble_model(geometry: HingeGeometry, n_elements: int = DEFAULT_ELEMENTS) 
 
 
 def solve_equilibrium(model: BeamModel, z0: np.ndarray,
-                      prescribed: dict[int, float] | None = None,
-                      tol: float | None = None) -> BeamState:
+                      prescribed: dict[int, float] | None = None) -> BeamState:
     """Newton-Raphson equilibrium with selected reduced DOFs prescribed.
 
     Clearly diverging iterations (non-finite residual, or a residual that
@@ -466,7 +465,7 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
         NonConverged: residual tolerance not met within NEWTON_MAX_ITER.
         SingularTangent: tangent factorization failed.
     """
-    tol = model.newton_tolerance if tol is None else tol
+    tol = model.newton_tolerance
     z = z0.copy()
     if prescribed:
         for idx, value in prescribed.items():
@@ -497,7 +496,6 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
 
 
 def solve_step(model: BeamModel, state: BeamState, phi_target: float,
-               tol: float | None = None,
                guess: np.ndarray | None = None) -> BeamState:
     """Advance to a prescribed master rotation, bisecting failed steps.
 
@@ -509,8 +507,7 @@ def solve_step(model: BeamModel, state: BeamState, phi_target: float,
 
     def advance(z_from: np.ndarray, phi_from: float, phi_to: float, depth: int):
         try:
-            return solve_equilibrium(model, z_from, prescribed={model.idx_phi: phi_to},
-                                     tol=tol)
+            return solve_equilibrium(model, z_from, prescribed={model.idx_phi: phi_to})
         except NonConverged:
             if depth >= MAX_BISECTIONS:
                 raise

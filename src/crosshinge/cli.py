@@ -331,8 +331,8 @@ def cmd_optimize(args, argv) -> int:
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    evaluator = moo.HingeEvaluator(n_elements=settings["elements"],
-                                   n_steps=settings["steps"], lower=lower, upper=upper)
+    evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
+                                             n_steps=settings["steps"], lower=lower, upper=upper)
     archives = []
     for moo_cfg in moo_configs:
         algorithm = moo_cfg.algorithm
@@ -417,9 +417,10 @@ def cmd_refine(args, argv) -> int:
         start = archive_designs(archive, [index])[0]
     weights = _parse_weights(args.weights) if args.weights else None
 
-    report = refine.refine_design(
-        start, archive, weights=weights, max_iters=args.iters,
-        n_elements=settings["elements"], n_steps=settings["steps"])
+    evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
+                                             n_steps=settings["steps"])
+    report = refine.refine_design(start, archive, evaluator, weights=weights,
+                                  max_iters=args.iters)
     payload = {
         "selected_index": index,
         "weights": [float(v) for v in report.weights],

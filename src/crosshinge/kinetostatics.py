@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,10 +41,9 @@ class Evaluation:
 
     y holds the objectives of a feasible design (None when infeasible);
     infeasible outcomes carry a violation magnitude and a failure class.
-    Scalarized problems put their scalar in y.
     """
 
-    y: np.ndarray | float | None
+    y: np.ndarray | None
     feasible: bool
     violation: float = 0.0
     failure: str = ""
@@ -60,11 +59,6 @@ class Evaluation:
     @property
     def k_bar(self) -> float | None:
         return None if self.y is None else float(self.y[2])
-
-    def as_array(self) -> np.ndarray:
-        if not self.feasible:
-            raise ValueError("infeasible design has no objective values")
-        return np.array(self.y)
 
 
 def _infeasible(violation: float, failure: str) -> Evaluation:
@@ -245,3 +239,20 @@ def evaluate_objectives(design: geometry.DesignVector,
     """
     report, _, _ = evaluate_with_sweep(design, n_elements=n_elements, n_steps=n_steps)
     return report
+
+
+@dataclass(frozen=True)
+class HingeEvaluator:
+    """Cross-hinge objective evaluation over the 13 design variables,
+    sampled within [lower, upper] (the admissible box by default). The
+    optimizer and the refinement both evaluate through it."""
+
+    n_elements: int = beam_fem.DEFAULT_ELEMENTS
+    n_steps: int = beam_fem.DEFAULT_STEPS
+    lower: np.ndarray = field(default_factory=geometry.LOWER_BOUNDS.copy)
+    upper: np.ndarray = field(default_factory=geometry.UPPER_BOUNDS.copy)
+
+    def __call__(self, x: np.ndarray) -> Evaluation:
+        # the module-global name, so a wrapper installed on it sees every call
+        return evaluate_objectives(geometry.DesignVector.from_array(x),
+                                   n_elements=self.n_elements, n_steps=self.n_steps)

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import beam_fem, kinetostatics, pareto
-from .geometry import DesignVector, LOWER_BOUNDS, UPPER_BOUNDS
+from . import pareto
 from .kinetostatics import Evaluation
 
 
@@ -66,23 +65,6 @@ class MooConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self
-
-
-@dataclass(frozen=True)
-class HingeEvaluator:
-    """Cross-hinge objective evaluation over the 13 design variables,
-    sampled within [lower, upper] (the admissible box by default)."""
-
-    n_elements: int = beam_fem.DEFAULT_ELEMENTS
-    n_steps: int = beam_fem.DEFAULT_STEPS
-    lower: np.ndarray = field(default_factory=LOWER_BOUNDS.copy)
-    upper: np.ndarray = field(default_factory=UPPER_BOUNDS.copy)
-
-    def __call__(self, x: np.ndarray) -> Evaluation:
-        return kinetostatics.evaluate_objectives(
-            DesignVector.from_array(x),
-            n_elements=self.n_elements, n_steps=self.n_steps,
-        )
 
 
 class _EvaluationEngine:

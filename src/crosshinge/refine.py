@@ -12,15 +12,18 @@ each normalized start objective is floored at the smallest positive
 value in that objective's normalized archive column (weight_floor). A
 column without a positive value is degenerate (nadir == ideal); its floor
 is 0 and deriving weights still raises DegenerateObjective.
+
+Nelder-Mead runs on the Evaluation records of the optimizer's evaluator
+(kinetostatics.HingeEvaluator) and minimizes a scalar of each record's y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import beam_fem, kinetostatics
+from . import kinetostatics
 from .geometry import DesignVector, LOWER_BOUNDS, UPPER_BOUNDS
 from .kinetostatics import Evaluation
 from .pareto import DegenerateObjective, ParetoArchive, normalize, normalize_front
@@ -65,76 +68,54 @@ def scalarize(normalized: np.ndarray, weights: np.ndarray) -> float:
     return float(np.dot(np.asarray(weights, float), np.asarray(normalized, float)))
 
 
-@dataclass(frozen=True)
-class ScalarizedProblem:
-    """Frozen-normalization scalar objective over the design space."""
-
-    weights: np.ndarray
-    ideal: np.ndarray
-    nadir: np.ndarray
-    n_elements: int = beam_fem.DEFAULT_ELEMENTS
-    n_steps: int = beam_fem.DEFAULT_STEPS
-
-    def __call__(self, x: np.ndarray) -> Evaluation:
-        """The evaluation record with the scalar objective in y."""
-        report = kinetostatics.evaluate_objectives(
-            DesignVector.from_array(x),
-            n_elements=self.n_elements, n_steps=self.n_steps,
-        )
-        if not report.feasible:
-            return report
-        return replace(report, y=scalarize(normalize(report.y, self.ideal, self.nadir),
-                                           self.weights))
-
-
 @dataclass
 class NelderMeadResult:
     x: np.ndarray               # best feasible point seen
+    best: Evaluation            # its evaluation record
     value: float                # its scalar objective
     iterations: int
     evaluations: int
 
 
-def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
-                upper: np.ndarray = UPPER_BOUNDS, max_iters: int = MAX_ITERS) -> NelderMeadResult:
+def nelder_mead(evaluate, scalar, x0: np.ndarray, start: Evaluation,
+                lower: np.ndarray = LOWER_BOUNDS, upper: np.ndarray = UPPER_BOUNDS,
+                max_iters: int = MAX_ITERS) -> NelderMeadResult:
     """Bounded Nelder-Mead simplex search tracking the best feasible point.
 
-    The objective returns an Evaluation with the scalar in y; infeasible
-    evaluations are assigned the best feasible value seen so far plus
-    their violation, which steers the simplex back without gradients.
-    Reflection, expansion and contraction points are clipped to the
-    bounds, so every vertex stays admissible.
+    evaluate maps a point to its Evaluation record, and the search
+    minimizes scalar(record.y). start is the caller's record of x0, which
+    must lie within [lower, upper]: it counts as the first evaluation and
+    is not evaluated again. Infeasible evaluations are assigned the best
+    feasible value seen so far plus their violation, which steers the
+    simplex back without gradients. Reflection, expansion and contraction
+    points are clipped to the bounds, so every vertex stays admissible.
 
     Raises:
-        InfeasibleStart: if the starting point evaluates infeasible.
+        InfeasibleStart: if the start record is infeasible.
     """
+    if not start.feasible:
+        raise InfeasibleStart("starting design is infeasible")
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
-    x0 = np.clip(np.asarray(x0, float), lower, upper)
+    x0 = np.array(x0, dtype=float)
     n = x0.size
 
-    best_x = None
-    best_value = np.inf
-    evaluations = 0
+    best, best_x, best_value = start, x0, scalar(start.y)
+    evaluations = 1
 
     def value_of(x: np.ndarray) -> float:
-        nonlocal best_x, best_value, evaluations
+        nonlocal best, best_x, best_value, evaluations
         evaluations += 1
-        result = objective(x)
-        if result.feasible:
-            if result.y < best_value:
-                best_value = result.y
-                best_x = x.copy()
-            return result.y
-        penalty_base = best_value if np.isfinite(best_value) else 0.0
-        return penalty_base + result.violation
-
-    f0 = value_of(x0)
-    if best_x is None:
-        raise InfeasibleStart("starting design is infeasible")
+        record = evaluate(x)
+        if not record.feasible:
+            return best_value + record.violation
+        value = scalar(record.y)
+        if value < best_value:
+            best, best_x, best_value = record, x.copy(), value
+        return value
 
     simplex = [x0]
-    values = [f0]
+    values = [best_value]
     step = SIMPLEX_STEP_FRACTION * (upper - lower)
     for i in range(n):
         vertex = x0.copy()
@@ -184,8 +165,8 @@ def nelder_mead(objective, x0: np.ndarray, lower: np.ndarray = LOWER_BOUNDS,
             simplex[i] = simplex[0] + NM_SHRINK * (simplex[i] - simplex[0])
             values[i] = value_of(simplex[i])
 
-    return NelderMeadResult(x=best_x, value=best_value, iterations=iterations,
-                            evaluations=evaluations)
+    return NelderMeadResult(x=best_x, best=best, value=best_value,
+                            iterations=iterations, evaluations=evaluations)
 
 
 @dataclass(frozen=True)
@@ -202,13 +183,14 @@ class RefineReport:
 
 
 def refine_design(start: DesignVector, archive: ParetoArchive,
-                  weights: np.ndarray | None = None, max_iters: int = MAX_ITERS,
-                  n_elements: int = beam_fem.DEFAULT_ELEMENTS,
-                  n_steps: int = beam_fem.DEFAULT_STEPS) -> RefineReport:
+                  evaluator: kinetostatics.HingeEvaluator,
+                  weights: np.ndarray | None = None,
+                  max_iters: int = MAX_ITERS) -> RefineReport:
     """Scalarized Nelder-Mead refinement of a feasible start design, with
     the normalization frozen at the archive's (ideal, nadir).
 
-    With weights=None, inverse-normalization weights are derived from the
+    The start is evaluated once; the report's objectives come from the
+    records of the start and of the best point. With weights=None, inverse-normalization weights are derived from the
     start design's normalized objectives, each raised to the archive's
     weight_floor first; the start scalar uses the objectives as they are.
     A degenerate coordinate (nadir <= ideal) normalizes to 0 there as in
@@ -218,33 +200,31 @@ def refine_design(start: DesignVector, archive: ParetoArchive,
     Raises:
         ValueError: if max_iters is negative (before any evaluation).
         EmptyArchive: if the archive has no rows.
+        InfeasibleStart: if the start design is infeasible.
     """
     if max_iters < 0:
         raise ValueError(f"iteration budget must be >= 0, got {max_iters}")
     ideal, nadir = archive.ideal, archive.nadir
-    start_report = kinetostatics.evaluate_objectives(
-        start, n_elements=n_elements, n_steps=n_steps)
-    if not start_report.feasible:
+    x0 = start.as_array()
+    start_record = evaluator(x0)
+    if not start_record.feasible:
         raise InfeasibleStart("starting design is infeasible")
 
-    start_norm = normalize(start_report.y, ideal, nadir)
     if weights is None:
         weights = inverse_normalization_weights(
-            np.maximum(start_norm, weight_floor(archive)))
+            np.maximum(normalize(start_record.y, ideal, nadir), weight_floor(archive)))
     weights = np.asarray(weights, float)
 
-    problem = ScalarizedProblem(weights=weights, ideal=ideal, nadir=nadir,
-                                n_elements=n_elements, n_steps=n_steps)
-    result = nelder_mead(problem, start.as_array(), max_iters=max_iters)
-    refined = DesignVector.from_array(result.x)
-    refined_report = kinetostatics.evaluate_objectives(
-        refined, n_elements=n_elements, n_steps=n_steps)
+    def scalar(y: np.ndarray) -> float:
+        return scalarize(normalize(y, ideal, nadir), weights)
+
+    result = nelder_mead(evaluator, scalar, x0, start_record, max_iters=max_iters)
     return RefineReport(
         start_design=start,
-        refined_design=refined,
-        start_objectives=start_report.as_array(),
-        refined_objectives=refined_report.as_array(),
-        start_scalar=scalarize(start_norm, weights),
+        refined_design=DesignVector.from_array(result.x),
+        start_objectives=start_record.y,
+        refined_objectives=result.best.y,
+        start_scalar=scalar(start_record.y),
         refined_scalar=result.value,
         weights=weights,
         iterations=result.iterations,

@@ -30,12 +30,14 @@ def assemble_cantilever(coeffs, length: float = 1.0, height: float = 0.1,
 class Loaded:
     """A model under a fixed external load on its reduced dofs: assemble
     returns the residual minus the load, so solve_equilibrium on it finds
-    the loaded equilibrium (and its states carry that loaded residual)."""
+    the loaded equilibrium (and its states carry that loaded residual). A
+    given tol replaces the model's Newton tolerance."""
 
-    def __init__(self, model: beam_fem.BeamModel, external: np.ndarray):
+    def __init__(self, model: beam_fem.BeamModel, external: np.ndarray,
+                 tol: float | None = None):
         self.model, self.external = model, external
         self.n_reduced = model.n_reduced
-        self.newton_tolerance = model.newton_tolerance
+        self.newton_tolerance = model.newton_tolerance if tol is None else tol
 
     def assemble(self, z: np.ndarray):
         residual, ab = self.model.assemble(z)
@@ -51,7 +53,7 @@ def solve_tip_moment(model: beam_fem.BeamModel, moment: float, n_steps: int = 20
     for k in range(1, n_steps + 1):
         external = np.zeros(model.n_reduced)
         external[model.idx_phi] = moment * k / n_steps
-        state = beam_fem.solve_equilibrium(Loaded(model, external), state.z, tol=tol)
+        state = beam_fem.solve_equilibrium(Loaded(model, external, tol), state.z)
     residual, ab = model.assemble(state.z)
     return beam_fem.BeamState(z=state.z, residual=residual, tangent_band=ab,
                               iterations=state.iterations)

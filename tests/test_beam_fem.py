@@ -274,22 +274,24 @@ class TestEquilibriumSolver:
         assert again.iterations <= 1
         assert again.z == pytest.approx(state.z, abs=0.0)
 
+    @pytest.mark.usefixtures("tight_newton")
     def test_energy_consistent_reaction(self, cross_hinge_model):
         model = cross_hinge_model
         phi = 0.3
-        state = bf.solve_step(model, model.zero_state(), phi, tol=1e-13)
+        state = bf.solve_step(model, model.zero_state(), phi)
         moment = bf.reaction_moment(model, state)
         h = 1e-4
-        up = bf.solve_step(model, state, phi + h, tol=1e-13)
-        down = bf.solve_step(model, state, phi - h, tol=1e-13)
+        up = bf.solve_step(model, state, phi + h)
+        down = bf.solve_step(model, state, phi - h)
         dU = (oracles.strain_energy(model, up) - oracles.strain_energy(model, down)) / (2 * h)
         assert moment == pytest.approx(dU, rel=1e-6)
 
+    @pytest.mark.usefixtures("tight_newton")
     def test_assembled_tangent_matches_finite_differences(self, cross_hinge_model):
         # covers the stacked element order, the slaved-tip transform and the
         # curvature of the slaved-tip map at a deformed two-flexure state
         model = cross_hinge_model
-        state = bf.solve_step(model, model.zero_state(), 0.6, tol=1e-13)
+        state = bf.solve_step(model, model.zero_state(), 0.6)
         dense = oracles.banded_to_dense(state.tangent_band)
         rng = np.random.default_rng(11)
         around_master = np.arange(model.idx_mx - 6, model.idx_phi + 7)
@@ -304,9 +306,10 @@ class TestEquilibriumSolver:
             fd = (model.assemble(up)[0] - model.assemble(um)[0]) / (2 * h)
             assert np.max(np.abs(dense[:, j] - fd)) < 1e-6 * np.max(np.abs(dense[:, j]))
 
+    @pytest.mark.usefixtures("tight_newton")
     def test_condensed_stiffness_matches_reaction_differences(self, cross_hinge_model):
         model = cross_hinge_model
-        state = bf.solve_step(model, model.zero_state(), 0.4, tol=1e-13)
+        state = bf.solve_step(model, model.zero_state(), 0.4)
         k_t, _ = bf.condense_translational_stiffness(model, state)
         moment = bf.reaction_moment(model, state)
         external = np.zeros(model.n_reduced)
@@ -320,20 +323,21 @@ class TestEquilibriumSolver:
                               model.idx_my: state.z[model.idx_my]}
                 prescribed[idx] = state.z[idx] + sign * h
                 pert = bf.solve_equilibrium(oracles.Loaded(model, external), state.z,
-                                            prescribed=prescribed, tol=1e-13)
+                                            prescribed=prescribed)
                 residual, _ = model.assemble(pert.z)
                 reactions.append(residual[[model.idx_mx, model.idx_my]])
             fd[:, j] = (reactions[0] - reactions[1]) / (2 * h)
         assert np.max(np.abs(fd - k_t)) / np.max(np.abs(k_t)) < 1e-5
 
+    @pytest.mark.usefixtures("tight_newton")
     def test_path_tangent_matches_path_differences(self, cross_hinge_model):
         # the sweep's predictor direction is dz/dphi along the equilibrium path
         model = cross_hinge_model
         phi, h = 0.4, 1e-4
-        state = bf.solve_step(model, model.zero_state(), phi, tol=1e-13)
+        state = bf.solve_step(model, model.zero_state(), phi)
         _, tangent = bf.condense_translational_stiffness(model, state)
-        up = bf.solve_step(model, state, phi + h, tol=1e-13)
-        down = bf.solve_step(model, state, phi - h, tol=1e-13)
+        up = bf.solve_step(model, state, phi + h)
+        down = bf.solve_step(model, state, phi - h)
         fd = (up.z - down.z) / (2 * h)
         assert tangent[model.idx_phi] == 1.0
         assert np.max(np.abs(tangent - fd)) < 1e-5 * np.max(np.abs(fd))

@@ -237,7 +237,7 @@ def small_archive(tmp_path_factory):
     for v in variants:
         report = ks.evaluate_objectives(DesignVector.from_array(v))
         assert report.feasible
-        objectives.append(report.as_array())
+        objectives.append(report.y)
     archive = pareto.nondominated_filter(np.array(variants), np.array(objectives))
     path = tmp_path_factory.mktemp("refine") / "archive.csv"
     pareto.write_archive_csv(path, archive)

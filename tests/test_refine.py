@@ -63,13 +63,13 @@ class Quadratic:
 
     def __call__(self, x):
         self.calls += 1
-        return refine.Evaluation(y=float(np.sum((x - self.center) ** 2)), feasible=True)
+        return refine.Evaluation(y=np.array([np.sum((x - self.center) ** 2)]), feasible=True)
 
 
 @dataclass
 class Constant:
     def __call__(self, x):
-        return refine.Evaluation(y=1.0, feasible=True)
+        return refine.Evaluation(y=np.array([1.0]), feasible=True)
 
 
 @dataclass
@@ -79,10 +79,17 @@ class DiskConstrained:
     def __call__(self, x):
         if 0.55 < x[0] < 0.6:
             return refine.Evaluation(y=None, feasible=False, violation=float(x[0]))
-        return refine.Evaluation(y=float(np.sum((x - 0.7) ** 2)), feasible=True)
+        return refine.Evaluation(y=np.array([np.sum((x - 0.7) ** 2)]), feasible=True)
 
 
 BOX = (np.zeros(13), np.ones(13))
+
+
+def nelder_mead(objective, x0, lower, upper, max_iters=refine.MAX_ITERS):
+    """refine.nelder_mead on a test objective whose records hold the scalar
+    as a one-element y, started from the objective's record of x0."""
+    return refine.nelder_mead(objective, lambda y: y[0], x0, objective(x0),
+                              lower, upper, max_iters)
 
 
 class TestNelderMead:
@@ -90,13 +97,12 @@ class TestNelderMead:
         # a domain-center start stalls near 8e-3 after 200 iterations with
         # the pinned simplex/coefficients (scipy's reference implementation
         # behaves identically), so the start sits at a moderate distance
-        result = refine.nelder_mead(Quadratic(), np.full(13, 0.65), *BOX,
-                                    max_iters=200)
+        result = nelder_mead(Quadratic(), np.full(13, 0.65), *BOX, max_iters=200)
         assert result.value < 1e-4
 
     def test_constant_objective_returns_start(self):
         x0 = np.full(13, 0.3)
-        result = refine.nelder_mead(Constant(), x0, *BOX, max_iters=50)
+        result = nelder_mead(Constant(), x0, *BOX, max_iters=50)
         assert result.x == pytest.approx(x0)
         assert result.value == 1.0
 
@@ -104,7 +110,7 @@ class TestNelderMead:
         x0 = np.full(13, 0.9)
         objective = Quadratic()
         start_value = float(np.sum((x0 - 0.7) ** 2))
-        result = refine.nelder_mead(objective, x0, *BOX, max_iters=40)
+        result = nelder_mead(objective, x0, *BOX, max_iters=40)
         assert result.value <= start_value
 
     def test_vertices_respect_bounds(self):
@@ -114,21 +120,20 @@ class TestNelderMead:
         class Recording:
             def __call__(self, x):
                 seen.append(x.copy())
-                return refine.Evaluation(y=float(np.sum((x - 2.0) ** 2)), feasible=True)
+                return refine.Evaluation(y=np.array([np.sum((x - 2.0) ** 2)]), feasible=True)
 
-        refine.nelder_mead(Recording(), np.full(13, 0.95), *BOX, max_iters=60)
+        nelder_mead(Recording(), np.full(13, 0.95), *BOX, max_iters=60)
         stacked = np.array(seen)
         assert np.all(stacked >= 0.0) and np.all(stacked <= 1.0)
 
     def test_start_at_upper_bound_keeps_simplex_nondegenerate(self):
         # +5% steps clip to nothing at the upper bound; the fallback must
         # still span all 13 directions or the search stalls at f0 = 1.17
-        result = refine.nelder_mead(Quadratic(), np.ones(13), *BOX, max_iters=200)
+        result = nelder_mead(Quadratic(), np.ones(13), *BOX, max_iters=200)
         assert result.value < 0.1
 
     def test_infeasible_region_avoided(self):
-        result = refine.nelder_mead(DiskConstrained(), np.full(13, 0.4), *BOX,
-                                    max_iters=200)
+        result = nelder_mead(DiskConstrained(), np.full(13, 0.4), *BOX, max_iters=200)
         assert result.value < 0.1
         assert not (0.55 < result.x[0] < 0.6)
 
@@ -139,11 +144,11 @@ class TestNelderMead:
                 return refine.Evaluation(y=None, feasible=False, violation=1.0)
 
         with pytest.raises(refine.InfeasibleStart):
-            refine.nelder_mead(AlwaysInfeasible(), np.full(13, 0.5), *BOX)
+            nelder_mead(AlwaysInfeasible(), np.full(13, 0.5), *BOX)
 
     def test_iteration_budget_respected(self):
         objective = Quadratic()
-        result = refine.nelder_mead(objective, np.full(13, 0.2), *BOX, max_iters=25)
+        result = nelder_mead(objective, np.full(13, 0.2), *BOX, max_iters=25)
         assert result.iterations <= 25
 
 
@@ -151,15 +156,34 @@ class TestRefineDesign:
     def test_start_scalar_is_the_scalarized_objective(self):
         # a degenerate coordinate (nadir == ideal) normalizes to 0 in both
         start = DesignVector(**REGRESSION["design"])
-        y = kinetostatics.evaluate_objectives(start, n_elements=6).as_array()
+        evaluator = kinetostatics.HingeEvaluator(n_elements=6)
+        y = evaluator(start.as_array()).y
         ideal, nadir = 0.5 * y, 2.0 * y
         nadir[2] = ideal[2]
         weights = np.array([0.2, 0.3, 0.5])
         # an archive whose componentwise min and max are ideal and nadir
         archive = pareto.ParetoArchive(designs=np.zeros((2, 13)),
                                        objectives=np.array([ideal, nadir]))
-        report = refine.refine_design(start, archive, weights=weights,
-                                      max_iters=1, n_elements=6)
-        problem = refine.ScalarizedProblem(weights=weights, ideal=ideal, nadir=nadir,
-                                           n_elements=6)
-        assert report.start_scalar == problem(start.as_array()).y
+        report = refine.refine_design(start, archive, evaluator, weights=weights,
+                                      max_iters=1)
+        assert report.start_scalar == refine.scalarize(pareto.normalize(y, ideal, nadir),
+                                                       weights)
+
+    def test_each_evaluation_runs_once_and_reports_its_record(self, monkeypatch):
+        start = DesignVector(**REGRESSION["design"])
+        evaluator = kinetostatics.HingeEvaluator(n_elements=6)
+        y = evaluator(start.as_array()).y
+        archive = pareto.ParetoArchive(designs=np.zeros((2, 13)),
+                                       objectives=np.array([0.5 * y, 2.0 * y]))
+        calls = []
+        evaluate = kinetostatics.evaluate_objectives
+        monkeypatch.setattr(kinetostatics, "evaluate_objectives",
+                            lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+        report = refine.refine_design(start, archive, evaluator, max_iters=2)
+        assert len(calls) == report.evaluations
+        # the refined objectives are the refined design's own record
+        assert report.refined_scalar < report.start_scalar
+        for design, objectives in ((start, report.start_objectives),
+                                   (report.refined_design, report.refined_objectives)):
+            fresh = evaluate(design, n_elements=6)
+            assert np.array_equal(objectives, fresh.y)
