@@ -1,6 +1,5 @@
 """Command-line pipeline driver.
 
-Subcommands: evaluate, optimize, merge, select, refine, render, front.
 Every run is reproducible: all randomness flows from --seed, outputs are
 written with round-trippable float formatting, and a manifest (resolved
 config, seed, versions, input hashes) accompanies every output directory.
@@ -15,7 +14,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -96,18 +95,11 @@ def sampling_bounds(settings: dict) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def build_manifest(command: str, argv: list[str], config: dict,
-                   inputs: list[Path]) -> dict:
+def build_manifest(args, config: dict, inputs: list[Path]) -> dict:
     import scipy
     return {
-        "command": command,
-        "argv": list(argv),
+        "command": args.command,
+        "argv": args.argv,
         "config": config,
         "versions": {
             "python": sys.version.split()[0],
@@ -115,37 +107,37 @@ def build_manifest(command: str, argv: list[str], config: dict,
             "scipy": scipy.__version__,
             "crosshinge": __version__,
         },
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
     }
 
 
-def write_manifest(out_dir: Path, manifest: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+def write_manifest(out: Path, args, config: dict, inputs: list[Path]) -> Path:
+    """Create out and write the run's manifest.json into it; return out."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").write_text(
+        json.dumps(build_manifest(args, config, inputs), indent=2) + "\n")
+    return out
 
 
-def emit(args, argv: list[str], command: str, filename: str, payload: dict,
-         config: dict, inputs: list[Path]) -> int:
+def emit(args, filename: str, payload: dict, config: dict, inputs: list[Path]) -> int:
     """Print the payload as JSON. With --out, also write it to out/filename
     next to the manifest; otherwise the manifest is embedded in the payload."""
-    manifest = build_manifest(command, argv, config, inputs)
     if args.out:
-        write_manifest(Path(args.out), manifest)
-        (Path(args.out) / filename).write_text(json.dumps(payload, indent=2) + "\n")
+        out = write_manifest(Path(args.out), args, config, inputs)
+        (out / filename).write_text(json.dumps(payload, indent=2) + "\n")
     else:
-        payload["manifest"] = manifest
+        payload["manifest"] = build_manifest(args, config, inputs)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def write_archive(out: Path, filename: str, archives: list[pareto.ParetoArchive],
-                  manifest: dict) -> tuple[Path, int]:
+                  args, config: dict, inputs: list[Path]) -> tuple[Path, int]:
     """Write the non-dominated union of the archives to out/filename next to
     the manifest; return its path and size. An empty union is written too,
     then raises EmptyArchive."""
     merged = functools.reduce(moo.merge_archives, archives)
-    write_manifest(out, manifest)
-    path = out / filename
+    path = write_manifest(out, args, config, inputs) / filename
     pareto.write_archive_csv(path, merged)
     if len(merged) == 0:
         raise pareto.EmptyArchive(f"no feasible designs in {path}")
@@ -182,12 +174,13 @@ def design_from_args(args) -> tuple[DesignVector, list[Path]]:
     return archive_designs(archive, [args.row or 0])[0], [Path(args.archive)]
 
 
-def design_dict(design: DesignVector) -> dict:
-    return {name: getattr(design, name) for name in DESIGN_FIELDS}
-
-
 def objective_dict(y: np.ndarray) -> dict:
     return dict(zip(pareto.OBJECTIVE_FIELDS, (float(v) for v in y)))
+
+
+def refine_block(design: DesignVector, record, scalar: float) -> dict:
+    """The `start` or `refined` block of refined.json."""
+    return {"design": asdict(design), "objectives": objective_dict(record.y), "scalar": scalar}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +198,7 @@ def sweep_trace(design: DesignVector, model, sweep) -> dict:
     reference = [m.node_pos.tolist() for m in model.meshes]
     deformed = [[line.tolist() for line in model.deformed_centerlines(z)] for z in sweep.z]
     return {
-        "design": design_dict(design),
+        "design": asdict(design),
         "converged": sweep.failure is None,
         "failure": sweep.failure,
         "heights": [m.height for m in model.meshes],
@@ -279,16 +272,19 @@ def render_trace_svg(trace: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_evaluate(args, argv) -> int:
+def cmd_evaluate(args) -> int:
     settings = resolve_config(args)
     design, inputs = design_from_args(args)
-    if args.trace and not Path(args.trace).parent.is_dir():
-        raise ValueError(f"no such directory for --trace: {Path(args.trace).parent}")
+    trace = args.trace and Path(args.trace)
+    if trace and not trace.parent.is_dir():
+        raise ValueError(f"no such directory for --trace: {trace.parent}")
+    if trace and trace.is_dir():
+        raise ValueError(f"--trace is a directory: {trace}")
     report, sweep, model = kinetostatics.evaluate_with_sweep(
         design, n_elements=settings["elements"], n_steps=settings["steps"])
 
     payload = {
-        "design": design_dict(design),
+        "design": asdict(design),
         "feasible": report.feasible,
         "violation": report.violation,
         "r_bar": report.r_bar,
@@ -297,13 +293,13 @@ def cmd_evaluate(args, argv) -> int:
     }
     if not report.feasible:
         payload["failure"] = report.failure
-    if args.trace:
+    if trace:
         if sweep is None:
             print("error: no sweep to trace (geometry rejected)", file=sys.stderr)
             return EXIT_FAILURE
-        Path(args.trace).write_text(
+        trace.write_text(
             json.dumps(sweep_trace(design, model, sweep), indent=2) + "\n")
-    return emit(args, argv, "evaluate", "evaluation.json", payload,
+    return emit(args, "evaluation.json", payload,
                 {"elements": settings["elements"], "steps": settings["steps"],
                  "trace": bool(args.trace)}, inputs)
 
@@ -318,7 +314,7 @@ def _progress_writer(stream_paths):
     return callback
 
 
-def cmd_optimize(args, argv) -> int:
+def cmd_optimize(args) -> int:
     settings = resolve_config(args)
     if not settings["out"]:
         raise ValueError("no output directory (give --out or set it in the config)")
@@ -349,17 +345,15 @@ def cmd_optimize(args, argv) -> int:
     config["bounds"] = ({name: [lo, hi] for name, lo, hi in zip(DESIGN_FIELDS, lower, upper)}
                         if any(name in settings for name in DESIGN_FIELDS) else None)
     inputs = [Path(args.config)] if args.config else []
-    path, size = write_archive(out, "archive_merged.csv", archives,
-                               build_manifest("optimize", argv, config, inputs))
+    path, size = write_archive(out, "archive_merged.csv", archives, args, config, inputs)
     print(f"merged archive: {size} designs -> {path}")
     return EXIT_OK
 
 
-def cmd_merge(args, argv) -> int:
+def cmd_merge(args) -> int:
     inputs = [Path(p) for p in args.archives]
     path, size = write_archive(Path(args.out), "archive_merged.csv",
-                               [pareto.read_archive_csv(p) for p in inputs],
-                               build_manifest("merge", argv, {}, inputs))
+                               [pareto.read_archive_csv(p) for p in inputs], args, {}, inputs)
     print(f"merged archive: {size} designs -> {path}")
     return EXIT_OK
 
@@ -379,7 +373,7 @@ def _parse_weights(text: str) -> np.ndarray:
     return weights
 
 
-def cmd_select(args, argv) -> int:
+def cmd_select(args) -> int:
     archive = pareto.read_archive_csv(Path(args.archive))
     target = _parse_weights(args.target_weights)
     index = pareto.select_by_target(archive, target)
@@ -388,7 +382,7 @@ def cmd_select(args, argv) -> int:
     payload = {
         "target_weights": [float(v) for v in target],
         "selected_index": index,
-        "design": design_dict(DesignVector.from_array(archive.designs[index])),
+        "design": asdict(DesignVector.from_array(archive.designs[index])),
         "objectives": objective_dict(archive.objectives[index]),
         "normalized": [float(v) for v in normalized[index]],
         "pseudo_weights": [float(v) for v in weights[index]],
@@ -398,11 +392,11 @@ def cmd_select(args, argv) -> int:
             for i, w in enumerate(weights)
         ],
     }
-    return emit(args, argv, "select", "selection.json", payload,
+    return emit(args, "selection.json", payload,
                 {"target_weights": [float(v) for v in target]}, [Path(args.archive)])
 
 
-def cmd_refine(args, argv) -> int:
+def cmd_refine(args) -> int:
     settings = resolve_config(args)
     archive = pareto.read_archive_csv(Path(args.archive))
     index = None
@@ -424,26 +418,18 @@ def cmd_refine(args, argv) -> int:
     payload = {
         "selected_index": index,
         "weights": [float(v) for v in report.weights],
-        "start": {
-            "design": design_dict(report.start_design),
-            "objectives": objective_dict(report.start_objectives),
-            "scalar": report.start_scalar,
-        },
-        "refined": {
-            "design": design_dict(report.refined_design),
-            "objectives": objective_dict(report.refined_objectives),
-            "scalar": report.refined_scalar,
-        },
+        "start": refine_block(start, report.start, report.start_value),
+        "refined": refine_block(DesignVector.from_array(report.x), report.best, report.value),
         "iterations": report.iterations,
         "evaluations": report.evaluations,
     }
-    return emit(args, argv, "refine", "refined.json", payload,
+    return emit(args, "refined.json", payload,
                 {"iters": args.iters, "row": index,
                  "elements": settings["elements"], "steps": settings["steps"]},
                 [Path(args.archive)])
 
 
-def cmd_render(args, argv) -> int:
+def cmd_render(args) -> int:
     # every document is built before --out is created, so bad input leaves nothing
     svgs = []  # (file name, document)
     inputs = []
@@ -462,18 +448,17 @@ def cmd_render(args, argv) -> int:
                  for row, design in zip(rows, archive_designs(archive, rows))]
     if not svgs:
         raise ValueError("nothing to render (give --archive, --values or --trace)")
-    out = Path(args.out)
-    write_manifest(out, build_manifest("render", argv, {}, inputs))
+    out = write_manifest(Path(args.out), args, {}, inputs)
     for name, svg in svgs:
         (out / name).write_text(svg)
         print(out / name)
     return EXIT_OK
 
 
-def cmd_front(args, argv) -> int:
+def cmd_front(args) -> int:
     path, _ = write_archive(Path(args.out), "front.csv",
                             [pareto.read_archive_csv(Path(args.archive))],
-                            build_manifest("front", argv, {}, [Path(args.archive)]))
+                            args, {}, [Path(args.archive)])
     print(path)
     return EXIT_OK
 
@@ -493,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     mesh.add_argument("--steps", type=int, help="rotation sweep steps")
 
     p = sub.add_parser("evaluate", parents=[mesh], help="evaluate one design")
+    p.set_defaults(run=cmd_evaluate)
     p.add_argument("--values", help="13 comma-separated design values")
     p.add_argument("--archive", help="archive CSV to read the design from")
     p.add_argument("--row", type=int, help="archive row index (default 0)")
@@ -500,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (evaluation.json + manifest)")
 
     p = sub.add_parser("optimize", parents=[mesh], help="run the evolutionary synthesis")
+    p.set_defaults(run=cmd_optimize)
     p.add_argument("--config", help="INI config file")
     p.add_argument("--algorithm", choices=["nsga2", "spea2", "both"])
     p.add_argument("--pop", type=int, dest="population", help="population size")
@@ -509,16 +496,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (or set in the config file)")
 
     p = sub.add_parser("merge", help="merge archive CSVs")
+    p.set_defaults(run=cmd_merge)
     p.add_argument("archives", nargs="+", help="archive CSV paths")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("select", help="pseudo-weight decision making")
+    p.set_defaults(run=cmd_select)
     p.add_argument("--archive", required=True)
     p.add_argument("--target-weights", required=True,
                    help="3 comma-separated target weights")
     p.add_argument("--out")
 
     p = sub.add_parser("refine", parents=[mesh], help="scalarized Nelder-Mead refinement")
+    p.set_defaults(run=cmd_refine)
     p.add_argument("--archive", required=True,
                    help="archive CSV (start design source and frozen normalization)")
     p.add_argument("--row", type=int, help="start design row")
@@ -529,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("render", help="SVG schematics of designs")
+    p.set_defaults(run=cmd_render)
     p.add_argument("--archive")
     p.add_argument("--rows", help="comma-separated row indices (default all)")
     p.add_argument("--values", help="13 comma-separated design values")
@@ -536,21 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("front", help="export normalized front + pseudo-weights")
+    p.set_defaults(run=cmd_front)
     p.add_argument("--archive", required=True)
     p.add_argument("--out", required=True)
 
     return parser
-
-
-_HANDLERS = {
-    "evaluate": cmd_evaluate,
-    "optimize": cmd_optimize,
-    "merge": cmd_merge,
-    "select": cmd_select,
-    "refine": cmd_refine,
-    "render": cmd_render,
-    "front": cmd_front,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -558,9 +539,10 @@ def main(argv: list[str] | None = None) -> int:
     result (infeasible start, degenerate objective, empty archive), 2 bad
     input (malformed or out-of-range values, unreadable files)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    # the namespace carries the command line for the manifest
+    args = build_parser().parse_args(argv, argparse.Namespace(argv=argv))
     try:
-        return _HANDLERS[args.command](args, argv)
+        return args.run(args)
     except (refine.InfeasibleStart, pareto.DegenerateObjective, pareto.EmptyArchive) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE

@@ -70,6 +70,8 @@ def scalarize(normalized: np.ndarray, weights: np.ndarray) -> float:
 
 @dataclass
 class NelderMeadResult:
+    start: Evaluation           # the caller's record of x0
+    start_value: float          # its scalar objective
     x: np.ndarray               # best feasible point seen
     best: Evaluation            # its evaluation record
     value: float                # its scalar objective
@@ -100,7 +102,8 @@ def nelder_mead(evaluate, scalar, x0: np.ndarray, start: Evaluation,
     x0 = np.array(x0, dtype=float)
     n = x0.size
 
-    best, best_x, best_value = start, x0, scalar(start.y)
+    start_value = scalar(start.y)
+    best, best_x, best_value = start, x0, start_value
     evaluations = 1
 
     def value_of(x: np.ndarray) -> float:
@@ -165,21 +168,13 @@ def nelder_mead(evaluate, scalar, x0: np.ndarray, start: Evaluation,
             simplex[i] = simplex[0] + NM_SHRINK * (simplex[i] - simplex[0])
             values[i] = value_of(simplex[i])
 
-    return NelderMeadResult(x=best_x, best=best, value=best_value,
-                            iterations=iterations, evaluations=evaluations)
+    return NelderMeadResult(start=start, start_value=start_value, x=best_x, best=best,
+                            value=best_value, iterations=iterations, evaluations=evaluations)
 
 
-@dataclass(frozen=True)
-class RefineReport:
-    start_design: DesignVector
-    refined_design: DesignVector
-    start_objectives: np.ndarray
-    refined_objectives: np.ndarray
-    start_scalar: float
-    refined_scalar: float
-    weights: np.ndarray
-    iterations: int
-    evaluations: int
+@dataclass
+class RefineReport(NelderMeadResult):
+    weights: np.ndarray         # the scalarization weights
 
 
 def refine_design(start: DesignVector, archive: ParetoArchive,
@@ -189,10 +184,12 @@ def refine_design(start: DesignVector, archive: ParetoArchive,
     """Scalarized Nelder-Mead refinement of a feasible start design, with
     the normalization frozen at the archive's (ideal, nadir).
 
-    The start is evaluated once; the report's objectives come from the
-    records of the start and of the best point. With weights=None, inverse-normalization weights are derived from the
-    start design's normalized objectives, each raised to the archive's
-    weight_floor first; the start scalar uses the objectives as they are.
+    The start is evaluated once. The report is the Nelder-Mead result
+    (the records of the start and of the best point, and their scalars)
+    plus the weights. With weights=None, inverse-normalization weights are
+    derived from the start design's normalized objectives, each raised to
+    the archive's weight_floor first; the start scalar uses the objectives
+    as they are.
     A degenerate coordinate (nadir <= ideal) normalizes to 0 there as in
     the scalar objective and has a 0 floor, so deriving weights raises
     DegenerateObjective.
@@ -219,14 +216,4 @@ def refine_design(start: DesignVector, archive: ParetoArchive,
         return scalarize(normalize(y, ideal, nadir), weights)
 
     result = nelder_mead(evaluator, scalar, x0, start_record, max_iters=max_iters)
-    return RefineReport(
-        start_design=start,
-        refined_design=DesignVector.from_array(result.x),
-        start_objectives=start_record.y,
-        refined_objectives=result.best.y,
-        start_scalar=scalar(start_record.y),
-        refined_scalar=result.value,
-        weights=weights,
-        iterations=result.iterations,
-        evaluations=result.evaluations,
-    )
+    return RefineReport(**vars(result), weights=weights)

@@ -319,7 +319,7 @@ def test_criterion_9_refinement(desk_campaign):
     index = pareto.select_by_target(merged, np.ones(3) / 3)
     start = geo.DesignVector.from_array(merged.designs[index])
     result = refine.refine_design(start, merged, ks.HingeEvaluator(), max_iters=200)
-    non_increase = result.refined_scalar <= result.start_scalar + 1e-12
+    non_increase = result.value <= result.start_value + 1e-12
 
     def quadratic(x):
         return ks.Evaluation(y=np.array([np.sum((x - 0.7) ** 2)]), feasible=True)
@@ -328,7 +328,7 @@ def test_criterion_9_refinement(desk_campaign):
     quad = refine.nelder_mead(quadratic, lambda y: y[0], x0, quadratic(x0),
                               np.zeros(13), np.ones(13), max_iters=200)
     ok = non_increase and quad.value < 1e-4
-    report(9, ok, f"scalar {result.start_scalar:.4e} -> {result.refined_scalar:.4e} "
+    report(9, ok, f"scalar {result.start_value:.4e} -> {result.value:.4e} "
                   f"(non-increasing={non_increase}), quadratic reaches "
                   f"{quad.value:.1e} (<1e-4)")
 

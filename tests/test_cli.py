@@ -273,6 +273,40 @@ class TestRefineCommand:
         assert rc == 2
 
 
+# arguments besides --out that make each subcommand succeed; {archive} is
+# the small_archive file
+MESH_4 = ["--elements", "4", "--steps", "4"]
+SUBCOMMAND_ARGS = {
+    "evaluate": ["--values", REGRESSION_VALUES, *MESH_4],
+    "optimize": ["--algorithm", "nsga2", "--pop", "8", "--gens", "1", "--seed", "3", *MESH_4],
+    "merge": ["{archive}", "{archive}"],
+    "select": ["--archive", "{archive}", "--target-weights", "1,1,1"],
+    "refine": ["--archive", "{archive}", "--row", "0", "--weights", "1,1,1",
+               "--iters", "0", *MESH_4],
+    "render": ["--values", REGRESSION_VALUES],
+    "front": ["--archive", "{archive}"],
+}
+# every subcommand with --out, and those that embed the manifest in stdout without it
+MANIFEST_CASES = [(command, True) for command in SUBCOMMAND_ARGS] + [
+    (command, False) for command in ("evaluate", "select", "refine")]
+
+
+@pytest.mark.parametrize("command, with_out", MANIFEST_CASES,
+                         ids=[f"{c}-{'out' if o else 'stdout'}" for c, o in MANIFEST_CASES])
+def test_manifest_records_its_subcommand(small_archive, tmp_path, capsys, command, with_out):
+    argv = [command, *(arg.format(archive=small_archive) for arg in SUBCOMMAND_ARGS[command])]
+    out = tmp_path / "out"
+    if with_out:
+        argv += ["--out", str(out)]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    manifest = (json.loads((out / "manifest.json").read_text()) if with_out
+                else json.loads(captured.out)["manifest"])
+    assert manifest["command"] == command
+    assert manifest["argv"] == argv
+
+
 class TestRender:
     def test_archive_batch_render_deterministic_names(self, tmp_path, capsys):
         csv_path = tmp_path / "archive.csv"
@@ -347,7 +381,8 @@ SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1
 # a traceback or a result computed from silently replaced values, and bad
 # input (exit 2) leaves no {out} directory behind; {archive},
 # {dominated}, {nan}, {short}, {degenerate}, {empty}, {config}, {nan_bounds},
-# the {trace_...} files and {out} are filled with per-test paths
+# the {trace_...} files, {dir} (an existing directory) and {out} are filled
+# with per-test paths
 BAD_INPUTS = {
     "select-dominated-row": (cli.EXIT_USAGE, [
         "select", "--archive", "{dominated}", "--target-weights", "0.4,0.3,0.3"]),
@@ -399,6 +434,8 @@ BAD_INPUTS = {
         "optimize", "--config", "{nan_bounds}", "--out", "{out}"]),
     "evaluate-trace-in-missing-dir": (cli.EXIT_USAGE, [
         "evaluate", "--values", REGRESSION_VALUES, "--trace", "{out}/t.json"]),
+    "evaluate-trace-is-dir": (cli.EXIT_USAGE, [
+        "evaluate", "--values", REGRESSION_VALUES, "--trace", "{dir}"]),
     "evaluate-out-is-file": (cli.EXIT_USAGE, [
         "evaluate", "--values", REGRESSION_VALUES, "--out", "{archive}"]),
     "refine-out-is-file": (cli.EXIT_USAGE, [
@@ -465,6 +502,7 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected
         "trace_one_height": trace_file(tmp_path / "one_height.json",
                                        {**GOOD_TRACE, "heights": [0.05]}),
         "trace_good": trace_file(tmp_path / "good.json", GOOD_TRACE),
+        "dir": tmp_path,
         "out": tmp_path / "run",
     }
     rc = cli.main([arg.format(**paths) for arg in argv])

@@ -166,7 +166,7 @@ class TestRefineDesign:
                                        objectives=np.array([ideal, nadir]))
         report = refine.refine_design(start, archive, evaluator, weights=weights,
                                       max_iters=1)
-        assert report.start_scalar == refine.scalarize(pareto.normalize(y, ideal, nadir),
+        assert report.start_value == refine.scalarize(pareto.normalize(y, ideal, nadir),
                                                        weights)
 
     def test_each_evaluation_runs_once_and_reports_its_record(self, monkeypatch):
@@ -182,8 +182,8 @@ class TestRefineDesign:
         report = refine.refine_design(start, archive, evaluator, max_iters=2)
         assert len(calls) == report.evaluations
         # the refined objectives are the refined design's own record
-        assert report.refined_scalar < report.start_scalar
-        for design, objectives in ((start, report.start_objectives),
-                                   (report.refined_design, report.refined_objectives)):
+        assert report.value < report.start_value
+        for design, objectives in ((start, report.start.y),
+                                   (DesignVector.from_array(report.x), report.best.y)):
             fresh = evaluate(design, n_elements=6)
             assert np.array_equal(objectives, fresh.y)
