@@ -14,9 +14,9 @@ master reference point being the tip of the first flexure. A quasi-static
 sweep imposes the master rotation phi in equal steps and returns one row
 per completed step in row-aligned arrays: rotation, tip position,
 reaction moment, condensed translational stiffness, running peak bending
-strain and the equilibrium state vector. Each step's Newton solve starts
-from a quartic Hermite extrapolation along the path tangents dz/dphi of
-the condensation, so one correction per step reaches the tolerance.
+strain (from each step's last Newton assembly) and the equilibrium state.
+Each step's Newton solve starts from a quartic Hermite extrapolation along
+the path tangents dz/dphi, so one correction per step reaches the tolerance.
 
 The reduced tangent is symmetric, and only its upper band is assembled,
 directly in LAPACK band storage (first flexure ascending, master triple,
@@ -161,6 +161,7 @@ def element_kernel(data: ElementData, ue: np.ndarray):
         forces: (n_el, 12) grouped as [ux(4), uy(4), theta(4)]
         tangents: (n_el, 78) upper triangles in the same ordering, packed
             in _TRIU order (see _unpack)
+        kap: (n_el, 4) curvature change at the Gauss points
     """
     (eps, gam, kap), (c, s, a, g) = _kinematics(data, ue)
     ea, gas, ei = data.stiffness[:, 0:1], data.stiffness[:, 1:2], data.stiffness[:, 2:3]
@@ -183,7 +184,7 @@ def element_kernel(data: ElementData, ue: np.ndarray):
         j * (ea * g * g + gas * a * a - nf * a - qf * g),
         ei * inv_j,
     ], axis=1)
-    return forces, coeffs @ _TANGENT
+    return forces, coeffs @ _TANGENT, kap
 
 
 def _unpack(packed: np.ndarray) -> np.ndarray:
@@ -234,11 +235,12 @@ class FlexureMesh:
 @dataclass
 class BeamState:
     """Equilibrium on the reduced (constrained) degrees of freedom, with the
-    residual and banded tangent assembled at z."""
+    residual, banded tangent and peak bending strain assembled at z."""
 
     z: np.ndarray
     residual: np.ndarray
     tangent_band: np.ndarray
+    peak_strain: float
     iterations: int = 0
 
 
@@ -341,8 +343,8 @@ class BeamModel:
 
     def zero_state(self) -> BeamState:
         z = np.zeros(self.n_reduced)
-        residual, ab = self.assemble(z)
-        return BeamState(z=z, residual=residual, tangent_band=ab)
+        residual, ab, peak = self.assemble(z)
+        return BeamState(z=z, residual=residual, tangent_band=ab, peak_strain=peak)
 
     def _extended(self, z: np.ndarray):
         """z followed by [0 (clamped dofs), slaved tip u_x, slaved tip u_y],
@@ -370,24 +372,16 @@ class BeamModel:
     def tip_position(self, state: BeamState) -> np.ndarray:
         return self.master_ref + state.z[self.idx_mx:self.idx_my + 1]
 
-    def _strains(self, z: np.ndarray):
-        z_ext, _ = self._extended(z)
-        return _kinematics(self.elements, z_ext[self._gather])[0]
-
-    def max_bending_strain(self, state: BeamState) -> float:
-        """Peak outer-fiber bending strain |d kappa| * h / 2 over Gauss points."""
-        _, _, kap = self._strains(state.z)
-        return float(np.max(np.abs(kap) * self._half_height))
-
     def assemble(self, z: np.ndarray):
-        """Reduced residual and banded tangent at state z.
+        """Reduced residual, banded tangent and peak outer-fiber bending
+        strain |d kappa| * h / 2 over the Gauss points, at state z.
 
         Only the upper band of the symmetric tangent is stored, in LAPACK
         storage: entry (i, j), i <= j, sits in ab[_BAND + i - j, j].
         """
         n = self.n_reduced
         z_ext, rot = self._extended(z)
-        forces, tangents = element_kernel(self.elements, z_ext[self._gather])
+        forces, tangents, kap = element_kernel(self.elements, z_ext[self._gather])
         if rot is not None:
             # the slaved tip (local dofs 3, 7, 11 of the last element) folds
             # into the master pose through te: its translation picks up
@@ -406,7 +400,8 @@ class BeamModel:
         if rot is not None:
             # curvature of the slaved-tip map: d^2 u_tip/d phi^2 = -R r0
             ab[_BAND * n + self.idx_phi] -= rot[0] * fx + rot[1] * fy
-        return residual, ab.reshape(_BAND + 1, n)
+        peak = float(np.max(np.abs(kap) * self._half_height))
+        return residual, ab.reshape(_BAND + 1, n), peak
 
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -476,13 +471,13 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
 
     norm0 = None
     for iteration in range(NEWTON_MAX_ITER + 1):
-        residual, ab = model.assemble(z)
+        residual, ab, peak = model.assemble(z)
         norm = float(np.max(np.abs(residual[mask]))) if mask.any() else 0.0
         if not np.isfinite(norm):
             raise NonConverged("residual diverged to non-finite values")
         if norm < tol:
             return BeamState(z=z, residual=residual, tangent_band=ab,
-                             iterations=iteration)
+                             peak_strain=peak, iterations=iteration)
         if norm0 is None:
             norm0 = max(norm, tol)
         elif iteration >= 10 and norm > 1e3 * norm0:
@@ -585,7 +580,7 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
                     [row[5] for row in rows[-3:]], tangents[-2:], SWEEP_ANGLE / n_steps))
             k_t, tangent = condense_translational_stiffness(model, state)
             tangents.append(tangent)
-            max_strain = max(max_strain, model.max_bending_strain(state))
+            max_strain = max(max_strain, state.peak_strain)
             rows.append((phi, model.tip_position(state), reaction_moment(model, state),
                          k_t, max_strain, state.z))
             if max_strain > STRAIN_LIMIT:

@@ -31,10 +31,6 @@ SELF_INTERSECTION_VIOLATION = 1.0
 SINGULAR_VIOLATION = 1.0
 
 
-class NotPositiveDefinite(ValueError):
-    """Condensed stiffness matrix is not positive definite."""
-
-
 @dataclass(frozen=True)
 class Evaluation:
     """Outcome of one evaluation under constraint handling.
@@ -137,19 +133,6 @@ def min_enclosing_circle(points: np.ndarray):
     return center, radius
 
 
-def principal_compliances(stiffness: np.ndarray) -> tuple[float, float]:
-    """Inverse eigenvalues of the 2x2 condensed stiffness, ascending.
-
-    Raises:
-        NotPositiveDefinite: if the matrix has a non-positive eigenvalue.
-    """
-    k = np.asarray(stiffness, dtype=float)
-    eigvals = np.linalg.eigvalsh(0.5 * (k + k.T))
-    if eigvals[0] <= 0.0:
-        raise NotPositiveDefinite(f"eigenvalues {eigvals} not positive")
-    return float(1.0 / eigvals[1]), float(1.0 / eigvals[0])
-
-
 def rotational_stiffness_profile(moments: np.ndarray, delta_phi: float) -> np.ndarray:
     """Difference quotients dM/dphi at the step midpoints."""
     m = np.asarray(moments, dtype=float)
@@ -161,13 +144,20 @@ def rotational_stiffness_profile(moments: np.ndarray, delta_phi: float) -> np.nd
 
 
 def objectives_from_sweep(sweep: beam_fem.SweepResult) -> Evaluation:
-    """Reduce a completed sweep (uniform rotation steps) to the three objectives."""
+    """Reduce a completed sweep (uniform rotation steps) to the three objectives.
+
+    c_bar, the largest principal compliance over the steps, is the inverse
+    of the smallest eigenvalue of the symmetrized condensed stiffnesses. A
+    non-positive one makes the design infeasible (indefinite stiffness).
+    """
     delta_phi = sweep.phi[1] - sweep.phi[0]
     _, radius = min_enclosing_circle(centrode(sweep.tip_positions, delta_phi))
-    compliances = [principal_compliances(k) for k in sweep.stiffnesses]
-    c_max = max(max(pair) for pair in compliances)
+    k = sweep.stiffnesses
+    lowest = float(np.linalg.eigvalsh(0.5 * (k + k.transpose(0, 2, 1))).min())
+    if lowest <= 0.0:
+        return _infeasible(SINGULAR_VIOLATION, "indefinite-stiffness")
     k_max = float(np.max(rotational_stiffness_profile(sweep.moments, delta_phi)))
-    return Evaluation(y=np.array([radius, c_max, k_max], dtype=float), feasible=True)
+    return Evaluation(y=np.array([radius, 1.0 / lowest, k_max]), feasible=True)
 
 
 def check_resolution(n_elements: int, n_steps: int) -> None:
@@ -210,10 +200,9 @@ def evaluate_with_sweep(design: geometry.DesignVector,
     if np.any(sweep.moments[1:] <= 0.0):
         logger.warning("non-positive reaction moment within the action space "
                        "(possible snap-through)")
-    try:
-        report = objectives_from_sweep(sweep)
-    except NotPositiveDefinite:
-        return _infeasible(SINGULAR_VIOLATION, "indefinite-stiffness"), sweep, model
+    report = objectives_from_sweep(sweep)
+    if not report.feasible:
+        return report, sweep, model
     # no feasible record carries a non-finite objective or a non-positive k_bar;
     # a non-finite one gets the non-convergence violation of the whole stroke reached
     if not np.all(np.isfinite(report.y)):
@@ -232,10 +221,10 @@ def evaluate_objectives(design: geometry.DesignVector,
     carries a fixed violation of 1, a strain-limit hit carries the excess
     over the limit, and non-convergence carries 1 plus the unreached
     fraction of the action space. A completed sweep with a non-finite
-    objective is non-convergence (violation 1), one with k_bar <= 0 is
-    indefinite stiffness (violation 1). Out-of-range design variables and
-    element or step counts are caller errors and do raise (OutOfRange,
-    ValueError).
+    objective is non-convergence (violation 1), one with a non-positive
+    stiffness eigenvalue or k_bar <= 0 is indefinite stiffness (violation
+    1). Out-of-range design variables and element or step counts are
+    caller errors and do raise (OutOfRange, ValueError).
     """
     report, _, _ = evaluate_with_sweep(design, n_elements=n_elements, n_steps=n_steps)
     return report

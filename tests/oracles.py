@@ -1,12 +1,12 @@
 """Reference implementations that only the tests call: the beam harness
 (a clamped single-flexure cantilever, an applied tip moment, one-element
-forces and tangents, strains and strain energy) that checks beam_fem
-against closed forms and finite differences, a dense view of the banded
-tangent, dominance of one objective vector over another, the broadcast
-dominance matrix and per-level hypervolume that pareto's column-wise
-dominance and dimension sweep replaced, the SPEA2 truncation that
-re-sorts every round, and the design variables read back from realized
-geometry."""
+forces and tangents, strains, peak bending strain and strain energy) that
+checks beam_fem against closed forms and finite differences, a dense view
+of the banded tangent, dominance of one objective vector over another,
+the broadcast dominance matrix and per-level hypervolume that pareto's
+column-wise dominance and dimension sweep replaced, the SPEA2 truncation
+that re-sorts every round, and the design variables read back from
+realized geometry."""
 
 from dataclasses import fields
 
@@ -40,8 +40,8 @@ class Loaded:
         self.newton_tolerance = model.newton_tolerance if tol is None else tol
 
     def assemble(self, z: np.ndarray):
-        residual, ab = self.model.assemble(z)
-        return residual - self.external, ab
+        residual, ab, peak = self.model.assemble(z)
+        return residual - self.external, ab, peak
 
 
 def solve_tip_moment(model: beam_fem.BeamModel, moment: float, n_steps: int = 20,
@@ -54,9 +54,9 @@ def solve_tip_moment(model: beam_fem.BeamModel, moment: float, n_steps: int = 20
         external = np.zeros(model.n_reduced)
         external[model.idx_phi] = moment * k / n_steps
         state = beam_fem.solve_equilibrium(Loaded(model, external, tol), state.z)
-    residual, ab = model.assemble(state.z)
+    residual, ab, peak = model.assemble(state.z)
     return beam_fem.BeamState(z=state.z, residual=residual, tangent_band=ab,
-                              iterations=state.iterations)
+                              peak_strain=peak, iterations=state.iterations)
 
 
 def element_forces(mesh: beam_fem.FlexureMesh, element: int, element_dofs: np.ndarray):
@@ -68,7 +68,7 @@ def element_forces(mesh: beam_fem.FlexureMesh, element: int, element_dofs: np.nd
     """
     data = beam_fem.ElementData(*(getattr(mesh.elements, f.name)[element:element + 1]
                                   for f in fields(beam_fem.ElementData)))
-    forces, tangents = beam_fem.element_kernel(data, np.asarray(element_dofs).T.reshape(1, 12))
+    forces, tangents, _ = beam_fem.element_kernel(data, np.asarray(element_dofs).T.reshape(1, 12))
     return forces[0], beam_fem._unpack(tangents[0])
 
 
@@ -78,9 +78,26 @@ def strains(mesh: beam_fem.FlexureMesh, displacements: np.ndarray):
     return beam_fem._kinematics(mesh.elements, beam_fem._grouped(displacements, mesh.conn))[0]
 
 
+def model_strains(model: beam_fem.BeamModel, z: np.ndarray):
+    """Reissner strain measures at the Gauss points of all elements of a
+    model, at the reduced state z, read from its nodal displacements."""
+    rows = [beam_fem._grouped(u, m.conn)
+            for m, u in zip(model.meshes, model.full_displacements(z))]
+    return beam_fem._kinematics(model.elements, np.concatenate(rows))[0]
+
+
+def peak_strain(model: beam_fem.BeamModel, z: np.ndarray) -> float:
+    """Peak outer-fiber bending strain |d kappa| * h / 2 over all Gauss
+    points of a model at the reduced state z."""
+    _, _, kap = model_strains(model, z)
+    half_height = np.concatenate([np.full((m.n_elements, 1), m.height / 2.0)
+                                  for m in model.meshes])
+    return float(np.max(np.abs(kap) * half_height))
+
+
 def strain_energy(model: beam_fem.BeamModel, state: beam_fem.BeamState) -> float:
     """Stored elastic energy of a state, Gauss-integrated over all elements."""
-    eps, gam, kap = model._strains(state.z)
+    eps, gam, kap = model_strains(model, state.z)
     ea, gas, ei = (model.elements.stiffness[:, k:k + 1] for k in range(3))
     density = ea * eps ** 2 + gas * gam ** 2 + ei * kap ** 2
     return 0.5 * float(np.sum(density * beam_fem._W_GAUSS * model.elements.jac))
@@ -100,7 +117,7 @@ def banded_to_dense(ab: np.ndarray) -> np.ndarray:
 
 def residual_tangent(model: beam_fem.BeamModel, z: np.ndarray):
     """Residual and dense tangent of the model at the reduced state z."""
-    residual, ab = model.assemble(z)
+    residual, ab, _ = model.assemble(z)
     return residual, banded_to_dense(ab)
 
 

@@ -137,7 +137,7 @@ def test_criterion_2_tangent_consistency():
                     prescribed[idx] = state.z[idx] + sign * step
                     pert = bf.solve_equilibrium(oracles.Loaded(model, external), state.z,
                                                 prescribed=prescribed)
-                    residual, _ = model.assemble(pert.z)
+                    residual, _, _ = model.assemble(pert.z)
                     reactions.append(residual[[model.idx_mx, model.idx_my]])
                 fd[:, j] = (reactions[0] - reactions[1]) / (2 * step)
             condensed_worst = max(condensed_worst,

@@ -75,7 +75,7 @@ class TestAssembly:
         assert cross_hinge_model.n_reduced == 2 * (91 - 2) * 3 + 3
 
     def test_reference_state_is_stress_free(self, cross_hinge_model):
-        residual, _ = cross_hinge_model.assemble(np.zeros(cross_hinge_model.n_reduced))
+        residual, _, _ = cross_hinge_model.assemble(np.zeros(cross_hinge_model.n_reduced))
         assert np.max(np.abs(residual)) < 1e-14
 
     def test_tangent_spd_at_reference(self, cross_hinge_model):
@@ -324,7 +324,7 @@ class TestEquilibriumSolver:
                 prescribed[idx] = state.z[idx] + sign * h
                 pert = bf.solve_equilibrium(oracles.Loaded(model, external), state.z,
                                             prescribed=prescribed)
-                residual, _ = model.assemble(pert.z)
+                residual, _, _ = model.assemble(pert.z)
                 reactions.append(residual[[model.idx_mx, model.idx_my]])
             fd[:, j] = (reactions[0] - reactions[1]) / (2 * h)
         assert np.max(np.abs(fd - k_t)) / np.max(np.abs(k_t)) < 1e-5
@@ -418,6 +418,22 @@ class TestSweep:
             assert result.z.shape == (k, model.n_reduced)
             assert np.all(np.diff(result.max_strains) >= 0.0)
             assert (result.failure is None) == full
+
+    def test_peak_strain_is_the_states_own(self, sweep, cross_hinge_model):
+        # a state's peak bending strain comes from the Newton assembly that
+        # accepted it; recomputed from the state's z it agrees bit for bit
+        model = cross_hinge_model
+        zero = model.zero_state()
+        assert zero.peak_strain == oracles.peak_strain(model, zero.z) == 0.0
+        state = bf.solve_step(model, zero, 0.4)
+        assert state.peak_strain == oracles.peak_strain(model, state.z) > 0.0
+        peaks = [oracles.peak_strain(model, z) for z in sweep.z]
+        assert np.array_equal(np.maximum.accumulate(peaks), sweep.max_strains)
+        strain_model = bf.assemble_model(geo.build_hinge(strain_abort_design()))
+        strain = bf.run_sweep(strain_model)
+        assert strain.failure == "strain"
+        last = oracles.peak_strain(strain_model, strain.z[-1])
+        assert strain.max_strains[-1] == last > bf.STRAIN_LIMIT
 
     def test_assemblies_per_sweep(self, cross_hinge_model, monkeypatch):
         # from step 3 on the predictor leaves one Newton correction per step:

@@ -114,26 +114,40 @@ class TestMinEnclosingCircle:
             ks.min_enclosing_circle(np.empty((0, 2)))
 
 
-class TestPrincipalCompliances:
+def synthetic_sweep(stiffnesses):
+    """A completed sweep of the given condensed stiffnesses, one per step,
+    on a unit-circle tip path with a unit rotational stiffness."""
+    phi = 0.1 * np.arange(len(stiffnesses))
+    return bf.SweepResult(phi=phi, tip_positions=np.stack([np.cos(phi), np.sin(phi)], axis=1),
+                          moments=phi.copy(), stiffnesses=np.array(stiffnesses, dtype=float),
+                          max_strains=np.zeros(len(phi)), z=np.zeros((len(phi), 1)))
+
+
+class TestCompliance:
+    """c_bar of objectives_from_sweep: the largest principal compliance
+    over all steps of a synthetic sweep."""
+
     def test_diagonal(self):
-        assert ks.principal_compliances(np.diag([2.0, 8.0])) == pytest.approx((0.125, 0.5))
+        report = ks.objectives_from_sweep(synthetic_sweep([np.diag([2.0, 8.0])] * 3))
+        assert report.c_bar == pytest.approx(0.5)
 
     def test_rotation_invariance(self):
-        base = np.diag([2.0, 8.0])
         r = rotation(0.9)
-        assert ks.principal_compliances(r @ base @ r.T) == pytest.approx((0.125, 0.5))
+        rotated = r @ np.diag([2.0, 8.0]) @ r.T
+        assert ks.objectives_from_sweep(synthetic_sweep([rotated] * 3)).c_bar == \
+            pytest.approx(0.5)
 
-    def test_determinant_identity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=(2, 2))
-            spd = a @ a.T + 2.0 * np.eye(2)
-            c1, c2 = ks.principal_compliances(spd)
-            assert c1 * c2 == pytest.approx(1.0 / np.linalg.det(spd), rel=1e-12)
+    def test_smallest_eigenvalue_over_all_steps(self):
+        r = rotation(0.4)
+        steps = [np.diag([4.0, 4.0]), r @ np.diag([0.5, 3.0]) @ r.T, np.diag([2.0, 8.0])]
+        assert ks.objectives_from_sweep(synthetic_sweep(steps)).c_bar == pytest.approx(2.0)
 
-    def test_indefinite_raises(self):
-        with pytest.raises(ks.NotPositiveDefinite):
-            ks.principal_compliances(np.diag([1.0, -0.5]))
+    def test_indefinite_step_is_infeasible(self):
+        steps = [np.diag([2.0, 8.0]), np.diag([1.0, -0.5]), np.diag([2.0, 8.0])]
+        report = ks.objectives_from_sweep(synthetic_sweep(steps))
+        assert (report.feasible, report.failure, report.violation) == \
+            (False, "indefinite-stiffness", ks.SINGULAR_VIOLATION)
+        assert report.y is None
 
 
 class TestRotationalStiffness:
@@ -266,18 +280,26 @@ class TestSolverTolerance:
     TestSweepReference by their test ids, and the feasible design of the
     full box whose r_bar is the most sensitive to the tolerance (point 191
     of perfbench's uniform_designs(seed 1, n 300)): off by 3.2e-6 relative
-    at NEWTON_TOL_FACTOR 1e-11, 1.2e-6 at 1e-12, 2e-15 at 5e-13."""
+    at NEWTON_TOL_FACTOR 1e-11, 1.2e-6 at 1e-12, 2e-15 at 5e-13. Point 129
+    of the same set has an indefinite condensed stiffness over steps 5-12
+    (smallest eigenvalue -2.0e-3) at either tolerance."""
 
     UNIFORM191 = {"failure": "", "values": [
         2.8213839930712057, -1.857655231445057, 1.4007849876527114, -1.3401485706607694,
         2.5817418689912657, -0.017859870700838165, 2.122090630231014, 1.3140697822641085,
         1.213135241029093, 18.476587031879887, 18.089365558865182, 0.7902291195553417,
         0.7948856183461004]}
+    INDEFINITE129 = {"failure": "indefinite-stiffness", "values": [
+        0.007896770034311678, -1.521918461976975, 0.48826689105461973, 1.900938467285207,
+        2.71889733248801, 2.777584054378397, 0.4000267997862559, 0.6400549200043062,
+        1.1396864285800703, 17.070761924273157, 14.543670383958514, 1.5821724670395199,
+        0.9988463375413374]}
 
     @pytest.mark.parametrize("case", [TestSweepReference.CASES["designs"][i]
-                                      for i in (0, 4, 5, 19, 13)] + [UNIFORM191],
+                                      for i in (0, 4, 5, 19, 13)]
+                             + [UNIFORM191, INDEFINITE129],
                              ids=["feasible0", "feasible4", "feasible5", "feasible13",
-                                  "strain1", "uniform191"])
+                                  "strain1", "uniform191", "indefinite129"])
     def test_objectives_match_tight_tolerance(self, case, monkeypatch):
         design = geo.DesignVector.from_array(case["values"])
         default = ks.evaluate_objectives(design)
