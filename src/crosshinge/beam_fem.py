@@ -15,8 +15,9 @@ sweep imposes the master rotation phi in equal steps and returns one row
 per completed step in row-aligned arrays: rotation, tip position,
 reaction moment, condensed translational stiffness, running peak bending
 strain (from each step's last Newton assembly) and the equilibrium state.
-Each step's Newton solve starts from a quartic Hermite extrapolation along
-the path tangents dz/dphi, so one correction per step reaches the tolerance.
+Each step's Newton solve starts from a Hermite extrapolation along the
+path tangents dz/dphi, cubic at step 2 and quartic from step 3 on, where
+one correction per step reaches the tolerance.
 
 The reduced tangent is symmetric, and only its upper band is assembled,
 directly in LAPACK band storage (first flexure ascending, master triple,
@@ -24,7 +25,9 @@ second flexure descending, which keeps the half-bandwidth at 11). Each
 Newton iteration costs one banded Cholesky factorization, or banded LU
 when the tangent is indefinite. All elements are stacked into one call of
 the element kernel: two matrix products with constant reference-element
-operators (the forces, and the upper triangle of the tangents). The
+operators (the forces, and the upper triangle of the tangents), on
+field-major data (a row per field, a column per element) so that every
+elementwise step reads contiguous rows. The
 cantilever and probes that check all this are in tests/oracles.py.
 """
 
@@ -88,19 +91,19 @@ def _element_operators():
 
     Element dofs are grouped as [ux(4), uy(4), theta(4)]. Per Gauss point g
     the kernel interpolates the fields [dux/dxi, duy/dxi, theta, dtheta/dxi]
-    (16 columns, field-major). The virtual-work force map is the transposed
+    (16 rows, field-major). The virtual-work force map is the transposed
     interpolation weighted by W_g. The tangent is a sum over six coefficient
     fields (xx, xy, yy, x-theta, y-theta, theta-theta) times the weighted
-    outer products of the basis, plus one row for the state-independent
+    outer products of the basis, plus one field for the state-independent
     curvature block EI * sum_g W_g D_g D_g^T. Only the 78 upper-triangle
-    columns (_TRIU) of the symmetric tangents are kept.
+    rows (_TRIU) of the symmetric tangents are kept.
     """
-    interp = np.zeros((12, 16))
-    interp[0:4, 0:4] = _DSHAPE_DXI.T
-    interp[4:8, 4:8] = _DSHAPE_DXI.T
-    interp[8:12, 8:12] = _SHAPE.T
-    interp[8:12, 12:16] = _DSHAPE_DXI.T
-    force = np.tile(_W_GAUSS, 4)[:, None] * interp.T
+    interp = np.zeros((16, 12))
+    interp[0:4, 0:4] = _DSHAPE_DXI
+    interp[4:8, 4:8] = _DSHAPE_DXI
+    interp[8:12, 8:12] = _SHAPE
+    interp[12:16, 8:12] = _DSHAPE_DXI
+    force = interp.T * np.tile(_W_GAUSS, 4)
 
     x, y, t = slice(0, 4), slice(4, 8), slice(8, 12)
     tangent = np.zeros((25, 12, 12))
@@ -115,7 +118,7 @@ def _element_operators():
         tangent[16 + g, y, t], tangent[16 + g, t, y] = dn, dn.T
         tangent[20 + g, t, t] = nn
         tangent[24, t, t] += dd
-    return interp, force, tangent[:, _TRIU[0], _TRIU[1]]
+    return interp, force, np.ascontiguousarray(tangent[:, _TRIU[0], _TRIU[1]].T)
 
 
 _INTERP, _FORCE, _TANGENT = _element_operators()
@@ -123,34 +126,35 @@ _INTERP, _FORCE, _TANGENT = _element_operators()
 
 @dataclass(frozen=True)
 class ElementData:
-    """Reference data of a stack of elements, one row per element.
-
-    Rows of several flexures can be stacked, so one kernel call serves
-    them all.
+    """Reference data of a stack of elements, field-major: one row per
+    field, one column per element, so every kernel ufunc reads contiguous
+    rows. The columns of several flexures can be stacked, so one kernel
+    call serves them all.
     """
 
-    gauss: np.ndarray      # (n_el, 12) reference dx/dxi, dy/dxi, theta at Gauss points
-    stretch: np.ndarray    # (n_el, 8) reference axial and shear stretch (a, g)
-    stiffness: np.ndarray  # (n_el, 3) EA, GAs, EI
-    jac: np.ndarray        # (n_el, 1) arc length per unit xi
+    gauss: np.ndarray      # (12, n_el) reference dx/dxi, dy/dxi, theta at Gauss points
+    stretch: np.ndarray    # (8, n_el) reference axial and shear stretch (a, g)
+    stiffness: np.ndarray  # (3, n_el) EA, GAs, EI
+    jac: np.ndarray        # (1, n_el) arc length per unit xi
+    per_jac: np.ndarray    # (5, n_el) 1, EA, GAs, EA - GAs and EI, each over jac
 
     @classmethod
     def stack(cls, parts: list["ElementData"]) -> "ElementData":
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts], axis=1)
                      for f in fields(cls)))
 
 
 def _kinematics(data: ElementData, ue: np.ndarray):
     """Gauss-point strains (axial, shear, curvature) and the rotated frame
-    (c, s, a, g) for grouped element displacements ue of shape (n_el, 12)."""
-    du = ue @ _INTERP
-    current = data.gauss + du[:, :12]
-    inv_j = 1.0 / data.jac
-    dx, dy = current[:, 0:4] * inv_j, current[:, 4:8] * inv_j
-    c, s = np.cos(current[:, 8:12]), np.sin(current[:, 8:12])
+    (c, s, a, g), each (4, n_el), for grouped element displacements ue (12, n_el)."""
+    du = _INTERP @ ue
+    current = data.gauss + du[:12]
+    inv_j = data.per_jac[0:1]
+    dx, dy = current[0:4] * inv_j, current[4:8] * inv_j
+    c, s = np.cos(current[8:12]), np.sin(current[8:12])
     a = c * dx + s * dy
-    g = -s * dx + c * dy
-    strains = (a - data.stretch[:, 0:4], g - data.stretch[:, 4:8], du[:, 12:16] * inv_j)
+    g = c * dy - s * dx
+    strains = (a - data.stretch[0:4], g - data.stretch[4:8], du[12:16] * inv_j)
     return strains, (c, s, a, g)
 
 
@@ -158,33 +162,26 @@ def element_kernel(data: ElementData, ue: np.ndarray):
     """Internal forces and consistent tangents of a stack of elements.
 
     Returns:
-        forces: (n_el, 12) grouped as [ux(4), uy(4), theta(4)]
-        tangents: (n_el, 78) upper triangles in the same ordering, packed
+        forces: (12, n_el) grouped as [ux(4), uy(4), theta(4)]
+        tangents: (78, n_el) upper triangles in the same ordering, packed
             in _TRIU order (see _unpack)
-        kap: (n_el, 4) curvature change at the Gauss points
+        kap: (4, n_el) curvature change at the Gauss points
     """
     (eps, gam, kap), (c, s, a, g) = _kinematics(data, ue)
-    ea, gas, ei = data.stiffness[:, 0:1], data.stiffness[:, 1:2], data.stiffness[:, 2:3]
+    ea, gas, ei = data.stiffness[:, None]
     j = data.jac
-    nf = ea * eps
-    qf = gas * gam
-    forces = np.concatenate(
-        [nf * c - qf * s, nf * s + qf * c, j * (nf * g - qf * a), ei * kap], axis=1
-    ) @ _FORCE
+    nf, qf = ea * eps, gas * gam
+    forces = [nf * c - qf * s, nf * s + qf * c, j * (nf * g - qf * a), ei * kap]
 
-    # material part B^T D B plus the geometric part from second derivatives
-    # of the strains; d/ds = (1/j) d/dxi and ds = j dxi fold into each field
-    inv_j = 1.0 / j
-    coeffs = np.concatenate([
-        (ea * c * c + gas * s * s) * inv_j,
-        (ea - gas) * c * s * inv_j,
-        (ea * s * s + gas * c * c) * inv_j,
-        ea * c * g + gas * s * a - nf * s - qf * c,
-        ea * s * g - gas * c * a + nf * c - qf * s,
-        j * (ea * g * g + gas * a * a - nf * a - qf * g),
-        ei * inv_j,
-    ], axis=1)
-    return forces, coeffs @ _TANGENT, kap
+    # material part B^T D B (c^2 + s^2 = 1 folds it onto (EA - GAs) c^2) plus
+    # the geometric part from second derivatives of the strains, with
+    # u = EA g - Q, v = GAs a - N; d/ds = (1/j) d/dxi and ds = j dxi fold in
+    _, ea_j, gas_j, diff_j, ei_j = data.per_jac[:, None]
+    dcc = diff_j * (c * c)
+    u, v = ea * g - qf, gas * a - nf
+    coeffs = [gas_j + dcc, diff_j * (c * s), ea_j - dcc,
+              c * u + s * v, s * u - c * v, j * (g * u + a * v), ei_j]
+    return _FORCE @ np.concatenate(forces), _TANGENT @ np.concatenate(coeffs), kap
 
 
 def _unpack(packed: np.ndarray) -> np.ndarray:
@@ -195,8 +192,8 @@ def _unpack(packed: np.ndarray) -> np.ndarray:
 
 
 def _grouped(nodal: np.ndarray, conn: np.ndarray) -> np.ndarray:
-    """Per-node (n_nodes, 3) values to grouped element rows (n_el, 12)."""
-    return nodal[conn].transpose(0, 2, 1).reshape(len(conn), 12)
+    """Per-node (n_nodes, 3) values to grouped element columns (12, n_el)."""
+    return nodal[conn].transpose(2, 1, 0).reshape(12, len(conn))
 
 
 class FlexureMesh:
@@ -215,20 +212,23 @@ class FlexureMesh:
         self.conn = 3 * np.arange(n_elements)[:, None] + np.arange(4)[None, :]
 
         # reference configuration interpolated at the Gauss points; strains
-        # are measured relative to it so the reference is stress free
-        jac = np.full((n_elements, 1), (flexure.length / n_elements) / 2.0)
+        # are measured relative to it, through the kernel's 1 / jac, so the
+        # reference is stress free
+        jac = (flexure.length / n_elements) / 2.0
         nodal = np.column_stack([self.node_pos, self.node_angle])
-        gauss = (_grouped(nodal, self.conn) @ _INTERP)[:, :12]
-        dx, dy = gauss[:, 0:4] / jac, gauss[:, 4:8] / jac
-        c0, s0 = np.cos(gauss[:, 8:12]), np.sin(gauss[:, 8:12])
+        gauss = _INTERP[:12] @ _grouped(nodal, self.conn)
+        dx, dy = gauss[0:4] * (1.0 / jac), gauss[4:8] * (1.0 / jac)
+        c0, s0 = np.cos(gauss[8:12]), np.sin(gauss[8:12])
         w, h = flexure.width, flexure.height
+        ea, gas = YOUNG_MODULUS * w * h, SHEAR_CORRECTION * SHEAR_MODULUS * w * h
+        ei = YOUNG_MODULUS * w * h ** 3 / 12.0
+        column = np.ones((1, n_elements))
         self.elements = ElementData(
             gauss=gauss,
-            stretch=np.concatenate([c0 * dx + s0 * dy, -s0 * dx + c0 * dy], axis=1),
-            stiffness=np.tile([YOUNG_MODULUS * w * h,
-                               SHEAR_CORRECTION * SHEAR_MODULUS * w * h,
-                               YOUNG_MODULUS * w * h ** 3 / 12.0], (n_elements, 1)),
-            jac=jac,
+            stretch=np.concatenate([c0 * dx + s0 * dy, c0 * dy - s0 * dx]),
+            stiffness=np.array([[ea], [gas], [ei]]) * column,
+            jac=jac * column,
+            per_jac=np.array([[1.0], [ea], [gas], [ea - gas], [ei]]) / jac * column,
         )
 
 
@@ -282,7 +282,7 @@ class BeamModel:
         self.meshes = meshes
         self.elements = ElementData.stack([m.elements for m in meshes])
         self._half_height = np.concatenate(
-            [np.full((m.n_elements, 1), m.height / 2.0) for m in meshes])
+            [np.full(m.n_elements, m.height / 2.0) for m in meshes])
 
         n0 = meshes[0].n_nodes
         base_master = 3 * (n0 - 2)
@@ -320,15 +320,16 @@ class BeamModel:
             scatter.append(_grouped(node_map, m.conn))
             self._node_reads.append(read)
         self._gather = np.concatenate(
-            [_grouped(read, m.conn) for m, read in zip(meshes, self._node_reads)])
+            [_grouped(read, m.conn) for m, read in zip(meshes, self._node_reads)], axis=1)
 
-        # static scatter patterns into the residual and the flat upper band;
-        # local pair (a, b), a <= b, lands on reduced (min, max)
-        edof = np.concatenate(scatter)
+        # static scatter patterns from the field-major kernel outputs into the
+        # residual and the flat upper band; local pair (a, b), a <= b, lands
+        # on reduced (min, max)
+        edof = np.concatenate(scatter, axis=1)
         valid = edof >= 0
         self._force_sel = np.flatnonzero(valid)
         self._force_idx = edof[valid]
-        rows, cols = edof[:, _TRIU[0]], edof[:, _TRIU[1]]
+        rows, cols = edof[_TRIU[0]], edof[_TRIU[1]]
         pmask = (rows >= 0) & (cols >= 0)
         i_idx = np.minimum(rows, cols)[pmask]
         j_idx = np.maximum(rows, cols)[pmask]
@@ -339,7 +340,7 @@ class BeamModel:
 
     @property
     def newton_tolerance(self) -> float:
-        return NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[:, 0].max())
+        return NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[0].max())
 
     def zero_state(self) -> BeamState:
         z = np.zeros(self.n_reduced)
@@ -386,15 +387,15 @@ class BeamModel:
             # the slaved tip (local dofs 3, 7, 11 of the last element) folds
             # into the master pose through te: its translation picks up
             # w * dphi with w = e_z x (R(phi) r0)
-            fx, fy = forces[-1, 3], forces[-1, 7]
-            forces[-1, 11] += -rot[1] * fx + rot[0] * fy
+            fx, fy = forces[3, -1], forces[7, -1]
+            forces[11, -1] += -rot[1] * fx + rot[0] * fy
         residual = np.bincount(self._force_idx, weights=forces.ravel()[self._force_sel],
                                minlength=n)
         if rot is not None:
             te = np.eye(12)
             te[3, 11] = -rot[1]
             te[7, 11] = rot[0]
-            tangents[-1] = (te.T @ _unpack(tangents[-1]) @ te)[_TRIU]
+            tangents[:, -1] = (te.T @ _unpack(tangents[:, -1]) @ te)[_TRIU]
         ab = np.bincount(self._band_idx, weights=tangents.ravel()[self._band_sel],
                          minlength=(_BAND + 1) * n)
         if rot is not None:
@@ -547,10 +548,12 @@ def condense_translational_stiffness(model: BeamModel, state: BeamState
 
 def predict_state(zs: list[np.ndarray], ts: list[np.ndarray], h: float) -> np.ndarray:
     """Next state on a uniform rotation grid of step h from the last converged
-    states zs and path tangents ts = dz/dphi: Euler from one, Adams-Bashforth 2
-    from two, quartic Hermite (exact to degree 4; Allgower & Georg) from three."""
-    if len(zs) < 3:
-        return zs[-1] + h * (ts[-1] if len(zs) == 1 else 1.5 * ts[-1] - 0.5 * ts[-2])
+    states zs and path tangents ts = dz/dphi: Euler from one, cubic Hermite from
+    two, quartic Hermite from three (exact to degree 3, 4; Allgower & Georg)."""
+    if len(zs) == 1:
+        return zs[0] + h * ts[0]
+    if len(zs) == 2:
+        return 5.0 * zs[0] - 4.0 * zs[1] + 2.0 * h * (ts[0] + 2.0 * ts[1])
     return -9.0 * zs[2] + 9.0 * zs[1] + zs[0] + 6.0 * h * (ts[0] + ts[1])
 
 

@@ -11,6 +11,7 @@ are fixed: E = 1, nu = 0.49 and the isotropic G = E / (2 (1 + nu)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ POISSON_RATIO = 0.49  # nearly incompressible, typical for printed elastomers
 SHEAR_MODULUS = YOUNG_MODULUS / (2.0 * (1.0 + POISSON_RATIO))
 CENTERLINE_SAMPLES = 81  # points sampled along each flexure centerline
 TOUCH_TOL = 1e-12  # relative gap below which centerline segments count as touching
+# a smaller turn cannot self-intersect (check_feasibility); the margin below pi
+# leaves turns whose segments may touch within TOUCH_TOL to the segment test
+CERTIFIED_TURN = math.pi - 1e-6
 
 DESIGN_FIELDS = (
     "theta0_1", "theta1_1", "theta2_1", "theta3_1",
@@ -195,8 +199,11 @@ class FeasibilityReport:
     feasible: bool
 
 
-def _cross2(ax, ay, bx, by):
-    return ax * by - ay * bx
+@functools.lru_cache(maxsize=None)
+def _segment_pairs(n_seg: int):
+    """Start-point indices (i, i + 1, j, j + 1) of all segment pairs j >= i + 2."""
+    i, j = np.triu_indices(n_seg, k=2)
+    return i, i + 1, j, j + 1
 
 
 def polyline_self_intersects(points: np.ndarray) -> bool:
@@ -208,26 +215,16 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
     n_seg = len(points) - 1
     if n_seg < 3:
         return False
-    a = points[:-1]
-    b = points[1:]
-    # all pairs (i, j) with j >= i + 2
-    i_idx, j_idx = np.triu_indices(n_seg, k=2)
-    return _segment_pairs_intersect(a[i_idx], b[i_idx], a[j_idx], b[j_idx])
-
-
-def _segment_pairs_intersect(p1, p2, p3, p4) -> bool:
-    """Vectorized segment-pair intersection with inclusive touching."""
-    scale = max(1.0, float(np.max(np.abs(np.concatenate([p1, p2, p3, p4])))))
+    scale = max(1.0, float(np.max(np.abs(points))))  # the pairs reach every point
     eps = TOUCH_TOL * scale * scale  # cross products scale with length squared
-
-    d1 = _cross2(p4[:, 0] - p3[:, 0], p4[:, 1] - p3[:, 1],
-                 p1[:, 0] - p3[:, 0], p1[:, 1] - p3[:, 1])
-    d2 = _cross2(p4[:, 0] - p3[:, 0], p4[:, 1] - p3[:, 1],
-                 p2[:, 0] - p3[:, 0], p2[:, 1] - p3[:, 1])
-    d3 = _cross2(p2[:, 0] - p1[:, 0], p2[:, 1] - p1[:, 1],
-                 p3[:, 0] - p1[:, 0], p3[:, 1] - p1[:, 1])
-    d4 = _cross2(p2[:, 0] - p1[:, 0], p2[:, 1] - p1[:, 1],
-                 p4[:, 0] - p1[:, 0], p4[:, 1] - p1[:, 1])
+    x, y = points[:, 0], points[:, 1]
+    p1, p2, p3, p4 = ((x[k], y[k]) for k in _segment_pairs(n_seg))
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, p3, p4
+    dx34, dy34, dx12, dy12 = x4 - x3, y4 - y3, x2 - x1, y2 - y1
+    d1 = dx34 * (y1 - y3) - dy34 * (x1 - x3)
+    d2 = dx34 * (y2 - y3) - dy34 * (x2 - x3)
+    d3 = dx12 * (y3 - y1) - dy12 * (x3 - x1)
+    d4 = dx12 * (y4 - y1) - dy12 * (x4 - x1)
 
     proper = ((d1 > eps) & (d2 < -eps) | (d1 < -eps) & (d2 > eps)) & \
              ((d3 > eps) & (d4 < -eps) | (d3 < -eps) & (d4 > eps))
@@ -236,26 +233,49 @@ def _segment_pairs_intersect(p1, p2, p3, p4) -> bool:
 
     # collinear / touching cases: an endpoint lies (within eps) on the
     # other segment
+    margin = TOUCH_TOL * scale
     for d, q, a, b in ((d1, p1, p3, p4), (d2, p2, p3, p4),
                        (d3, p3, p1, p2), (d4, p4, p1, p2)):
         near = np.abs(d) <= eps
         if not np.any(near):
             continue
-        qn, an, bn = q[near], a[near], b[near]
-        lo = np.minimum(an, bn) - TOUCH_TOL * scale
-        hi = np.maximum(an, bn) + TOUCH_TOL * scale
-        on = np.all((qn >= lo) & (qn <= hi), axis=1)
+        on = np.ones(np.count_nonzero(near), dtype=bool)
+        for qc, ac, bc in zip(q, a, b):  # x, then y
+            qn, an, bn = qc[near], ac[near], bc[near]
+            on &= (qn >= np.minimum(an, bn) - margin) & (qn <= np.maximum(an, bn) + margin)
         if bool(np.any(on)):
             return True
     return False
 
 
+def angle_range(coeffs) -> tuple[float, float]:
+    """Exact (min, max) of angle_profile on [0, 1]: its end values and its
+    values at the in-interval roots of the quadratic derivative
+    theta'(s) = -24 t3 s^2 + (24 t3 - 8 t2) s + (t1 - t0 + 4 t2 - 4 t3)."""
+    t0, t1, t2, t3 = (float(t) for t in coeffs)
+    a, b, c = -24.0 * t3, 24.0 * t3 - 8.0 * t2, t1 - t0 + 4.0 * t2 - 4.0 * t3
+    disc = b * b - 4.0 * a * c
+    roots = []
+    if disc >= 0.0:  # the roots q / a and c / q, free of cancellation
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = ([q / a] if a else []) + ([c / q] if q else [])
+    values = angle_profile(coeffs, [0.0, 1.0, *(r for r in roots if 0.0 < r < 1.0)])
+    return float(values.min()), float(values.max())
+
+
 def check_feasibility(geometry: HingeGeometry) -> FeasibilityReport:
     """Reject geometries whose flexure centerlines self-intersect. The two
     flexures may cross each other: they occupy different planes in the
-    physical mechanism."""
-    return FeasibilityReport(not any(polyline_self_intersects(f.points)
-                                     for f in geometry.flexures))
+    physical mechanism. A flexure turning by less than CERTIFIED_TURN skips
+    the segment test: each chord, a positive quadrature sum of unit
+    tangents, lies in that open cone, so the polyline advances strictly
+    along its bisector and no two non-adjacent segments can meet."""
+    def turn(flexure: Flexure) -> float:
+        low, high = angle_range(flexure.coeffs)
+        return high - low
+
+    return FeasibilityReport(not any(polyline_self_intersects(f.points) for f in
+                                     geometry.flexures if turn(f) >= CERTIFIED_TURN))
 
 
 def sample_random(seed) -> DesignVector:

@@ -16,6 +16,7 @@ with their dimensionless counterparts.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -115,21 +116,26 @@ def min_enclosing_circle(points: np.ndarray):
     order = list(range(len(pts)))
     random.Random(len(pts)).shuffle(order)
     shuffled = pts[order]
+    xy = shuffled.tolist()  # containment checks on Python floats
 
     center, radius = np.zeros(2), 0.0
+    cx = cy = 0.0
     tol = 1e-12 * max(1.0, float(np.max(np.abs(pts))))
-    for i in range(len(shuffled)):
-        if np.linalg.norm(shuffled[i] - center) <= radius + tol:
+    for i, (xi, yi) in enumerate(xy):
+        if math.sqrt((xi - cx) ** 2 + (yi - cy) ** 2) <= radius + tol:
             continue
         center, radius = shuffled[i].copy(), 0.0
-        for j in range(i):
-            if np.linalg.norm(shuffled[j] - center) <= radius + tol:
+        cx, cy = xi, yi
+        for j, (xj, yj) in enumerate(xy[:i]):
+            if math.sqrt((xj - cx) ** 2 + (yj - cy) ** 2) <= radius + tol:
                 continue
             center, radius = _circle_two(shuffled[i], shuffled[j])
-            for k in range(j):
-                if np.linalg.norm(shuffled[k] - center) <= radius + tol:
+            cx, cy = center.tolist()
+            for k, (xk, yk) in enumerate(xy[:j]):
+                if math.sqrt((xk - cx) ** 2 + (yk - cy) ** 2) <= radius + tol:
                     continue
                 center, radius = _circle_three(shuffled[i], shuffled[j], shuffled[k])
+                cx, cy = center.tolist()
     return center, radius
 
 

@@ -5,14 +5,16 @@ checks beam_fem against closed forms and finite differences, a dense view
 of the banded tangent, dominance of one objective vector over another,
 the broadcast dominance matrix and per-level hypervolume that pareto's
 column-wise dominance and dimension sweep replaced, the SPEA2 truncation
-that re-sorts every round, and the design variables read back from
+that re-sorts every round, the Welzl loop on numpy norms that the float
+containment checks replaced, and the design variables read back from
 realized geometry."""
 
+import random
 from dataclasses import fields
 
 import numpy as np
 
-from crosshinge import beam_fem, moo, pareto
+from crosshinge import beam_fem, kinetostatics, moo, pareto
 from crosshinge.geometry import DesignVector, Flexure, HingeGeometry, centerline
 
 
@@ -66,10 +68,10 @@ def element_forces(mesh: beam_fem.FlexureMesh, element: int, element_dofs: np.nd
     nodes as a (4, 3) array; results use the grouped 12-dof ordering
     [ux(4), uy(4), theta(4)].
     """
-    data = beam_fem.ElementData(*(getattr(mesh.elements, f.name)[element:element + 1]
+    data = beam_fem.ElementData(*(getattr(mesh.elements, f.name)[:, element:element + 1]
                                   for f in fields(beam_fem.ElementData)))
-    forces, tangents, _ = beam_fem.element_kernel(data, np.asarray(element_dofs).T.reshape(1, 12))
-    return forces[0], beam_fem._unpack(tangents[0])
+    forces, tangents, _ = beam_fem.element_kernel(data, np.asarray(element_dofs).T.reshape(12, 1))
+    return forces[:, 0], beam_fem._unpack(tangents[:, 0])
 
 
 def strains(mesh: beam_fem.FlexureMesh, displacements: np.ndarray):
@@ -83,14 +85,14 @@ def model_strains(model: beam_fem.BeamModel, z: np.ndarray):
     model, at the reduced state z, read from its nodal displacements."""
     rows = [beam_fem._grouped(u, m.conn)
             for m, u in zip(model.meshes, model.full_displacements(z))]
-    return beam_fem._kinematics(model.elements, np.concatenate(rows))[0]
+    return beam_fem._kinematics(model.elements, np.concatenate(rows, axis=1))[0]
 
 
 def peak_strain(model: beam_fem.BeamModel, z: np.ndarray) -> float:
     """Peak outer-fiber bending strain |d kappa| * h / 2 over all Gauss
     points of a model at the reduced state z."""
     _, _, kap = model_strains(model, z)
-    half_height = np.concatenate([np.full((m.n_elements, 1), m.height / 2.0)
+    half_height = np.concatenate([np.full(m.n_elements, m.height / 2.0)
                                   for m in model.meshes])
     return float(np.max(np.abs(kap) * half_height))
 
@@ -98,9 +100,9 @@ def peak_strain(model: beam_fem.BeamModel, z: np.ndarray) -> float:
 def strain_energy(model: beam_fem.BeamModel, state: beam_fem.BeamState) -> float:
     """Stored elastic energy of a state, Gauss-integrated over all elements."""
     eps, gam, kap = model_strains(model, state.z)
-    ea, gas, ei = (model.elements.stiffness[:, k:k + 1] for k in range(3))
+    ea, gas, ei = (model.elements.stiffness[k:k + 1] for k in range(3))
     density = ea * eps ** 2 + gas * gam ** 2 + ei * kap ** 2
-    return 0.5 * float(np.sum(density * beam_fem._W_GAUSS * model.elements.jac))
+    return 0.5 * float(np.sum(density * beam_fem._W_GAUSS[:, None] * model.elements.jac))
 
 
 def banded_to_dense(ab: np.ndarray) -> np.ndarray:
@@ -187,6 +189,33 @@ def spea2_truncate(evals: list, size: int) -> np.ndarray:
         victim = np.lexsort(ordered.T[::-1])[0]
         del alive[victim]
     return np.array(alive)
+
+
+def min_enclosing_circle(points: np.ndarray):
+    """Welzl with move-to-front, each containment check an np.linalg.norm of
+    a numpy row, on the permutation and circle constructors of
+    kinetostatics.min_enclosing_circle."""
+    pts = np.asarray(points, dtype=float)
+    order = list(range(len(pts)))
+    random.Random(len(pts)).shuffle(order)
+    shuffled = pts[order]
+
+    center, radius = np.zeros(2), 0.0
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(pts))))
+    for i in range(len(shuffled)):
+        if np.linalg.norm(shuffled[i] - center) <= radius + tol:
+            continue
+        center, radius = shuffled[i].copy(), 0.0
+        for j in range(i):
+            if np.linalg.norm(shuffled[j] - center) <= radius + tol:
+                continue
+            center, radius = kinetostatics._circle_two(shuffled[i], shuffled[j])
+            for k in range(j):
+                if np.linalg.norm(shuffled[k] - center) <= radius + tol:
+                    continue
+                center, radius = kinetostatics._circle_three(shuffled[i], shuffled[j],
+                                                             shuffled[k])
+    return center, radius
 
 
 def design_parameters(geometry: HingeGeometry) -> DesignVector:

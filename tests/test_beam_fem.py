@@ -65,7 +65,7 @@ class TestAssembly:
         assert mesh.node_angle == pytest.approx(geo.angle_profile(coeffs, s), abs=1e-12)
 
     def test_section_properties(self, cantilever):
-        ea, gas, ei = cantilever.meshes[0].elements.stiffness[0]
+        ea, gas, ei = cantilever.meshes[0].elements.stiffness[:, 0]
         assert ea == pytest.approx(0.1)
         assert ei == pytest.approx(8.3333333333e-5, rel=1e-6)
         assert gas == pytest.approx((5 / 6) * 0.1 / (2 * 1.49), rel=1e-12)
@@ -437,7 +437,7 @@ class TestSweep:
 
     def test_assemblies_per_sweep(self, cross_hinge_model, monkeypatch):
         # from step 3 on the predictor leaves one Newton correction per step:
-        # 1 + 4 + 4 + 18 * 2 = 45 assemblies
+        # 1 + 4 + 3 + 18 * 2 = 44 assemblies
         calls = []
         assemble = bf.BeamModel.assemble
         monkeypatch.setattr(bf.BeamModel, "assemble",
@@ -445,10 +445,27 @@ class TestSweep:
         assert bf.run_sweep(cross_hinge_model).failure is None
         assert len(calls) <= 46
 
-    @pytest.mark.parametrize("points, degree", [(1, 1), (2, 2), (3, 4)])
+    def test_golden_newton_iterations_per_step(self, monkeypatch):
+        # Euler leaves step 1 three corrections, the cubic Hermite start
+        # step 2 two, and the quartic Hermite start every later step one
+        golden = json.loads((DATA / "regression_cross_hinge.json").read_text())
+        model = bf.assemble_model(geo.build_hinge(geo.DesignVector(**golden["design"])))
+        iterations = []
+        solve = bf.solve_equilibrium
+
+        def counted(*args, **kwargs):
+            state = solve(*args, **kwargs)
+            iterations.append(state.iterations)
+            return state
+
+        monkeypatch.setattr(bf, "solve_equilibrium", counted)
+        assert bf.run_sweep(model).failure is None
+        assert iterations == [3, 2] + [1] * 18
+
+    @pytest.mark.parametrize("points, degree", [(1, 1), (2, 2), (2, 3), (3, 4)])
     def test_predictor_exact_on_polynomial_paths(self, points, degree):
-        # Euler, Adams-Bashforth 2 and the quartic Hermite extrapolation
-        # reproduce any path z(phi) of their degree, up to rounding
+        # Euler, the cubic and the quartic Hermite extrapolation reproduce
+        # any path z(phi) of their degree, up to rounding
         coeffs = np.random.default_rng(degree).standard_normal((degree + 1, 5))
         path = np.polynomial.Polynomial
         z = [path(coeffs[:, i]) for i in range(5)]

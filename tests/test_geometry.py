@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,10 @@ from scipy.integrate import quad
 
 from crosshinge import geometry as geo
 import oracles
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def angle_coeffs(draw_bounds=True):
@@ -182,6 +188,47 @@ class TestFeasibility:
             assert got == expected
             n_infeasible += got
         assert n_infeasible > 0  # the sample must exercise both outcomes
+
+
+class TestTurningCertificate:
+    @settings(max_examples=200)
+    @given(angle_coeffs(), st.sampled_from(["cubic", "t3 = 0", "t2 = t3 = 0"]))
+    def test_angle_range_bounds_the_sampled_range(self, coeffs, case):
+        t0, t1, t2, t3 = coeffs
+        coeffs = (t0, t1, *{"cubic": (t2, t3), "t3 = 0": (t2, 0.0),
+                            "t2 = t3 = 0": (0.0, 0.0)}[case])
+        low, high = geo.angle_range(coeffs)
+        sampled = geo.angle_profile(coeffs, np.linspace(0.0, 1.0, 20_001))
+        assert low <= sampled.min() + 1e-12 and high >= sampled.max() - 1e-12
+        # and it is the range: a 5e-5 grid misses an extremum by |theta''| / 8 * 2.5e-9
+        assert low >= sampled.min() - 1e-6 and high <= sampled.max() + 1e-6
+
+    def test_semicircle_reaches_the_segment_test(self, monkeypatch):
+        # flexure 1 turns by exactly pi, flexure 2 is straight
+        d = geo.DesignVector(0.0, math.pi, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0,
+                             alpha=1.0, beta1=10.0, beta2=10.0, gamma=1.0, delta=0.5)
+        hinge = geo.build_hinge(d)
+        assert geo.angle_range(hinge.flexures[0].coeffs) == (0.0, math.pi)
+        tested = []
+        full_test = geo.polyline_self_intersects
+        monkeypatch.setattr(geo, "polyline_self_intersects",
+                            lambda points: tested.append(points) or full_test(points))
+        assert geo.check_feasibility(hinge).feasible
+        assert len(tested) == 1 and tested[0] is hinge.flexures[0].points
+
+    @pytest.mark.parametrize("name, n_certified", [("near_front", 600), ("uniform", 282)])
+    def test_certified_flexures_do_not_self_intersect(self, name, n_certified):
+        if name == "near_front":
+            golden = workloads.Golden(ROOT / "tests" / "data" / "regression_cross_hinge.json",
+                                      geo)
+            designs = workloads.near_front_designs(geo, golden, 1, 300)
+        else:
+            designs = workloads.uniform_designs(geo, 1, 300)
+        certified = [f.points for x in designs
+                     for f in geo.build_hinge(geo.DesignVector.from_array(x)).flexures
+                     if np.ptp(geo.angle_range(f.coeffs)) < geo.CERTIFIED_TURN]
+        assert len(certified) == n_certified
+        assert not any(_polyline_oracle(points.tolist()) for points in certified)
 
 
 class TestSampleRandom:

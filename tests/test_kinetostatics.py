@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from crosshinge import beam_fem as bf
 from crosshinge import geometry as geo
 from crosshinge import kinetostatics as ks
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +113,32 @@ class TestMinEnclosingCircle:
     def test_empty_raises(self):
         with pytest.raises(ks.DegenerateInput):
             ks.min_enclosing_circle(np.empty((0, 2)))
+
+    def test_same_bytes_as_numpy_norm_loop(self):
+        # the containment checks on Python floats take the same branches as
+        # the np.linalg.norm loop, so center and radius keep their bytes
+        rng = np.random.default_rng(31)
+        sets = []
+        for k in range(300):
+            n = int(rng.integers(1, 41))
+            points = rng.uniform(-2, 2, (n, 2))
+            if k % 4 == 1:  # collinear
+                points = rng.uniform(-1, 1, (n, 1)) * rng.normal(size=2) + rng.normal(size=2)
+            elif k % 4 == 2:  # duplicates
+                points = points[rng.integers(0, max(1, n // 3), n)]
+            elif k % 4 == 3:  # cocircular within 1e-10, where the tolerance decides
+                angle = rng.uniform(0, 2 * math.pi, n)
+                radius = 1.0 + 1e-10 * rng.standard_normal(n)
+                points = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+            sets.append(points)
+        design, _ = regression_design()
+        _, sweep, _ = ks.evaluate_with_sweep(design)
+        sets.append(ks.centrode(sweep.tip_positions, sweep.phi[1] - sweep.phi[0]))
+        for points in sets:
+            center, radius = ks.min_enclosing_circle(points)
+            ref_center, ref_radius = oracles.min_enclosing_circle(points)
+            assert center.tobytes() == ref_center.tobytes()
+            assert np.float64(radius).tobytes() == np.float64(ref_radius).tobytes()
 
 
 def synthetic_sweep(stiffnesses):
