@@ -171,17 +171,24 @@ def variation(parents: np.ndarray, config: MooConfig, rng: np.random.Generator,
 
 def _domination_matrix(evals: list[Evaluation]) -> np.ndarray:
     """d[i, j] == True iff individual i constraint-dominates individual j:
-    feasibility first, then violation, then Pareto dominance."""
-    n = len(evals)
+    feasibility first, then violation, then Pareto dominance.
+
+    All three are one componentwise <= over (n, 1 + m) keys: the violation
+    (0 when feasible), then the objectives (inf when infeasible). Key i is
+    <= key j and differs from it exactly when i constraint-dominates j, so
+    the pairs of identical keys are cleared afterwards.
+    """
     feasible = np.array([e.feasible for e in evals])
-    viol = np.array([e.violation for e in evals])
-    d = np.zeros((n, n), dtype=bool)
-    d[np.ix_(feasible, ~feasible)] = True
-    d[np.ix_(~feasible, ~feasible)] = viol[~feasible, None] < viol[None, ~feasible]
-    feas_idx = np.where(feasible)[0]
-    if feas_idx.size:
-        ys = np.array([evals[i].y for i in feas_idx])
-        d[np.ix_(feas_idx, feas_idx)] = pareto.dominance(ys, ys)
+    ys = [e.y for e in evals if e.feasible]
+    keys = np.full((len(evals), 1 + (len(ys[0]) if ys else 0)), np.inf)
+    keys[:, 0] = [0.0 if e.feasible else e.violation for e in evals]
+    if ys:
+        keys[feasible, 1:] = ys
+    d = keys[:, 0, None] <= keys[None, :, 0]
+    for j in range(1, keys.shape[1]):
+        d &= keys[:, j, None] <= keys[None, :, j]
+    group = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    d &= group[:, None] != group[None, :]
     return d
 
 
@@ -258,10 +265,11 @@ def _binary_tournament(keys: np.ndarray, n_parents: int,
 # SPEA2 machinery
 
 def _distances(coords: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances with an infinite diagonal. The squared
-    distance is summed one coordinate column at a time on (n, n) arrays,
-    in column order, so it equals np.linalg.norm over the (n, n, m)
-    difference array bit for bit without building that array."""
+    """Pairwise Euclidean distances with an infinite diagonal, the (n, n)
+    matrix that _spea2_truncate works on. The squared distance is summed
+    one coordinate column at a time, in column order, so it equals
+    np.linalg.norm over the (n, n, m) difference array bit for bit without
+    building that array."""
     squared = np.zeros((len(coords), len(coords)))
     for j in range(coords.shape[1]):
         squared += (coords[:, j, None] - coords[None, :, j]) ** 2
@@ -270,18 +278,40 @@ def _distances(coords: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _kth_neighbour_distances(coords: np.ndarray, k: int) -> np.ndarray:
+    """Each row's distance to its k-th nearest other row, equal bit for bit
+    to the k-th smallest entry of its _distances row. Rows go in blocks: a
+    block sums its squared differences in column order into reused
+    buffers, takes the root, sets its own entries to inf and partitions,
+    so no (n, n) array is held."""
+    n, block = len(coords), 64
+    sigma = np.empty(n)
+    squared, diff = np.empty((block, n)), np.empty((block, n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        sq, df = squared[:stop - start], diff[:stop - start]
+        sq.fill(0.0)
+        for j in range(coords.shape[1]):
+            np.subtract(coords[start:stop, j, None], coords[None, :, j], out=df)
+            sq += np.square(df, out=df)
+        np.sqrt(sq, out=sq)
+        sq[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        sigma[start:stop] = np.partition(sq, k - 1, axis=1)[:, k - 1]
+    return sigma
+
+
 def _spea2_fitness(evals: list[Evaluation]) -> np.ndarray:
-    """Strength-based raw fitness plus k-nearest-neighbor density: the
-    k-th smallest of the column-wise built distances (_distances), found
-    by a partial partition rather than a full row sort."""
+    """Strength-based raw fitness plus k-nearest-neighbour density, with
+    sigma_k the k-th smallest distance (_kth_neighbour_distances) and k
+    the rounded root of the member count."""
     d = _domination_matrix(evals)
     # strengths are integer counts, so the sums are exact in any order
     strength = d.sum(axis=1).astype(float)
     raw = strength @ d
-    dist = _distances(_density_coordinates(evals))
-    k = max(1, int(round(np.sqrt(len(evals)))))
-    k = min(k, len(evals) - 1) if len(evals) > 1 else 1
-    sigma_k = np.partition(dist, k - 1, axis=1)[:, k - 1] if len(evals) > 1 else np.zeros(1)
+    n = len(evals)
+    k = min(max(1, int(round(np.sqrt(n)))), n - 1)
+    sigma_k = (_kth_neighbour_distances(_density_coordinates(evals), k) if n > 1
+               else np.zeros(1))
     density = 1.0 / (sigma_k + 2.0)
     return raw + density
 

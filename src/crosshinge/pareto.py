@@ -1,11 +1,13 @@
 """Pareto dominance, front normalization and pseudo-weight selection.
 
 An archive holds the designs and objectives of mutually non-dominated
-points as two row-aligned arrays; the componentwise best (ideal) and
-worst (nadir) objective values normalize the front to the unit cube. Pseudo-weights
-locate each solution's implicit objective weighting from its normalized
-distance to the nadir point; selection picks the archive member whose
-pseudo-weights are L1-closest to a requested target weighting.
+points as two row-aligned arrays; one O(n log n) dominance sweep
+(_sweep_dominated) serves nondominated_filter and dominated_mask. The
+componentwise best (ideal) and worst (nadir) objective values normalize
+the front to the unit cube. Pseudo-weights locate each solution's
+implicit objective weighting from its normalized distance to the nadir
+point; selection picks the archive member whose pseudo-weights are
+L1-closest to a requested target weighting.
 """
 
 from __future__ import annotations
@@ -66,27 +68,56 @@ class ParetoArchive:
         return self.objectives.max(axis=0)
 
 
-def dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d[i, j] == True iff row a[i] Pareto-dominates row b[j]: no worse in
-    all objectives, better in at least one."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # one objective column at a time on (n_a, n_b) arrays: no (n_a, n_b, m) temporaries
-    no_worse = np.ones((len(a), len(b)), dtype=bool)
-    better = np.zeros((len(a), len(b)), dtype=bool)
-    for j in range(a.shape[1]):
-        no_worse &= a[:, j, None] <= b[None, :, j]
-        better |= a[:, j, None] < b[None, :, j]
-    return no_worse & better
+def _distinct(ys: np.ndarray) -> np.ndarray:
+    """First row of each run of equal rows in lexsorted objectives."""
+    first = np.ones(len(ys), dtype=bool)
+    first[1:] = np.any(ys[1:] != ys[:-1], axis=1)
+    return first
+
+
+def _sweep_dominated(ys: np.ndarray) -> np.ndarray:
+    """Dominated flags of distinct, NaN-free objective rows (at most three
+    columns, fewer padded with zeros) in ascending lexicographic order.
+
+    The maxima sweep of Kung, Luccio & Preparata (JACM 1975): a row's
+    dominators all come before it, so it is dominated iff the (y1, y2)
+    staircase of the rows seen so far holds a point no worse in both. The
+    staircase is kept as two bisected lists (y1 ascending, y2 descending),
+    as in hypervolume.
+    """
+    if ys.shape[1] > 3:
+        raise ValueError("the dominance sweep supports up to 3 objectives")
+    ys = np.column_stack([ys, np.zeros((len(ys), 3 - ys.shape[1]))])
+    s1: list[float] = []
+    s2: list[float] = []
+    out = []
+    for _, a, b in ys.tolist():
+        i = bisect.bisect_right(s1, a)
+        out.append(bool(i) and s2[i - 1] <= b)
+        if not out[-1]:
+            # steps j..k-1 lie at or beyond the new point in y1 and y2: it replaces them
+            j = k = bisect.bisect_left(s1, a)
+            while k < len(s2) and s2[k] >= b:
+                k += 1
+            s1[j:k], s2[j:k] = [a], [b]
+    return np.array(out, dtype=bool)
 
 
 def dominated_mask(objectives: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows dominated by some other row (chunked)."""
+    """Boolean mask of rows dominated by some other row, in input order.
+
+    The distinct rows are swept in lexicographic order and the flags are
+    mapped back, so rows with equal objectives (signed zeros included)
+    share a flag and do not dominate each other.
+    """
     ys = np.asarray(objectives, dtype=float)
-    n = len(ys)
-    out = np.zeros(n, dtype=bool)
-    for start in range(0, n, 256):
-        out |= np.any(dominance(ys[start:start + 256], ys), axis=0)
+    if len(ys) == 0:
+        return np.zeros(0, dtype=bool)
+    order = np.lexsort(ys.T[::-1])  # np.lexsort sorts by its last key first
+    ys = ys[order]
+    first = _distinct(ys)
+    out = np.empty(len(ys), dtype=bool)
+    out[order] = _sweep_dominated(ys[first])[np.cumsum(first) - 1]
     return out
 
 
@@ -95,19 +126,17 @@ def nondominated_filter(designs: np.ndarray, objectives: np.ndarray) -> ParetoAr
 
     Rows are sorted by objectives, then designs (lexicographically); of
     rows with exactly equal objectives only the first, the one with the
-    smallest design, is kept. The result is permutation invariant.
+    smallest design, is kept, and the kept rows go through the dominance
+    sweep. The result is permutation invariant.
     """
     ys = np.asarray(objectives, dtype=float)
     if len(ys) == 0:
         return ParetoArchive()
     xs = np.asarray(designs, dtype=float)
-    # np.lexsort sorts by its last key first
     order = np.lexsort(np.column_stack([ys, xs]).T[::-1])
-    xs, ys = xs[order], ys[order]
-    keep = np.ones(len(ys), dtype=bool)
-    keep[1:] = np.any(ys[1:] != ys[:-1], axis=1)
-    xs, ys = xs[keep], ys[keep]
-    keep = ~dominated_mask(ys)
+    keep = _distinct(ys[order])
+    xs, ys = xs[order[keep]], ys[order[keep]]
+    keep = ~_sweep_dominated(ys)
     return ParetoArchive(designs=xs[keep], objectives=ys[keep])
 
 

@@ -3,18 +3,19 @@
 forces and tangents, strains, peak bending strain and strain energy) that
 checks beam_fem against closed forms and finite differences, a dense view
 of the banded tangent, dominance of one objective vector over another,
-the broadcast dominance matrix and per-level hypervolume that pareto's
-column-wise dominance and dimension sweep replaced, the SPEA2 truncation
-that re-sorts every round, the Welzl loop on numpy norms that the float
-containment checks replaced, and the design variables read back from
-realized geometry."""
+the broadcast dominance matrix that pareto's dominance sweep replaced,
+constraint domination one pair at a time, the per-level hypervolume that
+pareto's dimension sweep replaced, the SPEA2 truncation that re-sorts
+every round, the Welzl loop on numpy norms that the float containment
+checks replaced, and the design variables read back from realized
+geometry."""
 
 import random
 from dataclasses import fields
 
 import numpy as np
 
-from crosshinge import beam_fem, kinetostatics, moo, pareto
+from crosshinge import beam_fem, kinetostatics, moo
 from crosshinge.geometry import DesignVector, Flexure, HingeGeometry, centerline
 
 
@@ -125,7 +126,7 @@ def residual_tangent(model: beam_fem.BeamModel, z: np.ndarray):
 
 def dominates(y: np.ndarray, y_other: np.ndarray) -> bool:
     """Pareto dominance of one objective vector over another."""
-    return bool(pareto.dominance(np.atleast_2d(y), np.atleast_2d(y_other))[0, 0])
+    return bool(dominance(np.atleast_2d(y), np.atleast_2d(y_other))[0, 0])
 
 
 def dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,6 +135,24 @@ def dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)[:, None, :]
     b = np.asarray(b, dtype=float)[None, :, :]
     return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+
+
+def constraint_dominates(a: kinetostatics.Evaluation, b: kinetostatics.Evaluation) -> bool:
+    """Constraint domination of one record over another: a feasible record
+    beats an infeasible one, infeasible records compare by violation and
+    feasible ones by Pareto dominance."""
+    if a.feasible != b.feasible:
+        return a.feasible
+    if not a.feasible:
+        return a.violation < b.violation
+    return dominates(a.y, b.y)
+
+
+def domination_matrix(evals: list) -> np.ndarray:
+    """d[i, j] == True iff record i constraint-dominates record j, one pair
+    at a time."""
+    return np.array([[constraint_dominates(a, b) for b in evals] for a in evals],
+                    dtype=bool).reshape(len(evals), len(evals))
 
 
 def staircase_area(points: np.ndarray, reference: np.ndarray) -> float:

@@ -105,6 +105,25 @@ class TestConstraintDomination:
         d = moo._domination_matrix([a, b])
         assert d[0, 1] and not d[1, 0]
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_pairwise_oracle(self, m):
+        # duplicate objective rows with signed zeros, equal violations, and
+        # pools that are all feasible, all infeasible or mixed
+        rng = np.random.default_rng(m)
+        for _ in range(60):
+            p_feasible = rng.choice([0.0, 0.5, 1.0])
+            evals = []
+            for _ in range(int(rng.integers(1, 40))):
+                if rng.random() < p_feasible:
+                    y = rng.integers(0, 3, size=m).astype(float)
+                    y[rng.random(m) < 0.2] *= -1.0
+                    evals.append(moo.Evaluation(y=y, feasible=True))
+                else:
+                    evals.append(moo.Evaluation(y=None, feasible=False,
+                                                violation=float(rng.integers(0, 3))))
+            np.testing.assert_array_equal(moo._domination_matrix(evals),
+                                          oracles.domination_matrix(evals))
+
     def test_feasible_rank_before_infeasible(self):
         rng = np.random.default_rng(9)
         evals = []
@@ -177,6 +196,21 @@ class TestSpea2Selection:
         for size in (1, len(evals) // 2, len(evals) - 1, len(evals)):
             np.testing.assert_array_equal(moo._spea2_truncate(evals, size),
                                           oracles.spea2_truncate(evals, size))
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 64, 65, 200])
+    def test_blocked_kth_distance_matches_full_matrix(self, n):
+        # n below the 64-row block, equal to it and not a multiple of it;
+        # rounded coordinates give tied and zero distances
+        rng = np.random.default_rng(n)
+        evals = [moo.Evaluation(y=np.round(rng.random(3), 1), feasible=True)
+                 for _ in range(n - n // 5)]
+        evals += [moo.Evaluation(y=None, feasible=False, violation=v)
+                  for v in np.round(rng.random(n // 5), 1)]
+        coords = moo._density_coordinates(evals)
+        dist = moo._distances(coords)
+        for k in sorted({1, max(1, round(np.sqrt(n))), n - 1}):
+            full = np.partition(dist, k - 1, axis=1)[:, k - 1]
+            assert moo._kth_neighbour_distances(coords, k).tobytes() == full.tobytes()
 
     def test_fill_from_dominated_when_underfull(self):
         ys = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]

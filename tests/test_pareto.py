@@ -57,21 +57,40 @@ class TestDominates:
         if oracles.dominates(a, b) and oracles.dominates(b, c):
             assert oracles.dominates(a, c)
 
+
+def tied_objectives(rng, n: int, m: int, levels: int = 4) -> np.ndarray:
+    """Unsorted rows on an integer grid of the given levels per column:
+    exact ties in every column, duplicate rows, signed zeros and, in some
+    sets, infinite entries."""
+    ys = rng.integers(-1, levels - 1, size=(n, m)).astype(float)
+    ys[rng.random(ys.shape) < 0.2] *= -1.0
+    if rng.random() < 0.3:
+        ys[rng.random(ys.shape) < 0.05] = rng.choice([np.inf, -np.inf])
+    repeat = rng.integers(0, n, size=n // 4)
+    ys[rng.permutation(n)[:n // 4]] = ys[repeat]
+    return ys
+
+
+class TestDominatedMask:
     def test_matches_broadcast_oracle(self):
-        # few distinct values, so objective ties are common; NaN compares
-        # false either way, so a NaN row neither dominates nor is dominated
-        values = np.array([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
-        share = [0.2, 0.2, 0.2, 0.2, 0.08, 0.08, 0.04]
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            m = int(rng.integers(1, 5))
-            a, b = (rng.choice(values, size=(int(rng.integers(0, 15)), m), p=share)
-                    for _ in range(2))
-            if len(a):
-                a[rng.integers(len(a))] = np.nan
-            got = pareto.dominance(a, b)
-            assert got.shape == (len(a), len(b))
-            assert np.array_equal(got, oracles.dominance(a, b))
+        for m in (1, 2, 3):
+            sizes = [1, 2, 3, 7, 40, 200, 2000] + [int(v) for v in rng.integers(1, 60, 40)]
+            for n, levels in [(n, 4) for n in sizes] + [(2000, 40)]:
+                ys = tied_objectives(rng, n, m, levels)
+                assert np.array_equal(pareto.dominated_mask(ys),
+                                      oracles.dominance(ys, ys).any(axis=0))
+
+    def test_equal_rows_do_not_dominate_each_other(self):
+        ys = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        assert not pareto.dominated_mask(ys).any()
+        ys = np.vstack([ys, [[0.0, 1.0, 1.0]]])
+        assert pareto.dominated_mask(ys).tolist() == [True, True, True, False]
+
+    def test_empty_and_too_many_objectives(self):
+        assert pareto.dominated_mask(pareto.ParetoArchive().objectives).shape == (0,)
+        with pytest.raises(ValueError):
+            pareto.dominated_mask(np.zeros((2, 4)))
 
 
 def brute_force_front(ys):
@@ -92,7 +111,8 @@ def tuple_reference_filter(xs, ys):
         if key not in best or tuple(x) < tuple(best[key][0]):
             best[key] = (x, y)
     kept = list(best.values())
-    dominated = pareto.dominated_mask(np.array([y for _, y in kept]))
+    ys = np.array([y for _, y in kept])
+    dominated = oracles.dominance(ys, ys).any(axis=0)
     kept = sorted((e for e, d in zip(kept, dominated) if not d),
                   key=lambda e: (tuple(e[1]), tuple(e[0])))
     return np.array([x for x, _ in kept]), np.array([y for _, y in kept])
@@ -101,8 +121,10 @@ def tuple_reference_filter(xs, ys):
 class TestNondominatedFilter:
     def test_matches_tuple_reference_bitwise(self):
         # small integer grids give exact objective ties, repeated rows and,
-        # with some entries negated, signed zeros
+        # with some entries negated, signed zeros; then larger unsorted
+        # 2- and 3-objective sets, some on a finer grid
         rng = np.random.default_rng(17)
+        cases = []
         for _ in range(300):
             n = int(rng.integers(1, 40))
             xs = rng.integers(-1, 2, size=(n, 3)).astype(float)
@@ -111,6 +133,12 @@ class TestNondominatedFilter:
             ys[rng.random(ys.shape) < 0.2] *= -1.0
             repeat = rng.integers(0, n, size=n // 3)
             xs[:n // 3], ys[:n // 3] = xs[repeat], ys[repeat]
+            cases.append((xs, ys))
+        for m in (2, 3):
+            for n, levels in ((300, 4), (2000, 40)):
+                cases.append((rng.integers(-1, 2, size=(n, 2)).astype(float),
+                              tied_objectives(rng, n, m, levels)))
+        for xs, ys in cases:
             archive = pareto.nondominated_filter(xs, ys)
             ref_xs, ref_ys = tuple_reference_filter(xs, ys)
             assert archive.designs.tobytes() == ref_xs.tobytes()
