@@ -362,6 +362,16 @@ class TestGenerationLoop:
         pareto.write_archive_csv(path, moo.run(cfg, problem(n_var=6)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_two_block_truncation_digest_pinned(self, tmp_path):
+        # truncation fires 13 times on pools of 72 to 119 non-dominated
+        # members, so its distance rows span two 64-row blocks
+        cfg = moo.MooConfig(algorithm="spea2", population=160, generations=25,
+                            seed=4, archive_size=70)
+        path = tmp_path / "archive.csv"
+        pareto.write_archive_csv(path, moo.run(cfg, ZDT1(n_var=6)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "69b6eaa2f28a2e134c3124c4c5f34f7754c8527a63b3a597b886170eadfc01aa")
+
     @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
     def test_progress_counts_feasible_offspring(self, monkeypatch, algorithm):
         # each engine call evaluates one generation: the initial population,
