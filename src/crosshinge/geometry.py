@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,12 +25,6 @@ TOUCH_TOL = 1e-12  # relative gap below which centerline segments count as touch
 # a smaller turn cannot self-intersect (check_feasibility); the margin below pi
 # leaves turns whose segments may touch within TOUCH_TOL to the segment test
 CERTIFIED_TURN = math.pi - 1e-6
-
-DESIGN_FIELDS = (
-    "theta0_1", "theta1_1", "theta2_1", "theta3_1",
-    "theta0_2", "theta1_2", "theta2_2", "theta3_2",
-    "alpha", "beta1", "beta2", "gamma", "delta",
-)
 
 LOWER_BOUNDS = np.array(
     [0.0, -math.pi, -math.pi, -math.pi,
@@ -80,20 +74,15 @@ class DesignVector:
             raise ValueError(f"expected 13 design variables, got shape {values.shape}")
         return cls(*(float(v) for v in values))
 
-    def coefficients(self, flexure: int) -> np.ndarray:
-        """Angle coefficients (theta0..theta3) of flexure 1 or 2."""
-        if flexure == 1:
-            return np.array([self.theta0_1, self.theta1_1, self.theta2_1, self.theta3_1])
-        if flexure == 2:
-            return np.array([self.theta0_2, self.theta1_2, self.theta2_2, self.theta3_2])
-        raise ValueError("flexure index must be 1 or 2")
-
     def validate(self) -> None:
         """Raise OutOfRange naming the first variable outside the admissible box."""
         values = self.as_array()
         for name, v, lo, hi in zip(DESIGN_FIELDS, values, LOWER_BOUNDS, UPPER_BOUNDS):
             if not (lo <= v <= hi):
                 raise OutOfRange(f"{name} = {v:.6g} outside [{lo:.6g}, {hi:.6g}]")
+
+
+DESIGN_FIELDS = tuple(f.name for f in fields(DesignVector))
 
 
 def angle_profile(coeffs, s):
@@ -183,10 +172,11 @@ def build_hinge(design: DesignVector) -> HingeGeometry:
     base1 = np.zeros(2)
     base2 = np.array([design.delta * l1, 0.0])
 
+    values = design.as_array()
     flexures = []
     for coeffs, length, height, width, base in (
-        (design.coefficients(1), l1, h1, w1, base1),
-        (design.coefficients(2), l2, h2, w2, base2),
+        (values[0:4], l1, h1, w1, base1),
+        (values[4:8], l2, h2, w2, base2),
     ):
         points, _ = centerline(coeffs, length, base, CENTERLINE_SAMPLES)
         flexures.append(Flexure(coeffs=coeffs, length=length, height=height,

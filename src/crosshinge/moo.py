@@ -7,9 +7,10 @@ violation) and an unbounded external archive of all feasible evaluations,
 whose non-dominated subset is the returned Pareto approximation.
 
 The population is a design array plus the list of its Evaluation
-records, one record type per evaluation. Selection functions take the
-records and return index arrays (and the tournament keys of the chosen
-members); nothing is written onto members.
+records, one record type per evaluation. Records become numbers in one
+place (_keys: a feasibility mask and one constraint-domination key row per
+member); selection reads those arrays and returns index arrays (and the
+tournament keys of the chosen members); nothing is written onto members.
 
 Runs are bit-reproducible for a fixed seed: random draws happen only in
 the sequential generation loop, evaluations are dispatched in index
@@ -169,34 +170,40 @@ def variation(parents: np.ndarray, config: MooConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # constraint-dominated comparisons
 
-def _domination_matrix(evals: list[Evaluation]) -> np.ndarray:
-    """d[i, j] == True iff individual i constraint-dominates individual j:
-    feasibility first, then violation, then Pareto dominance.
-
-    All three are one componentwise <= over (n, 1 + m) keys: the violation
-    (0 when feasible), then the objectives (inf when infeasible). Key i is
-    <= key j and differs from it exactly when i constraint-dominates j, so
-    the pairs of identical keys are cleared afterwards.
-    """
-    feasible = np.array([e.feasible for e in evals])
+def _keys(evals: list[Evaluation]):
+    """The feasibility mask of the records and their (n, 1 + m) keys: the
+    violation (0 when feasible), then the objectives (inf when
+    infeasible); one column when no record is feasible."""
+    feasible = np.array([e.feasible for e in evals], dtype=bool)
     ys = [e.y for e in evals if e.feasible]
     keys = np.full((len(evals), 1 + (len(ys[0]) if ys else 0)), np.inf)
     keys[:, 0] = [0.0 if e.feasible else e.violation for e in evals]
     if ys:
         keys[feasible, 1:] = ys
+    return feasible, keys
+
+
+def _domination_matrix(keys: np.ndarray) -> np.ndarray:
+    """d[i, j] == True iff member i constraint-dominates member j:
+    feasibility first, then violation, then Pareto dominance.
+
+    All three are one componentwise <= over the _keys rows. Key i is <=
+    key j and differs from it exactly when i constraint-dominates j; two
+    keys are identical exactly when each is <= the other, so the
+    symmetric pairs are cleared afterwards.
+    """
     d = keys[:, 0, None] <= keys[None, :, 0]
     for j in range(1, keys.shape[1]):
         d &= keys[:, j, None] <= keys[None, :, j]
-    group = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
-    d &= group[:, None] != group[None, :]
+    d &= ~d.T
     return d
 
 
-def fast_nondominated_sort(evals: list[Evaluation]) -> np.ndarray:
-    """Front index per individual under constraint domination."""
-    d = _domination_matrix(evals)
+def fast_nondominated_sort(keys: np.ndarray) -> np.ndarray:
+    """Front index per member under constraint domination."""
+    d = _domination_matrix(keys)
     n_dom = d.sum(axis=0).astype(np.int64)
-    ranks = np.full(len(evals), -1, dtype=np.int64)
+    ranks = np.full(len(keys), -1, dtype=np.int64)
     current = np.where(n_dom == 0)[0]
     front = 0
     while current.size:
@@ -226,18 +233,17 @@ def crowding_distance(keys: np.ndarray) -> np.ndarray:
     return distance
 
 
-def _nsga2_keys(evals: list[Evaluation]) -> np.ndarray:
+def _nsga2_keys(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Tournament keys, one (rank, -crowding) row per member: the front
     index under constraint domination, then the crowding distance within
     the front (over objectives for feasible fronts, violation otherwise)."""
-    ranks = fast_nondominated_sort(evals)
-    keys = np.column_stack([ranks, np.zeros(len(ranks))])
+    ranks = fast_nondominated_sort(keys)
+    tournament = np.column_stack([ranks, np.zeros(len(ranks))])
     for front in range(int(ranks.max()) + 1):
         idx = np.flatnonzero(ranks == front)
-        coords = (np.array([evals[i].y for i in idx]) if evals[idx[0]].feasible
-                  else np.array([[evals[i].violation] for i in idx]))
-        keys[idx, 1] = -crowding_distance(coords)
-    return keys
+        coords = keys[idx, 1:] if feasible[idx[0]] else keys[idx, :1]
+        tournament[idx, 1] = -crowding_distance(coords)
+    return tournament
 
 
 def _key_order(keys: np.ndarray) -> np.ndarray:
@@ -248,7 +254,7 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
 
 def _nsga2_survivors(evals: list[Evaluation], size: int):
     """Indices of the size best members by (rank, -crowding), and their keys."""
-    keys = _nsga2_keys(evals)
+    keys = _nsga2_keys(*_keys(evals))
     chosen = _key_order(keys)[:size]
     return chosen, keys[chosen]
 
@@ -264,28 +270,12 @@ def _binary_tournament(keys: np.ndarray, n_parents: int,
 # ---------------------------------------------------------------------------
 # SPEA2 machinery
 
-def _distances(coords: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances with an infinite diagonal, the (n, n)
-    matrix that _spea2_truncate works on. The squared distance is summed
-    one coordinate column at a time, in column order, so it equals
-    np.linalg.norm over the (n, n, m) difference array bit for bit without
-    building that array."""
-    squared = np.zeros((len(coords), len(coords)))
-    for j in range(coords.shape[1]):
-        squared += (coords[:, j, None] - coords[None, :, j]) ** 2
-    dist = np.sqrt(squared)
-    np.fill_diagonal(dist, np.inf)
-    return dist
-
-
-def _kth_neighbour_distances(coords: np.ndarray, k: int) -> np.ndarray:
-    """Each row's distance to its k-th nearest other row, equal bit for bit
-    to the k-th smallest entry of its _distances row. Rows go in blocks: a
-    block sums its squared differences in column order into reused
-    buffers, takes the root, sets its own entries to inf and partitions,
-    so no (n, n) array is held."""
+def _distance_blocks(coords: np.ndarray):
+    """Pairwise Euclidean distances of the coordinate rows as (row slice,
+    block) pairs of 64 rows, each row's own entry inf. A block sums its
+    squared differences in column order into reused buffers and takes the
+    root; the next block overwrites it, so no (n, n) array is held."""
     n, block = len(coords), 64
-    sigma = np.empty(n)
     squared, diff = np.empty((block, n)), np.empty((block, n))
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -296,47 +286,50 @@ def _kth_neighbour_distances(coords: np.ndarray, k: int) -> np.ndarray:
             sq += np.square(df, out=df)
         np.sqrt(sq, out=sq)
         sq[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        sigma[start:stop] = np.partition(sq, k - 1, axis=1)[:, k - 1]
-    return sigma
+        yield slice(start, stop), sq
 
 
-def _spea2_fitness(evals: list[Evaluation]) -> np.ndarray:
+def _spea2_fitness(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Strength-based raw fitness plus k-nearest-neighbour density, with
-    sigma_k the k-th smallest distance (_kth_neighbour_distances) and k
-    the rounded root of the member count."""
-    d = _domination_matrix(evals)
+    sigma_k the k-th smallest distance of a member's _distance_blocks row
+    and k the rounded root of the member count."""
+    d = _domination_matrix(keys)
     # strengths are integer counts, so the sums are exact in any order
     strength = d.sum(axis=1).astype(float)
     raw = strength @ d
-    n = len(evals)
-    k = min(max(1, int(round(np.sqrt(n)))), n - 1)
-    sigma_k = (_kth_neighbour_distances(_density_coordinates(evals), k) if n > 1
-               else np.zeros(1))
+    n = len(keys)
+    sigma_k = np.zeros(n)
+    if n > 1:  # then 1 <= k <= n - 1
+        k = int(round(np.sqrt(n)))
+        for rows, block in _distance_blocks(_density_coordinates(feasible, keys)):
+            sigma_k[rows] = np.partition(block, k - 1, axis=1)[:, k - 1]
     density = 1.0 / (sigma_k + 2.0)
     return raw + density
 
 
-def _density_coordinates(evals: list[Evaluation]) -> np.ndarray:
+def _density_coordinates(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Objective-space coordinates (normalized); infeasible points sit
     beyond the feasible cloud at a distance set by their violation."""
-    feasible = np.array([e.feasible for e in evals])
-    coords = np.array([[2.0 + e.violation] for e in evals])
+    coords = 2.0 + keys[:, :1]
     if feasible.any():
-        ys = np.array([e.y for e in evals if e.feasible])
+        ys = keys[feasible, 1:]
         coords = np.repeat(coords, ys.shape[1], axis=1)
         coords[feasible] = pareto.normalize(ys, ys.min(axis=0), ys.max(axis=0))
     return coords
 
 
-def _spea2_truncate(evals: list[Evaluation], size: int) -> np.ndarray:
+def _spea2_truncate(feasible: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     """Indices that survive iteratively dropping the member with the
     lexicographically smallest sorted distance vector (the lowest index on
-    a full tie) until size remain. The rows are sorted once; each deletion
-    drops the victim's row, and from every other row one entry equal to
-    its distance to the victim."""
-    dist = _distances(_density_coordinates(evals))
-    alive = np.arange(len(evals))
-    ordered = np.sort(dist, axis=1)
+    a full tie) until size remain. The _distance_blocks rows are sorted
+    once; each deletion drops the victim's row, and from every other row
+    one entry equal to its distance to the victim, summed column by column
+    like the blocks so that it matches them bit for bit."""
+    coords = _density_coordinates(feasible, keys)
+    ordered = np.empty((len(coords), len(coords)))
+    for rows, block in _distance_blocks(coords):
+        ordered[rows] = np.sort(block, axis=1)
+    alive = np.arange(len(keys))
     while len(alive) > size:
         candidates = np.arange(len(alive))
         for column in ordered.T:
@@ -345,7 +338,8 @@ def _spea2_truncate(evals: list[Evaluation], size: int) -> np.ndarray:
             if len(candidates) == 1:
                 break
         victim = candidates[0]
-        gone = dist[alive, alive[victim]]
+        gone = np.sqrt(sum((coords[alive, j] - coords[alive[victim], j]) ** 2
+                           for j in range(coords.shape[1])))
         keep = np.ones(ordered.shape, dtype=bool)
         keep[np.arange(len(alive)), (ordered < gone[:, None]).sum(axis=1)] = False
         keep[victim] = False
@@ -358,10 +352,11 @@ def _spea2_environmental(evals: list[Evaluation], size: int):
     """Indices of the SPEA2 environmental archive, and their fitness as
     (n, 1) keys: the non-dominated members (fitness < 1), truncated to
     size or filled up with dominated members in stable fitness order."""
-    fitness = _spea2_fitness(evals)
+    feasible, keys = _keys(evals)
+    fitness = _spea2_fitness(feasible, keys)
     chosen = np.flatnonzero(fitness < 1.0)
     if len(chosen) > size:
-        chosen = chosen[_spea2_truncate([evals[i] for i in chosen], size)]
+        chosen = chosen[_spea2_truncate(feasible[chosen], keys[chosen], size)]
     elif len(chosen) < size:
         dominated = np.flatnonzero(fitness >= 1.0)
         order = np.argsort(fitness[dominated], kind="stable")
@@ -413,7 +408,7 @@ def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
     with _EvaluationEngine(evaluator, config.workers) as engine:
         xs = rng.uniform(lower, upper, size=(config.population, len(lower)))
         evals = engine.evaluate(xs)
-        chosen, keys = ((np.arange(len(xs)), _nsga2_keys(evals)) if nsga2
+        chosen, keys = ((np.arange(len(xs)), _nsga2_keys(*_keys(evals))) if nsga2
                         else _spea2_environmental(evals, size))
         pool_x, pool = xs[chosen], [evals[i] for i in chosen]
 
@@ -425,9 +420,8 @@ def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
                 pool_x, pool = np.concatenate([pool_x, xs]), pool + evals
                 chosen, keys = survivors(pool, size)
                 pool_x, pool = pool_x[chosen], [pool[i] for i in chosen]
-            feasible = np.array([e.feasible for e in evals])
-            archive = pareto.archive_insert(
-                archive, xs[feasible], np.array([e.y for e in evals if e.feasible]))
+            feasible, batch = _keys(evals)
+            archive = pareto.archive_insert(archive, xs[feasible], batch[feasible, 1:])
             if progress is not None:
                 progress(GenerationStats(
                     generation=gen, feasible=int(feasible.sum()),

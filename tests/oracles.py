@@ -5,10 +5,10 @@ checks beam_fem against closed forms and finite differences, a dense view
 of the banded tangent, dominance of one objective vector over another,
 the broadcast dominance matrix that pareto's dominance sweep replaced,
 constraint domination one pair at a time, the per-level hypervolume that
-pareto's dimension sweep replaced, the SPEA2 truncation that re-sorts
-every round, the Welzl loop on numpy norms that the float containment
-checks replaced, and the design variables read back from realized
-geometry."""
+pareto's dimension sweep replaced, the full SPEA2 distance matrix and
+the truncation that re-sorts it every round, the Welzl loop on numpy
+norms that the float containment checks replaced, and the design
+variables read back from realized geometry."""
 
 import random
 from dataclasses import fields
@@ -195,11 +195,25 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
     return float(volume)
 
 
+def distances(coords: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances with an infinite diagonal, the (n, n)
+    matrix that moo._distance_blocks yields 64 rows at a time. The squared
+    distance is summed one coordinate column at a time, in column order,
+    so it equals np.linalg.norm over the (n, n, m) difference array bit for
+    bit without building that array."""
+    squared = np.zeros((len(coords), len(coords)))
+    for j in range(coords.shape[1]):
+        squared += (coords[:, j, None] - coords[None, :, j]) ** 2
+    dist = np.sqrt(squared)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
 def spea2_truncate(evals: list, size: int) -> np.ndarray:
     """Indices that survive iteratively dropping the member with the
     lexicographically smallest sorted distance vector until size remain,
     re-sorting the alive distance submatrix for every deletion."""
-    dist = moo._distances(moo._density_coordinates(evals))
+    dist = distances(moo._density_coordinates(*moo._keys(evals)))
     alive = list(range(len(evals)))
     while len(alive) > size:
         sub = dist[np.ix_(alive, alive)]

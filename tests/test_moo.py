@@ -96,13 +96,13 @@ class TestConstraintDomination:
     def test_feasible_beats_infeasible(self):
         feas = moo.Evaluation(y=np.array([9.0, 9.0]), feasible=True)
         infeas = moo.Evaluation(y=None, feasible=False, violation=0.01)
-        d = moo._domination_matrix([feas, infeas])
+        d = moo._domination_matrix(moo._keys([feas, infeas])[1])
         assert d[0, 1] and not d[1, 0]
 
     def test_infeasible_compare_by_violation(self):
         a = moo.Evaluation(y=None, feasible=False, violation=0.5)
         b = moo.Evaluation(y=None, feasible=False, violation=1.5)
-        d = moo._domination_matrix([a, b])
+        d = moo._domination_matrix(moo._keys([a, b])[1])
         assert d[0, 1] and not d[1, 0]
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -121,8 +121,29 @@ class TestConstraintDomination:
                 else:
                     evals.append(moo.Evaluation(y=None, feasible=False,
                                                 violation=float(rng.integers(0, 3))))
-            np.testing.assert_array_equal(moo._domination_matrix(evals),
+            np.testing.assert_array_equal(moo._domination_matrix(moo._keys(evals)[1]),
                                           oracles.domination_matrix(evals))
+
+    def test_keys_all_infeasible_have_one_column(self):
+        evals = [moo.Evaluation(y=None, feasible=False, violation=v) for v in (0.5, 0.0, 2.0)]
+        feasible, keys = moo._keys(evals)
+        assert feasible.dtype == bool and not feasible.any()
+        assert keys.tolist() == [[0.5], [0.0], [2.0]]
+
+    def test_keys_of_mixed_pool(self):
+        # an infeasible record with zero violation still loses to every
+        # feasible one: its objectives are inf
+        evals = [moo.Evaluation(y=np.array([1.0, 2.0]), feasible=True),
+                 moo.Evaluation(y=None, feasible=False, violation=0.0),
+                 moo.Evaluation(y=np.array([2.0, 1.0]), feasible=True),
+                 moo.Evaluation(y=None, feasible=False, violation=0.3),
+                 moo.Evaluation(y=np.array([1.0, 2.0]), feasible=True)]
+        feasible, keys = moo._keys(evals)
+        assert feasible.tolist() == [True, False, True, False, True]
+        assert keys.tolist() == [[0.0, 1.0, 2.0], [0.0, np.inf, np.inf], [0.0, 2.0, 1.0],
+                                 [0.3, np.inf, np.inf], [0.0, 1.0, 2.0]]
+        np.testing.assert_array_equal(moo._domination_matrix(keys),
+                                      oracles.domination_matrix(evals))
 
     def test_feasible_rank_before_infeasible(self):
         rng = np.random.default_rng(9)
@@ -133,7 +154,7 @@ class TestConstraintDomination:
             else:
                 evals.append(moo.Evaluation(y=None, feasible=False,
                                             violation=float(rng.random())))
-        ranks = moo.fast_nondominated_sort(evals)
+        ranks = moo.fast_nondominated_sort(moo._keys(evals)[1])
         worst_feasible = max((r for r, e in zip(ranks, evals) if e.feasible),
                              default=-1)
         best_infeasible = min((r for r, e in zip(ranks, evals) if not e.feasible),
@@ -183,18 +204,22 @@ class TestSpea2Selection:
             assert len(chosen) == size
             assert fitness.shape == (size, 1)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_truncation_matches_resorting_oracle(self, seed):
+    @pytest.mark.parametrize("seed, n", [*(pytest.param(seed, None, id=str(seed))
+                                           for seed in range(6)),
+                                         pytest.param(6, 150, id="n150")])
+    def test_truncation_matches_resorting_oracle(self, seed, n):
         # rounded coordinates give tied distances; infeasible members sit
-        # beyond the feasible cloud at their violation
+        # beyond the feasible cloud at their violation; n = 150 spans
+        # three 64-row distance blocks
         rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(20, 60)), int(rng.integers(2, 4))
+        n, m = n or int(rng.integers(20, 60)), int(rng.integers(2, 4))
         evals = [moo.Evaluation(y=np.round(rng.random(m), 1), feasible=True)
                  for _ in range(n)]
         evals += [moo.Evaluation(y=None, feasible=False, violation=v)
                   for v in np.round(rng.random(int(rng.integers(0, 6))), 1)]
+        feasible, keys = moo._keys(evals)
         for size in (1, len(evals) // 2, len(evals) - 1, len(evals)):
-            np.testing.assert_array_equal(moo._spea2_truncate(evals, size),
+            np.testing.assert_array_equal(moo._spea2_truncate(feasible, keys, size),
                                           oracles.spea2_truncate(evals, size))
 
     @pytest.mark.parametrize("n", [2, 3, 40, 64, 65, 200])
@@ -206,11 +231,13 @@ class TestSpea2Selection:
                  for _ in range(n - n // 5)]
         evals += [moo.Evaluation(y=None, feasible=False, violation=v)
                   for v in np.round(rng.random(n // 5), 1)]
-        coords = moo._density_coordinates(evals)
-        dist = moo._distances(coords)
+        coords = moo._density_coordinates(*moo._keys(evals))
+        dist = oracles.distances(coords)
         for k in sorted({1, max(1, round(np.sqrt(n))), n - 1}):
             full = np.partition(dist, k - 1, axis=1)[:, k - 1]
-            assert moo._kth_neighbour_distances(coords, k).tobytes() == full.tobytes()
+            blocked = np.concatenate([np.partition(block, k - 1, axis=1)[:, k - 1]
+                                      for _, block in moo._distance_blocks(coords)])
+            assert blocked.tobytes() == full.tobytes()
 
     def test_fill_from_dominated_when_underfull(self):
         ys = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
