@@ -11,6 +11,10 @@ records, one record type per evaluation. Records become numbers in one
 place (_keys: a feasibility mask and one constraint-domination key row per
 member); selection reads those arrays and returns index arrays (and the
 tournament keys of the chosen members); nothing is written onto members.
+Keys are NaN-free. Constraint domination compares them through dense
+integer ranks per column, and clears the pairs of identical keys (the
+diagonal and the rows that sort next to an equal row). SPEA2's density
+reads squared distances and roots only the values it selects.
 
 Runs are bit-reproducible for a fixed seed: random draws happen only in
 the sequential generation loop, evaluations are dispatched in index
@@ -187,15 +191,28 @@ def _domination_matrix(keys: np.ndarray) -> np.ndarray:
     """d[i, j] == True iff member i constraint-dominates member j:
     feasibility first, then violation, then Pareto dominance.
 
-    All three are one componentwise <= over the _keys rows. Key i is <=
-    key j and differs from it exactly when i constraint-dominates j; two
-    keys are identical exactly when each is <= the other, so the
-    symmetric pairs are cleared afterwards.
+    All three are one componentwise <= over the NaN-free _keys rows, run
+    on dense integer ranks (np.unique per column, in the smallest unsigned
+    type that holds n): equal keys share a rank, so <= on ranks is <= on
+    keys, signed zeros and inf included. Key i is <= key j and differs from
+    it exactly when i constraint-dominates j; identical keys are <= each
+    other, so the diagonal is cleared, and the symmetric pairs among the
+    rows that sort next to an equal row.
     """
-    d = keys[:, 0, None] <= keys[None, :, 0]
-    for j in range(1, keys.shape[1]):
-        d &= keys[:, j, None] <= keys[None, :, j]
-    d &= ~d.T
+    n = len(keys)
+    ranks = np.array([np.unique(column, return_inverse=True)[1] for column in keys.T],
+                     dtype=np.min_scalar_type(n))
+    d, le = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
+    np.less_equal(ranks[0, :, None], ranks[0, None, :], out=d)
+    for rank in ranks[1:]:
+        d &= np.less_equal(rank[:, None], rank[None, :], out=le)
+    np.fill_diagonal(d, False)
+    order = np.lexsort(ranks[::-1])
+    repeated = np.all(ranks[:, order[1:]] == ranks[:, order[:-1]], axis=0)
+    rows = np.union1d(order[1:][repeated], order[:-1][repeated])
+    ix = np.ix_(rows, rows)
+    s = d[ix]
+    d[ix] = s & ~s.T
     return d
 
 
@@ -271,20 +288,22 @@ def _binary_tournament(keys: np.ndarray, n_parents: int,
 # SPEA2 machinery
 
 def _distance_blocks(coords: np.ndarray):
-    """Pairwise Euclidean distances of the coordinate rows as (row slice,
-    block) pairs of 64 rows, each row's own entry inf. A block sums its
-    squared differences in column order into reused buffers and takes the
-    root; the next block overwrites it, so no (n, n) array is held."""
+    """Pairwise squared Euclidean distances of the coordinate rows as (row
+    slice, block) pairs of 64 rows, each row's own entry inf. A block sums
+    its squared differences in column order into reused buffers; the next
+    block overwrites it, so no (n, n) array is held. The root is monotone
+    and correctly rounded, so a caller that roots a selected or sorted
+    value gets the bytes of the root taken first."""
     n, block = len(coords), 64
     squared, diff = np.empty((block, n)), np.empty((block, n))
     for start in range(0, n, block):
         stop = min(start + block, n)
         sq, df = squared[:stop - start], diff[:stop - start]
-        sq.fill(0.0)
-        for j in range(coords.shape[1]):
+        np.square(np.subtract(coords[start:stop, 0, None], coords[None, :, 0], out=sq),
+                  out=sq)
+        for j in range(1, coords.shape[1]):
             np.subtract(coords[start:stop, j, None], coords[None, :, j], out=df)
             sq += np.square(df, out=df)
-        np.sqrt(sq, out=sq)
         sq[np.arange(stop - start), np.arange(start, stop)] = np.inf
         yield slice(start, stop), sq
 
@@ -303,6 +322,7 @@ def _spea2_fitness(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
         k = int(round(np.sqrt(n)))
         for rows, block in _distance_blocks(_density_coordinates(feasible, keys)):
             sigma_k[rows] = np.partition(block, k - 1, axis=1)[:, k - 1]
+        np.sqrt(sigma_k, out=sigma_k)
     density = 1.0 / (sigma_k + 2.0)
     return raw + density
 
@@ -321,31 +341,47 @@ def _density_coordinates(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _spea2_truncate(feasible: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     """Indices that survive iteratively dropping the member with the
     lexicographically smallest sorted distance vector (the lowest index on
-    a full tie) until size remain. The _distance_blocks rows are sorted
-    once; each deletion drops the victim's row, and from every other row
-    one entry equal to its distance to the victim, summed column by column
-    like the blocks so that it matches them bit for bit."""
-    coords = _density_coordinates(feasible, keys)
-    ordered = np.empty((len(coords), len(coords)))
-    for rows, block in _distance_blocks(coords):
-        ordered[rows] = np.sort(block, axis=1)
-    alive = np.arange(len(keys))
-    while len(alive) > size:
-        candidates = np.arange(len(alive))
-        for column in ordered.T:
-            values = column[candidates]
-            candidates = candidates[values == values.min()]
+    a full tie) until size remain.
+
+    Each _distance_blocks row is argsorted once into its neighbour indices
+    and their distances. A row's distance vector is the distances of its
+    alive neighbours in that order, so a deletion only moves the head (the
+    first alive neighbour) of the rows that pointed at the victim, and the
+    candidates are compared one alive column at a time."""
+    n = len(keys)
+    neighbours, ordered = np.empty((n, n), dtype=np.intp), np.empty((n, n))
+    for rows, block in _distance_blocks(_density_coordinates(feasible, keys)):
+        neighbours[rows] = np.argsort(block, axis=1)
+        ordered[rows] = np.sqrt(np.take_along_axis(block, neighbours[rows], axis=1))
+    alive = np.ones(n, dtype=bool)
+    head = np.zeros(n, dtype=np.intp)
+    for remaining in range(n, size, -1):
+        candidates = np.flatnonzero(alive)
+        at = head[candidates]
+        # the last of a row's `remaining` alive neighbours is itself, at inf
+        for _ in range(remaining - 1):
+            values = ordered[candidates, at]
+            tied = values == values.min()
+            candidates, at = candidates[tied], at[tied]
             if len(candidates) == 1:
                 break
+            at = _next_alive(neighbours, alive, candidates, at + 1)
         victim = candidates[0]
-        gone = np.sqrt(sum((coords[alive, j] - coords[alive[victim], j]) ** 2
-                           for j in range(coords.shape[1])))
-        keep = np.ones(ordered.shape, dtype=bool)
-        keep[np.arange(len(alive)), (ordered < gone[:, None]).sum(axis=1)] = False
-        keep[victim] = False
-        alive = np.delete(alive, victim)
-        ordered = ordered[keep].reshape(len(alive), -1)
-    return alive
+        alive[victim] = False
+        moved = np.flatnonzero(alive & (neighbours[np.arange(n), head] == victim))
+        head[moved] = _next_alive(neighbours, alive, moved, head[moved])
+    return np.flatnonzero(alive)
+
+
+def _next_alive(neighbours: np.ndarray, alive: np.ndarray, rows: np.ndarray,
+                at: np.ndarray) -> np.ndarray:
+    """For each row, the first position from at on whose neighbour is alive."""
+    at = at.copy()
+    dead = ~alive[neighbours[rows, at]]
+    while dead.any():
+        at[dead] += 1
+        dead[dead] = ~alive[neighbours[rows[dead], at[dead]]]
+    return at
 
 
 def _spea2_environmental(evals: list[Evaluation], size: int):

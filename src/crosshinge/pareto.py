@@ -127,14 +127,22 @@ def nondominated_filter(designs: np.ndarray, objectives: np.ndarray) -> ParetoAr
     Rows are sorted by objectives, then designs (lexicographically); of
     rows with exactly equal objectives only the first, the one with the
     smallest design, is kept, and the kept rows go through the dominance
-    sweep. The result is permutation invariant.
+    sweep. The result is permutation invariant. Designs are sorted only
+    within the runs of equal objectives, by one lexsort of (run, design)
+    over the tied rows.
     """
     ys = np.asarray(objectives, dtype=float)
     if len(ys) == 0:
         return ParetoArchive()
     xs = np.asarray(designs, dtype=float)
-    order = np.lexsort(np.column_stack([ys, xs]).T[::-1])
+    order = np.lexsort(ys.T[::-1])
     keep = _distinct(ys[order])
+    tied = ~keep
+    tied[:-1] |= ~keep[1:]
+    if tied.any():
+        rows = np.flatnonzero(tied)
+        run = np.cumsum(keep)[rows]
+        order[rows] = order[rows[np.lexsort((*xs[order[rows]].T[::-1], run))]]
     xs, ys = xs[order[keep]], ys[order[keep]]
     keep = ~_sweep_dominated(ys)
     return ParetoArchive(designs=xs[keep], objectives=ys[keep])

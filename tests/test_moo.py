@@ -123,6 +123,28 @@ class TestConstraintDomination:
                                                 violation=float(rng.integers(0, 3))))
             np.testing.assert_array_equal(moo._domination_matrix(moo._keys(evals)[1]),
                                           oracles.domination_matrix(evals))
+        # all-feasible pools of n = 255, 256 and 257 distinct rows reach rank
+        # n - 1 in every objective column, across the uint8 -> uint16 rank
+        # types; then a mixed and an all-infeasible pool (keys of one column)
+        # with one record repeated twice and one three times
+        pools = [(n, 1.0, 0) for n in (255, 256, 257)] + [(100, 0.8, 3), (100, 0.0, 3)]
+        for n, p_feasible, repeats in pools:
+            evals = []
+            for _ in range(n - repeats):
+                if rng.random() < p_feasible:
+                    y = rng.random(m)
+                    if repeats:
+                        y[rng.random(m) < 0.1] = rng.choice([0.0, -0.0])
+                    evals.append(moo.Evaluation(y=y, feasible=True))
+                else:
+                    evals.append(moo.Evaluation(y=None, feasible=False,
+                                                violation=float(rng.random())))
+            if repeats:
+                pair, triple = rng.choice(n - repeats, size=2, replace=False)
+                evals += [evals[pair], evals[triple], evals[triple]]
+            evals = [evals[i] for i in rng.permutation(n)]
+            np.testing.assert_array_equal(moo._domination_matrix(moo._keys(evals)[1]),
+                                          oracles.domination_matrix(evals))
 
     def test_keys_all_infeasible_have_one_column(self):
         evals = [moo.Evaluation(y=None, feasible=False, violation=v) for v in (0.5, 0.0, 2.0)]
@@ -225,7 +247,8 @@ class TestSpea2Selection:
     @pytest.mark.parametrize("n", [2, 3, 40, 64, 65, 200])
     def test_blocked_kth_distance_matches_full_matrix(self, n):
         # n below the 64-row block, equal to it and not a multiple of it;
-        # rounded coordinates give tied and zero distances
+        # rounded coordinates give tied and zero distances; the blocks hold
+        # squared distances, so the selected values are rooted
         rng = np.random.default_rng(n)
         evals = [moo.Evaluation(y=np.round(rng.random(3), 1), feasible=True)
                  for _ in range(n - n // 5)]
@@ -235,8 +258,8 @@ class TestSpea2Selection:
         dist = oracles.distances(coords)
         for k in sorted({1, max(1, round(np.sqrt(n))), n - 1}):
             full = np.partition(dist, k - 1, axis=1)[:, k - 1]
-            blocked = np.concatenate([np.partition(block, k - 1, axis=1)[:, k - 1]
-                                      for _, block in moo._distance_blocks(coords)])
+            blocked = np.sqrt(np.concatenate([np.partition(block, k - 1, axis=1)[:, k - 1]
+                                              for _, block in moo._distance_blocks(coords)]))
             assert blocked.tobytes() == full.tobytes()
 
     def test_fill_from_dominated_when_underfull(self):

@@ -138,6 +138,13 @@ class TestNondominatedFilter:
             for n, levels in ((300, 4), (2000, 40)):
                 cases.append((rng.integers(-1, 2, size=(n, 2)).astype(float),
                               tied_objectives(rng, n, m, levels)))
+        # 3000 rows on 30 objective vectors, 13 design columns that differ
+        # only in the last four (signed zeros there too): the designs alone
+        # decide which row of each run of equal objectives is kept
+        xs = np.zeros((3000, 13))
+        xs[:, 9:] = rng.integers(-1, 2, size=(3000, 4))
+        xs[rng.random(xs.shape) < 0.2] *= -1.0
+        cases.append((xs, tied_objectives(rng, 30, 3)[rng.integers(0, 30, 3000)]))
         for xs, ys in cases:
             archive = pareto.nondominated_filter(xs, ys)
             ref_xs, ref_ys = tuple_reference_filter(xs, ys)
