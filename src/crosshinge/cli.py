@@ -330,15 +330,17 @@ def cmd_optimize(args) -> int:
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"], lower=lower, upper=upper)
     archives = []
-    for moo_cfg in moo_configs:
-        algorithm = moo_cfg.algorithm
-        print(f"[{algorithm}] pop={moo_cfg.population} gens={moo_cfg.generations} "
-              f"seed={moo_cfg.seed} workers={moo_cfg.workers}")
-        with (out / f"progress_{algorithm}.log").open("w") as log:
-            archive = moo.run(moo_cfg, evaluator,
-                              progress=_progress_writer([sys.stdout, log]))
-        archives.append(archive)
-        pareto.write_archive_csv(out / f"archive_{algorithm}.csv", archive)
+    # one pool and cache for both algorithms: their initial population is swept once
+    with moo._EvaluationEngine(evaluator, settings["workers"]) as engine:
+        for moo_cfg in moo_configs:
+            algorithm = moo_cfg.algorithm
+            print(f"[{algorithm}] pop={moo_cfg.population} gens={moo_cfg.generations} "
+                  f"seed={moo_cfg.seed} workers={moo_cfg.workers}")
+            with (out / f"progress_{algorithm}.log").open("w") as log:
+                archive = moo.run(moo_cfg, evaluator, engine=engine,
+                                  progress=_progress_writer([sys.stdout, log]))
+            archives.append(archive)
+            pareto.write_archive_csv(out / f"archive_{algorithm}.csv", archive)
 
     config = {section: {key: settings[key] for key in SETTINGS[section] if key != "out"}
               for section in ("global", "optimize")}
@@ -536,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Exit codes: 0 success, 1 a valid request with no
-    result (infeasible start, degenerate objective, empty archive), 2 bad
+    result (infeasible start, degenerate objective, empty archive) or one
+    that runs out of memory (a population too large to allocate), 2 bad
     input (malformed or out-of-range values, unreadable files)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # the namespace carries the command line for the manifest
@@ -545,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (refine.InfeasibleStart, pareto.DegenerateObjective, pareto.EmptyArchive) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_FAILURE
     except (ValueError, OSError, KeyError, configparser.Error, csv.Error) as err:
         print(f"error: {err}", file=sys.stderr)

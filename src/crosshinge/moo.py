@@ -23,6 +23,7 @@ order (optionally to a process pool) and reduced in index order.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -73,7 +74,7 @@ class MooConfig:
 
 
 class _EvaluationEngine:
-    """Caching, optionally parallel evaluation preserving index order."""
+    """Caching, optionally parallel evaluation in index order, for one run or several."""
 
     def __init__(self, evaluator, workers: int):
         self.evaluator = evaluator
@@ -422,7 +423,7 @@ def _progress_hv(archive: pareto.ParetoArchive) -> float:
     return pareto.hypervolume(squashed, np.ones(ys.shape[1]))
 
 
-def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
+def run(config: MooConfig, evaluator, progress=None, engine=None) -> pareto.ParetoArchive:
     """NSGA-II or SPEA2 (config.algorithm) with constraint domination and an
     external archive of all feasible evaluations.
 
@@ -432,6 +433,9 @@ def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
     members. They differ in the start step (NSGA-II keeps the initial
     population, SPEA2 selects its environmental archive from it), the
     tournament key and the survivor selection over parents plus offspring.
+
+    A passed engine (an open _EvaluationEngine over evaluator) serves the run:
+    its workers, not config.workers, are used, and its cache carries over.
     """
     config = config.validated()
     nsga2 = config.algorithm == "nsga2"
@@ -441,7 +445,8 @@ def run(config: MooConfig, evaluator, progress=None) -> pareto.ParetoArchive:
     survivors = _nsga2_survivors if nsga2 else _spea2_environmental
     archive = pareto.ParetoArchive()
 
-    with _EvaluationEngine(evaluator, config.workers) as engine:
+    with (_EvaluationEngine(evaluator, config.workers) if engine is None
+          else contextlib.nullcontext(engine)) as engine:
         xs = rng.uniform(lower, upper, size=(config.population, len(lower)))
         evals = engine.evaluate(xs)
         chosen, keys = ((np.arange(len(xs)), _nsga2_keys(*_keys(evals))) if nsga2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosshinge import beam_fem, cli, pareto
+from crosshinge import beam_fem, cli, kinetostatics, moo, pareto
 from crosshinge.geometry import DESIGN_FIELDS
 
 DATA = Path(__file__).parent / "data"
@@ -143,6 +143,66 @@ class TestOptimize:
         assert manifest["config"]["global"]["seed"] == 9
         assert manifest["config"]["optimize"]["population"] == 8
         assert "crosshinge" in manifest["versions"]
+
+
+TINY_OPTIMIZE = ["optimize", "--pop", "8", "--gens", "1", "--seed", "3",
+             "--elements", "4", "--steps", "4"]
+ALGORITHM_FILES = {"nsga2": ["archive_nsga2.csv", "progress_nsga2.log"],
+                   "spea2": ["archive_spea2.csv", "progress_spea2.log"]}
+
+
+class TestSharedEngine:
+    """`--algorithm both` runs its two algorithms on one evaluation engine."""
+
+    def test_one_pool_per_invocation(self, tmp_path, capsys, monkeypatch):
+        pools = []
+
+        class CountedPool(moo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(moo, "ProcessPoolExecutor", CountedPool)
+        rc = cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", "2",
+                                   "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert len(pools) == 1
+
+    def test_each_design_swept_once(self, tmp_path, capsys, monkeypatch):
+        swept = []
+        evaluate_objectives = kinetostatics.evaluate_objectives
+
+        def recorded(design, *args, **kwargs):
+            swept.append(design)
+            return evaluate_objectives(design, *args, **kwargs)
+
+        monkeypatch.setattr(kinetostatics, "evaluate_objectives", recorded)
+        designs = {}
+        for algorithm in ("nsga2", "spea2", "both"):
+            swept.clear()
+            assert cli.main(TINY_OPTIMIZE + ["--algorithm", algorithm, "--workers", "1",
+                                         "--out", str(tmp_path / algorithm)]) == cli.EXIT_OK
+            designs[algorithm] = list(swept)
+        capsys.readouterr()
+        alone = designs["nsga2"] + designs["spea2"]
+        assert len(alone) == 32  # 8 initial designs and 8 offspring per algorithm
+        # both sweeps the union once: the shared initial population, and the
+        # offspring SPEA2 draws from the same parents with the same numbers
+        assert len(designs["both"]) == len(set(designs["both"])) == len(set(alone)) <= 24
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_both_matches_separate_runs(self, tmp_path, capsys, workers):
+        both = tmp_path / "both"
+        assert cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", workers,
+                                     "--out", str(both)]) == cli.EXIT_OK
+        for algorithm, names in ALGORITHM_FILES.items():
+            alone = tmp_path / algorithm
+            assert cli.main(TINY_OPTIMIZE + ["--algorithm", algorithm, "--workers", workers,
+                                         "--out", str(alone)]) == cli.EXIT_OK
+            for name in names:
+                assert (both / name).read_bytes() == (alone / name).read_bytes(), name
+        capsys.readouterr()
 
 
 class TestMergeSelectFront:
@@ -467,6 +527,10 @@ BAD_INPUTS = {
         "render", "--trace", "{trace_list}", "--out", "{out}"]),
     "render-trace-one-height": (cli.EXIT_USAGE, [
         "render", "--trace", "{trace_one_height}", "--out", "{out}"]),
+    # the initial population alone would take 92.4 PiB
+    "optimize-pop-too-large": (cli.EXIT_FAILURE, [
+        "optimize", "--pop", "1000000000000000", "--gens", "1", "--elements", "2",
+        "--steps", "2", "--out", "{out}"]),
     "render-trace-with-bad-row": (cli.EXIT_USAGE, [
         "render", "--trace", "{trace_good}", "--archive", "{archive}", "--rows", "5",
         "--out", "{out}"]),
