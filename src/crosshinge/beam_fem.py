@@ -20,19 +20,22 @@ path tangents dz/dphi, cubic at step 2 and quartic from step 3 on, where
 one correction per step reaches the tolerance.
 
 The reduced tangent is symmetric, and only its upper band is assembled,
-directly in LAPACK band storage (first flexure ascending, master triple,
-second flexure descending, which keeps the half-bandwidth at 11). Each
-Newton iteration costs one banded Cholesky factorization, or banded LU
-when the tangent is indefinite. All elements are stacked into one call of
-the element kernel: two matrix products with constant reference-element
-operators (the forces, and the upper triangle of the tangents), on
-field-major data (a row per field, a column per element) so that every
-elementwise step reads contiguous rows. The
-cantilever and probes that check all this are in tests/oracles.py.
+directly in LAPACK band storage and its column order (first flexure
+ascending, master triple, second flexure descending, which keeps the
+half-bandwidth at 11). Each Newton iteration costs one banded Cholesky
+factorization, or banded LU when the tangent is indefinite. All elements
+are stacked into one call of the element kernel: two matrix products
+with constant reference-element operators (the forces, and the upper
+triangle of the tangents), on field-major data (a row per field, a
+column per element, fields stacked in pairs so one ufunc serves two).
+Gather and scatter indices are built once per node count. The
+cantilever, probes and per-field reference kernel that check all this
+are in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -81,6 +84,9 @@ def _lagrange_matrices(xi_nodes: np.ndarray, xi_eval: np.ndarray):
 
 
 _TRIU = np.triu_indices(12)  # packing order of element tangents
+_REPACK = _TRIU[0] * 12 + _TRIU[1]  # flat (12, 12) index of each packed entry
+_UNPACK = np.empty((12, 12), dtype=np.intp)  # packed index of each (12, 12) entry
+_UNPACK[_TRIU] = _UNPACK[_TRIU[::-1]] = np.arange(len(_REPACK))
 _XI_NODES = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
 _XI_GAUSS, _W_GAUSS = np.polynomial.legendre.leggauss(4)
 _SHAPE, _DSHAPE_DXI = _lagrange_matrices(_XI_NODES, _XI_GAUSS)
@@ -143,19 +149,15 @@ class ElementData:
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts], axis=1)
                      for f in fields(cls)))
 
-
-def _kinematics(data: ElementData, ue: np.ndarray):
-    """Gauss-point strains (axial, shear, curvature) and the rotated frame
-    (c, s, a, g), each (4, n_el), for grouped element displacements ue (12, n_el)."""
-    du = _INTERP @ ue
-    current = data.gauss + du[:12]
-    inv_j = data.per_jac[0:1]
-    dx, dy = current[0:4] * inv_j, current[4:8] * inv_j
-    c, s = np.cos(current[8:12]), np.sin(current[8:12])
-    a = c * dx + s * dy
-    g = c * dy - s * dx
-    strains = (a - data.stretch[0:4], g - data.stretch[4:8], du[12:16] * inv_j)
-    return strains, (c, s, a, g)
+    @functools.cached_property
+    def work(self):
+        """Rows element_kernel overwrites on every call: 16 force rows, 25
+        coefficient rows (the last, EI / jac, filled here once) and 36 rows of
+        stacked [c; s; c], [a; g; a], [nf; qf; nf]."""
+        n = self.jac.shape[1]
+        coeffs = np.empty((25, n))
+        coeffs[24] = self.per_jac[4]
+        return np.empty((16, n)), coeffs, np.empty((36, n))
 
 
 def element_kernel(data: ElementData, ue: np.ndarray):
@@ -167,28 +169,57 @@ def element_kernel(data: ElementData, ue: np.ndarray):
             in _TRIU order (see _unpack)
         kap: (4, n_el) curvature change at the Gauss points
     """
-    (eps, gam, kap), (c, s, a, g) = _kinematics(data, ue)
-    ea, gas, ei = data.stiffness[:, None]
-    j = data.jac
-    nf, qf = ea * eps, gas * gam
-    forces = [nf * c - qf * s, nf * s + qf * c, j * (nf * g - qf * a), ei * kap]
+    # each ufunc serves a pair of stacked 4-row fields; every value keeps the
+    # operation sequence of the per-field formulas (tests/oracles.py)
+    forces, coeffs, rows = data.work
+    cs, ag, nq = rows[0:12], rows[12:24], rows[24:36]
+    du = _INTERP @ ue
+    current = data.gauss + du[:12]
+    inv_j = data.per_jac[0:1]
+    kap = du[12:16] * inv_j
+    d = current[0:8] * inv_j  # [dx; dy]
+    np.cos(current[8:12], out=cs[0:4])
+    np.sin(current[8:12], out=cs[4:8])
+    cs[8:12] = cs[0:4]
+    pair = cs[0:8] * d  # [c dx; s dy]
+    np.add(pair[0:4], pair[4:8], out=ag[0:4])
+    pair = cs[4:12] * d  # [s dx; c dy]
+    np.subtract(pair[4:8], pair[0:4], out=ag[4:8])
+    ag[8:12] = ag[0:4]
+    ea_gas = data.stiffness[0:2, None]
+    np.multiply(ea_gas, (ag[0:8] - data.stretch).reshape(2, 4, -1),
+                out=nq[0:8].reshape(2, 4, -1))  # [nf; qf] = [EA eps; GAs gam]
+    nq[8:12] = nq[0:4]
+    pair = nq[0:8] * cs[0:8]  # [nf c; qf s]
+    np.subtract(pair[0:4], pair[4:8], out=forces[0:4])
+    pair = nq[0:8] * cs[4:12]  # [nf s; qf c]
+    np.add(pair[0:4], pair[4:8], out=forces[4:8])
+    pair = nq[0:8] * ag[4:12]  # [nf g; qf a]
+    np.multiply(data.jac, pair[0:4] - pair[4:8], out=forces[8:12])
+    np.multiply(data.stiffness[2:3], kap, out=forces[12:16])
 
     # material part B^T D B (c^2 + s^2 = 1 folds it onto (EA - GAs) c^2) plus
     # the geometric part from second derivatives of the strains, with
     # u = EA g - Q, v = GAs a - N; d/ds = (1/j) d/dxi and ds = j dxi fold in
-    _, ea_j, gas_j, diff_j, ei_j = data.per_jac[:, None]
-    dcc = diff_j * (c * c)
-    u, v = ea * g - qf, gas * a - nf
-    coeffs = [gas_j + dcc, diff_j * (c * s), ea_j - dcc,
-              c * u + s * v, s * u - c * v, j * (g * u + a * v), ei_j]
-    return _FORCE @ np.concatenate(forces), _TANGENT @ np.concatenate(coeffs), kap
+    per_jac = data.per_jac
+    pair = cs[0:8].reshape(2, 4, -1) * cs[0:4]  # [c c; s c]
+    np.multiply(per_jac[3:4], pair.reshape(8, -1), out=coeffs[0:8])  # [dcc; diff_j c s]
+    np.subtract(per_jac[1:2], coeffs[0:4], out=coeffs[8:12])  # ea_j - dcc
+    np.add(per_jac[2:3], coeffs[0:4], out=coeffs[0:4])  # gas_j + dcc
+    uv = (ea_gas * ag[4:12].reshape(2, 4, -1)).reshape(8, -1)
+    uv -= nq[4:12]  # [u; v]
+    pair = cs[0:8] * uv  # [c u; s v]
+    np.add(pair[0:4], pair[4:8], out=coeffs[12:16])
+    pair = cs[4:12] * uv  # [s u; c v]
+    np.subtract(pair[0:4], pair[4:8], out=coeffs[16:20])
+    pair = ag[4:12] * uv  # [g u; a v]
+    np.multiply(data.jac, pair[0:4] + pair[4:8], out=coeffs[20:24])
+    return _FORCE @ forces, _TANGENT @ coeffs, kap
 
 
 def _unpack(packed: np.ndarray) -> np.ndarray:
     """Full symmetric (12, 12) tangent of a packed upper triangle."""
-    full = np.empty((12, 12))
-    full[_TRIU] = full[_TRIU[::-1]] = packed
-    return full
+    return packed.take(_UNPACK)
 
 
 def _grouped(nodal: np.ndarray, conn: np.ndarray) -> np.ndarray:
@@ -265,6 +296,53 @@ class SweepResult:
         return float(self.max_strains[-1]) if len(self.max_strains) else 0.0
 
 
+@functools.lru_cache(maxsize=8)
+def _topology(node_counts: tuple[int, ...]):
+    """Index arrays of a model that depend only on its flexures' node counts,
+    built once per count and read-only: per flexure the index of each nodal
+    displacement in the extended vector of BeamModel._extended, the element
+    gather, the scatters of the kernel outputs into the residual and the
+    band, and the unit right-hand sides of the condensation."""
+    base_master = 3 * (node_counts[0] - 2)
+    n = base_master + 3 + sum(3 * (m - 2) for m in node_counts[1:])
+    # reduced dof index per node and component, -1 marking eliminated dofs
+    # (edof), and the index in the extended vector (read)
+    edof, gather, reads = [], [], []
+    for k, n_nodes in enumerate(node_counts):
+        conn = 3 * np.arange((n_nodes - 1) // 3)[:, None] + np.arange(4)[None, :]
+        node_map = np.full((n_nodes, 3), -1, dtype=np.int64)
+        interior = np.arange(1, n_nodes - 1)
+        first = 3 * (interior - 1) if k == 0 else base_master + 3 + 3 * (n_nodes - 2 - interior)
+        node_map[interior] = first[:, None] + np.arange(3)
+        node_map[-1] = base_master + np.arange(3)
+        read = np.where(node_map >= 0, node_map, n)
+        if k == 1:
+            read[-1, :2] = (n + 1, n + 2)
+        edof.append(_grouped(node_map, conn))
+        gather.append(_grouped(read, conn))
+        reads.append(read)
+
+    # static scatter patterns from the field-major kernel outputs into the
+    # residual and the band in LAPACK's column order; local pair (a, b),
+    # a <= b, lands on reduced (min, max)
+    edof = np.concatenate(edof, axis=1)
+    valid = edof >= 0
+    rows, cols = edof[_TRIU[0]], edof[_TRIU[1]]
+    pmask = (rows >= 0) & (cols >= 0)
+    i_idx = np.minimum(rows, cols)[pmask]
+    j_idx = np.maximum(rows, cols)[pmask]
+    if np.any(j_idx - i_idx > _BAND):
+        raise AssertionError("band structure violated")
+    unit_rhs = np.zeros((n, 3), order="F")
+    unit_rhs[base_master + np.arange(3), np.arange(3)] = 1.0
+    reads = tuple(reads)
+    arrays = (np.concatenate(gather, axis=1), np.flatnonzero(valid), edof[valid],
+              np.flatnonzero(pmask), j_idx * (_BAND + 1) + (_BAND + i_idx - j_idx), unit_rhs)
+    for array in (*reads, *arrays):
+        array.flags.writeable = False
+    return (reads, *arrays)
+
+
 class BeamModel:
     """Assembled cross-hinge (or cantilever) model on reduced DOFs.
 
@@ -284,63 +362,18 @@ class BeamModel:
         self._half_height = np.concatenate(
             [np.full(m.n_elements, m.height / 2.0) for m in meshes])
 
-        n0 = meshes[0].n_nodes
-        base_master = 3 * (n0 - 2)
-        self.idx_mx = base_master
-        self.idx_my = base_master + 1
-        self.idx_phi = base_master + 2
-        self.n_reduced = base_master + 3
-        if len(meshes) == 2:
-            self.n_reduced += 3 * (meshes[1].n_nodes - 2)
-        n = self.n_reduced
+        self.idx_mx = 3 * (meshes[0].n_nodes - 2)
+        self.idx_my = self.idx_mx + 1
+        self.idx_phi = self.idx_mx + 2
+        (self._node_reads, self._gather, self._force_sel, self._force_idx, self._band_sel,
+         self._band_idx, self._unit_rhs) = _topology(tuple(m.n_nodes for m in meshes))
+        self.n_reduced = len(self._unit_rhs)
+        self.newton_tolerance = NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[0].max())
 
         self.master_ref = meshes[0].node_pos[-1].copy()
         # reference offset of the slaved tip relative to the master point
         self.tip_offset = meshes[1].node_pos[-1] - self.master_ref if len(meshes) == 2 \
             else None
-
-        # reduced dof index per node and component, -1 marking eliminated
-        # dofs (scatter), and the index of each nodal displacement in the
-        # extended vector of _extended (read)
-        scatter = []
-        self._node_reads = []
-        for k, m in enumerate(meshes):
-            node_map = np.full((m.n_nodes, 3), -1, dtype=np.int64)
-            interior = np.arange(1, m.n_nodes - 1)
-            if k == 0:
-                node_map[interior] = (3 * (interior - 1))[:, None] + np.arange(3)
-            else:
-                start = base_master + 3
-                node_map[interior] = (start + 3 * (m.n_nodes - 2 - interior))[:, None] \
-                    + np.arange(3)
-            node_map[-1] = (self.idx_mx, self.idx_my, self.idx_phi)
-            read = np.where(node_map >= 0, node_map, n)
-            if k == 1:
-                read[-1, :2] = (n + 1, n + 2)
-            scatter.append(_grouped(node_map, m.conn))
-            self._node_reads.append(read)
-        self._gather = np.concatenate(
-            [_grouped(read, m.conn) for m, read in zip(meshes, self._node_reads)], axis=1)
-
-        # static scatter patterns from the field-major kernel outputs into the
-        # residual and the flat upper band; local pair (a, b), a <= b, lands
-        # on reduced (min, max)
-        edof = np.concatenate(scatter, axis=1)
-        valid = edof >= 0
-        self._force_sel = np.flatnonzero(valid)
-        self._force_idx = edof[valid]
-        rows, cols = edof[_TRIU[0]], edof[_TRIU[1]]
-        pmask = (rows >= 0) & (cols >= 0)
-        i_idx = np.minimum(rows, cols)[pmask]
-        j_idx = np.maximum(rows, cols)[pmask]
-        if np.any(j_idx - i_idx > _BAND):
-            raise AssertionError("band structure violated")
-        self._band_sel = np.flatnonzero(pmask)
-        self._band_idx = (_BAND + i_idx - j_idx) * n + j_idx
-
-    @property
-    def newton_tolerance(self) -> float:
-        return NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[0].max())
 
     def zero_state(self) -> BeamState:
         z = np.zeros(self.n_reduced)
@@ -378,37 +411,40 @@ class BeamModel:
         strain |d kappa| * h / 2 over the Gauss points, at state z.
 
         Only the upper band of the symmetric tangent is stored, in LAPACK
-        storage: entry (i, j), i <= j, sits in ab[_BAND + i - j, j].
+        storage: entry (i, j), i <= j, sits in ab[_BAND + i - j, j]. The band
+        is F-contiguous (LAPACK's column order), so solvers copy it plainly.
         """
         n = self.n_reduced
         z_ext, rot = self._extended(z)
-        forces, tangents, kap = element_kernel(self.elements, z_ext[self._gather])
+        forces, tangents, kap = element_kernel(self.elements, z_ext.take(self._gather))
         if rot is not None:
             # the slaved tip (local dofs 3, 7, 11 of the last element) folds
             # into the master pose through te: its translation picks up
             # w * dphi with w = e_z x (R(phi) r0)
             fx, fy = forces[3, -1], forces[7, -1]
             forces[11, -1] += -rot[1] * fx + rot[0] * fy
-        residual = np.bincount(self._force_idx, weights=forces.ravel()[self._force_sel],
+        residual = np.bincount(self._force_idx, weights=forces.take(self._force_sel),
                                minlength=n)
         if rot is not None:
             te = np.eye(12)
             te[3, 11] = -rot[1]
             te[7, 11] = rot[0]
-            tangents[:, -1] = (te.T @ _unpack(tangents[:, -1]) @ te)[_TRIU]
-        ab = np.bincount(self._band_idx, weights=tangents.ravel()[self._band_sel],
+            tangents[:, -1] = (te.T @ _unpack(tangents[:, -1]) @ te).take(_REPACK)
+        ab = np.bincount(self._band_idx, weights=tangents.take(self._band_sel),
                          minlength=(_BAND + 1) * n)
         if rot is not None:
             # curvature of the slaved-tip map: d^2 u_tip/d phi^2 = -R r0
-            ab[_BAND * n + self.idx_phi] -= rot[0] * fx + rot[1] * fy
-        peak = float(np.max(np.abs(kap) * self._half_height))
-        return residual, ab.reshape(_BAND + 1, n), peak
+            ab[self.idx_phi * (_BAND + 1) + _BAND] -= rot[0] * fx + rot[1] * fy
+        np.abs(kap, out=kap)
+        kap *= self._half_height
+        return residual, ab.reshape(n, _BAND + 1).T, float(kap.max())
 
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the reduced system in the upper band storage of assemble.
 
-    LAPACK dpbsv (banded Cholesky) solves on a copy. An indefinite tangent
+    LAPACK dpbsv (banded Cholesky) solves on a copy, a plain one for the
+    F-contiguous band of assemble. An indefinite tangent
     fails it; the band is then mirrored into a work buffer for dgbsv (LU
     with partial pivoting), whose _BAND fill-in rows on top need not be set.
 
@@ -432,13 +468,13 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _apply_constraints(ab: np.ndarray, rhs: np.ndarray, fixed: np.ndarray) -> None:
+def _apply_constraints(ab: np.ndarray, rhs: np.ndarray, fixed: list[int]) -> None:
     """Zero rows/columns of fixed dofs in upper band storage, unit diagonal."""
     n = ab.shape[1]
     for p in fixed:
         ab[:, p] = 0.0
-        j = np.arange(p, min(n, p + _BAND + 1))
-        ab[_BAND + p - j, j] = 0.0
+        for j in range(p + 1, min(n, p + _BAND + 1)):
+            ab[_BAND + p - j, j] = 0.0
         ab[_BAND, p] = 1.0
         rhs[p] = 0.0
 
@@ -466,14 +502,14 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
     if prescribed:
         for idx, value in prescribed.items():
             z[idx] = value
-    fixed = np.fromiter(prescribed or (), dtype=np.int64)
-    mask = np.ones(model.n_reduced, dtype=bool)
-    mask[fixed] = False
+    fixed = list(prescribed or ())
 
     norm0 = None
     for iteration in range(NEWTON_MAX_ITER + 1):
         residual, ab, peak = model.assemble(z)
-        norm = float(np.max(np.abs(residual[mask]))) if mask.any() else 0.0
+        rhs = residual.copy()
+        rhs[fixed] = 0.0
+        norm = float(np.abs(rhs).max())
         if not np.isfinite(norm):
             raise NonConverged("residual diverged to non-finite values")
         if norm < tol:
@@ -485,7 +521,6 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
             raise NonConverged("residual diverging")
         if iteration == NEWTON_MAX_ITER:
             break
-        rhs = residual.copy()
         _apply_constraints(ab, rhs, fixed)
         z -= solve_banded(ab, rhs)
     raise NonConverged(f"no equilibrium within {NEWTON_MAX_ITER} iterations")
@@ -534,15 +569,13 @@ def condense_translational_stiffness(model: BeamModel, state: BeamState
     DOFs carry no load, so along the path K dz = e_phi dM: the e_phi
     column of the inverse, scaled to a unit phi entry, is dz/dphi.
     """
-    rhs = np.zeros((model.n_reduced, 3))
-    rhs[[model.idx_mx, model.idx_my, model.idx_phi], [0, 1, 2]] = 1.0
-    sol = solve_banded(state.tangent_band, rhs)
-    compliance = sol[[model.idx_mx, model.idx_my], :]
-    det = compliance[0, 0] * compliance[1, 1] - compliance[0, 1] * compliance[1, 0]
-    if not np.isfinite(det) or det == 0.0:
+    # LAPACK solves on a copy of the right-hand side, so one read-only set serves
+    sol = solve_banded(state.tangent_band, model._unit_rhs)
+    c00, c01, c10, c11 = sol[model.idx_mx:model.idx_my + 1, :2].ravel().tolist()
+    det = c00 * c11 - c01 * c10
+    if not math.isfinite(det) or det == 0.0:
         raise SingularTangent("singular condensed compliance")
-    inv = np.array([[compliance[1, 1], -compliance[0, 1]],
-                    [-compliance[1, 0], compliance[0, 0]]]) / det
+    inv = np.array([[c11, -c01], [-c10, c00]]) / det
     return inv, sol[:, 2] / sol[model.idx_phi, 2]
 
 

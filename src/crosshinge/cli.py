@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import hashlib
@@ -304,14 +305,24 @@ def cmd_evaluate(args) -> int:
                  "trace": bool(args.trace)}, inputs)
 
 
-def _progress_writer(stream_paths):
-    def callback(stats: moo.GenerationStats) -> None:
-        line = (f"gen={stats.generation} feasible={stats.feasible} "
-                f"archive={stats.archive_size} hv={stats.hypervolume:.9f}")
-        for stream in stream_paths:
-            print(line, file=stream)
-            stream.flush()
-    return callback
+@contextlib.contextmanager
+def _progress_log(path: Path):
+    """A moo.run progress callback printing each generation's line to stdout
+    and to the log at path. The log and its directory are created with the
+    first line, so a run that fails before generation 0 writes nothing."""
+    with contextlib.ExitStack() as files:
+        log = []
+
+        def callback(stats: moo.GenerationStats) -> None:
+            line = (f"gen={stats.generation} feasible={stats.feasible} "
+                    f"archive={stats.archive_size} hv={stats.hypervolume:.9f}")
+            if not log:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                log.append(files.enter_context(path.open("w")))
+            for stream in (sys.stdout, *log):
+                print(line, file=stream)
+                stream.flush()
+        yield callback
 
 
 def cmd_optimize(args) -> int:
@@ -325,7 +336,6 @@ def cmd_optimize(args) -> int:
                    for algorithm in algorithms]
     kinetostatics.check_resolution(settings["elements"], settings["steps"])
     out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
 
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"], lower=lower, upper=upper)
@@ -336,9 +346,8 @@ def cmd_optimize(args) -> int:
             algorithm = moo_cfg.algorithm
             print(f"[{algorithm}] pop={moo_cfg.population} gens={moo_cfg.generations} "
                   f"seed={moo_cfg.seed} workers={moo_cfg.workers}")
-            with (out / f"progress_{algorithm}.log").open("w") as log:
-                archive = moo.run(moo_cfg, evaluator, engine=engine,
-                                  progress=_progress_writer([sys.stdout, log]))
+            with _progress_log(out / f"progress_{algorithm}.log") as progress:
+                archive = moo.run(moo_cfg, evaluator, engine=engine, progress=progress)
             archives.append(archive)
             pareto.write_archive_csv(out / f"archive_{algorithm}.csv", archive)
 

@@ -1,7 +1,9 @@
 """Reference implementations that only the tests call: the beam harness
 (a clamped single-flexure cantilever, an applied tip moment, one-element
 forces and tangents, strains, peak bending strain and strain energy) that
-checks beam_fem against closed forms and finite differences, a dense view
+checks beam_fem against closed forms and finite differences, the element
+kernel as per-field formulas that beam_fem's stacked-row kernel must match
+bit for bit, a dense view
 of the banded tangent, dominance of one objective vector over another,
 the broadcast dominance matrix that pareto's dominance sweep replaced,
 constraint domination one pair at a time, the per-level hypervolume that
@@ -62,6 +64,37 @@ def solve_tip_moment(model: beam_fem.BeamModel, moment: float, n_steps: int = 20
                               peak_strain=peak, iterations=state.iterations)
 
 
+def kinematics(data: beam_fem.ElementData, ue: np.ndarray):
+    """Gauss-point strains (axial, shear, curvature) and the rotated frame
+    (c, s, a, g), each (4, n_el), for grouped element displacements ue (12, n_el)."""
+    du = beam_fem._INTERP @ ue
+    current = data.gauss + du[:12]
+    inv_j = data.per_jac[0:1]
+    dx, dy = current[0:4] * inv_j, current[4:8] * inv_j
+    c, s = np.cos(current[8:12]), np.sin(current[8:12])
+    a = c * dx + s * dy
+    g = c * dy - s * dx
+    strains = (a - data.stretch[0:4], g - data.stretch[4:8], du[12:16] * inv_j)
+    return strains, (c, s, a, g)
+
+
+def element_kernel(data: beam_fem.ElementData, ue: np.ndarray):
+    """beam_fem.element_kernel one field at a time: (forces (12, n_el),
+    packed tangents (78, n_el), kap (4, n_el))."""
+    (eps, gam, kap), (c, s, a, g) = kinematics(data, ue)
+    ea, gas, ei = data.stiffness[:, None]
+    j = data.jac
+    nf, qf = ea * eps, gas * gam
+    forces = [nf * c - qf * s, nf * s + qf * c, j * (nf * g - qf * a), ei * kap]
+    _, ea_j, gas_j, diff_j, ei_j = data.per_jac[:, None]
+    dcc = diff_j * (c * c)
+    u, v = ea * g - qf, gas * a - nf
+    coeffs = [gas_j + dcc, diff_j * (c * s), ea_j - dcc,
+              c * u + s * v, s * u - c * v, j * (g * u + a * v), ei_j]
+    return (beam_fem._FORCE @ np.concatenate(forces),
+            beam_fem._TANGENT @ np.concatenate(coeffs), kap)
+
+
 def element_forces(mesh: beam_fem.FlexureMesh, element: int, element_dofs: np.ndarray):
     """Internal force vector and consistent (12, 12) tangent of one element.
 
@@ -78,7 +111,7 @@ def element_forces(mesh: beam_fem.FlexureMesh, element: int, element_dofs: np.nd
 def strains(mesh: beam_fem.FlexureMesh, displacements: np.ndarray):
     """Reissner strain measures (axial, shear, curvature) at Gauss points
     for nodal displacements of shape (n_nodes, 3)."""
-    return beam_fem._kinematics(mesh.elements, beam_fem._grouped(displacements, mesh.conn))[0]
+    return kinematics(mesh.elements, beam_fem._grouped(displacements, mesh.conn))[0]
 
 
 def model_strains(model: beam_fem.BeamModel, z: np.ndarray):
@@ -86,7 +119,7 @@ def model_strains(model: beam_fem.BeamModel, z: np.ndarray):
     model, at the reduced state z, read from its nodal displacements."""
     rows = [beam_fem._grouped(u, m.conn)
             for m, u in zip(model.meshes, model.full_displacements(z))]
-    return beam_fem._kinematics(model.elements, np.concatenate(rows, axis=1))[0]
+    return kinematics(model.elements, np.concatenate(rows, axis=1))[0]
 
 
 def peak_strain(model: beam_fem.BeamModel, z: np.ndarray) -> float:

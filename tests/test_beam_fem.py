@@ -157,6 +157,72 @@ class TestElementForces:
             assert rel < 1e-6
 
 
+class TestKernelReference:
+    """element_kernel stacks its fields in pairs but keeps the operation
+    sequence of every value, so it matches the per-field reference of
+    tests/oracles.py byte for byte."""
+
+    @staticmethod
+    def assert_kernel_bytes(model, states):
+        for z in states:
+            z_ext, _ = model._extended(z)
+            ue = z_ext[model._gather]
+            got = bf.element_kernel(model.elements, ue)
+            want = oracles.element_kernel(model.elements, ue)
+            for name, a, b in zip(("forces", "tangents", "kap"), got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_golden_sweep_states(self):
+        golden = json.loads((DATA / "regression_cross_hinge.json").read_text())
+        model = bf.assemble_model(geo.build_hinge(geo.DesignVector(**golden["design"])),
+                                  n_elements=golden["n_elements"])
+        sweep = bf.run_sweep(model, n_steps=golden["n_steps"])
+        assert sweep.failure is None
+        self.assert_kernel_bytes(model, sweep.z)
+
+    def test_strain_abort_sweep_states(self):
+        model = bf.assemble_model(geo.build_hinge(strain_abort_design()))
+        sweep = bf.run_sweep(model)
+        assert sweep.failure == "strain"
+        self.assert_kernel_bytes(model, sweep.z)
+
+    def test_random_perturbations(self, cross_hinge_model):
+        model = cross_hinge_model
+        rng = np.random.default_rng(17)
+        state = bf.solve_step(model, model.zero_state(), 0.4)
+        self.assert_kernel_bytes(model, [state.z + rng.normal(0.0, scale, model.n_reduced)
+                                         for scale in (1e-6, 1e-3, 1e-2, 0.1, 1.0)])
+
+
+class TestTopology:
+    NAMES = ("_gather", "_force_sel", "_force_idx", "_band_sel", "_band_idx", "_unit_rhs")
+
+    def test_index_arrays_shared_per_element_count_and_read_only(self):
+        a = bf.assemble_model(geo.build_hinge(cross_hinge_design()), n_elements=5)
+        b = bf.assemble_model(geo.build_hinge(strain_abort_design()), n_elements=5)
+        other = bf.assemble_model(geo.build_hinge(cross_hinge_design()), n_elements=6)
+        shared = [getattr(a, name) for name in self.NAMES] + list(a._node_reads)
+        assert all(x is y for x, y in zip(shared, [getattr(b, name) for name in self.NAMES]
+                                          + list(b._node_reads)))
+        assert not any(x is y for x, y in zip(shared, [getattr(other, name)
+                                                       for name in self.NAMES]))
+        assert len(other._gather[0]) == 2 * 6 != len(a._gather[0])
+        for array in shared:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    def test_band_is_fortran_ordered_and_solves_leave_it(self, cross_hinge_model):
+        model = cross_hinge_model
+        state = bf.solve_step(model, model.zero_state(), 0.5)
+        ab = state.tangent_band
+        assert ab.shape == (bf._BAND + 1, model.n_reduced)
+        assert ab.flags.f_contiguous
+        before = ab.copy()
+        bf.condense_translational_stiffness(model, state)
+        bf.solve_banded(ab, np.ones(model.n_reduced))
+        assert np.array_equal(ab, before)
+
+
 class TestClosedForms:
     def test_tip_rotation_under_pure_moment(self, cantilever):
         moment = 0.5 * EI / L
