@@ -14,7 +14,9 @@ import csv
 import functools
 import hashlib
 import json
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -48,7 +50,7 @@ SETTINGS = {
 }
 # defaults reproduce the reference campaign; [bounds] defaults to the admissible box
 DEFAULTS = {f.name: f.default for f in fields(moo.MooConfig)} | {
-    "algorithm": "both", "elements": beam_fem.DEFAULT_ELEMENTS,
+    "algorithm": "both", "workers": 1, "elements": beam_fem.DEFAULT_ELEMENTS,
     "steps": beam_fem.DEFAULT_STEPS, "out": None}
 
 
@@ -165,8 +167,17 @@ def archive_designs(archive: pareto.ParetoArchive, rows) -> list[DesignVector]:
     return [DesignVector.from_array(archive.designs[row]) for row in rows]
 
 
+def reject_combined(args, flag: str, *others: str) -> None:
+    """Raise ValueError if the option flag is given with any of the others
+    (argparse destinations), one of which would otherwise be ignored."""
+    clash = ["--" + name.replace("_", "-") for name in others if getattr(args, name) is not None]
+    if getattr(args, flag) is not None and clash:
+        raise ValueError(f"--{flag.replace('_', '-')} cannot be used with {', '.join(clash)}")
+
+
 def design_from_args(args) -> tuple[DesignVector, list[Path]]:
     """The design and the files it was read from (none for --values)."""
+    reject_combined(args, "values", "archive", "row")
     if args.values:
         return parse_design_values(args.values), []
     if args.archive is None:
@@ -334,18 +345,24 @@ def cmd_optimize(args) -> int:
     algorithms = ["nsga2", "spea2"] if shared["algorithm"] == "both" else [shared["algorithm"]]
     moo_configs = [moo.MooConfig(**(shared | {"algorithm": algorithm})).validated()
                    for algorithm in algorithms]
+    workers = settings["workers"]
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     kinetostatics.check_resolution(settings["elements"], settings["steps"])
     out = Path(settings["out"])
 
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"], lower=lower, upper=upper)
     archives = []
-    # one pool and cache for both algorithms: their initial population is swept once
-    with moo._EvaluationEngine(evaluator, settings["workers"]) as engine:
+    # results do not depend on the pool size, so more processes than CPUs only cost memory
+    with (ProcessPoolExecutor(min(workers, os.cpu_count() or 1)) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        # one pool and cache for both algorithms: their initial population is swept once
+        engine = moo._EvaluationEngine(evaluator, pool.map if pool else map)
         for moo_cfg in moo_configs:
             algorithm = moo_cfg.algorithm
             print(f"[{algorithm}] pop={moo_cfg.population} gens={moo_cfg.generations} "
-                  f"seed={moo_cfg.seed} workers={moo_cfg.workers}")
+                  f"seed={moo_cfg.seed} workers={workers}")
             with _progress_log(out / f"progress_{algorithm}.log") as progress:
                 archive = moo.run(moo_cfg, evaluator, engine=engine, progress=progress)
             archives.append(archive)
@@ -408,6 +425,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    reject_combined(args, "values", "row", "target_weights")
+    reject_combined(args, "row", "target_weights")
     settings = resolve_config(args)
     archive = pareto.read_archive_csv(Path(args.archive))
     index = None
@@ -442,6 +461,8 @@ def cmd_refine(args) -> int:
 
 def cmd_render(args) -> int:
     # every document is built before --out is created, so bad input leaves nothing
+    if args.rows is not None and args.archive is None:
+        raise ValueError("--rows needs --archive")
     svgs = []  # (file name, document)
     inputs = []
     if args.trace:

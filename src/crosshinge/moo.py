@@ -17,15 +17,13 @@ diagonal and the rows that sort next to an equal row). SPEA2's density
 reads squared distances and roots only the values it selects.
 
 Runs are bit-reproducible for a fixed seed: random draws happen only in
-the sequential generation loop, evaluations are dispatched in index
-order (optionally to a process pool) and reduced in index order.
+the sequential generation loop, and evaluations go through a map
+function (the builtin map, or a process pool's) that returns them in
+index order.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +47,6 @@ class MooConfig:
     mutation_prob: float | None = None  # per variable; default 1 / n_var
     mutation_eta: float = 20.0
     archive_size: int | None = None     # SPEA2 environmental archive; default pop
-    workers: int = 1
 
     def validated(self) -> "MooConfig":
         if self.algorithm not in ("nsga2", "spea2"):
@@ -68,42 +65,23 @@ class MooConfig:
             raise ConfigError("archive_size must be >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         return self
 
 
 class _EvaluationEngine:
-    """Caching, optionally parallel evaluation in index order, for one run or several."""
+    """A cache of Evaluation records over an order-keeping map function (the
+    builtin map, or a process pool's), for one run or several."""
 
-    def __init__(self, evaluator, workers: int):
+    def __init__(self, evaluator, map=map):
         self.evaluator = evaluator
-        self.workers = workers
+        self.map = map
         self.cache: dict[bytes, Evaluation] = {}
-        self._pool = None
-
-    def __enter__(self):
-        if self.workers > 1:
-            # the pool starts all its processes at once; results do not
-            # depend on their number, so more than the CPUs only costs memory
-            self._pool = ProcessPoolExecutor(max_workers=min(self.workers, os.cpu_count() or 1))
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
-        return False
 
     def evaluate(self, xs: np.ndarray) -> list[Evaluation]:
         keys = [np.ascontiguousarray(x).tobytes() for x in xs]
         # designs not yet cached, each once, in first-occurrence order
         batch = {key: x for key, x in zip(keys, xs) if key not in self.cache}
-        if batch:
-            if self._pool is not None:
-                results = self._pool.map(self.evaluator, batch.values())
-            else:
-                results = [self.evaluator(x) for x in batch.values()]
-            self.cache.update(zip(batch, results))
+        self.cache.update(zip(batch, self.map(self.evaluator, batch.values())))
         return [self.cache[key] for key in keys]
 
 
@@ -434,8 +412,8 @@ def run(config: MooConfig, evaluator, progress=None, engine=None) -> pareto.Pare
     population, SPEA2 selects its environmental archive from it), the
     tournament key and the survivor selection over parents plus offspring.
 
-    A passed engine (an open _EvaluationEngine over evaluator) serves the run:
-    its workers, not config.workers, are used, and its cache carries over.
+    A passed engine (an _EvaluationEngine over evaluator) serves the run and
+    its cache carries over; by default a fresh serial engine serves it.
     """
     config = config.validated()
     nsga2 = config.algorithm == "nsga2"
@@ -445,28 +423,28 @@ def run(config: MooConfig, evaluator, progress=None, engine=None) -> pareto.Pare
     survivors = _nsga2_survivors if nsga2 else _spea2_environmental
     archive = pareto.ParetoArchive()
 
-    with (_EvaluationEngine(evaluator, config.workers) if engine is None
-          else contextlib.nullcontext(engine)) as engine:
-        xs = rng.uniform(lower, upper, size=(config.population, len(lower)))
-        evals = engine.evaluate(xs)
-        chosen, keys = ((np.arange(len(xs)), _nsga2_keys(*_keys(evals))) if nsga2
-                        else _spea2_environmental(evals, size))
-        pool_x, pool = xs[chosen], [evals[i] for i in chosen]
+    if engine is None:
+        engine = _EvaluationEngine(evaluator)
+    xs = rng.uniform(lower, upper, size=(config.population, len(lower)))
+    evals = engine.evaluate(xs)
+    chosen, keys = ((np.arange(len(xs)), _nsga2_keys(*_keys(evals))) if nsga2
+                    else _spea2_environmental(evals, size))
+    pool_x, pool = xs[chosen], [evals[i] for i in chosen]
 
-        for gen in range(config.generations + 1):
-            if gen > 0:
-                parents = pool_x[_binary_tournament(keys, config.population, rng)]
-                xs = variation(parents, config, rng, lower, upper)
-                evals = engine.evaluate(xs)
-                pool_x, pool = np.concatenate([pool_x, xs]), pool + evals
-                chosen, keys = survivors(pool, size)
-                pool_x, pool = pool_x[chosen], [pool[i] for i in chosen]
-            feasible, batch = _keys(evals)
-            archive = pareto.archive_insert(archive, xs[feasible], batch[feasible, 1:])
-            if progress is not None:
-                progress(GenerationStats(
-                    generation=gen, feasible=int(feasible.sum()),
-                    archive_size=len(archive), hypervolume=_progress_hv(archive)))
+    for gen in range(config.generations + 1):
+        if gen > 0:
+            parents = pool_x[_binary_tournament(keys, config.population, rng)]
+            xs = variation(parents, config, rng, lower, upper)
+            evals = engine.evaluate(xs)
+            pool_x, pool = np.concatenate([pool_x, xs]), pool + evals
+            chosen, keys = survivors(pool, size)
+            pool_x, pool = pool_x[chosen], [pool[i] for i in chosen]
+        feasible, batch = _keys(evals)
+        archive = pareto.archive_insert(archive, xs[feasible], batch[feasible, 1:])
+        if progress is not None:
+            progress(GenerationStats(
+                generation=gen, feasible=int(feasible.sum()),
+                archive_size=len(archive), hypervolume=_progress_hv(archive)))
 
     return archive
 

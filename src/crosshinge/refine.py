@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinetostatics
-from .geometry import DesignVector, LOWER_BOUNDS, UPPER_BOUNDS
+from .geometry import DesignVector
 from .kinetostatics import Evaluation
 from .pareto import DegenerateObjective, ParetoArchive, normalize, normalize_front
 
@@ -79,9 +79,8 @@ class NelderMeadResult:
     evaluations: int
 
 
-def nelder_mead(evaluate, scalar, x0: np.ndarray, start: Evaluation,
-                lower: np.ndarray = LOWER_BOUNDS, upper: np.ndarray = UPPER_BOUNDS,
-                max_iters: int = MAX_ITERS) -> NelderMeadResult:
+def nelder_mead(evaluate, scalar, x0: np.ndarray, start: Evaluation, lower: np.ndarray,
+                upper: np.ndarray, max_iters: int = MAX_ITERS) -> NelderMeadResult:
     """Bounded Nelder-Mead simplex search tracking the best feasible point.
 
     evaluate maps a point to its Evaluation record, and the search
@@ -215,5 +214,6 @@ def refine_design(start: DesignVector, archive: ParetoArchive,
     def scalar(y: np.ndarray) -> float:
         return scalarize(normalize(y, ideal, nadir), weights)
 
-    result = nelder_mead(evaluator, scalar, x0, start_record, max_iters=max_iters)
+    result = nelder_mead(evaluator, scalar, x0, start_record, evaluator.lower,
+                         evaluator.upper, max_iters=max_iters)
     return RefineReport(**vars(result), weights=weights)

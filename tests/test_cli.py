@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosshinge import beam_fem, cli, kinetostatics, moo, pareto
+from crosshinge import beam_fem, cli, kinetostatics, pareto
 from crosshinge.geometry import DESIGN_FIELDS
 
 DATA = Path(__file__).parent / "data"
@@ -78,10 +78,9 @@ class TestEvaluate:
         assert len(data["centerlines"]["deformed"]) == 21
 
     def test_manifest_inputs_are_the_files_read(self, tmp_path, capsys):
-        # with --values the archive is not read, so it is no input, even missing
+        # --values reads no file, so it has no input
         archive = raw_archive_csv(tmp_path / "one.csv", [[1.0, 2.0, 3.0]])
-        cases = ((["--values", REGRESSION_VALUES, "--archive", str(tmp_path / "none.csv")], []),
-                 (["--values", REGRESSION_VALUES, "--archive", str(archive)], []),
+        cases = ((["--values", REGRESSION_VALUES], []),
                  (["--archive", str(archive)], [str(archive)]))
         for k, (source, inputs) in enumerate(cases):
             out = tmp_path / f"out{k}"
@@ -157,17 +156,41 @@ class TestSharedEngine:
     def test_one_pool_per_invocation(self, tmp_path, capsys, monkeypatch):
         pools = []
 
-        class CountedPool(moo.ProcessPoolExecutor):
+        class CountedPool(cli.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(moo, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
         rc = cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", "2",
                                    "--out", str(tmp_path / "run")])
         capsys.readouterr()
         assert rc == cli.EXIT_OK
         assert len(pools) == 1
+
+    def test_pool_size_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        # a fake pool records the size it is asked for; a real pool would
+        # start that many processes at its first submit
+        sizes = []
+
+        class FakePool(contextlib.nullcontext):
+            def __init__(self, max_workers):
+                super().__init__(self)
+                sizes.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        for name, workers in (("capped", "100000"), ("serial", "1")):
+            assert cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", workers,
+                                         "--out", str(tmp_path / name)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert sizes == [3]
+        for name in ("archive_nsga2.csv", "archive_spea2.csv", "archive_merged.csv"):
+            assert (tmp_path / "capped" / name).read_bytes() == (
+                tmp_path / "serial" / name).read_bytes(), name
 
     def test_each_design_swept_once(self, tmp_path, capsys, monkeypatch):
         swept = []
@@ -439,10 +462,10 @@ SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1
 # documents (2 for malformed, non-finite or out-of-range input, 1 for a
 # well-formed request without a result, such as an empty archive), never in
 # a traceback or a result computed from silently replaced values, and bad
-# input (exit 2) leaves no {out} directory behind; {archive},
+# input (exit 2) leaves no {out} directory behind; {archive}, {two_rows},
 # {dominated}, {nan}, {short}, {degenerate}, {empty}, {config}, {nan_bounds},
-# the {trace_...} files, {dir} (an existing directory) and {out} are filled
-# with per-test paths
+# {zero_workers}, the {trace_...} files, {dir} (an existing directory) and
+# {out} are filled with per-test paths
 BAD_INPUTS = {
     "select-dominated-row": (cli.EXIT_USAGE, [
         "select", "--archive", "{dominated}", "--target-weights", "0.4,0.3,0.3"]),
@@ -471,6 +494,11 @@ BAD_INPUTS = {
         "optimize", "--config", "{config}", "--steps", "1", "--out", "{out}"]),
     "optimize-negative-seed": (cli.EXIT_USAGE, [
         "optimize", "--config", "{config}", "--seed", "-1", "--out", "{out}"]),
+    "optimize-zero-workers": (cli.EXIT_USAGE, [
+        "optimize", "--config", "{config}", "--workers", "0", "--out", "{out}"]),
+    "optimize-zero-workers-ini": (cli.EXIT_USAGE, [
+        "optimize", "--config", "{zero_workers}", "--pop", "4", "--gens", "1",
+        "--elements", "2", "--steps", "2", "--out", "{out}"]),
     "evaluate-zero-elements": (cli.EXIT_USAGE, [
         "evaluate", "--values", REGRESSION_VALUES, "--elements", "0"]),
     "evaluate-zero-steps": (cli.EXIT_USAGE, [
@@ -534,6 +562,21 @@ BAD_INPUTS = {
     "render-trace-with-bad-row": (cli.EXIT_USAGE, [
         "render", "--trace", "{trace_good}", "--archive", "{archive}", "--rows", "5",
         "--out", "{out}"]),
+    # two sources of one design: one of them would be ignored
+    "evaluate-values-with-archive": (cli.EXIT_USAGE, [
+        "evaluate", "--values", REGRESSION_VALUES, "--archive", "{dir}/missing.csv",
+        "--elements", "2", "--steps", "2", "--out", "{out}"]),
+    "evaluate-values-with-row": (cli.EXIT_USAGE, [
+        "evaluate", "--values", REGRESSION_VALUES, "--row", "3", "--elements", "2",
+        "--steps", "2"]),
+    "refine-values-with-row": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{two_rows}", "--values", REGRESSION_VALUES, "--row", "1",
+        "--weights", "1,1,1", "--iters", "0", "--elements", "2", "--steps", "2"]),
+    "refine-row-with-target-weights": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{two_rows}", "--row", "1", "--target-weights", "0,0,1",
+        "--weights", "1,1,1", "--iters", "0", "--elements", "2", "--steps", "2"]),
+    "render-values-with-rows": (cli.EXIT_USAGE, [
+        "render", "--values", REGRESSION_VALUES, "--rows", "5", "--out", "{out}"]),
 }
 
 
@@ -549,8 +592,11 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected
     monkeypatch.setattr(beam_fem, "run_sweep", counted_sweep)
     nan_dir = tmp_path / "nan-bounds"
     nan_dir.mkdir()
+    zero_workers = tmp_path / "zero_workers.ini"
+    zero_workers.write_text("[global]\nworkers = 0\n")
     paths = {
         "archive": raw_archive_csv(tmp_path / "one.csv", [[1.0, 2.0, 3.0]]),
+        "two_rows": raw_archive_csv(tmp_path / "two.csv", [[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]]),
         "dominated": raw_archive_csv(tmp_path / "dominated.csv",
                                      [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]),
         "nan": raw_archive_csv(tmp_path / "nan.csv",
@@ -560,6 +606,7 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected
         "empty": raw_archive_csv(tmp_path / "empty.csv", []),
         "config": write_point_config(tmp_path, REGRESSION["design"]),
         "nan_bounds": write_point_config(nan_dir, {"alpha": float("nan")}),
+        "zero_workers": zero_workers,
         "trace_no_step": trace_file(tmp_path / "no_step.json", {
             **GOOD_TRACE, "centerlines": {**GOOD_TRACE["centerlines"], "deformed": []}}),
         "trace_list": trace_file(tmp_path / "list.json", [GOOD_TRACE]),

@@ -1,5 +1,5 @@
 import hashlib
-import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,38 +319,14 @@ class TestRuns:
         assert np.array_equal(a.objectives, b.objectives)
 
     def test_parallel_matches_serial(self):
-        serial = moo.run(moo.MooConfig(population=12, generations=5, seed=2),
-                         ZDT1(n_var=6))
-        parallel = moo.run(
-            moo.MooConfig(population=12, generations=5, seed=2, workers=2),
-            ZDT1(n_var=6))
+        config = moo.MooConfig(population=12, generations=5, seed=2)
+        serial = moo.run(config, ZDT1(n_var=6))
+        with ProcessPoolExecutor(2) as pool:
+            parallel = moo.run(config, ZDT1(n_var=6),
+                               engine=moo._EvaluationEngine(ZDT1(n_var=6), pool.map))
         assert len(serial) == len(parallel)
         assert np.array_equal(serial.designs, parallel.designs)
         assert np.array_equal(serial.objectives, parallel.objectives)
-
-    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
-        # a fake pool records the size it is asked for; a real pool would
-        # start that many processes at its first submit
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(moo, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        capped = moo.run(moo.MooConfig(population=8, generations=2, seed=2,
-                                       workers=100_000), ZDT1(n_var=6))
-        serial = moo.run(moo.MooConfig(population=8, generations=2, seed=2),
-                         ZDT1(n_var=6))
-        assert sizes == [3]
-        assert capped.objectives.tolist() == serial.objectives.tolist()
 
     def test_no_out_of_bounds_evaluations(self):
         calls = []
@@ -400,6 +376,55 @@ PINNED_ARCHIVES = [
     ("spea2", BandedZDT1, 8,
      "b0558cd69e041e9886aef8e1886c3ff602d6d07c05585000ba8ab8336b4419db"),
 ]
+
+
+class TestEvaluationEngine:
+    """The engine is a cache over a map function: it maps each design it has
+    not seen once, and answers every row from the cache."""
+
+    @staticmethod
+    def engine():
+        maps, evaluated = [], []
+
+        def recording_map(fn, items):
+            items = list(items)
+            maps.append([x.tolist() for x in items])
+            return map(fn, items)
+
+        def evaluator(x):
+            evaluated.append(x.tolist())
+            return moo.Evaluation(y=x + 1.0, feasible=True)
+
+        return moo._EvaluationEngine(evaluator, recording_map), maps, evaluated
+
+    def test_repeated_rows_mapped_once_in_first_occurrence_order(self):
+        engine, maps, evaluated = self.engine()
+        engine.evaluate(np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
+                                  [1.0, 0.0]]))
+        assert maps == [[[2.0, 0.0], [1.0, 0.0], [3.0, 0.0]]]
+        assert evaluated == maps[0]
+
+    def test_cached_batch_calls_no_evaluator(self):
+        engine, _, evaluated = self.engine()
+        xs = np.array([[2.0, 0.0], [1.0, 0.0]])
+        first = engine.evaluate(xs)
+        again = engine.evaluate(xs[::-1])
+        assert len(evaluated) == 2
+        assert again == first[::-1]
+
+    def test_records_align_with_rows(self):
+        engine, _, _ = self.engine()
+        engine.evaluate(np.array([[5.0, 5.0]]))
+        xs = np.array([[4.0, 0.0], [5.0, 5.0], [4.0, 0.0], [0.5, 1.0]])
+        records = engine.evaluate(xs)
+        assert [r.y.tolist() for r in records] == (xs + 1.0).tolist()
+
+    def test_cache_counts_designs_computed(self):
+        engine, _, evaluated = self.engine()
+        for xs in ([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]], [], [[2.0, 0.0]]):
+            engine.evaluate(np.array(xs).reshape(-1, 2))
+            assert len(engine.cache) == len(evaluated)
+        assert len(engine.cache) == 2
 
 
 class TestGenerationLoop:
