@@ -50,7 +50,7 @@ SETTINGS = {
 }
 # defaults reproduce the reference campaign; [bounds] defaults to the admissible box
 DEFAULTS = {f.name: f.default for f in fields(moo.MooConfig)} | {
-    "algorithm": "both", "workers": 1, "elements": beam_fem.DEFAULT_ELEMENTS,
+    "algorithm": "both", "workers": None, "elements": beam_fem.DEFAULT_ELEMENTS,
     "steps": beam_fem.DEFAULT_STEPS, "out": None}
 
 
@@ -80,6 +80,8 @@ def resolve_config(args) -> dict:
         settings |= load_config_file(Path(args.config))
     settings |= {key: value for key, value in vars(args).items()
                  if key in DEFAULTS and value is not None}
+    if settings["workers"] is None:  # one process per CPU
+        settings["workers"] = os.cpu_count() or 1
     out = settings["out"] and Path(settings["out"])
     if out and not next(p for p in (out, *out.parents) if p.exists()).is_dir():
         raise ValueError(f"--out is not a directory: {out}")
@@ -317,6 +319,21 @@ def cmd_evaluate(args) -> int:
 
 
 @contextlib.contextmanager
+def process_map(workers: int):
+    """The builtin map for one worker, else a map that sends each batch of two
+    or more to one process pool of at most one process per CPU (one item runs
+    here: the round trip would wake an idle worker). Records do not depend on
+    the pool size. workers < 1 raises ValueError."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(min(workers, os.cpu_count() or 1)) as pool:
+        yield lambda fn, items: (pool.map if len(items) > 1 else map)(fn, items)
+
+
+@contextlib.contextmanager
 def _progress_log(path: Path):
     """A moo.run progress callback printing each generation's line to stdout
     and to the log at path. The log and its directory are created with the
@@ -345,24 +362,19 @@ def cmd_optimize(args) -> int:
     algorithms = ["nsga2", "spea2"] if shared["algorithm"] == "both" else [shared["algorithm"]]
     moo_configs = [moo.MooConfig(**(shared | {"algorithm": algorithm})).validated()
                    for algorithm in algorithms]
-    workers = settings["workers"]
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     kinetostatics.check_resolution(settings["elements"], settings["steps"])
     out = Path(settings["out"])
 
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"], lower=lower, upper=upper)
     archives = []
-    # results do not depend on the pool size, so more processes than CPUs only cost memory
-    with (ProcessPoolExecutor(min(workers, os.cpu_count() or 1)) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    with process_map(settings["workers"]) as pool_map:
         # one pool and cache for both algorithms: their initial population is swept once
-        engine = moo._EvaluationEngine(evaluator, pool.map if pool else map)
+        engine = moo._EvaluationEngine(evaluator, pool_map)
         for moo_cfg in moo_configs:
             algorithm = moo_cfg.algorithm
             print(f"[{algorithm}] pop={moo_cfg.population} gens={moo_cfg.generations} "
-                  f"seed={moo_cfg.seed} workers={workers}")
+                  f"seed={moo_cfg.seed} workers={settings['workers']}")
             with _progress_log(out / f"progress_{algorithm}.log") as progress:
                 archive = moo.run(moo_cfg, evaluator, engine=engine, progress=progress)
             archives.append(archive)
@@ -440,11 +452,17 @@ def cmd_refine(args) -> int:
             index = pareto.select_by_target(archive, target)
         start = archive_designs(archive, [index])[0]
     weights = _parse_weights(args.weights) if args.weights else None
+    # bad input is rejected before the pool opens
+    start.validate()
+    kinetostatics.check_resolution(settings["elements"], settings["steps"])
+    if args.iters < 0:
+        raise ValueError(f"iteration budget must be >= 0, got {args.iters}")
 
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"])
-    report = refine.refine_design(start, archive, evaluator, weights=weights,
-                                  max_iters=args.iters)
+    with process_map(settings["workers"]) as pool_map:
+        report = refine.refine_design(start, archive, evaluator, weights=weights,
+                                      max_iters=args.iters, map=pool_map)
     payload = {
         "selected_index": index,
         "weights": [float(v) for v in report.weights],
@@ -454,7 +472,7 @@ def cmd_refine(args) -> int:
         "evaluations": report.evaluations,
     }
     return emit(args, "refined.json", payload,
-                {"iters": args.iters, "row": index,
+                {"iters": args.iters, "row": index, "workers": settings["workers"],
                  "elements": settings["elements"], "steps": settings["steps"]},
                 [Path(args.archive)])
 
@@ -548,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="explicit start design (13 comma-separated)")
     p.add_argument("--weights", help="explicit scalarization weights")
     p.add_argument("--iters", type=int, default=refine.MAX_ITERS)
+    p.add_argument("--workers", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("render", help="SVG schematics of designs")

@@ -15,6 +15,9 @@ is 0 and deriving weights still raises DegenerateObjective.
 
 Nelder-Mead runs on the Evaluation records of the optimizer's evaluator
 (kinetostatics.HingeEvaluator) and minimizes a scalar of each record's y.
+It evaluates the start with the other initial vertices, and each shrink's
+moved vertices, as one batch of an order-keeping map (Lee & Wiswall, 2007),
+so an infeasible start also costs the n vertex evaluations.
 """
 
 from __future__ import annotations
@@ -79,55 +82,58 @@ class NelderMeadResult:
     evaluations: int
 
 
-def nelder_mead(evaluate, scalar, x0: np.ndarray, start: Evaluation, lower: np.ndarray,
-                upper: np.ndarray, max_iters: int = MAX_ITERS) -> NelderMeadResult:
+def nelder_mead(evaluate, scalar_for, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                max_iters: int = MAX_ITERS, map=map) -> NelderMeadResult:
     """Bounded Nelder-Mead simplex search tracking the best feasible point.
 
-    evaluate maps a point to its Evaluation record, and the search
-    minimizes scalar(record.y). start is the caller's record of x0, which
-    must lie within [lower, upper]: it counts as the first evaluation and
-    is not evaluated again. Infeasible evaluations are assigned the best
-    feasible value seen so far plus their violation, which steers the
-    simplex back without gradients. Reflection, expansion and contraction
-    points are clipped to the bounds, so every vertex stays admissible.
+    It minimizes scalar_for(start record)(record.y) over the Evaluation
+    records that map(evaluate, points) returns in order (the builtin map,
+    or a process pool's). The batches are x0, which must lie within [lower,
+    upper], with the n other initial vertices, then each shrink's n moved
+    vertices; other points go one at a time. Records are folded in serial
+    order. Infeasible evaluations are assigned the best feasible value seen
+    so far plus their violation, which steers the simplex back without
+    gradients. Reflection, expansion and contraction points are clipped to
+    the bounds, so every vertex stays admissible.
 
     Raises:
-        InfeasibleStart: if the start record is infeasible.
+        InfeasibleStart: if the start record is infeasible (after its batch).
     """
-    if not start.feasible:
-        raise InfeasibleStart("starting design is infeasible")
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
     x0 = np.array(x0, dtype=float)
     n = x0.size
-
-    start_value = scalar(start.y)
-    best, best_x, best_value = start, x0, start_value
-    evaluations = 1
-
-    def value_of(x: np.ndarray) -> float:
-        nonlocal best, best_x, best_value, evaluations
-        evaluations += 1
-        record = evaluate(x)
-        if not record.feasible:
-            return best_value + record.violation
-        value = scalar(record.y)
-        if value < best_value:
-            best, best_x, best_value = record, x.copy(), value
-        return value
-
-    simplex = [x0]
-    values = [best_value]
+    simplex = np.tile(x0, (n + 1, 1))
     step = SIMPLEX_STEP_FRACTION * (upper - lower)
-    for i in range(n):
-        vertex = x0.copy()
-        vertex[i] = min(vertex[i] + step[i], upper[i])
+    for i, vertex in enumerate(simplex[1:]):
+        vertex[i] = min(x0[i] + step[i], upper[i])
         if vertex[i] == x0[i]:  # at the upper bound; keep the simplex non-degenerate
             vertex[i] = max(x0[i] - step[i], lower[i])
-        simplex.append(vertex)
-        values.append(value_of(vertex))
-    simplex = np.array(simplex)
-    values = np.array(values)
+    records = list(map(evaluate, simplex))
+    start = records[0]
+    if not start.feasible:
+        raise InfeasibleStart("starting design is infeasible")
+
+    scalar = scalar_for(start)
+    start_value = scalar(start.y)
+    best, best_x, best_value = start, x0, start_value
+    evaluations = 0
+
+    def fold(points, records) -> list[float]:
+        nonlocal best, best_x, best_value, evaluations
+        values = []
+        for x, record in zip(points, records):
+            evaluations += 1
+            value = scalar(record.y) if record.feasible else best_value + record.violation
+            if record.feasible and value < best_value:
+                best, best_x, best_value = record, x.copy(), value
+            values.append(value)
+        return values
+
+    def value_of(x: np.ndarray) -> float:
+        return fold([x], map(evaluate, [x]))[0]
+
+    values = np.array(fold(simplex, records))
 
     iterations = 0
     for iterations in range(1, max_iters + 1):
@@ -163,9 +169,8 @@ def nelder_mead(evaluate, scalar, x0: np.ndarray, start: Evaluation, lower: np.n
             continue
 
         # shrink toward the best vertex (convex, stays within bounds)
-        for i in range(1, len(simplex)):
-            simplex[i] = simplex[0] + NM_SHRINK * (simplex[i] - simplex[0])
-            values[i] = value_of(simplex[i])
+        simplex[1:] = simplex[0] + NM_SHRINK * (simplex[1:] - simplex[0])
+        values[1:] = fold(simplex[1:], map(evaluate, simplex[1:]))
 
     return NelderMeadResult(start=start, start_value=start_value, x=best_x, best=best,
                             value=best_value, iterations=iterations, evaluations=evaluations)
@@ -179,16 +184,16 @@ class RefineReport(NelderMeadResult):
 def refine_design(start: DesignVector, archive: ParetoArchive,
                   evaluator: kinetostatics.HingeEvaluator,
                   weights: np.ndarray | None = None,
-                  max_iters: int = MAX_ITERS) -> RefineReport:
+                  max_iters: int = MAX_ITERS, map=map) -> RefineReport:
     """Scalarized Nelder-Mead refinement of a feasible start design, with
     the normalization frozen at the archive's (ideal, nadir).
 
-    The start is evaluated once. The report is the Nelder-Mead result
-    (the records of the start and of the best point, and their scalars)
-    plus the weights. With weights=None, inverse-normalization weights are
-    derived from the start design's normalized objectives, each raised to
-    the archive's weight_floor first; the start scalar uses the objectives
-    as they are.
+    Every point, the start included, is evaluated once, through map (see
+    nelder_mead). The report is the Nelder-Mead result (the records of the
+    start and of the best point, and their scalars) plus the weights. With
+    weights=None, inverse-normalization weights are derived from the start
+    design's normalized objectives, each raised to the archive's
+    weight_floor first; the start scalar uses the objectives as they are.
     A degenerate coordinate (nadir <= ideal) normalizes to 0 there as in
     the scalar objective and has a 0 floor, so deriving weights raises
     DegenerateObjective.
@@ -196,24 +201,20 @@ def refine_design(start: DesignVector, archive: ParetoArchive,
     Raises:
         ValueError: if max_iters is negative (before any evaluation).
         EmptyArchive: if the archive has no rows.
-        InfeasibleStart: if the start design is infeasible.
+        InfeasibleStart: if the start design is infeasible (after the first batch).
     """
     if max_iters < 0:
         raise ValueError(f"iteration budget must be >= 0, got {max_iters}")
     ideal, nadir = archive.ideal, archive.nadir
-    x0 = start.as_array()
-    start_record = evaluator(x0)
-    if not start_record.feasible:
-        raise InfeasibleStart("starting design is infeasible")
 
-    if weights is None:
-        weights = inverse_normalization_weights(
-            np.maximum(normalize(start_record.y, ideal, nadir), weight_floor(archive)))
-    weights = np.asarray(weights, float)
+    def scalar_for(start_record: Evaluation):
+        nonlocal weights
+        if weights is None:
+            weights = inverse_normalization_weights(
+                np.maximum(normalize(start_record.y, ideal, nadir), weight_floor(archive)))
+        weights = np.asarray(weights, float)
+        return lambda y: scalarize(normalize(y, ideal, nadir), weights)
 
-    def scalar(y: np.ndarray) -> float:
-        return scalarize(normalize(y, ideal, nadir), weights)
-
-    result = nelder_mead(evaluator, scalar, x0, start_record, evaluator.lower,
-                         evaluator.upper, max_iters=max_iters)
+    result = nelder_mead(evaluator, scalar_for, start.as_array(), evaluator.lower,
+                         evaluator.upper, max_iters=max_iters, map=map)
     return RefineReport(**vars(result), weights=weights)

@@ -325,7 +325,7 @@ def test_criterion_9_refinement(desk_campaign):
         return ks.Evaluation(y=np.array([np.sum((x - 0.7) ** 2)]), feasible=True)
 
     x0 = np.full(13, 0.65)
-    quad = refine.nelder_mead(quadratic, lambda y: y[0], x0, quadratic(x0),
+    quad = refine.nelder_mead(quadratic, lambda start: lambda y: y[0], x0,
                               np.zeros(13), np.ones(13), max_iters=200)
     ok = non_increase and quad.value < 1e-4
     report(9, ok, f"scalar {result.start_value:.4e} -> {result.value:.4e} "

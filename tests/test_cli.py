@@ -144,6 +144,19 @@ class TestOptimize:
         assert "crosshinge" in manifest["versions"]
 
 
+def counted_pools(monkeypatch) -> list:
+    """The list to which each process pool the CLI constructs from now on is appended."""
+    pools = []
+
+    class CountedPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
 TINY_OPTIMIZE = ["optimize", "--pop", "8", "--gens", "1", "--seed", "3",
              "--elements", "4", "--steps", "4"]
 ALGORITHM_FILES = {"nsga2": ["archive_nsga2.csv", "progress_nsga2.log"],
@@ -154,14 +167,7 @@ class TestSharedEngine:
     """`--algorithm both` runs its two algorithms on one evaluation engine."""
 
     def test_one_pool_per_invocation(self, tmp_path, capsys, monkeypatch):
-        pools = []
-
-        class CountedPool(cli.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+        pools = counted_pools(monkeypatch)
         rc = cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", "2",
                                    "--out", str(tmp_path / "run")])
         capsys.readouterr()
@@ -183,14 +189,19 @@ class TestSharedEngine:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        for name, workers in (("capped", "100000"), ("serial", "1")):
-            assert cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", workers,
+        # without --workers, one process per CPU, recorded in the manifest
+        for name, flags in (("capped", ["--workers", "100000"]), ("serial", ["--workers", "1"]),
+                            ("default", [])):
+            assert cli.main(TINY_OPTIMIZE + ["--algorithm", "both", *flags,
                                          "--out", str(tmp_path / name)]) == cli.EXIT_OK
         capsys.readouterr()
-        assert sizes == [3]
+        assert sizes == [3, 3]
+        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+        assert manifest["config"]["global"]["workers"] == 3
         for name in ("archive_nsga2.csv", "archive_spea2.csv", "archive_merged.csv"):
-            assert (tmp_path / "capped" / name).read_bytes() == (
-                tmp_path / "serial" / name).read_bytes(), name
+            for run in ("capped", "default"):
+                assert (tmp_path / run / name).read_bytes() == (
+                    tmp_path / "serial" / name).read_bytes(), (run, name)
 
     def test_each_design_swept_once(self, tmp_path, capsys, monkeypatch):
         swept = []
@@ -350,6 +361,27 @@ class TestRefineCommand:
         assert payload["weights"] == pytest.approx(inverse / inverse.sum(), rel=1e-12)
         assert payload["refined"]["scalar"] <= payload["start"]["scalar"] + 1e-12
 
+    def test_refined_json_does_not_depend_on_workers(self, small_archive, tmp_path, capsys,
+                                                      monkeypatch):
+        pools = counted_pools(monkeypatch)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        opened = {}
+        for name, flags in (("serial", ["--workers", "1"]), ("pool", ["--workers", "2"]),
+                            ("default", [])):
+            before = len(pools)
+            assert cli.main(["refine", "--archive", str(small_archive), "--row", "0",
+                             "--iters", "10", *MESH_4, *flags,
+                             "--out", str(tmp_path / name)]) == cli.EXIT_OK
+            opened[name] = len(pools) - before
+        capsys.readouterr()
+        # one pool for more than one worker, none for one
+        assert opened == {"serial": 0, "pool": 1, "default": 1}
+        serial = (tmp_path / "serial" / "refined.json").read_bytes()
+        for name in ("pool", "default"):
+            assert (tmp_path / name / "refined.json").read_bytes() == serial, name
+        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+        assert manifest["config"]["workers"] == 2
+
     def test_refine_row_out_of_range(self, small_archive, capsys):
         rc = cli.main(["refine", "--archive", str(small_archive), "--row", "99",
                        "--iters", "1"])
@@ -486,6 +518,12 @@ BAD_INPUTS = {
     "refine-one-element": (cli.EXIT_USAGE, [
         "refine", "--archive", "{archive}", "--row", "0", "--elements", "1",
         "--iters", "1"]),
+    "refine-zero-workers": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--row", "0", "--workers", "0",
+        "--iters", "1", "--out", "{out}"]),
+    "refine-negative-workers": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--row", "0", "--workers", "-2",
+        "--iters", "1", "--out", "{out}"]),
     "optimize-one-element": (cli.EXIT_USAGE, [
         "optimize", "--config", "{config}", "--elements", "1", "--out", "{out}"]),
     "optimize-zero-steps": (cli.EXIT_USAGE, [
@@ -590,6 +628,8 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected
         return run_sweep(*args, **kwargs)
 
     monkeypatch.setattr(beam_fem, "run_sweep", counted_sweep)
+    # sweeps in pool workers are invisible to the counter above, so pools are counted too
+    pools = counted_pools(monkeypatch)
     nan_dir = tmp_path / "nan-bounds"
     nan_dir.mkdir()
     zero_workers = tmp_path / "zero_workers.ini"
@@ -624,6 +664,7 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected
     if expected == cli.EXIT_USAGE:
         # bad input is rejected before any work: no sweep runs, nothing is written
         assert not sweeps
+        assert not pools
     if expected == cli.EXIT_USAGE or argv[0] == "optimize":
         # an optimize that fails before generation 0 completes writes nothing either
         assert not paths["out"].exists()

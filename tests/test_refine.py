@@ -1,5 +1,7 @@
 import json
-from dataclasses import dataclass, field
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,14 +84,42 @@ class DiskConstrained:
         return refine.Evaluation(y=np.array([np.sum((x - 0.7) ** 2)]), feasible=True)
 
 
+@dataclass
+class Terraced:
+    """DiskConstrained with the quadratic floored to steps of 0.05: on a
+    plateau a contraction does not improve, so the simplex shrinks."""
+
+    calls: int = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        if 0.55 < x[0] < 0.6:
+            return refine.Evaluation(y=None, feasible=False, violation=float(x[0]))
+        return refine.Evaluation(y=np.array([np.floor(20 * np.sum((x - 0.7) ** 2)) / 20]),
+                                 feasible=True)
+
+
+@dataclass
+class RecordingMap:
+    """An order-keeping map (the builtin one by default) that keeps a copy of
+    each batch it is given."""
+
+    inner: object = map
+    batches: list = field(default_factory=list)
+
+    def __call__(self, fn, items):
+        self.batches.append(np.array([np.array(x) for x in items]))
+        return self.inner(fn, self.batches[-1])
+
+
 BOX = (np.zeros(13), np.ones(13))
 
 
-def nelder_mead(objective, x0, lower, upper, max_iters=refine.MAX_ITERS):
+def nelder_mead(objective, x0, lower, upper, max_iters=refine.MAX_ITERS, map=map):
     """refine.nelder_mead on a test objective whose records hold the scalar
-    as a one-element y, started from the objective's record of x0."""
-    return refine.nelder_mead(objective, lambda y: y[0], x0, objective(x0),
-                              lower, upper, max_iters)
+    as a one-element y."""
+    return refine.nelder_mead(objective, lambda start: lambda y: y[0], x0, lower, upper,
+                              max_iters, map=map)
 
 
 class TestNelderMead:
@@ -150,6 +180,48 @@ class TestNelderMead:
         objective = Quadratic()
         result = nelder_mead(objective, np.full(13, 0.2), *BOX, max_iters=25)
         assert result.iterations <= 25
+
+
+class TestBatches:
+    """nelder_mead evaluates the start with the initial simplex, and each
+    shrink, as one batch of its map, and folds the records in serial order."""
+
+    X0 = np.full(13, 0.4)
+
+    def test_first_batch_is_start_and_simplex_then_shrinks(self):
+        recording = RecordingMap()
+        nelder_mead(Terraced(), self.X0, *BOX, max_iters=15, map=recording)
+        first, *rest = recording.batches
+        # vertex i steps 5% of the range (0.05 here) along variable i
+        assert np.array_equal(first, np.vstack([self.X0, self.X0 + np.diag(np.full(13, 0.05))]))
+        assert all(len(batch) in (1, 13) for batch in rest)
+        assert any(len(batch) == 13 for batch in rest)
+
+    def test_each_point_mapped_once(self):
+        objective, recording = Terraced(), RecordingMap()
+        result = nelder_mead(objective, self.X0, *BOX, max_iters=15, map=recording)
+        assert objective.calls == sum(map(len, recording.batches)) == result.evaluations
+
+    def test_pool_map_gives_the_serial_result(self):
+        with ProcessPoolExecutor(2) as pool:
+            recording = RecordingMap(pool.map)
+            pooled = nelder_mead(Terraced(), self.X0, *BOX, max_iters=15, map=recording)
+        serial = nelder_mead(Terraced(), self.X0, *BOX, max_iters=15)
+        assert any(len(batch) == 13 for batch in recording.batches[1:])  # it shrank
+        # field by field: a whole pickle also encodes which fields share an object
+        assert ([pickle.dumps(getattr(pooled, f.name)) for f in fields(pooled)]
+                == [pickle.dumps(getattr(serial, f.name)) for f in fields(serial)])
+
+    def test_infeasible_start_raises_after_first_batch(self):
+        @dataclass
+        class AlwaysInfeasible:
+            def __call__(self, x):
+                return refine.Evaluation(y=None, feasible=False, violation=1.0)
+
+        recording = RecordingMap()
+        with pytest.raises(refine.InfeasibleStart):
+            nelder_mead(AlwaysInfeasible(), self.X0, *BOX, map=recording)
+        assert [len(batch) for batch in recording.batches] == [14]
 
 
 class TestRefineDesign:
