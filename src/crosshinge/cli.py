@@ -50,7 +50,7 @@ SETTINGS = {
 }
 # defaults reproduce the reference campaign; [bounds] defaults to the admissible box
 DEFAULTS = {f.name: f.default for f in fields(moo.MooConfig)} | {
-    "algorithm": "both", "workers": None, "elements": beam_fem.DEFAULT_ELEMENTS,
+    "algorithm": "both", "workers": 1, "elements": beam_fem.DEFAULT_ELEMENTS,
     "steps": beam_fem.DEFAULT_STEPS, "out": None}
 
 
@@ -80,8 +80,6 @@ def resolve_config(args) -> dict:
         settings |= load_config_file(Path(args.config))
     settings |= {key: value for key, value in vars(args).items()
                  if key in DEFAULTS and value is not None}
-    if settings["workers"] is None:  # one process per CPU
-        settings["workers"] = os.cpu_count() or 1
     out = settings["out"] and Path(settings["out"])
     if out and not next(p for p in (out, *out.parents) if p.exists()).is_dir():
         raise ValueError(f"--out is not a directory: {out}")
@@ -320,16 +318,19 @@ def cmd_evaluate(args) -> int:
 
 @contextlib.contextmanager
 def process_map(workers: int):
-    """The builtin map for one worker, else a map that sends each batch of two
-    or more to one process pool of at most one process per CPU (one item runs
-    here: the round trip would wake an idle worker). Records do not depend on
-    the pool size. workers < 1 raises ValueError."""
+    """The builtin map if one process would run at a time, else a map sending
+    each batch of two or more to a pool of `workers` processes, at most one per
+    CPU this process may run on (one item runs here). Callers cap `workers` at
+    their largest batch: a pool starts all its processes at once. Records do
+    not depend on the pool size. workers < 1 raises ValueError."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
     if workers == 1:
         yield map
         return
-    with ProcessPoolExecutor(min(workers, os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(workers) as pool:
         yield lambda fn, items: (pool.map if len(items) > 1 else map)(fn, items)
 
 
@@ -368,8 +369,9 @@ def cmd_optimize(args) -> int:
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"], lower=lower, upper=upper)
     archives = []
-    with process_map(settings["workers"]) as pool_map:
-        # one pool and cache for both algorithms: their initial population is swept once
+    with process_map(min(settings["workers"], moo_configs[0].population)) as pool_map:
+        # one pool and cache for both algorithms: their initial population is swept
+        # once, and a generation maps at most `population` new designs
         engine = moo._EvaluationEngine(evaluator, pool_map)
         for moo_cfg in moo_configs:
             algorithm = moo_cfg.algorithm
@@ -452,15 +454,14 @@ def cmd_refine(args) -> int:
             index = pareto.select_by_target(archive, target)
         start = archive_designs(archive, [index])[0]
     weights = _parse_weights(args.weights) if args.weights else None
-    # bad input is rejected before the pool opens
-    start.validate()
+    start.validate()  # bad input is rejected before the pool opens
     kinetostatics.check_resolution(settings["elements"], settings["steps"])
     if args.iters < 0:
         raise ValueError(f"iteration budget must be >= 0, got {args.iters}")
 
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"])
-    with process_map(settings["workers"]) as pool_map:
+    with process_map(len(DESIGN_FIELDS) + 1) as pool_map:  # the largest batch: x0 and n vertices
         report = refine.refine_design(start, archive, evaluator, weights=weights,
                                       max_iters=args.iters, map=pool_map)
     payload = {
@@ -472,7 +473,7 @@ def cmd_refine(args) -> int:
         "evaluations": report.evaluations,
     }
     return emit(args, "refined.json", payload,
-                {"iters": args.iters, "row": index, "workers": settings["workers"],
+                {"iters": args.iters, "row": index,
                  "elements": settings["elements"], "steps": settings["steps"]},
                 [Path(args.archive)])
 
@@ -566,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="explicit start design (13 comma-separated)")
     p.add_argument("--weights", help="explicit scalarization weights")
     p.add_argument("--iters", type=int, default=refine.MAX_ITERS)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("render", help="SVG schematics of designs")

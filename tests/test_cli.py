@@ -157,6 +157,29 @@ def counted_pools(monkeypatch) -> list:
     return pools
 
 
+def fake_pools(monkeypatch) -> list:
+    """The list of the sizes of the process pools the CLI asks for from now on.
+    A fake pool maps in this process; a real one would start that many
+    processes at its first submit."""
+    sizes = []
+
+    class FakePool(contextlib.nullcontext):
+        def __init__(self, max_workers):
+            super().__init__(self)
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    """From now on the CLI sees n CPUs that this process may run on."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 TINY_OPTIMIZE = ["optimize", "--pop", "8", "--gens", "1", "--seed", "3",
              "--elements", "4", "--steps", "4"]
 ALGORITHM_FILES = {"nsga2": ["archive_nsga2.csv", "progress_nsga2.log"],
@@ -175,31 +198,17 @@ class TestSharedEngine:
         assert len(pools) == 1
 
     def test_pool_size_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
-        # a fake pool records the size it is asked for; a real pool would
-        # start that many processes at its first submit
-        sizes = []
-
-        class FakePool(contextlib.nullcontext):
-            def __init__(self, max_workers):
-                super().__init__(self)
-                sizes.append(max_workers)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        # without --workers, one process per CPU, recorded in the manifest
-        for name, flags in (("capped", ["--workers", "100000"]), ("serial", ["--workers", "1"]),
-                            ("default", [])):
-            assert cli.main(TINY_OPTIMIZE + ["--algorithm", "both", *flags,
+        sizes = fake_pools(monkeypatch)
+        # at most one process per usable CPU, and no more than a generation's 8 new designs
+        for name, cpus, workers in (("capped", 3, "100000"), ("population", 64, "100000"),
+                                    ("serial", 3, "1")):
+            usable_cpus(monkeypatch, cpus)
+            assert cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", workers,
                                          "--out", str(tmp_path / name)]) == cli.EXIT_OK
         capsys.readouterr()
-        assert sizes == [3, 3]
-        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
-        assert manifest["config"]["global"]["workers"] == 3
+        assert sizes == [3, 8]
         for name in ("archive_nsga2.csv", "archive_spea2.csv", "archive_merged.csv"):
-            for run in ("capped", "default"):
+            for run in ("capped", "population"):
                 assert (tmp_path / run / name).read_bytes() == (
                     tmp_path / "serial" / name).read_bytes(), (run, name)
 
@@ -361,26 +370,32 @@ class TestRefineCommand:
         assert payload["weights"] == pytest.approx(inverse / inverse.sum(), rel=1e-12)
         assert payload["refined"]["scalar"] <= payload["start"]["scalar"] + 1e-12
 
-    def test_refined_json_does_not_depend_on_workers(self, small_archive, tmp_path, capsys,
-                                                      monkeypatch):
+    def test_refined_json_does_not_depend_on_cpus(self, small_archive, tmp_path, capsys,
+                                                   monkeypatch):
         pools = counted_pools(monkeypatch)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         opened = {}
-        for name, flags in (("serial", ["--workers", "1"]), ("pool", ["--workers", "2"]),
-                            ("default", [])):
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
             before = len(pools)
             assert cli.main(["refine", "--archive", str(small_archive), "--row", "0",
-                             "--iters", "10", *MESH_4, *flags,
-                             "--out", str(tmp_path / name)]) == cli.EXIT_OK
-            opened[name] = len(pools) - before
+                             "--iters", "10", *MESH_4,
+                             "--out", str(tmp_path / f"cpus{cpus}")]) == cli.EXIT_OK
+            opened[cpus] = len(pools) - before
         capsys.readouterr()
-        # one pool for more than one worker, none for one
-        assert opened == {"serial": 0, "pool": 1, "default": 1}
-        serial = (tmp_path / "serial" / "refined.json").read_bytes()
-        for name in ("pool", "default"):
-            assert (tmp_path / name / "refined.json").read_bytes() == serial, name
-        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
-        assert manifest["config"]["workers"] == 2
+        # one pool of one process per CPU, none on one CPU
+        assert opened == {1: 0, 2: 1}
+        assert pools[0]._max_workers == 2
+        assert (tmp_path / "cpus2" / "refined.json").read_bytes() == (
+            tmp_path / "cpus1" / "refined.json").read_bytes()
+
+    def test_refine_pool_capped_at_initial_simplex(self, small_archive, capsys, monkeypatch):
+        sizes = fake_pools(monkeypatch)
+        usable_cpus(monkeypatch, 64)
+        assert cli.main(["refine", "--archive", str(small_archive), "--row", "0",
+                         "--iters", "1", *MESH_4]) == cli.EXIT_OK
+        capsys.readouterr()
+        # the largest batch is the start and its 13 other simplex vertices
+        assert sizes == [14]
 
     def test_refine_row_out_of_range(self, small_archive, capsys):
         rc = cli.main(["refine", "--archive", str(small_archive), "--row", "99",
@@ -518,12 +533,6 @@ BAD_INPUTS = {
     "refine-one-element": (cli.EXIT_USAGE, [
         "refine", "--archive", "{archive}", "--row", "0", "--elements", "1",
         "--iters", "1"]),
-    "refine-zero-workers": (cli.EXIT_USAGE, [
-        "refine", "--archive", "{archive}", "--row", "0", "--workers", "0",
-        "--iters", "1", "--out", "{out}"]),
-    "refine-negative-workers": (cli.EXIT_USAGE, [
-        "refine", "--archive", "{archive}", "--row", "0", "--workers", "-2",
-        "--iters", "1", "--out", "{out}"]),
     "optimize-one-element": (cli.EXIT_USAGE, [
         "optimize", "--config", "{config}", "--elements", "1", "--out", "{out}"]),
     "optimize-zero-steps": (cli.EXIT_USAGE, [
