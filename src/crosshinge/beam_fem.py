@@ -31,6 +31,14 @@ column per element, fields stacked in pairs so one ufunc serves two).
 Gather and scatter indices are built once per node count. The
 cantilever, probes and per-field reference kernel that check all this
 are in tests/oracles.py.
+
+run_sweeps moves up to LOCKSTEP models through their sweeps in lock-step:
+each round assembles every model's next Newton iterate in one kernel call
+on their stacked element columns. Each model keeps its own
+constant-operator products, band, banded solves and condensation, and a
+model whose step needs a bisection leaves the lock-step, so every sweep
+keeps the bytes it has alone. A single model is the batch of one,
+run_sweep, on its own arrays through the per-design solvers.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ NEWTON_TOL_FACTOR = 5e-13
 MAX_BISECTIONS = 2
 
 _BAND = 11  # half-bandwidth of the reduced tangent in the chain ordering
+LOCKSTEP = 4  # most sweeps run_sweeps moves in lock-step
 
 
 class NonConverged(RuntimeError):
@@ -134,8 +143,8 @@ _INTERP, _FORCE, _TANGENT = _element_operators()
 class ElementData:
     """Reference data of a stack of elements, field-major: one row per
     field, one column per element, so every kernel ufunc reads contiguous
-    rows. The columns of several flexures can be stacked, so one kernel
-    call serves them all.
+    rows. The columns of several flexures, or of several models, can be
+    stacked, so one kernel call serves them all.
     """
 
     gauss: np.ndarray      # (12, n_el) reference dx/dxi, dy/dxi, theta at Gauss points
@@ -160,8 +169,23 @@ class ElementData:
         return np.empty((16, n)), coeffs, np.empty((36, n))
 
 
-def element_kernel(data: ElementData, ue: np.ndarray):
+def _product(op: np.ndarray, x: np.ndarray, blocks) -> np.ndarray:
+    """op @ x, or with blocks (column slices) one product per block, so each
+    block keeps the bytes of a product on its own columns."""
+    if blocks is None:
+        return op @ x
+    out = np.empty((op.shape[0], x.shape[1]))
+    for block in blocks:
+        np.matmul(op, x[:, block], out=out[:, block])
+    return out
+
+
+def element_kernel(data: ElementData, ue: np.ndarray, blocks=None):
     """Internal forces and consistent tangents of a stack of elements.
+
+    With blocks (the column slices of several models), each model gets its
+    own constant-operator products, and all values keep the bytes of a call
+    on its columns alone.
 
     Returns:
         forces: (12, n_el) grouped as [ux(4), uy(4), theta(4)]
@@ -173,7 +197,7 @@ def element_kernel(data: ElementData, ue: np.ndarray):
     # operation sequence of the per-field formulas (tests/oracles.py)
     forces, coeffs, rows = data.work
     cs, ag, nq = rows[0:12], rows[12:24], rows[24:36]
-    du = _INTERP @ ue
+    du = _product(_INTERP, ue, blocks)
     current = data.gauss + du[:12]
     inv_j = data.per_jac[0:1]
     kap = du[12:16] * inv_j
@@ -214,7 +238,7 @@ def element_kernel(data: ElementData, ue: np.ndarray):
     np.subtract(pair[0:4], pair[4:8], out=coeffs[16:20])
     pair = ag[4:12] * uv  # [g u; a v]
     np.multiply(data.jac, pair[0:4] + pair[4:8], out=coeffs[20:24])
-    return _FORCE @ forces, _TANGENT @ coeffs, kap
+    return _product(_FORCE, forces, blocks), _product(_TANGENT, coeffs, blocks), kap
 
 
 def _unpack(packed: np.ndarray) -> np.ndarray:
@@ -343,6 +367,21 @@ def _topology(node_counts: tuple[int, ...]):
     return (reads, *arrays)
 
 
+def _slave_tip(rot: np.ndarray, forces: np.ndarray, tangents: np.ndarray, col: int) -> float:
+    """Fold the slaved tip (local dofs 3, 7, 11 of element column col) into
+    the master pose through te, in place: its translation picks up w * dphi
+    with w = e_z x (R(phi) r0). Returns the curvature of the map, d^2
+    u_tip/d phi^2 = -R r0, dotted with the tip force, which the phi diagonal
+    of the band loses."""
+    fx, fy = forces[3, col], forces[7, col]
+    forces[11, col] += -rot[1] * fx + rot[0] * fy
+    te = np.eye(12)
+    te[3, 11] = -rot[1]
+    te[7, 11] = rot[0]
+    tangents[:, col] = (te.T @ _unpack(tangents[:, col]) @ te).take(_REPACK)
+    return rot[0] * fx + rot[1] * fy
+
+
 class BeamModel:
     """Assembled cross-hinge (or cantilever) model on reduced DOFs.
 
@@ -365,8 +404,9 @@ class BeamModel:
         self.idx_mx = 3 * (meshes[0].n_nodes - 2)
         self.idx_my = self.idx_mx + 1
         self.idx_phi = self.idx_mx + 2
+        self.node_counts = tuple(m.n_nodes for m in meshes)
         (self._node_reads, self._gather, self._force_sel, self._force_idx, self._band_sel,
-         self._band_idx, self._unit_rhs) = _topology(tuple(m.n_nodes for m in meshes))
+         self._band_idx, self._unit_rhs) = _topology(self.node_counts)
         self.n_reduced = len(self._unit_rhs)
         self.newton_tolerance = NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[0].max())
 
@@ -418,23 +458,13 @@ class BeamModel:
         z_ext, rot = self._extended(z)
         forces, tangents, kap = element_kernel(self.elements, z_ext.take(self._gather))
         if rot is not None:
-            # the slaved tip (local dofs 3, 7, 11 of the last element) folds
-            # into the master pose through te: its translation picks up
-            # w * dphi with w = e_z x (R(phi) r0)
-            fx, fy = forces[3, -1], forces[7, -1]
-            forces[11, -1] += -rot[1] * fx + rot[0] * fy
+            curvature = _slave_tip(rot, forces, tangents, -1)
         residual = np.bincount(self._force_idx, weights=forces.take(self._force_sel),
                                minlength=n)
-        if rot is not None:
-            te = np.eye(12)
-            te[3, 11] = -rot[1]
-            te[7, 11] = rot[0]
-            tangents[:, -1] = (te.T @ _unpack(tangents[:, -1]) @ te).take(_REPACK)
         ab = np.bincount(self._band_idx, weights=tangents.take(self._band_sel),
                          minlength=(_BAND + 1) * n)
         if rot is not None:
-            # curvature of the slaved-tip map: d^2 u_tip/d phi^2 = -R r0
-            ab[self.idx_phi * (_BAND + 1) + _BAND] -= rot[0] * fx + rot[1] * fy
+            ab[self.idx_phi * (_BAND + 1) + _BAND] -= curvature
         np.abs(kap, out=kap)
         kap *= self._half_height
         return residual, ab.reshape(n, _BAND + 1).T, float(kap.max())
@@ -484,19 +514,10 @@ def assemble_model(geometry: HingeGeometry, n_elements: int = DEFAULT_ELEMENTS) 
     return BeamModel([FlexureMesh(f, n_elements) for f in geometry.flexures])
 
 
-def solve_equilibrium(model: BeamModel, z0: np.ndarray,
-                      prescribed: dict[int, float] | None = None) -> BeamState:
-    """Newton-Raphson equilibrium with selected reduced DOFs prescribed.
-
-    Clearly diverging iterations (non-finite residual, or a residual that
-    blows up past a thousandfold of its start value without recovering)
-    fail early instead of exhausting the iteration budget; step bisection
-    in the caller is the recovery path.
-
-    Raises:
-        NonConverged: residual tolerance not met within NEWTON_MAX_ITER.
-        SingularTangent: tangent factorization failed.
-    """
+def _newton(model: BeamModel, z0: np.ndarray, prescribed: dict[int, float] | None):
+    """The Newton loop of solve_equilibrium as a generator: it yields each
+    state to assemble, is sent model.assemble's triple at it, and returns
+    the BeamState (run_sweeps sends it stacked assemblies)."""
     tol = model.newton_tolerance
     z = z0.copy()
     if prescribed:
@@ -506,7 +527,7 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
 
     norm0 = None
     for iteration in range(NEWTON_MAX_ITER + 1):
-        residual, ab, peak = model.assemble(z)
+        residual, ab, peak = yield z
         rhs = residual.copy()
         rhs[fixed] = 0.0
         norm = float(np.abs(rhs).max())
@@ -526,6 +547,50 @@ def solve_equilibrium(model: BeamModel, z0: np.ndarray,
     raise NonConverged(f"no equilibrium within {NEWTON_MAX_ITER} iterations")
 
 
+def solve_equilibrium(model: BeamModel, z0: np.ndarray,
+                      prescribed: dict[int, float] | None = None) -> BeamState:
+    """Newton-Raphson equilibrium with selected reduced DOFs prescribed.
+
+    Clearly diverging iterations (non-finite residual, or a residual that
+    blows up past a thousandfold of its start value without recovering)
+    fail early instead of exhausting the iteration budget; step bisection
+    in the caller is the recovery path.
+
+    Raises:
+        NonConverged: residual tolerance not met within NEWTON_MAX_ITER.
+        SingularTangent: tangent factorization failed.
+    """
+    return _alone(model, _newton(model, z0, prescribed))
+
+
+def _alone(model: BeamModel, solver):
+    """Run a generator of _newton or _sweep for one model: answer each state
+    it yields with model.assemble at it, and return its result."""
+    try:
+        z = next(solver)
+        while True:
+            z = solver.send(model.assemble(z))
+    except StopIteration as done:
+        return done.value
+
+
+def _halves(model: BeamModel, z: np.ndarray, phi_from: float, phi_to: float,
+            depth: int) -> BeamState:
+    """The two half steps that replace a failed attempt at depth, each from a
+    converged state (z, then the midpoint's) and halved again on failure, up
+    to MAX_BISECTIONS deep."""
+    if depth >= MAX_BISECTIONS:
+        raise NonConverged(f"no equilibrium within {MAX_BISECTIONS} bisections")
+    phi_mid = 0.5 * (phi_from + phi_to)
+    for phi_a, phi_b in ((phi_from, phi_mid), (phi_mid, phi_to)):
+        try:
+            state = solve_equilibrium(model, z, prescribed={model.idx_phi: phi_b})
+        except NonConverged:
+            state = _halves(model, z, phi_a, phi_b, depth + 1)
+        z = state.z
+    return state
+
+
 def solve_step(model: BeamModel, state: BeamState, phi_target: float,
                guess: np.ndarray | None = None) -> BeamState:
     """Advance to a prescribed master rotation, bisecting failed steps.
@@ -535,20 +600,11 @@ def solve_step(model: BeamModel, state: BeamState, phi_target: float,
     predictor `guess` (run_sweep passes the one of predict_state) seeds only
     the first attempt; bisection always restarts from the converged state.
     """
-
-    def advance(z_from: np.ndarray, phi_from: float, phi_to: float, depth: int):
-        try:
-            return solve_equilibrium(model, z_from, prescribed={model.idx_phi: phi_to})
-        except NonConverged:
-            if depth >= MAX_BISECTIONS:
-                raise
-            phi_mid = 0.5 * (phi_from + phi_to)
-            mid = advance(state.z if depth == 0 else z_from,
-                          phi_from, phi_mid, depth + 1)
-            return advance(mid.z, phi_mid, phi_to, depth + 1)
-
-    start = state.z if guess is None else guess
-    return advance(start, float(state.z[model.idx_phi]), phi_target, 0)
+    try:
+        return solve_equilibrium(model, state.z if guess is None else guess,
+                                 prescribed={model.idx_phi: phi_target})
+    except NonConverged:
+        return _halves(model, state.z, float(state.z[model.idx_phi]), phi_target, 0)
 
 
 def reaction_moment(model: BeamModel, state: BeamState) -> float:
@@ -590,15 +646,14 @@ def predict_state(zs: list[np.ndarray], ts: list[np.ndarray], h: float) -> np.nd
     return -9.0 * zs[2] + 9.0 * zs[1] + zs[0] + 6.0 * h * (ts[0] + ts[1])
 
 
-def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
-    """Quasi-static sweep of the master rotation over SWEEP_ANGLE in n_steps
-    equal steps, as row-aligned per-step arrays (see SweepResult).
+def _sweep(model: BeamModel, n_steps: int, lockstep: bool):
+    """The one sweep code path (see run_sweep), as a generator.
 
-    Solver failures (non-convergence, singular tangent) and a bending
-    strain above STRAIN_LIMIT are not raised: they end the sweep early,
-    with failure set and the rows of the completed steps kept (the step
-    that crossed the strain limit included). Fewer than one step raises
-    ValueError.
+    In lock-step it yields the zero state and each Newton iterate of a
+    step's first attempt, and is sent model.assemble's triple at it. A
+    failed attempt leaves the lock-step: the model bisects alone from its
+    last converged state, as solve_step does, and goes on like a batch of
+    one, which calls the per-design solvers and never yields.
     """
     if n_steps < 1:
         raise ValueError("need at least one sweep step")
@@ -609,11 +664,20 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
         for k in range(n_steps + 1):
             phi = k * SWEEP_ANGLE / n_steps
             if k == 0:
-                state = model.zero_state()
+                z = np.zeros(model.n_reduced)
+                state = BeamState(z, *(yield z)) if lockstep else model.zero_state()
             else:
                 # converged rows sit on the uniform grid even after a bisected step
-                state = solve_step(model, state, phi, guess=predict_state(
-                    [row[5] for row in rows[-3:]], tangents[-2:], SWEEP_ANGLE / n_steps))
+                guess = predict_state([row[5] for row in rows[-3:]], tangents[-2:],
+                                      SWEEP_ANGLE / n_steps)
+                if not lockstep:
+                    state = solve_step(model, state, phi, guess=guess)
+                else:
+                    try:
+                        state = yield from _newton(model, guess, {model.idx_phi: phi})
+                    except NonConverged:
+                        lockstep = False
+                        state = _halves(model, state.z, float(state.z[model.idx_phi]), phi, 0)
             k_t, tangent = condense_translational_stiffness(model, state)
             tangents.append(tangent)
             max_strain = max(max_strain, state.peak_strain)
@@ -630,3 +694,121 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
                          .reshape(len(rows), *shape) for i, shape in enumerate(shapes)),
                        failure=failure)
 
+
+def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
+    """Quasi-static sweep of the master rotation over SWEEP_ANGLE in n_steps
+    equal steps, as row-aligned per-step arrays (see SweepResult).
+
+    Solver failures (non-convergence, singular tangent) and a bending
+    strain above STRAIN_LIMIT are not raised: they end the sweep early,
+    with failure set and the rows of the completed steps kept (the step
+    that crossed the strain limit included). Fewer than one step raises
+    ValueError. This is the batch of one of run_sweeps, on the model's own
+    arrays through the per-design solvers (solve_step, solve_equilibrium,
+    BeamModel.assemble).
+    """
+    return _alone(model, _sweep(model, n_steps, lockstep=False))
+
+
+@functools.lru_cache(maxsize=8)
+def _stacked_topology(node_counts: tuple[tuple[int, ...], ...]):
+    """Index arrays of a stack of models (see _Stack) that depend only on
+    their node counts, built once per tuple and read-only: the gather from
+    their joined extended vectors, the scatters of the stacked kernel
+    outputs into the joined residuals and bands, whose bins each receive a
+    model's own terms in its own order, and per model its element columns,
+    residual and band slices and the band entry of its phi diagonal."""
+    parts = [_topology(counts) for counts in node_counts]
+    gathers, force_sels, force_idxs, band_sels, band_idxs = zip(*(p[1:6] for p in parts))
+    n_el = [gather.shape[1] for gather in gathers]
+    n = [len(p[6]) for p in parts]
+    width, cols, dofs = sum(n_el), np.cumsum([0] + n_el), np.cumsum([0] + n)
+    bands = (_BAND + 1) * dofs
+
+    def stacked(sels, idxs, offsets):  # flat indices in the stacked output, and their bins
+        return (np.concatenate([s // m * width + c + s % m for s, m, c in zip(sels, n_el, cols)]),
+                np.concatenate([i + o for i, o in zip(idxs, offsets)]))
+
+    extended = dofs[:-1] + 3 * np.arange(len(parts))  # offsets of the joined z_ext
+    arrays = (np.concatenate([g + o for g, o in zip(gathers, extended)], axis=1),
+              *stacked(force_sels, force_idxs, dofs), *stacked(band_sels, band_idxs, bands))
+    for array in arrays:
+        array.flags.writeable = False
+    slices = [[slice(a, b) for a, b in zip(bounds, bounds[1:])] for bounds in (cols, dofs, bands)]
+    phi_entries = [band + (3 * (counts[0] - 2) + 2) * (_BAND + 1) + _BAND
+                   for band, counts in zip(bands, node_counts)]
+    return (*arrays, *slices, phi_entries)
+
+
+class _Stack:
+    """Several models assembled at once: one element_kernel call on their
+    stacked element columns, each model with its own constant-operator
+    products, and one scatter each for all residuals and all bands
+    (_stacked_topology). So every triple keeps the bytes of
+    BeamModel.assemble."""
+
+    def __init__(self, models: list[BeamModel]):
+        self.models = models
+        self.elements = ElementData.stack([m.elements for m in models])
+        self.half_height = np.concatenate([m._half_height for m in models])
+        (self.gather, self.force_sel, self.force_idx, self.band_sel, self.band_idx,
+         self.blocks, self.residuals, self.bands, self.phi_entries) = _stacked_topology(
+            tuple(m.node_counts for m in models))
+
+    def assemble(self, zs: list[np.ndarray]) -> list[tuple]:
+        """BeamModel.assemble's triple of each model at its state."""
+        extended = [m._extended(z) for m, z in zip(self.models, zs)]
+        ue = np.concatenate([z_ext for z_ext, _ in extended]).take(self.gather)
+        forces, tangents, kap = element_kernel(self.elements, ue, self.blocks)
+        curvature = [0.0 if rot is None else _slave_tip(rot, forces, tangents, block.stop - 1)
+                     for (_, rot), block in zip(extended, self.blocks)]
+        residual = np.bincount(self.force_idx, weights=forces.take(self.force_sel),
+                               minlength=self.residuals[-1].stop)
+        ab = np.bincount(self.band_idx, weights=tangents.take(self.band_sel),
+                         minlength=self.bands[-1].stop)
+        ab[self.phi_entries] -= curvature
+        np.abs(kap, out=kap)
+        kap *= self.half_height
+        return [(residual[r], ab[band].reshape(m.n_reduced, _BAND + 1).T,
+                 float(kap[:, block].max()))
+                for m, r, band, block in zip(self.models, self.residuals, self.bands,
+                                             self.blocks)]
+
+
+def run_sweeps(models: list[BeamModel], n_steps: int = DEFAULT_STEPS) -> list[SweepResult]:
+    """run_sweep of each model, up to LOCKSTEP of them in lock-step: each
+    round gives every sweep in flight the assembly its Newton iterate needs,
+    in one stacked element_kernel call, and a model that finishes makes room
+    for the next. Each keeps its own band, banded solves and condensation,
+    and leaves the lock-step when an attempt fails (see _sweep), so every
+    result is byte-identical to run_sweep's. One model is run_sweep.
+    """
+    if len(models) == 1:
+        return [run_sweep(models[0], n_steps)]
+    results = [None] * len(models)
+    sweeps, waiting = {}, {}  # index -> generator, and the state it waits on
+
+    def send(i, answer):
+        try:
+            waiting[i] = sweeps[i].send(answer)
+        except StopIteration as done:
+            results[i] = done.value
+            waiting.pop(i, None)
+
+    queue = list(range(len(models)))[::-1]
+    stack = None
+    while queue or waiting:
+        while queue and len(waiting) < LOCKSTEP:
+            i = queue.pop()
+            sweeps[i] = _sweep(models[i], n_steps, lockstep=True)
+            send(i, None)
+        batch = list(waiting)
+        if len(batch) == 1:
+            answers = [models[batch[0]].assemble(waiting[batch[0]])]
+        else:
+            if stack is None or stack.models != [models[i] for i in batch]:
+                stack = _Stack([models[i] for i in batch])
+            answers = stack.assemble([waiting[i] for i in batch])
+        for i, answer in zip(batch, answers):
+            send(i, answer)
+    return results

@@ -319,10 +319,11 @@ def cmd_evaluate(args) -> int:
 @contextlib.contextmanager
 def process_map(workers: int):
     """The builtin map if one process would run at a time, else a map sending
-    each batch of two or more to a pool of `workers` processes, at most one per
-    CPU this process may run on (one item runs here). Callers cap `workers` at
-    their largest batch: a pool starts all its processes at once. Records do
-    not depend on the pool size. workers < 1 raises ValueError."""
+    each call of two or more items to a pool of `workers` processes, at most
+    one per CPU this process may run on (one item runs here). Callers cap
+    `workers` at the most items one call maps (chunks of designs, see
+    kinetostatics.chunks): a pool starts all its processes at once. Records
+    do not depend on the pool size. workers < 1 raises ValueError."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -369,9 +370,10 @@ def cmd_optimize(args) -> int:
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"], lower=lower, upper=upper)
     archives = []
-    with process_map(min(settings["workers"], moo_configs[0].population)) as pool_map:
+    population = moo_configs[0].population
+    with process_map(min(settings["workers"], kinetostatics.chunk_count(population))) as pool_map:
         # one pool and cache for both algorithms: their initial population is swept
-        # once, and a generation maps at most `population` new designs
+        # once, and a generation maps at most `population` new designs, in chunks
         engine = moo._EvaluationEngine(evaluator, pool_map)
         for moo_cfg in moo_configs:
             algorithm = moo_cfg.algorithm
@@ -458,10 +460,12 @@ def cmd_refine(args) -> int:
     kinetostatics.check_resolution(settings["elements"], settings["steps"])
     if args.iters < 0:
         raise ValueError(f"iteration budget must be >= 0, got {args.iters}")
+    refine.check_weights(archive, weights)
 
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"])
-    with process_map(len(DESIGN_FIELDS) + 1) as pool_map:  # the largest batch: x0 and n vertices
+    # the largest batch is x0 and its n other simplex vertices, in chunks
+    with process_map(kinetostatics.chunk_count(len(DESIGN_FIELDS) + 1)) as pool_map:
         report = refine.refine_design(start, archive, evaluator, weights=weights,
                                       max_iters=args.iters, map=pool_map)
     payload = {

@@ -175,26 +175,8 @@ def check_resolution(n_elements: int, n_steps: int) -> None:
         raise ValueError("need at least two sweep steps")
 
 
-def evaluate_with_sweep(design: geometry.DesignVector,
-                        n_elements: int = beam_fem.DEFAULT_ELEMENTS,
-                        n_steps: int = beam_fem.DEFAULT_STEPS):
-    """Evaluation pipeline that also returns the sweep and model.
-
-    Returns:
-        (Evaluation, SweepResult | None, BeamModel | None); the sweep
-        and model are None when the geometry is rejected before analysis.
-
-    Raises:
-        ValueError: from check_resolution, whatever the design.
-    """
-    check_resolution(n_elements, n_steps)
-    hinge = geometry.build_hinge(design)
-    report = geometry.check_feasibility(hinge)
-    if not report.feasible:
-        return _infeasible(SELF_INTERSECTION_VIOLATION, "self-intersection"), None, None
-
-    model = beam_fem.assemble_model(hinge, n_elements=n_elements)
-    sweep = beam_fem.run_sweep(model, n_steps=n_steps)
+def _outcome(sweep: beam_fem.SweepResult, model: beam_fem.BeamModel):
+    """The (Evaluation, sweep, model) triple of a design the geometry admits."""
     if sweep.failure == "strain":
         return (_infeasible(sweep.max_strain - beam_fem.STRAIN_LIMIT, "strain"),
                 sweep, model)
@@ -216,6 +198,40 @@ def evaluate_with_sweep(design: geometry.DesignVector,
     if report.k_bar <= 0.0:
         return _infeasible(SINGULAR_VIOLATION, "indefinite-stiffness"), sweep, model
     return report, sweep, model
+
+
+def evaluate_with_sweeps(designs: list[geometry.DesignVector],
+                         n_elements: int = beam_fem.DEFAULT_ELEMENTS,
+                         n_steps: int = beam_fem.DEFAULT_STEPS) -> list[tuple]:
+    """Evaluation pipeline of several designs that also returns their
+    sweeps and models. The designs the geometry admits are swept together
+    (beam_fem.run_sweeps, in lock-step); each triple is the one the design
+    gets alone.
+
+    Returns:
+        one (Evaluation, SweepResult | None, BeamModel | None) per design;
+        the sweep and model are None when the geometry is rejected before
+        analysis.
+
+    Raises:
+        ValueError: from check_resolution, whatever the designs.
+    """
+    check_resolution(n_elements, n_steps)
+    hinges = [geometry.build_hinge(design) for design in designs]
+    models = {i: beam_fem.assemble_model(hinge, n_elements=n_elements)
+              for i, hinge in enumerate(hinges) if geometry.check_feasibility(hinge).feasible}
+    sweeps = dict(zip(models, beam_fem.run_sweeps(list(models.values()), n_steps=n_steps)))
+    return [_outcome(sweeps[i], models[i]) if i in models
+            else (_infeasible(SELF_INTERSECTION_VIOLATION, "self-intersection"), None, None)
+            for i in range(len(designs))]
+
+
+def evaluate_with_sweep(design: geometry.DesignVector,
+                        n_elements: int = beam_fem.DEFAULT_ELEMENTS,
+                        n_steps: int = beam_fem.DEFAULT_STEPS):
+    """evaluate_with_sweeps of one design: (Evaluation, SweepResult | None,
+    BeamModel | None)."""
+    return evaluate_with_sweeps([design], n_elements=n_elements, n_steps=n_steps)[0]
 
 
 def evaluate_objectives(design: geometry.DesignVector,
@@ -251,3 +267,35 @@ class HingeEvaluator:
         # the module-global name, so a wrapper installed on it sees every call
         return evaluate_objectives(geometry.DesignVector.from_array(x),
                                    n_elements=self.n_elements, n_steps=self.n_steps)
+
+    def batch(self, xs) -> list[Evaluation]:
+        """The records of several designs, swept in lock-step; one design is a call."""
+        if len(xs) == 1:
+            return [self(xs[0])]
+        designs = [geometry.DesignVector.from_array(x) for x in xs]
+        return [record for record, _, _ in evaluate_with_sweeps(
+            designs, n_elements=self.n_elements, n_steps=self.n_steps)]
+
+
+def map_records(evaluator, xs, map=map) -> list[Evaluation]:
+    """The evaluator's records of designs xs, in order, through an
+    order-keeping map (the builtin map, or a process pool's). An evaluator
+    with a batch call is mapped over chunks (see chunks); any other is
+    mapped over the designs."""
+    batch = getattr(evaluator, "batch", None)
+    if batch is None:
+        return list(map(evaluator, xs))
+    return [record for records in map(batch, chunks(xs)) for record in records]
+
+
+def chunks(xs) -> list[np.ndarray]:
+    """Designs xs cut in index order into the fewest chunks of at most
+    beam_fem.LOCKSTEP designs, whose sizes differ by at most one (the larger
+    first), so a pool's workers get even shares."""
+    count = chunk_count(len(xs))
+    return np.array_split(np.asarray(xs), count) if count else []
+
+
+def chunk_count(n: int) -> int:
+    """The number of chunks of n designs."""
+    return -(-n // beam_fem.LOCKSTEP)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pareto
-from .kinetostatics import Evaluation
+from .kinetostatics import Evaluation, map_records
 
 
 class ConfigError(ValueError):
@@ -70,7 +70,9 @@ class MooConfig:
 
 class _EvaluationEngine:
     """A cache of Evaluation records over an order-keeping map function (the
-    builtin map, or a process pool's), for one run or several."""
+    builtin map, or a process pool's), for one run or several. The designs
+    it has not seen go through kinetostatics.map_records: in chunks to an
+    evaluator with a batch call, one by one to any other."""
 
     def __init__(self, evaluator, map=map):
         self.evaluator = evaluator
@@ -81,7 +83,8 @@ class _EvaluationEngine:
         keys = [np.ascontiguousarray(x).tobytes() for x in xs]
         # designs not yet cached, each once, in first-occurrence order
         batch = {key: x for key, x in zip(keys, xs) if key not in self.cache}
-        self.cache.update(zip(batch, self.map(self.evaluator, batch.values())))
+        self.cache.update(zip(batch, map_records(self.evaluator, list(batch.values()),
+                                                  self.map)))
         return [self.cache[key] for key in keys]
 
 

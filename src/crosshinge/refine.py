@@ -11,13 +11,16 @@ there and has no finite reciprocal. So before the weights are derived,
 each normalized start objective is floored at the smallest positive
 value in that objective's normalized archive column (weight_floor). A
 column without a positive value is degenerate (nadir == ideal); its floor
-is 0 and deriving weights still raises DegenerateObjective.
+is 0 and deriving weights raises DegenerateObjective, whatever the start,
+so it is raised before any evaluation.
 
 Nelder-Mead runs on the Evaluation records of the optimizer's evaluator
 (kinetostatics.HingeEvaluator) and minimizes a scalar of each record's y.
 It evaluates the start with the other initial vertices, and each shrink's
 moved vertices, as one batch of an order-keeping map (Lee & Wiswall, 2007),
-so an infeasible start also costs the n vertex evaluations.
+so an infeasible start also costs the n vertex evaluations. A hinge
+evaluator's batches go to the map in chunks, whose sweeps run in lock-step
+(kinetostatics.map_records).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import kinetostatics
 from .geometry import DesignVector
-from .kinetostatics import Evaluation
+from .kinetostatics import Evaluation, map_records
 from .pareto import DegenerateObjective, ParetoArchive, normalize, normalize_front
 
 NM_REFLECTION = 1.0
@@ -66,6 +69,14 @@ def weight_floor(archive: ParetoArchive) -> np.ndarray:
     return np.where(np.isfinite(floor), floor, 0.0)
 
 
+def check_weights(archive: ParetoArchive, weights: np.ndarray | None) -> None:
+    """Raise DegenerateObjective if refine_design cannot derive weights from
+    any start: weights=None and a degenerate archive column, whose floor is 0
+    and whose normalized start objective is 0 as well."""
+    if weights is None:
+        inverse_normalization_weights(weight_floor(archive))
+
+
 def scalarize(normalized: np.ndarray, weights: np.ndarray) -> float:
     """Weighted sum of normalized objectives."""
     return float(np.dot(np.asarray(weights, float), np.asarray(normalized, float)))
@@ -87,14 +98,14 @@ def nelder_mead(evaluate, scalar_for, x0: np.ndarray, lower: np.ndarray, upper: 
     """Bounded Nelder-Mead simplex search tracking the best feasible point.
 
     It minimizes scalar_for(start record)(record.y) over the Evaluation
-    records that map(evaluate, points) returns in order (the builtin map,
-    or a process pool's). The batches are x0, which must lie within [lower,
-    upper], with the n other initial vertices, then each shrink's n moved
-    vertices; other points go one at a time. Records are folded in serial
-    order. Infeasible evaluations are assigned the best feasible value seen
-    so far plus their violation, which steers the simplex back without
-    gradients. Reflection, expansion and contraction points are clipped to
-    the bounds, so every vertex stays admissible.
+    records that map returns in order (the builtin map, or a process
+    pool's; see kinetostatics.map_records). The batches are x0, which must
+    lie within [lower, upper], with the n other initial vertices, then each
+    shrink's n moved vertices; other points go one at a time. Records are
+    folded in serial order. Infeasible evaluations are assigned the best
+    feasible value seen so far plus their violation, which steers the
+    simplex back without gradients. Reflection, expansion and contraction
+    points are clipped to the bounds, so every vertex stays admissible.
 
     Raises:
         InfeasibleStart: if the start record is infeasible (after its batch).
@@ -109,7 +120,7 @@ def nelder_mead(evaluate, scalar_for, x0: np.ndarray, lower: np.ndarray, upper: 
         vertex[i] = min(x0[i] + step[i], upper[i])
         if vertex[i] == x0[i]:  # at the upper bound; keep the simplex non-degenerate
             vertex[i] = max(x0[i] - step[i], lower[i])
-    records = list(map(evaluate, simplex))
+    records = map_records(evaluate, simplex, map)
     start = records[0]
     if not start.feasible:
         raise InfeasibleStart("starting design is infeasible")
@@ -131,7 +142,7 @@ def nelder_mead(evaluate, scalar_for, x0: np.ndarray, lower: np.ndarray, upper: 
         return values
 
     def value_of(x: np.ndarray) -> float:
-        return fold([x], map(evaluate, [x]))[0]
+        return fold([x], map_records(evaluate, [x], map))[0]
 
     values = np.array(fold(simplex, records))
 
@@ -170,7 +181,7 @@ def nelder_mead(evaluate, scalar_for, x0: np.ndarray, lower: np.ndarray, upper: 
 
         # shrink toward the best vertex (convex, stays within bounds)
         simplex[1:] = simplex[0] + NM_SHRINK * (simplex[1:] - simplex[0])
-        values[1:] = fold(simplex[1:], map(evaluate, simplex[1:]))
+        values[1:] = fold(simplex[1:], map_records(evaluate, simplex[1:], map))
 
     return NelderMeadResult(start=start, start_value=start_value, x=best_x, best=best,
                             value=best_value, iterations=iterations, evaluations=evaluations)
@@ -196,15 +207,18 @@ def refine_design(start: DesignVector, archive: ParetoArchive,
     weight_floor first; the start scalar uses the objectives as they are.
     A degenerate coordinate (nadir <= ideal) normalizes to 0 there as in
     the scalar objective and has a 0 floor, so deriving weights raises
-    DegenerateObjective.
+    DegenerateObjective, before any evaluation (check_weights).
 
     Raises:
         ValueError: if max_iters is negative (before any evaluation).
+        DegenerateObjective: if weights is None and an archive column is
+            degenerate (before any evaluation).
         EmptyArchive: if the archive has no rows.
         InfeasibleStart: if the start design is infeasible (after the first batch).
     """
     if max_iters < 0:
         raise ValueError(f"iteration budget must be >= 0, got {max_iters}")
+    check_weights(archive, weights)
     ideal, nadir = archive.ideal, archive.nadir
 
     def scalar_for(start_record: Evaluation):

@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import math
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosshinge import beam_fem, cli, kinetostatics, pareto
-from crosshinge.geometry import DESIGN_FIELDS
+from crosshinge.geometry import DESIGN_FIELDS, DesignVector
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,14 +201,16 @@ class TestSharedEngine:
 
     def test_pool_size_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         sizes = fake_pools(monkeypatch)
-        # at most one process per usable CPU, and no more than a generation's 8 new designs
+        # at most one process per usable CPU, and no more than the 4 chunks of a
+        # generation's 16 new designs
         for name, cpus, workers in (("capped", 3, "100000"), ("population", 64, "100000"),
                                     ("serial", 3, "1")):
             usable_cpus(monkeypatch, cpus)
-            assert cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", workers,
-                                         "--out", str(tmp_path / name)]) == cli.EXIT_OK
+            assert cli.main(TINY_OPTIMIZE + ["--pop", "16", "--algorithm", "both",
+                                             "--workers", workers,
+                                             "--out", str(tmp_path / name)]) == cli.EXIT_OK
         capsys.readouterr()
-        assert sizes == [3, 8]
+        assert sizes == [3, 4]
         for name in ("archive_nsga2.csv", "archive_spea2.csv", "archive_merged.csv"):
             for run in ("capped", "population"):
                 assert (tmp_path / run / name).read_bytes() == (
@@ -214,13 +218,13 @@ class TestSharedEngine:
 
     def test_each_design_swept_once(self, tmp_path, capsys, monkeypatch):
         swept = []
-        evaluate_objectives = kinetostatics.evaluate_objectives
+        evaluate_with_sweeps = kinetostatics.evaluate_with_sweeps
 
-        def recorded(design, *args, **kwargs):
-            swept.append(design)
-            return evaluate_objectives(design, *args, **kwargs)
+        def recorded(designs, *args, **kwargs):
+            swept.extend(designs)
+            return evaluate_with_sweeps(designs, *args, **kwargs)
 
-        monkeypatch.setattr(kinetostatics, "evaluate_objectives", recorded)
+        monkeypatch.setattr(kinetostatics, "evaluate_with_sweeps", recorded)
         designs = {}
         for algorithm in ("nsga2", "spea2", "both"):
             swept.clear()
@@ -246,6 +250,33 @@ class TestSharedEngine:
             for name in names:
                 assert (both / name).read_bytes() == (alone / name).read_bytes(), name
         capsys.readouterr()
+
+
+class TestPinnedHingeResults:
+    """SHA-256 digests of hinge results, recorded before the lock-step sweep.
+    They pin records and archives across commits, which same-commit
+    comparisons cannot: any change of a record's bytes changes them."""
+
+    def test_reference_records_pinned(self):
+        # failure, violation and objective bytes of the 24 reference designs at 30 x 20
+        cases = json.loads((DATA / "sweep_reference.json").read_text())
+        digest = hashlib.sha256()
+        for case in cases["designs"]:
+            record = kinetostatics.evaluate_objectives(
+                DesignVector.from_array(case["values"]), n_elements=cases["n_elements"],
+                n_steps=cases["n_steps"])
+            digest.update(record.failure.encode() + b"\0")
+            digest.update(np.float64(record.violation).tobytes())
+            if record.y is not None:
+                digest.update(record.y.tobytes())
+        assert digest.hexdigest() == (
+            "d8607fe1cc133e9fd6a2777e36ee718856dd98ce8df2acc73ae6ae43b3e4660b")
+
+    def test_merged_archive_pinned(self, tmp_path, capsys):
+        assert cli.main(TINY_OPTIMIZE + ["--out", str(tmp_path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "archive_merged.csv").read_bytes()).hexdigest() == (
+            "ffd308c59e906e95611df4181b21804e2ba5ca1924b9dbb5bb6c71111d7a5564")
 
 
 class TestMergeSelectFront:
@@ -394,8 +425,54 @@ class TestRefineCommand:
         assert cli.main(["refine", "--archive", str(small_archive), "--row", "0",
                          "--iters", "1", *MESH_4]) == cli.EXIT_OK
         capsys.readouterr()
-        # the largest batch is the start and its 13 other simplex vertices
-        assert sizes == [14]
+        # the largest batch is the start and its 13 other simplex vertices, in 4 chunks
+        assert sizes == [4]
+
+    def test_degenerate_column_fails_before_pool_and_sweeps(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # without --weights, a one-row archive (every column degenerate) derives no
+        # weights whatever the start: exit 1 before the pool opens and before any sweep
+        pools = counted_pools(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        swept = []
+        evaluate_with_sweeps = kinetostatics.evaluate_with_sweeps
+        monkeypatch.setattr(kinetostatics, "evaluate_with_sweeps",
+                            lambda designs, *a, **k: swept.extend(designs)
+                            or evaluate_with_sweeps(designs, *a, **k))
+        archive = raw_archive_csv(tmp_path / "one.csv", [[1.0, 2.0, 3.0]])
+        rc = cli.main(["refine", "--archive", str(archive), "--row", "0", "--iters", "2",
+                       *MESH_4])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_FAILURE
+        assert ("error: inverse normalization needs strictly positive normalized "
+                "objectives") in err
+        assert not pools and not swept
+
+    def test_single_points_run_here(self, small_archive, capsys, monkeypatch):
+        # the pool gets the chunks of the start batch and of shrinks; each single
+        # point is a map of one chunk, which runs in this process
+        pooled = []
+
+        class RecordingPool(contextlib.nullcontext):
+            def __init__(self, max_workers):
+                super().__init__(self)
+
+            def map(self, fn, items):
+                pooled.append([len(chunk) for chunk in items])
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        usable_cpus(monkeypatch, 2)
+        here = []
+        evaluate = kinetostatics.evaluate_objectives
+        monkeypatch.setattr(kinetostatics, "evaluate_objectives",
+                            lambda *a, **k: here.append(a) or evaluate(*a, **k))
+        assert cli.main(["refine", "--archive", str(small_archive), "--row", "0",
+                         "--iters", "10", *MESH_4]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert pooled[0] == [4, 4, 3, 3]
+        assert all(sizes == [4, 3, 3, 3] for sizes in pooled[1:])
+        assert len(here) == payload["evaluations"] - sum(map(sum, pooled)) > 0
 
     def test_refine_row_out_of_range(self, small_archive, capsys):
         rc = cli.main(["refine", "--archive", str(small_archive), "--row", "99",
@@ -630,13 +707,10 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("expected, argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected, argv):
     sweeps = []
-    run_sweep = beam_fem.run_sweep
-
-    def counted_sweep(*args, **kwargs):
-        sweeps.append(args)
-        return run_sweep(*args, **kwargs)
-
-    monkeypatch.setattr(beam_fem, "run_sweep", counted_sweep)
+    for name in ("run_sweep", "run_sweeps"):
+        monkeypatch.setattr(beam_fem, name, functools.partial(
+            lambda sweep, *args, **kwargs: sweeps.append(args) or sweep(*args, **kwargs),
+            getattr(beam_fem, name)))
     # sweeps in pool workers are invisible to the counter above, so pools are counted too
     pools = counted_pools(monkeypatch)
     nan_dir = tmp_path / "nan-bounds"

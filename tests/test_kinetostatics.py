@@ -340,6 +340,111 @@ class TestSolverTolerance:
             assert default.y == pytest.approx(tight.y, rel=1e-6)
 
 
+class TestLockstep:
+    """A design's record and sweep do not depend on its batch: alone and at
+    each position of batches of 2 to 4 (evaluate_with_sweeps, whose sweeps run
+    in lock-step), every field keeps its bytes. The designs cover each outcome
+    and each way of leaving the lock-step: the end of the stroke, a strain
+    exit, a geometry reject that never enters, a failed sweep, an indefinite
+    stiffness, and a bisected step that completes (point 467 of perfbench's
+    uniform_designs(seed 1, n 500))."""
+
+    BISECTED467 = [
+        0.24602694127177577, -1.5280747934436951, -1.225589780295894, -2.999159437895003,
+        0.9577618529119681, -1.3145072825081963, -0.14343425526674913, 1.2742720849792901,
+        0.959455760963408, 5.379937510903687, 15.970202143932397, 0.7970619597870723,
+        0.338544352251148]
+    DESIGNS = [TestSweepReference.CASES["designs"][i]["values"] for i in (0, 13, 18, 14)] + [
+        TestSolverTolerance.INDEFINITE129["values"], BISECTED467]
+
+    @staticmethod
+    def fingerprint(triple) -> list[bytes]:
+        record, sweep, _ = triple
+        parts = [record.failure.encode(), np.float64(record.violation).tobytes(),
+                 b"" if record.y is None else record.y.tobytes()]
+        if sweep is not None:
+            parts += [str(sweep.failure).encode()] + [
+                np.ascontiguousarray(getattr(sweep, f)).tobytes()
+                for f in ("phi", "tip_positions", "moments", "stiffnesses", "max_strains", "z")]
+        return parts
+
+    def test_bytes_alone_and_at_every_position(self):
+        designs = [geo.DesignVector.from_array(v) for v in self.DESIGNS]
+        alone = [self.fingerprint(ks.evaluate_with_sweep(d)) for d in designs]
+        assert [ks.evaluate_objectives(d).failure for d in designs] == [
+            "", "strain", "self-intersection", "nonconvergence", "indefinite-stiffness", ""]
+        for size in (2, 3, 4):
+            # rotations put each design at each position once
+            for shift in range(len(designs)):
+                order = [(shift + k) % len(designs) for k in range(size)]
+                batch = ks.evaluate_with_sweeps([designs[i] for i in order])
+                for i, triple in zip(order, batch):
+                    assert self.fingerprint(triple) == alone[i], (size, order, i)
+
+    def test_more_than_lockstep_designs_refill_the_lockstep(self, monkeypatch):
+        # six designs: a finished sweep makes room for the next, at most LOCKSTEP in flight
+        widths = []
+        kernel = bf.element_kernel
+        monkeypatch.setattr(bf, "element_kernel", lambda data, ue, blocks=None: widths.append(
+            1 if blocks is None else len(blocks)) or kernel(data, ue, blocks))
+        designs = [geo.DesignVector.from_array(v) for v in self.DESIGNS]
+        batch = ks.evaluate_with_sweeps(designs, n_elements=6, n_steps=6)
+        assert max(widths) == bf.LOCKSTEP
+        for design, triple in zip(designs, batch):
+            widths.clear()
+            assert self.fingerprint(triple) == self.fingerprint(
+                ks.evaluate_with_sweep(design, n_elements=6, n_steps=6))
+            assert set(widths) <= {1}
+
+    def test_batch_call_gives_the_calls_records(self):
+        evaluator = ks.HingeEvaluator(n_elements=6, n_steps=6)
+        xs = np.array(self.DESIGNS)
+        alone = [evaluator(x) for x in xs]
+        for part in (slice(0, 4), slice(4, None), slice(0, 1)):
+            for record, expected in zip(evaluator.batch(xs[part]), alone[part], strict=True):
+                assert (record.failure, record.violation) == (expected.failure,
+                                                              expected.violation)
+                assert (record.y is None and expected.y is None
+                        or record.y.tobytes() == expected.y.tobytes())
+
+    def test_one_design_is_a_call(self, monkeypatch):
+        # a batch of one keeps the per-design names a wrapper may be installed on
+        calls = []
+        evaluate = ks.evaluate_objectives
+        monkeypatch.setattr(ks, "evaluate_objectives",
+                            lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+        evaluator = ks.HingeEvaluator(n_elements=4, n_steps=4)
+        evaluator.batch(np.array(self.DESIGNS[:1]))
+        assert len(calls) == 1
+        evaluator.batch(np.array(self.DESIGNS[:2]))
+        assert len(calls) == 1
+
+
+class TestMapRecords:
+    def test_chunks_in_index_order_with_even_sizes(self):
+        assert bf.LOCKSTEP == 4
+        for n, sizes in ((0, []), (1, [1]), (4, [4]), (5, [3, 2]), (8, [4, 4]),
+                         (10, [4, 3, 3]), (13, [4, 3, 3, 3]), (14, [4, 4, 3, 3])):
+            xs = np.arange(2.0 * n).reshape(n, 2)
+            chunks = ks.chunks(xs)
+            assert [len(c) for c in chunks] == sizes
+            assert len(chunks) == ks.chunk_count(n)
+            if n:
+                assert np.array_equal(np.concatenate(chunks), xs)
+
+    def test_per_design_callable_mapped_over_designs(self):
+        seen = []
+
+        def recording_map(fn, items):
+            seen.append(list(items))
+            return map(fn, seen[-1])
+
+        xs = np.arange(10.0).reshape(5, 2)
+        records = ks.map_records(lambda x: float(x.sum()), xs, recording_map)
+        assert records == [1.0, 5.0, 9.0, 13.0, 17.0]
+        assert [len(items) for items in seen] == [5]
+
+
 class TestDiscretization:
     """Discretization error of the golden design's objectives. The element
     count barely matters; the step count matters at first order, because

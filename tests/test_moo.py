@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from crosshinge import moo, pareto
+from crosshinge import beam_fem, moo, pareto
 import oracles
 from zdt import ZDT1, BandedZDT1, generational_distance
 
@@ -425,6 +425,58 @@ class TestEvaluationEngine:
             engine.evaluate(np.array(xs).reshape(-1, 2))
             assert len(engine.cache) == len(evaluated)
         assert len(engine.cache) == 2
+
+
+@dataclass(frozen=True)
+class BatchedBandedZDT1(BandedZDT1):
+    """BandedZDT1 with a batch call, as HingeEvaluator has."""
+
+    def batch(self, xs):
+        return [self(x) for x in xs]
+
+
+class TestChunkedEngine:
+    """An evaluator with a batch call is mapped over chunks of at most
+    LOCKSTEP new designs, cut in index order from the deduplicated rows."""
+
+    @staticmethod
+    def recording_map(maps):
+        def recording(fn, items):
+            maps.append([np.array(chunk) for chunk in items])
+            return map(fn, maps[-1])
+        return recording
+
+    def test_chunks_in_first_occurrence_order(self):
+        maps = []
+        engine = moo._EvaluationEngine(BatchedBandedZDT1(n_var=2), self.recording_map(maps))
+        xs = np.array([[0.1 * i, 0.2] for i in (5, 1, 5, 2, 3, 4, 6, 1, 7, 8, 9, 0)])
+        records = engine.evaluate(xs)
+        (chunks,) = maps
+        assert [len(chunk) for chunk in chunks] == [4, 3, 3]
+        assert np.array_equal(np.concatenate(chunks), xs[[0, 1, 3, 4, 5, 6, 8, 9, 10, 11]])
+        assert [r.y.tolist() for r in records] == [
+            BatchedBandedZDT1(n_var=2)(x).y.tolist() for x in xs]
+        # the cache counts the designs computed
+        assert len(engine.cache) == 10
+        engine.evaluate(xs[:3])
+        assert len(maps) == 2 and maps[1] == [] and len(engine.cache) == 10
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
+    def test_run_maps_chunks_and_writes_the_per_design_archive(self, tmp_path, algorithm):
+        cfg = moo.MooConfig(algorithm=algorithm, population=14, generations=4, seed=4)
+        maps = []
+        engine = moo._EvaluationEngine(BatchedBandedZDT1(n_var=6), self.recording_map(maps))
+        chunked = moo.run(cfg, BatchedBandedZDT1(n_var=6), engine=engine)
+        assert len(maps) == 5
+        for chunks in maps:
+            sizes = [len(chunk) for chunk in chunks]
+            assert max(sizes) <= beam_fem.LOCKSTEP
+            assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+        assert len(engine.cache) == sum(len(chunk) for chunks in maps for chunk in chunks)
+        plain = moo.run(cfg, BandedZDT1(n_var=6))
+        for name, archive in (("chunked", chunked), ("plain", plain)):
+            pareto.write_archive_csv(tmp_path / name, archive)
+        assert (tmp_path / "chunked").read_bytes() == (tmp_path / "plain").read_bytes()
 
 
 class TestGenerationLoop:

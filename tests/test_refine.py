@@ -224,6 +224,53 @@ class TestBatches:
         assert [len(batch) for batch in recording.batches] == [14]
 
 
+@dataclass
+class BatchedTerraced(Terraced):
+    """Terraced with a batch call, as HingeEvaluator has."""
+
+    def batch(self, xs):
+        return [self(x) for x in xs]
+
+
+class TestChunkedBatches:
+    """A batch-capable evaluator's batches reach the map as chunks of at most
+    LOCKSTEP points, in index order; single points as one chunk of one."""
+
+    X0 = TestBatches.X0
+
+    def test_start_and_shrinks_in_chunks(self):
+        chunks = []
+
+        def recording_map(fn, items):
+            chunks.append([np.array(chunk) for chunk in items])
+            return map(fn, chunks[-1])
+
+        chunked = nelder_mead(BatchedTerraced(), self.X0, *BOX, max_iters=15, map=recording_map)
+        first, *rest = chunks
+        assert [len(chunk) for chunk in first] == [4, 4, 3, 3]
+        assert np.array_equal(np.concatenate(first),
+                              np.vstack([self.X0, self.X0 + np.diag(np.full(13, 0.05))]))
+        shrinks = [call for call in rest if len(call) > 1]
+        assert shrinks and all([len(chunk) for chunk in call] == [4, 3, 3, 3] for call in shrinks)
+        assert all(len(call[0]) == 1 for call in rest if len(call) == 1)
+        assert sum(len(chunk) for call in chunks for chunk in call) == chunked.evaluations
+        plain = nelder_mead(Terraced(), self.X0, *BOX, max_iters=15)
+        assert ([pickle.dumps(getattr(chunked, f.name)) for f in fields(chunked)]
+                == [pickle.dumps(getattr(plain, f.name)) for f in fields(plain)])
+
+
+class TestDegenerateWeights:
+    def test_raised_before_any_evaluation(self):
+        # a one-row archive is degenerate in every column: no weights derive
+        archive = pareto.ParetoArchive(designs=np.zeros((1, 13)),
+                                       objectives=np.array([[1.0, 2.0, 3.0]]))
+        objective = Terraced()
+        with pytest.raises(DegenerateObjective, match="strictly positive"):
+            refine.refine_design(DesignVector(**REGRESSION["design"]), archive, objective)
+        assert objective.calls == 0
+        refine.check_weights(archive, np.array([0.2, 0.3, 0.5]))  # given weights pass
+
+
 class TestRefineDesign:
     def test_start_scalar_is_the_scalarized_objective(self):
         # a degenerate coordinate (nadir == ideal) normalizes to 0 in both
@@ -248,14 +295,15 @@ class TestRefineDesign:
         archive = pareto.ParetoArchive(designs=np.zeros((2, 13)),
                                        objectives=np.array([0.5 * y, 2.0 * y]))
         calls = []
-        evaluate = kinetostatics.evaluate_objectives
-        monkeypatch.setattr(kinetostatics, "evaluate_objectives",
-                            lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+        evaluate_with_sweeps = kinetostatics.evaluate_with_sweeps
+        monkeypatch.setattr(kinetostatics, "evaluate_with_sweeps",
+                            lambda designs, *a, **k: calls.extend(designs)
+                            or evaluate_with_sweeps(designs, *a, **k))
         report = refine.refine_design(start, archive, evaluator, max_iters=2)
         assert len(calls) == report.evaluations
         # the refined objectives are the refined design's own record
         assert report.value < report.start_value
         for design, objectives in ((start, report.start.y),
                                    (DesignVector.from_array(report.x), report.best.y)):
-            fresh = evaluate(design, n_elements=6)
+            fresh = kinetostatics.evaluate_objectives(design, n_elements=6)
             assert np.array_equal(objectives, fresh.y)
