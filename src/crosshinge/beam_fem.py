@@ -38,7 +38,8 @@ on their stacked element columns. Each model keeps its own
 constant-operator products, band, banded solves and condensation, and a
 model whose step needs a bisection leaves the lock-step, so every sweep
 keeps the bytes it has alone. A single model is the batch of one,
-run_sweep, on its own arrays through the per-design solvers.
+run_sweep, on its own arrays through the per-design solvers; one
+assembly body (_assemble) serves a model alone and a stack.
 """
 
 from __future__ import annotations
@@ -407,13 +408,14 @@ class BeamModel:
         self.node_counts = tuple(m.n_nodes for m in meshes)
         (self._node_reads, self._gather, self._force_sel, self._force_idx, self._band_sel,
          self._band_idx, self._unit_rhs) = _topology(self.node_counts)
+        self._assembly = _stacked_topology((self.node_counts,))  # on the arrays above
         self.n_reduced = len(self._unit_rhs)
         self.newton_tolerance = NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[0].max())
 
         self.master_ref = meshes[0].node_pos[-1].copy()
-        # reference offset of the slaved tip relative to the master point
-        self.tip_offset = meshes[1].node_pos[-1] - self.master_ref if len(meshes) == 2 \
-            else None
+        # reference offset (x, y) of the slaved tip relative to the master point
+        self.tip_offset = tuple((meshes[1].node_pos[-1] - self.master_ref).tolist()) \
+            if len(meshes) == 2 else None
 
     def zero_state(self) -> BeamState:
         z = np.zeros(self.n_reduced)
@@ -422,16 +424,19 @@ class BeamModel:
 
     def _extended(self, z: np.ndarray):
         """z followed by [0 (clamped dofs), slaved tip u_x, slaved tip u_y],
-        and the rotated slaved-tip offset R(phi) r0 (None for one flexure)."""
+        and the rotated slaved-tip offset R(phi) r0 as (x, y) (None for one
+        flexure). Scalar arithmetic, with the rounding of the array form."""
         n = self.n_reduced
         z_ext = np.zeros(n + 3)
         z_ext[:n] = z
         if self.tip_offset is None:
             return z_ext, None
-        r0, phi = self.tip_offset, float(z[self.idx_phi])
+        (r0x, r0y), phi = self.tip_offset, float(z[self.idx_phi])
         cp, sp = math.cos(phi), math.sin(phi)
-        rot = np.array([cp * r0[0] - sp * r0[1], sp * r0[0] + cp * r0[1]])
-        z_ext[n + 1:] = z[self.idx_mx:self.idx_my + 1] + rot - r0
+        rot = (cp * r0x - sp * r0y, sp * r0x + cp * r0y)
+        ux, uy = z[self.idx_mx:self.idx_my + 1].tolist()
+        z_ext[n + 1] = ux + rot[0] - r0x
+        z_ext[n + 2] = uy + rot[1] - r0y
         return z_ext, rot
 
     def full_displacements(self, z: np.ndarray) -> list[np.ndarray]:
@@ -454,20 +459,10 @@ class BeamModel:
         storage: entry (i, j), i <= j, sits in ab[_BAND + i - j, j]. The band
         is F-contiguous (LAPACK's column order), so solvers copy it plainly.
         """
-        n = self.n_reduced
         z_ext, rot = self._extended(z)
-        forces, tangents, kap = element_kernel(self.elements, z_ext.take(self._gather))
-        if rot is not None:
-            curvature = _slave_tip(rot, forces, tangents, -1)
-        residual = np.bincount(self._force_idx, weights=forces.take(self._force_sel),
-                               minlength=n)
-        ab = np.bincount(self._band_idx, weights=tangents.take(self._band_sel),
-                         minlength=(_BAND + 1) * n)
-        if rot is not None:
-            ab[self.idx_phi * (_BAND + 1) + _BAND] -= curvature
-        np.abs(kap, out=kap)
-        kap *= self._half_height
-        return residual, ab.reshape(n, _BAND + 1).T, float(kap.max())
+        residual, ab, kap = _assemble(self.elements, self._half_height, self._assembly,
+                                      z_ext, [rot])
+        return residual, ab.reshape(self.n_reduced, _BAND + 1).T, float(kap.max())
 
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -712,12 +707,13 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
 
 @functools.lru_cache(maxsize=8)
 def _stacked_topology(node_counts: tuple[tuple[int, ...], ...]):
-    """Index arrays of a stack of models (see _Stack) that depend only on
+    """Index arrays of a stack of models (see _assemble) that depend only on
     their node counts, built once per tuple and read-only: the gather from
     their joined extended vectors, the scatters of the stacked kernel
     outputs into the joined residuals and bands, whose bins each receive a
     model's own terms in its own order, and per model its element columns,
-    residual and band slices and the band entry of its phi diagonal."""
+    residual and band slices and the band entry of its phi diagonal. A
+    stack of one model has its model's arrays (_topology)."""
     parts = [_topology(counts) for counts in node_counts]
     gathers, force_sels, force_idxs, band_sels, band_idxs = zip(*(p[1:6] for p in parts))
     n_el = [gather.shape[1] for gather in gathers]
@@ -729,50 +725,66 @@ def _stacked_topology(node_counts: tuple[tuple[int, ...], ...]):
         return (np.concatenate([s // m * width + c + s % m for s, m, c in zip(sels, n_el, cols)]),
                 np.concatenate([i + o for i, o in zip(idxs, offsets)]))
 
-    extended = dofs[:-1] + 3 * np.arange(len(parts))  # offsets of the joined z_ext
-    arrays = (np.concatenate([g + o for g, o in zip(gathers, extended)], axis=1),
-              *stacked(force_sels, force_idxs, dofs), *stacked(band_sels, band_idxs, bands))
-    for array in arrays:
-        array.flags.writeable = False
-    slices = [[slice(a, b) for a, b in zip(bounds, bounds[1:])] for bounds in (cols, dofs, bands)]
-    phi_entries = [band + (3 * (counts[0] - 2) + 2) * (_BAND + 1) + _BAND
+    if len(parts) == 1:
+        arrays = parts[0][1:6]
+    else:
+        extended = dofs[:-1] + 3 * np.arange(len(parts))  # offsets of the joined z_ext
+        arrays = (np.concatenate([g + o for g, o in zip(gathers, extended)], axis=1),
+                  *stacked(force_sels, force_idxs, dofs), *stacked(band_sels, band_idxs, bands))
+        for array in arrays:
+            array.flags.writeable = False
+    slices = [[slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
+              for bounds in (cols, dofs, bands)]
+    phi_entries = [int(band) + (3 * (counts[0] - 2) + 2) * (_BAND + 1) + _BAND
                    for band, counts in zip(bands, node_counts)]
     return (*arrays, *slices, phi_entries)
 
 
+def _assemble(elements: ElementData, half_height: np.ndarray, topology, z_ext: np.ndarray,
+              rots: list, blocks=None):
+    """The joined residuals, flat bands and outer-fiber bending strains at
+    the Gauss points of a stack of models, at their joined extended states
+    z_ext and rotated slaved-tip offsets rots (BeamModel._extended): one
+    element_kernel call on their stacked element columns (with blocks, each
+    model's columns, so each model gets its own constant-operator products)
+    and one scatter each for all residuals and all bands (topology: see
+    _stacked_topology). Every model's values keep the bytes of a stack of
+    that model alone, which is BeamModel.assemble."""
+    gather, force_sel, force_idx, band_sel, band_idx, cols, residuals, bands, phi_entries = topology
+    forces, tangents, kap = element_kernel(elements, z_ext.take(gather), blocks)
+    curvature = []
+    for rot, col, entry in zip(rots, cols, phi_entries):
+        if rot is not None:
+            curvature.append((entry, _slave_tip(rot, forces, tangents, col.stop - 1)))
+    residual = np.bincount(force_idx, weights=forces.take(force_sel),
+                           minlength=residuals[-1].stop)
+    ab = np.bincount(band_idx, weights=tangents.take(band_sel), minlength=bands[-1].stop)
+    for entry, value in curvature:
+        ab[entry] -= value
+    np.abs(kap, out=kap)
+    kap *= half_height
+    return residual, ab, kap
+
+
 class _Stack:
-    """Several models assembled at once: one element_kernel call on their
-    stacked element columns, each model with its own constant-operator
-    products, and one scatter each for all residuals and all bands
-    (_stacked_topology). So every triple keeps the bytes of
-    BeamModel.assemble."""
+    """Several models assembled at once (_assemble), each on its own columns."""
 
     def __init__(self, models: list[BeamModel]):
         self.models = models
         self.elements = ElementData.stack([m.elements for m in models])
         self.half_height = np.concatenate([m._half_height for m in models])
-        (self.gather, self.force_sel, self.force_idx, self.band_sel, self.band_idx,
-         self.blocks, self.residuals, self.bands, self.phi_entries) = _stacked_topology(
-            tuple(m.node_counts for m in models))
+        self.topology = _stacked_topology(tuple(m.node_counts for m in models))
 
     def assemble(self, zs: list[np.ndarray]) -> list[tuple]:
         """BeamModel.assemble's triple of each model at its state."""
         extended = [m._extended(z) for m, z in zip(self.models, zs)]
-        ue = np.concatenate([z_ext for z_ext, _ in extended]).take(self.gather)
-        forces, tangents, kap = element_kernel(self.elements, ue, self.blocks)
-        curvature = [0.0 if rot is None else _slave_tip(rot, forces, tangents, block.stop - 1)
-                     for (_, rot), block in zip(extended, self.blocks)]
-        residual = np.bincount(self.force_idx, weights=forces.take(self.force_sel),
-                               minlength=self.residuals[-1].stop)
-        ab = np.bincount(self.band_idx, weights=tangents.take(self.band_sel),
-                         minlength=self.bands[-1].stop)
-        ab[self.phi_entries] -= curvature
-        np.abs(kap, out=kap)
-        kap *= self.half_height
+        cols, residuals, bands = self.topology[5:8]
+        residual, ab, kap = _assemble(self.elements, self.half_height, self.topology,
+                                      np.concatenate([z_ext for z_ext, _ in extended]),
+                                      [rot for _, rot in extended], blocks=cols)
         return [(residual[r], ab[band].reshape(m.n_reduced, _BAND + 1).T,
-                 float(kap[:, block].max()))
-                for m, r, band, block in zip(self.models, self.residuals, self.bands,
-                                             self.blocks)]
+                 float(kap[:, col].max()))
+                for m, r, band, col in zip(self.models, residuals, bands, cols)]
 
 
 def run_sweeps(models: list[BeamModel], n_steps: int = DEFAULT_STEPS) -> list[SweepResult]:

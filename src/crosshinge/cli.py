@@ -320,10 +320,11 @@ def cmd_evaluate(args) -> int:
 def process_map(workers: int):
     """The builtin map if one process would run at a time, else a map sending
     each call of two or more items to a pool of `workers` processes, at most
-    one per CPU this process may run on (one item runs here). Callers cap
-    `workers` at the most items one call maps (chunks of designs, see
-    kinetostatics.chunks): a pool starts all its processes at once. Records
-    do not depend on the pool size. workers < 1 raises ValueError."""
+    one per CPU this process may run on (one item runs here). The pool's map
+    carries its process count as `width`, so kinetostatics.map_records cuts
+    a batch into at least one chunk per process. Callers cap `workers` at their
+    largest batch: a pool starts all its processes at once. Records do not
+    depend on the pool size. workers < 1 raises ValueError."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -332,7 +333,11 @@ def process_map(workers: int):
         yield map
         return
     with ProcessPoolExecutor(workers) as pool:
-        yield lambda fn, items: (pool.map if len(items) > 1 else map)(fn, items)
+        def pool_map(fn, items):
+            return (pool.map if len(items) > 1 else map)(fn, items)
+
+        pool_map.width = workers
+        yield pool_map
 
 
 @contextlib.contextmanager
@@ -370,10 +375,9 @@ def cmd_optimize(args) -> int:
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"], lower=lower, upper=upper)
     archives = []
-    population = moo_configs[0].population
-    with process_map(min(settings["workers"], kinetostatics.chunk_count(population))) as pool_map:
+    with process_map(min(settings["workers"], moo_configs[0].population)) as pool_map:
         # one pool and cache for both algorithms: their initial population is swept
-        # once, and a generation maps at most `population` new designs, in chunks
+        # once, and a generation maps at most `population` new designs
         engine = moo._EvaluationEngine(evaluator, pool_map)
         for moo_cfg in moo_configs:
             algorithm = moo_cfg.algorithm
@@ -464,8 +468,7 @@ def cmd_refine(args) -> int:
 
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"])
-    # the largest batch is x0 and its n other simplex vertices, in chunks
-    with process_map(kinetostatics.chunk_count(len(DESIGN_FIELDS) + 1)) as pool_map:
+    with process_map(len(DESIGN_FIELDS) + 1) as pool_map:  # the largest batch: x0 and n vertices
         report = refine.refine_design(start, archive, evaluator, weights=weights,
                                       max_iters=args.iters, map=pool_map)
     payload = {

@@ -280,22 +280,20 @@ class HingeEvaluator:
 def map_records(evaluator, xs, map=map) -> list[Evaluation]:
     """The evaluator's records of designs xs, in order, through an
     order-keeping map (the builtin map, or a process pool's). An evaluator
-    with a batch call is mapped over chunks (see chunks); any other is
-    mapped over the designs."""
+    with a batch call is mapped over chunks (see chunks), at least one per
+    process of a pool's map (its width attribute, 1 if it has none); any
+    other is mapped over the designs."""
     batch = getattr(evaluator, "batch", None)
     if batch is None:
         return list(map(evaluator, xs))
-    return [record for records in map(batch, chunks(xs)) for record in records]
+    return [record for records in map(batch, chunks(xs, getattr(map, "width", 1)))
+            for record in records]
 
 
-def chunks(xs) -> list[np.ndarray]:
+def chunks(xs, width: int = 1) -> list[np.ndarray]:
     """Designs xs cut in index order into the fewest chunks of at most
-    beam_fem.LOCKSTEP designs, whose sizes differ by at most one (the larger
-    first), so a pool's workers get even shares."""
-    count = chunk_count(len(xs))
+    beam_fem.LOCKSTEP designs, but at least `width` while designs last, so
+    each of a pool's `width` workers gets one; their sizes differ by at most
+    one (the larger first), so the workers get even shares."""
+    count = max(-(-len(xs) // beam_fem.LOCKSTEP), min(width, len(xs)))
     return np.array_split(np.asarray(xs), count) if count else []
-
-
-def chunk_count(n: int) -> int:
-    """The number of chunks of n designs."""
-    return -(-n // beam_fem.LOCKSTEP)

@@ -159,10 +159,11 @@ def counted_pools(monkeypatch) -> list:
     return pools
 
 
-def fake_pools(monkeypatch) -> list:
+def fake_pools(monkeypatch, maps=None) -> list:
     """The list of the sizes of the process pools the CLI asks for from now on.
     A fake pool maps in this process; a real one would start that many
-    processes at its first submit."""
+    processes at its first submit. If maps is a list, the item sizes of each
+    pool map call (designs per chunk) are appended to it."""
     sizes = []
 
     class FakePool(contextlib.nullcontext):
@@ -171,6 +172,8 @@ def fake_pools(monkeypatch) -> list:
             sizes.append(max_workers)
 
         def map(self, fn, items):
+            if maps is not None:
+                maps.append([len(item) for item in items])
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
@@ -201,20 +204,37 @@ class TestSharedEngine:
 
     def test_pool_size_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         sizes = fake_pools(monkeypatch)
-        # at most one process per usable CPU, and no more than the 4 chunks of a
-        # generation's 16 new designs
+        # at most one process per usable CPU, and no more than a generation's 8 new designs
         for name, cpus, workers in (("capped", 3, "100000"), ("population", 64, "100000"),
                                     ("serial", 3, "1")):
             usable_cpus(monkeypatch, cpus)
-            assert cli.main(TINY_OPTIMIZE + ["--pop", "16", "--algorithm", "both",
-                                             "--workers", workers,
-                                             "--out", str(tmp_path / name)]) == cli.EXIT_OK
+            assert cli.main(TINY_OPTIMIZE + ["--algorithm", "both", "--workers", workers,
+                                         "--out", str(tmp_path / name)]) == cli.EXIT_OK
         capsys.readouterr()
-        assert sizes == [3, 4]
+        assert sizes == [3, 8]
         for name in ("archive_nsga2.csv", "archive_spea2.csv", "archive_merged.csv"):
             for run in ("capped", "population"):
                 assert (tmp_path / run / name).read_bytes() == (
                     tmp_path / "serial" / name).read_bytes(), (run, name)
+
+    def test_each_process_gets_a_chunk(self, tmp_path, capsys, monkeypatch):
+        # every map of new designs is cut into at least one chunk per pool process
+        # while designs last, none wider than the lock-step
+        assert cli.main(TINY_OPTIMIZE + ["--out", str(tmp_path / "serial")]) == cli.EXIT_OK
+        for cpus in (4, 8):
+            maps = []
+            sizes = fake_pools(monkeypatch, maps)
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert cli.main(TINY_OPTIMIZE + ["--workers", "100", "--out", str(out)]) == cli.EXIT_OK
+            assert sizes == [cpus]
+            assert sum(maps[0]) == 8  # the initial population
+            for chunk_sizes in maps:
+                assert len(chunk_sizes) >= min(cpus, sum(chunk_sizes)), chunk_sizes
+                assert max(chunk_sizes) <= beam_fem.LOCKSTEP
+            assert (out / "archive_merged.csv").read_bytes() == (
+                tmp_path / "serial" / "archive_merged.csv").read_bytes()
+        capsys.readouterr()
 
     def test_each_design_swept_once(self, tmp_path, capsys, monkeypatch):
         swept = []
@@ -425,8 +445,8 @@ class TestRefineCommand:
         assert cli.main(["refine", "--archive", str(small_archive), "--row", "0",
                          "--iters", "1", *MESH_4]) == cli.EXIT_OK
         capsys.readouterr()
-        # the largest batch is the start and its 13 other simplex vertices, in 4 chunks
-        assert sizes == [4]
+        # the largest batch is the start and its 13 other simplex vertices
+        assert sizes == [14]
 
     def test_degenerate_column_fails_before_pool_and_sweeps(self, tmp_path, capsys,
                                                             monkeypatch):

@@ -423,14 +423,35 @@ class TestLockstep:
 class TestMapRecords:
     def test_chunks_in_index_order_with_even_sizes(self):
         assert bf.LOCKSTEP == 4
-        for n, sizes in ((0, []), (1, [1]), (4, [4]), (5, [3, 2]), (8, [4, 4]),
-                         (10, [4, 3, 3]), (13, [4, 3, 3, 3]), (14, [4, 4, 3, 3])):
+        for n, width, sizes in ((0, 1, []), (1, 1, [1]), (4, 1, [4]), (5, 1, [3, 2]),
+                                (8, 1, [4, 4]), (10, 1, [4, 3, 3]), (13, 1, [4, 3, 3, 3]),
+                                (14, 1, [4, 4, 3, 3]), (8, 2, [4, 4]), (3, 2, [2, 1]),
+                                (8, 4, [2, 2, 2, 2]), (14, 8, [2] * 6 + [1] * 2),
+                                (3, 8, [1, 1, 1]), (0, 8, [])):
             xs = np.arange(2.0 * n).reshape(n, 2)
-            chunks = ks.chunks(xs)
-            assert [len(c) for c in chunks] == sizes
-            assert len(chunks) == ks.chunk_count(n)
+            chunks = ks.chunks(xs, width)
+            assert [len(c) for c in chunks] == sizes, (n, width)
             if n:
                 assert np.array_equal(np.concatenate(chunks), xs)
+
+    def test_map_width_sets_the_chunks(self):
+        # a map's width (its pool's process count) asks for a chunk per process
+        seen = []
+
+        class Summing:
+            def batch(self, xs):
+                return [float(x.sum()) for x in xs]
+
+        def pool_map(fn, items):
+            seen.append([len(item) for item in items])
+            return map(fn, items)
+
+        xs = np.arange(16.0).reshape(8, 2)
+        expected = [float(x.sum()) for x in xs]
+        assert ks.map_records(Summing(), xs, pool_map) == expected
+        pool_map.width = 4
+        assert ks.map_records(Summing(), xs, pool_map) == expected
+        assert seen == [[4, 4], [2, 2, 2, 2]]
 
     def test_per_design_callable_mapped_over_designs(self):
         seen = []
