@@ -14,7 +14,8 @@ master reference point being the tip of the first flexure. A quasi-static
 sweep imposes the master rotation phi in equal steps and returns one row
 per completed step in row-aligned arrays: rotation, tip position,
 reaction moment, condensed translational stiffness, running peak bending
-strain (from each step's last Newton assembly) and the equilibrium state.
+strain (from each step's last Newton assembly), the equilibrium state and
+the solver's counts (Newton iterations, bisection).
 Each step's Newton solve starts from a Hermite extrapolation along the
 path tangents dz/dphi, cubic at step 2 and quartic from step 3 on, where
 one correction per step reaches the tolerance.
@@ -32,14 +33,15 @@ Gather and scatter indices are built once per node count. The
 cantilever, probes and per-field reference kernel that check all this
 are in tests/oracles.py.
 
-run_sweeps moves up to LOCKSTEP models through their sweeps in lock-step:
-each round assembles every model's next Newton iterate in one kernel call
-on their stacked element columns. Each model keeps its own
-constant-operator products, band, banded solves and condensation, and a
-model whose step needs a bisection leaves the lock-step, so every sweep
-keeps the bytes it has alone. A single model is the batch of one,
-run_sweep, on its own arrays through the per-design solvers; one
-assembly body (_assemble) serves a model alone and a stack.
+A sweep is one generator (_sweep) that yields each Newton iterate of a
+step's first attempt and is sent the assembly at it: run_sweep answers a
+model alone (BeamModel.assemble), and run_sweeps moves up to LOCKSTEP
+models in lock-step, one kernel call per round on their stacked element
+columns. One assembly body (_assemble) serves both, and each model keeps
+its own constant-operator products, band, banded solves and condensation,
+so every sweep keeps the bytes it has alone. A failed attempt bisects
+alone from the last converged state (solve_step), and the model then
+rejoins the lock-step.
 """
 
 from __future__ import annotations
@@ -314,6 +316,8 @@ class SweepResult:
     stiffnesses: np.ndarray     # (k, 2, 2) condensed translational tangent
     max_strains: np.ndarray     # (k,) running maximum of the peak bending strain
     z: np.ndarray               # (k, n_reduced) equilibrium state
+    iterations: np.ndarray      # (k,) Newton iterations of the solve that accepted z, 0 at row 0
+    bisected: np.ndarray        # (k,) the first attempt failed and its halves replaced it
     failure: str | None = None  # None | "nonconvergence" | "strain"
 
     @property
@@ -406,9 +410,9 @@ class BeamModel:
         self.idx_my = self.idx_mx + 1
         self.idx_phi = self.idx_mx + 2
         self.node_counts = tuple(m.n_nodes for m in meshes)
-        (self._node_reads, self._gather, self._force_sel, self._force_idx, self._band_sel,
-         self._band_idx, self._unit_rhs) = _topology(self.node_counts)
-        self._assembly = _stacked_topology((self.node_counts,))  # on the arrays above
+        topology = _topology(self.node_counts)
+        self._node_reads, self._unit_rhs = topology[0], topology[-1]
+        self._assembly = _stacked_topology((self.node_counts,))  # on the same arrays
         self.n_reduced = len(self._unit_rhs)
         self.newton_tolerance = NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[0].max())
 
@@ -416,11 +420,6 @@ class BeamModel:
         # reference offset (x, y) of the slaved tip relative to the master point
         self.tip_offset = tuple((meshes[1].node_pos[-1] - self.master_ref).tolist()) \
             if len(meshes) == 2 else None
-
-    def zero_state(self) -> BeamState:
-        z = np.zeros(self.n_reduced)
-        residual, ab, peak = self.assemble(z)
-        return BeamState(z=z, residual=residual, tangent_band=ab, peak_strain=peak)
 
     def _extended(self, z: np.ndarray):
         """z followed by [0 (clamped dofs), slaved tip u_x, slaved tip u_y],
@@ -512,7 +511,7 @@ def assemble_model(geometry: HingeGeometry, n_elements: int = DEFAULT_ELEMENTS) 
 def _newton(model: BeamModel, z0: np.ndarray, prescribed: dict[int, float] | None):
     """The Newton loop of solve_equilibrium as a generator: it yields each
     state to assemble, is sent model.assemble's triple at it, and returns
-    the BeamState (run_sweeps sends it stacked assemblies)."""
+    the BeamState (a sweep in run_sweeps is sent stacked assemblies)."""
     tol = model.newton_tolerance
     z = z0.copy()
     if prescribed:
@@ -569,37 +568,26 @@ def _alone(model: BeamModel, solver):
         return done.value
 
 
-def _halves(model: BeamModel, z: np.ndarray, phi_from: float, phi_to: float,
-            depth: int) -> BeamState:
-    """The two half steps that replace a failed attempt at depth, each from a
-    converged state (z, then the midpoint's) and halved again on failure, up
-    to MAX_BISECTIONS deep."""
+def _halves(model: BeamModel, state: BeamState, phi_target: float, depth: int) -> BeamState:
+    """The two half steps from the equilibrium state to phi_target that
+    replace a failed attempt at depth, each a solve_step one level deeper."""
     if depth >= MAX_BISECTIONS:
         raise NonConverged(f"no equilibrium within {MAX_BISECTIONS} bisections")
-    phi_mid = 0.5 * (phi_from + phi_to)
-    for phi_a, phi_b in ((phi_from, phi_mid), (phi_mid, phi_to)):
-        try:
-            state = solve_equilibrium(model, z, prescribed={model.idx_phi: phi_b})
-        except NonConverged:
-            state = _halves(model, z, phi_a, phi_b, depth + 1)
-        z = state.z
-    return state
+    phi_mid = 0.5 * (float(state.z[model.idx_phi]) + phi_target)
+    state = solve_step(model, state, phi_mid, depth + 1)
+    return solve_step(model, state, phi_target, depth + 1)
 
 
 def solve_step(model: BeamModel, state: BeamState, phi_target: float,
-               guess: np.ndarray | None = None) -> BeamState:
-    """Advance to a prescribed master rotation, bisecting failed steps.
-
-    Starting from an equilibrium, the rotation increment is halved up to
-    MAX_BISECTIONS times before NonConverged propagates. An optional
-    predictor `guess` (run_sweep passes the one of predict_state) seeds only
-    the first attempt; bisection always restarts from the converged state.
-    """
+               depth: int = 0) -> BeamState:
+    """Advance from an equilibrium to a prescribed master rotation, Newton
+    starting at the equilibrium. A failed step is halved, each half from a
+    converged state, up to MAX_BISECTIONS deep (depth counts the halvings
+    above this step) before NonConverged propagates."""
     try:
-        return solve_equilibrium(model, state.z if guess is None else guess,
-                                 prescribed={model.idx_phi: phi_target})
+        return solve_equilibrium(model, state.z, prescribed={model.idx_phi: phi_target})
     except NonConverged:
-        return _halves(model, state.z, float(state.z[model.idx_phi]), phi_target, 0)
+        return _halves(model, state, phi_target, depth)
 
 
 def reaction_moment(model: BeamModel, state: BeamState) -> float:
@@ -641,14 +629,12 @@ def predict_state(zs: list[np.ndarray], ts: list[np.ndarray], h: float) -> np.nd
     return -9.0 * zs[2] + 9.0 * zs[1] + zs[0] + 6.0 * h * (ts[0] + ts[1])
 
 
-def _sweep(model: BeamModel, n_steps: int, lockstep: bool):
-    """The one sweep code path (see run_sweep), as a generator.
-
-    In lock-step it yields the zero state and each Newton iterate of a
-    step's first attempt, and is sent model.assemble's triple at it. A
-    failed attempt leaves the lock-step: the model bisects alone from its
-    last converged state, as solve_step does, and goes on like a batch of
-    one, which calls the per-design solvers and never yields.
+def _sweep(model: BeamModel, n_steps: int):
+    """The sweep of run_sweep as a generator: it yields the zero state and
+    each Newton iterate of a step's first attempt, started at the predictor
+    (predict_state), and is sent model.assemble's triple at it. A failed
+    attempt bisects alone from the last converged state (_halves, which
+    does not yield); the next step yields again.
     """
     if n_steps < 1:
         raise ValueError("need at least one sweep step")
@@ -658,36 +644,34 @@ def _sweep(model: BeamModel, n_steps: int, lockstep: bool):
     try:
         for k in range(n_steps + 1):
             phi = k * SWEEP_ANGLE / n_steps
+            bisected = False
             if k == 0:
                 z = np.zeros(model.n_reduced)
-                state = BeamState(z, *(yield z)) if lockstep else model.zero_state()
+                state = BeamState(z, *(yield z))
             else:
                 # converged rows sit on the uniform grid even after a bisected step
                 guess = predict_state([row[5] for row in rows[-3:]], tangents[-2:],
                                       SWEEP_ANGLE / n_steps)
-                if not lockstep:
-                    state = solve_step(model, state, phi, guess=guess)
-                else:
-                    try:
-                        state = yield from _newton(model, guess, {model.idx_phi: phi})
-                    except NonConverged:
-                        lockstep = False
-                        state = _halves(model, state.z, float(state.z[model.idx_phi]), phi, 0)
+                try:
+                    state = yield from _newton(model, guess, {model.idx_phi: phi})
+                except NonConverged:
+                    state, bisected = _halves(model, state, phi, 0), True
             k_t, tangent = condense_translational_stiffness(model, state)
             tangents.append(tangent)
             max_strain = max(max_strain, state.peak_strain)
             rows.append((phi, model.tip_position(state), reaction_moment(model, state),
-                         k_t, max_strain, state.z))
+                         k_t, max_strain, state.z, state.iterations, bisected))
             if max_strain > STRAIN_LIMIT:
                 failure = "strain"
                 break
     except (NonConverged, SingularTangent):
         failure = "nonconvergence"
     # one array per SweepResult field; the reshape also shapes empty columns
-    shapes = [(), (2,), (), (2, 2), (), (model.n_reduced,)]
-    return SweepResult(*(np.array([row[i] for row in rows], dtype=float)
-                         .reshape(len(rows), *shape) for i, shape in enumerate(shapes)),
-                       failure=failure)
+    columns = [(float, ()), (float, (2,)), (float, ()), (float, (2, 2)), (float, ()),
+               (float, (model.n_reduced,)), (int, ()), (bool, ())]
+    return SweepResult(*(np.array([row[i] for row in rows], dtype=dtype)
+                         .reshape(len(rows), *shape)
+                         for i, (dtype, shape) in enumerate(columns)), failure=failure)
 
 
 def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
@@ -698,11 +682,10 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
     strain above STRAIN_LIMIT are not raised: they end the sweep early,
     with failure set and the rows of the completed steps kept (the step
     that crossed the strain limit included). Fewer than one step raises
-    ValueError. This is the batch of one of run_sweeps, on the model's own
-    arrays through the per-design solvers (solve_step, solve_equilibrium,
-    BeamModel.assemble).
+    ValueError. BeamModel.assemble answers the iterates of _sweep, on the
+    model's own arrays.
     """
-    return _alone(model, _sweep(model, n_steps, lockstep=False))
+    return _alone(model, _sweep(model, n_steps))
 
 
 @functools.lru_cache(maxsize=8)
@@ -789,11 +772,11 @@ class _Stack:
 
 def run_sweeps(models: list[BeamModel], n_steps: int = DEFAULT_STEPS) -> list[SweepResult]:
     """run_sweep of each model, up to LOCKSTEP of them in lock-step: each
-    round gives every sweep in flight the assembly its Newton iterate needs,
-    in one stacked element_kernel call, and a model that finishes makes room
-    for the next. Each keeps its own band, banded solves and condensation,
-    and leaves the lock-step when an attempt fails (see _sweep), so every
-    result is byte-identical to run_sweep's. One model is run_sweep.
+    round gives every sweep in flight (_sweep) the assembly its Newton
+    iterate needs, in one stacked element_kernel call, and a model that
+    finishes makes room for the next. Each keeps its own band, banded
+    solves, bisections and condensation, so every result is byte-identical
+    to run_sweep's. One model is run_sweep.
     """
     if len(models) == 1:
         return [run_sweep(models[0], n_steps)]
@@ -812,7 +795,7 @@ def run_sweeps(models: list[BeamModel], n_steps: int = DEFAULT_STEPS) -> list[Sw
     while queue or waiting:
         while queue and len(waiting) < LOCKSTEP:
             i = queue.pop()
-            sweeps[i] = _sweep(models[i], n_steps, lockstep=True)
+            sweeps[i] = _sweep(models[i], n_steps)
             send(i, None)
         batch = list(waiting)
         if len(batch) == 1:

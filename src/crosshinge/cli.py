@@ -202,10 +202,11 @@ def sweep_trace(design: DesignVector, model, sweep) -> dict:
     """Per-step sweep dump used by `evaluate --trace` and `render`."""
     steps = [
         {"phi": phi, "x_a": tip, "moment": moment, "stiffness": stiffness,
-         "max_strain": max_strain}
-        for phi, tip, moment, stiffness, max_strain in zip(
+         "max_strain": max_strain, "newton_iterations": iterations, "bisected": bisected}
+        for phi, tip, moment, stiffness, max_strain, iterations, bisected in zip(
             sweep.phi.tolist(), sweep.tip_positions.tolist(), sweep.moments.tolist(),
-            sweep.stiffnesses.tolist(), sweep.max_strains.tolist())
+            sweep.stiffnesses.tolist(), sweep.max_strains.tolist(),
+            sweep.iterations.tolist(), sweep.bisected.tolist())
     ]
     reference = [m.node_pos.tolist() for m in model.meshes]
     deformed = [[line.tolist() for line in model.deformed_centerlines(z)] for z in sweep.z]

@@ -1,7 +1,8 @@
 """Reference implementations that only the tests call: the beam harness
 (a clamped single-flexure cantilever, an applied tip moment, one-element
 forces and tangents, strains, peak bending strain and strain energy) that
-checks beam_fem against closed forms and finite differences, the element
+checks beam_fem against closed forms and finite differences, the
+unloaded reference state of a model, the element
 kernel as per-field formulas that beam_fem's stacked-row kernel must match
 bit for bit, a dense view
 of the banded tangent, dominance of one objective vector over another,
@@ -49,12 +50,19 @@ class Loaded:
         return residual - self.external, ab, peak
 
 
+def zero_state(model: beam_fem.BeamModel) -> beam_fem.BeamState:
+    """The unloaded reference equilibrium z = 0, assembled there."""
+    z = np.zeros(model.n_reduced)
+    residual, ab, peak = model.assemble(z)
+    return beam_fem.BeamState(z=z, residual=residual, tangent_band=ab, peak_strain=peak)
+
+
 def solve_tip_moment(model: beam_fem.BeamModel, moment: float, n_steps: int = 20,
                      tol: float | None = None) -> beam_fem.BeamState:
     """Ramp an external moment on the free master rotation in n_steps equal
     increments. The returned state holds the unloaded residual, so
     reaction_moment reads the reaction."""
-    state = model.zero_state()
+    state = zero_state(model)
     for k in range(1, n_steps + 1):
         external = np.zeros(model.n_reduced)
         external[model.idx_phi] = moment * k / n_steps

@@ -166,7 +166,7 @@ class TestKernelReference:
     def assert_kernel_bytes(model, states):
         for z in states:
             z_ext, _ = model._extended(z)
-            ue = z_ext[model._gather]
+            ue = z_ext[bf._topology(model.node_counts)[1]]
             got = bf.element_kernel(model.elements, ue)
             want = oracles.element_kernel(model.elements, ue)
             for name, a, b in zip(("forces", "tangents", "kap"), got, want):
@@ -189,31 +189,36 @@ class TestKernelReference:
     def test_random_perturbations(self, cross_hinge_model):
         model = cross_hinge_model
         rng = np.random.default_rng(17)
-        state = bf.solve_step(model, model.zero_state(), 0.4)
+        state = bf.solve_step(model, oracles.zero_state(model), 0.4)
         self.assert_kernel_bytes(model, [state.z + rng.normal(0.0, scale, model.n_reduced)
                                          for scale in (1e-6, 1e-3, 1e-2, 0.1, 1.0)])
 
 
 class TestTopology:
-    NAMES = ("_gather", "_force_sel", "_force_idx", "_band_sel", "_band_idx", "_unit_rhs")
+    @staticmethod
+    def arrays(model) -> list[np.ndarray]:
+        """The index arrays of the model's node counts: the node reads, the
+        element gather, the residual and band scatters and the unit rhs."""
+        reads, *arrays = bf._topology(model.node_counts)
+        assert model._node_reads is reads and model._unit_rhs is arrays[-1]
+        return [*reads, *arrays]
 
     def test_index_arrays_shared_per_element_count_and_read_only(self):
         a = bf.assemble_model(geo.build_hinge(cross_hinge_design()), n_elements=5)
         b = bf.assemble_model(geo.build_hinge(strain_abort_design()), n_elements=5)
         other = bf.assemble_model(geo.build_hinge(cross_hinge_design()), n_elements=6)
-        shared = [getattr(a, name) for name in self.NAMES] + list(a._node_reads)
-        assert all(x is y for x, y in zip(shared, [getattr(b, name) for name in self.NAMES]
-                                          + list(b._node_reads)))
-        assert not any(x is y for x, y in zip(shared, [getattr(other, name)
-                                                       for name in self.NAMES]))
-        assert len(other._gather[0]) == 2 * 6 != len(a._gather[0])
+        shared = self.arrays(a)
+        assert all(x is y for x, y in zip(shared, self.arrays(b), strict=True))
+        assert not any(x is y for x, y in zip(shared, self.arrays(other), strict=True))
+        gather = bf._topology(other.node_counts)[1]
+        assert len(gather[0]) == 2 * 6 != len(bf._topology(a.node_counts)[1][0])
         for array in shared:
             with pytest.raises(ValueError):
                 array.flat[0] = 0
 
     def test_band_is_fortran_ordered_and_solves_leave_it(self, cross_hinge_model):
         model = cross_hinge_model
-        state = bf.solve_step(model, model.zero_state(), 0.5)
+        state = bf.solve_step(model, oracles.zero_state(model), 0.5)
         ab = state.tangent_band
         assert ab.shape == (bf._BAND + 1, model.n_reduced)
         assert ab.flags.f_contiguous
@@ -249,7 +254,7 @@ class TestClosedForms:
         assert bf.reaction_moment(cantilever, state) == pytest.approx(moment, abs=1e-10)
 
     def test_timoshenko_compliances_from_schur(self, cantilever):
-        k_t, _ = bf.condense_translational_stiffness(cantilever, cantilever.zero_state())
+        k_t, _ = bf.condense_translational_stiffness(cantilever, oracles.zero_state(cantilever))
         c_lateral = L ** 3 / (3 * EI) + L / GAS
         assert k_t[0, 0] == pytest.approx(EA / L, rel=1e-4)
         assert k_t[1, 1] == pytest.approx(1.0 / c_lateral, rel=1e-4)
@@ -259,7 +264,7 @@ class TestClosedForms:
         d = geo.DesignVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                              alpha=1.5, beta1=10.0, beta2=15.0, gamma=0.8, delta=0.4)
         model = bf.assemble_model(geo.build_hinge(d))
-        k_t, _ = bf.condense_translational_stiffness(model, model.zero_state())
+        k_t, _ = bf.condense_translational_stiffness(model, oracles.zero_state(model))
         ea1, l1 = model.meshes[0].elements.stiffness[0, 0], model.meshes[0].length
         ea2, l2 = model.meshes[1].elements.stiffness[0, 0], model.meshes[1].length
         assert k_t[0, 0] == pytest.approx(ea1 / l1 + ea2 / l2, rel=1e-4)
@@ -335,7 +340,7 @@ class TestBandedSolve:
 
 class TestEquilibriumSolver:
     def test_noop_step_zero_iterations(self, cross_hinge_model):
-        state = bf.solve_step(cross_hinge_model, cross_hinge_model.zero_state(), 0.1)
+        state = bf.solve_step(cross_hinge_model, oracles.zero_state(cross_hinge_model), 0.1)
         again = bf.solve_step(cross_hinge_model, state, 0.1)
         assert again.iterations <= 1
         assert again.z == pytest.approx(state.z, abs=0.0)
@@ -344,7 +349,7 @@ class TestEquilibriumSolver:
     def test_energy_consistent_reaction(self, cross_hinge_model):
         model = cross_hinge_model
         phi = 0.3
-        state = bf.solve_step(model, model.zero_state(), phi)
+        state = bf.solve_step(model, oracles.zero_state(model), phi)
         moment = bf.reaction_moment(model, state)
         h = 1e-4
         up = bf.solve_step(model, state, phi + h)
@@ -357,7 +362,7 @@ class TestEquilibriumSolver:
         # covers the stacked element order, the slaved-tip transform and the
         # curvature of the slaved-tip map at a deformed two-flexure state
         model = cross_hinge_model
-        state = bf.solve_step(model, model.zero_state(), 0.6)
+        state = bf.solve_step(model, oracles.zero_state(model), 0.6)
         dense = oracles.banded_to_dense(state.tangent_band)
         rng = np.random.default_rng(11)
         around_master = np.arange(model.idx_mx - 6, model.idx_phi + 7)
@@ -375,7 +380,7 @@ class TestEquilibriumSolver:
     @pytest.mark.usefixtures("tight_newton")
     def test_condensed_stiffness_matches_reaction_differences(self, cross_hinge_model):
         model = cross_hinge_model
-        state = bf.solve_step(model, model.zero_state(), 0.4)
+        state = bf.solve_step(model, oracles.zero_state(model), 0.4)
         k_t, _ = bf.condense_translational_stiffness(model, state)
         moment = bf.reaction_moment(model, state)
         external = np.zeros(model.n_reduced)
@@ -400,7 +405,7 @@ class TestEquilibriumSolver:
         # the sweep's predictor direction is dz/dphi along the equilibrium path
         model = cross_hinge_model
         phi, h = 0.4, 1e-4
-        state = bf.solve_step(model, model.zero_state(), phi)
+        state = bf.solve_step(model, oracles.zero_state(model), phi)
         _, tangent = bf.condense_translational_stiffness(model, state)
         up = bf.solve_step(model, state, phi + h)
         down = bf.solve_step(model, state, phi - h)
@@ -414,8 +419,10 @@ def sweep(cross_hinge_model):
     return bf.run_sweep(cross_hinge_model)
 
 
-def always_fails(*args, **kwargs):
+def never_converges(model, z0, prescribed):
+    """A Newton loop (bf._newton) that fails at once, in every attempt."""
     raise bf.NonConverged("forced failure")
+    yield z0  # a generator, as _newton is
 
 
 class TestSweep:
@@ -463,7 +470,7 @@ class TestSweep:
 
     def test_first_step_failure_keeps_reference_record(self, cross_hinge_model,
                                                        monkeypatch):
-        monkeypatch.setattr(bf, "solve_step", always_fails)
+        monkeypatch.setattr(bf, "_newton", never_converges)
         result = bf.run_sweep(cross_hinge_model)
         assert result.failure is not None
         assert result.failure == "nonconvergence"
@@ -472,7 +479,7 @@ class TestSweep:
     def test_columns_align(self, sweep, cross_hinge_model, monkeypatch):
         strain_model = bf.assemble_model(geo.build_hinge(strain_abort_design()))
         strain = bf.run_sweep(strain_model)
-        monkeypatch.setattr(bf, "solve_step", always_fails)
+        monkeypatch.setattr(bf, "_newton", never_converges)
         first_step = bf.run_sweep(cross_hinge_model)
         cases = ((sweep, cross_hinge_model, True), (strain, strain_model, False),
                  (first_step, cross_hinge_model, False))
@@ -489,7 +496,7 @@ class TestSweep:
         # a state's peak bending strain comes from the Newton assembly that
         # accepted it; recomputed from the state's z it agrees bit for bit
         model = cross_hinge_model
-        zero = model.zero_state()
+        zero = oracles.zero_state(model)
         assert zero.peak_strain == oracles.peak_strain(model, zero.z) == 0.0
         state = bf.solve_step(model, zero, 0.4)
         assert state.peak_strain == oracles.peak_strain(model, state.z) > 0.0
@@ -511,22 +518,15 @@ class TestSweep:
         assert bf.run_sweep(cross_hinge_model).failure is None
         assert len(calls) <= 46
 
-    def test_golden_newton_iterations_per_step(self, monkeypatch):
+    def test_golden_newton_iterations_per_step(self):
         # Euler leaves step 1 three corrections, the cubic Hermite start
         # step 2 two, and the quartic Hermite start every later step one
         golden = json.loads((DATA / "regression_cross_hinge.json").read_text())
         model = bf.assemble_model(geo.build_hinge(geo.DesignVector(**golden["design"])))
-        iterations = []
-        solve = bf.solve_equilibrium
-
-        def counted(*args, **kwargs):
-            state = solve(*args, **kwargs)
-            iterations.append(state.iterations)
-            return state
-
-        monkeypatch.setattr(bf, "solve_equilibrium", counted)
-        assert bf.run_sweep(model).failure is None
-        assert iterations == [3, 2] + [1] * 18
+        sweep = bf.run_sweep(model)
+        assert sweep.failure is None
+        assert sweep.iterations.tolist() == [0, 3, 2] + [1] * 18
+        assert not sweep.bisected.any()
 
     @pytest.mark.parametrize("points, degree", [(1, 1), (2, 2), (2, 3), (3, 4)])
     def test_predictor_exact_on_polynomial_paths(self, points, degree):

@@ -78,6 +78,9 @@ class TestEvaluate:
         assert step["phi"] == pytest.approx(math.pi / 2)
         assert len(step["stiffness"]) == 2
         assert len(data["centerlines"]["deformed"]) == 21
+        # Euler, cubic and quartic Hermite starts; no step needs a bisection
+        assert [s["newton_iterations"] for s in data["steps"]] == [0, 3, 2] + [1] * 18
+        assert not any(s["bisected"] for s in data["steps"])
 
     def test_manifest_inputs_are_the_files_read(self, tmp_path, capsys):
         # --values reads no file, so it has no input

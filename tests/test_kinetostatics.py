@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -147,7 +148,9 @@ def synthetic_sweep(stiffnesses):
     phi = 0.1 * np.arange(len(stiffnesses))
     return bf.SweepResult(phi=phi, tip_positions=np.stack([np.cos(phi), np.sin(phi)], axis=1),
                           moments=phi.copy(), stiffnesses=np.array(stiffnesses, dtype=float),
-                          max_strains=np.zeros(len(phi)), z=np.zeros((len(phi), 1)))
+                          max_strains=np.zeros(len(phi)), z=np.zeros((len(phi), 1)),
+                          iterations=np.zeros(len(phi), dtype=int),
+                          bisected=np.zeros(len(phi), dtype=bool))
 
 
 class TestCompliance:
@@ -365,7 +368,8 @@ class TestLockstep:
         if sweep is not None:
             parts += [str(sweep.failure).encode()] + [
                 np.ascontiguousarray(getattr(sweep, f)).tobytes()
-                for f in ("phi", "tip_positions", "moments", "stiffnesses", "max_strains", "z")]
+                for f in ("phi", "tip_positions", "moments", "stiffnesses", "max_strains", "z",
+                          "iterations", "bisected")]
         return parts
 
     def test_bytes_alone_and_at_every_position(self):
@@ -380,6 +384,32 @@ class TestLockstep:
                 batch = ks.evaluate_with_sweeps([designs[i] for i in order])
                 for i, triple in zip(order, batch):
                     assert self.fingerprint(triple) == alone[i], (size, order, i)
+
+    def test_bisected_step_rejoins_the_sweep(self):
+        # the first attempt at step 11 (phi = 11 pi / 40) fails and its halves
+        # replace it; the sweep goes on to the end of the stroke
+        record, sweep, _ = ks.evaluate_with_sweep(geo.DesignVector.from_array(self.BISECTED467))
+        assert record.feasible and sweep.failure is None
+        assert np.flatnonzero(sweep.bisected).tolist() == [11]
+        assert sweep.phi[11] == 11 * bf.SWEEP_ANGLE / 20
+
+    def test_evaluations_leave_no_reference_cycles(self):
+        # every state, band and generator of a sweep is freed by reference
+        # counting: the cyclic collector finds nothing after an evaluation,
+        # a bisected one and a failed one included, nor after a lock-step batch
+        golden = json.loads((DATA / "regression_cross_hinge.json").read_text())
+        designs = [geo.DesignVector(**golden["design"])] + [
+            geo.DesignVector.from_array(self.DESIGNS[i]) for i in (5, 3)]
+        gc.collect()
+        gc.disable()
+        try:
+            for design in designs:
+                ks.evaluate_objectives(design)
+                assert gc.collect() == 0
+            ks.evaluate_with_sweeps([geo.DesignVector.from_array(v) for v in self.DESIGNS[2:]])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_more_than_lockstep_designs_refill_the_lockstep(self, monkeypatch):
         # six designs: a finished sweep makes room for the next, at most LOCKSTEP in flight
