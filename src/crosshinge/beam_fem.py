@@ -24,11 +24,13 @@ The reduced tangent is symmetric, and only its upper band is assembled,
 directly in LAPACK band storage and its column order (first flexure
 ascending, master triple, second flexure descending, which keeps the
 half-bandwidth at 11). Each Newton iteration costs one banded Cholesky
-factorization, or banded LU when the tangent is indefinite. All elements
-are stacked into one call of the element kernel: two matrix products
-with constant reference-element operators (the forces, and the upper
-triangle of the tangents), on field-major data (a row per field, a
-column per element, fields stacked in pairs so one ufunc serves two).
+factorization, or banded LU when the tangent is indefinite; _lapack binds
+both routines without importing scipy.linalg, an import that costs every
+process ~19 MB and ~0.15 s. All elements are stacked into one call of the
+element kernel: two matrix products with constant reference-element
+operators (the forces, and the upper triangle of the tangents), on
+field-major data (a row per field, a column per element, fields stacked
+in pairs so one ufunc serves two).
 Gather and scatter indices are built once per node count. The
 cantilever, probes and per-field reference kernel that check all this
 are in tests/oracles.py.
@@ -48,10 +50,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dpbsv
+import scipy
 
 from .geometry import SHEAR_MODULUS, YOUNG_MODULUS, Flexure, HingeGeometry, centerline
 
@@ -68,6 +73,21 @@ MAX_BISECTIONS = 2
 
 _BAND = 11  # half-bandwidth of the reduced tangent in the chain ordering
 LOCKSTEP = 4  # most sweeps run_sweeps moves in lock-step
+
+
+def _lapack() -> tuple:
+    """dgbsv and dpbsv of scipy.linalg._flapack, loaded from its file under its own name (a
+    later import of scipy.linalg reuses it): scipy/linalg/__init__.py would load numpy.f2py,
+    numpy.testing, numpy.ma and ~70 scipy modules through scipy's array-API layer."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = PathFinder.find_spec(name, [f"{scipy.__path__[0]}/linalg"])
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].dgbsv, sys.modules[name].dpbsv
+
+
+dgbsv, dpbsv = _lapack()
 
 
 class NonConverged(RuntimeError):

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +298,18 @@ class TestBandedSolve:
         calls, dgbsv = [], bf.dgbsv
         monkeypatch.setattr(bf, "dgbsv", lambda *a, **k: calls.append(a) or dgbsv(*a, **k))
         return calls
+
+    def test_lapack_loads_without_scipy_linalg(self):
+        """A fresh `import crosshinge.cli` leaves scipy/linalg/__init__.py
+        unrun, and a later import of scipy.linalg hands out the very
+        functions the solver calls."""
+        script = ("import sys, crosshinge.cli\n"
+                  "assert 'scipy.linalg' not in sys.modules\n"
+                  "import scipy.linalg.lapack as lapack\n"
+                  "from crosshinge import beam_fem as bf\n"
+                  "assert bf.dpbsv is lapack.dpbsv and bf.dgbsv is lapack.dgbsv\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("definite", [True, False], ids=["cholesky", "lu-fallback"])
     @pytest.mark.parametrize("n_rhs", [None, 2])
