@@ -169,25 +169,42 @@ def _keys(evals: list[Evaluation]):
     return feasible, keys
 
 
+# Selection works in row blocks of at most _BLOCK_BYTES, so that each
+# block-sized temporary, with malloc's chunk header, stays under glibc's
+# default mmap threshold of 128 KiB: the heap serves and reuses it, where a
+# larger one would map fresh pages and fault them in on every call.
+_BLOCK_BYTES = 125 * 1024
+
+
+def _block_rows(n: int, itemsize: int) -> int:
+    """Rows per block of an (rows, n) array of itemsize-byte items, 1 to n."""
+    return max(1, min(n, _BLOCK_BYTES // (itemsize * n)))
+
+
 def _domination_matrix(keys: np.ndarray) -> np.ndarray:
     """d[i, j] == True iff member i constraint-dominates member j:
     feasibility first, then violation, then Pareto dominance.
 
     All three are one componentwise <= over the NaN-free _keys rows, run
     on dense integer ranks (np.unique per column, in the smallest unsigned
-    type that holds n): equal keys share a rank, so <= on ranks is <= on
-    keys, signed zeros and inf included. Key i is <= key j and differs from
-    it exactly when i constraint-dominates j; identical keys are <= each
-    other, so the diagonal is cleared, and the symmetric pairs among the
-    rows that sort next to an equal row.
+    type that holds n), a row block at a time: equal keys share a rank, so
+    <= on ranks is <= on keys, signed zeros and inf included. Key i is <=
+    key j and differs from it exactly when i constraint-dominates j;
+    identical keys are <= each other, so the diagonal is cleared, and the
+    symmetric pairs among the rows that sort next to an equal row.
     """
     n = len(keys)
     ranks = np.array([np.unique(column, return_inverse=True)[1] for column in keys.T],
                      dtype=np.min_scalar_type(n))
-    d, le = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
-    np.less_equal(ranks[0, :, None], ranks[0, None, :], out=d)
-    for rank in ranks[1:]:
-        d &= np.less_equal(rank[:, None], rank[None, :], out=le)
+    d = np.empty((n, n), dtype=bool)
+    step = _block_rows(n, 1)
+    le = np.empty((step, n), dtype=bool)
+    for start in range(0, n, step):
+        block = d[start:start + step]
+        np.less_equal(ranks[0, start:start + step, None], ranks[0], out=block)
+        for rank in ranks[1:]:
+            block &= np.less_equal(rank[start:start + step, None], rank,
+                                   out=le[:len(block)])
     np.fill_diagonal(d, False)
     order = np.lexsort(ranks[::-1])
     repeated = np.all(ranks[:, order[1:]] == ranks[:, order[:-1]], axis=0)
@@ -198,51 +215,52 @@ def _domination_matrix(keys: np.ndarray) -> np.ndarray:
     return d
 
 
-def fast_nondominated_sort(keys: np.ndarray) -> np.ndarray:
-    """Front index per member under constraint domination."""
+def fast_nondominated_sort(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Front index per member under constraint domination. Fronts are
+    peeled off the feasible members only: each of them dominates every
+    infeasible member, and infeasible members dominate by violation alone,
+    so their fronts follow the last feasible one as the dense ranks of
+    their violations."""
     d = _domination_matrix(keys)
-    n_dom = d.sum(axis=0).astype(np.int64)
-    ranks = np.full(len(keys), -1, dtype=np.int64)
-    current = np.where(n_dom == 0)[0]
-    front = 0
+    n_dom = np.where(feasible, d.sum(axis=0), -1)  # -1: retired or infeasible
+    ranks = np.empty(len(keys), dtype=np.int64)
+    current = np.flatnonzero(n_dom == 0)
+    front, step = 0, _block_rows(len(keys), 1)
     while current.size:
         ranks[current] = front
-        n_dom[current] = -1  # retired
-        n_dom -= d[current].sum(axis=0)
-        current = np.where(n_dom == 0)[0]
+        n_dom[current] = -1
+        for start in range(0, len(current), step):
+            n_dom -= d[current[start:start + step]].sum(axis=0)
+        current = np.flatnonzero(n_dom == 0)
         front += 1
+    ranks[~feasible] = front + np.unique(keys[~feasible, 0], return_inverse=True)[1]
     return ranks
-
-
-def crowding_distance(keys: np.ndarray) -> np.ndarray:
-    """Crowding distance within one front from its objective rows."""
-    n, m = keys.shape
-    distance = np.zeros(n)
-    if n <= 2:
-        return np.full(n, np.inf)
-    for j in range(m):
-        order = np.argsort(keys[:, j], kind="stable")
-        col = keys[order, j]
-        span = col[-1] - col[0]
-        distance[order[0]] = np.inf
-        distance[order[-1]] = np.inf
-        if span > 0.0:
-            interior = order[1:-1]
-            distance[interior] += (col[2:] - col[:-2]) / span
-    return distance
 
 
 def _nsga2_keys(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Tournament keys, one (rank, -crowding) row per member: the front
     index under constraint domination, then the crowding distance within
-    the front (over objectives for feasible fronts, violation otherwise)."""
-    ranks = fast_nondominated_sort(keys)
-    tournament = np.column_stack([ranks, np.zeros(len(ranks))])
-    for front in range(int(ranks.max()) + 1):
-        idx = np.flatnonzero(ranks == front)
-        coords = keys[idx, 1:] if feasible[idx[0]] else keys[idx, :1]
-        tournament[idx, 1] = -crowding_distance(coords)
-    return tournament
+    the front (over objectives for feasible fronts, violation otherwise).
+
+    All fronts are crowded at once, one stable sort by (front, value) per
+    coordinate column: the first and last member of a front are at inf, and
+    an interior member adds the gap between its neighbours over the front's
+    span (when positive), column after column, as a loop over fronts would."""
+    ranks = fast_nondominated_sort(feasible, keys)
+    coords = (np.where(feasible[:, None], keys[:, 1:], keys[:, :1]) if feasible.any()
+              else keys)
+    crowding = np.zeros(len(keys))
+    for column in coords.T:
+        order = np.lexsort((column, ranks))
+        value, front = column[order], ranks[order]
+        first = np.r_[True, front[1:] != front[:-1]]
+        last = np.r_[first[1:], True]
+        span = (value[last] - value[first])[np.cumsum(first) - 1]
+        interior = np.flatnonzero(~(first | last) & (span > 0.0))
+        crowding[order[first | last]] = np.inf
+        crowding[order[interior]] += ((value[interior + 1] - value[interior - 1])
+                                      / span[interior])
+    return np.column_stack([ranks, -crowding])
 
 
 def _key_order(keys: np.ndarray) -> np.ndarray:
@@ -271,12 +289,13 @@ def _binary_tournament(keys: np.ndarray, n_parents: int,
 
 def _distance_blocks(coords: np.ndarray):
     """Pairwise squared Euclidean distances of the coordinate rows as (row
-    slice, block) pairs of 64 rows, each row's own entry inf. A block sums
-    its squared differences in column order into reused buffers; the next
-    block overwrites it, so no (n, n) array is held. The root is monotone
-    and correctly rounded, so a caller that roots a selected or sorted
-    value gets the bytes of the root taken first."""
-    n, block = len(coords), 64
+    slice, block) pairs of _block_rows rows, each row's own entry inf. A
+    block sums its squared differences in column order into reused buffers;
+    the next block overwrites it, so no (n, n) array is held. The root is
+    monotone and correctly rounded, so a caller that roots a selected or
+    sorted value gets the bytes of the root taken first."""
+    n = len(coords)
+    block = _block_rows(n, 8)
     squared, diff = np.empty((block, n)), np.empty((block, n))
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -295,10 +314,13 @@ def _spea2_fitness(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
     sigma_k the k-th smallest distance of a member's _distance_blocks row
     and k the rounded root of the member count."""
     d = _domination_matrix(keys)
+    n = len(keys)
     # strengths are integer counts, so the sums are exact in any order
     strength = d.sum(axis=1).astype(float)
-    raw = strength @ d
-    n = len(keys)
+    raw = np.zeros(n)
+    step = _block_rows(n, 8)
+    for start in range(0, n, step):
+        raw += strength[start:start + step] @ d[start:start + step]
     sigma_k = np.zeros(n)
     if n > 1:  # then 1 <= k <= n - 1
         k = int(round(np.sqrt(n)))
@@ -326,15 +348,18 @@ def _spea2_truncate(feasible: np.ndarray, keys: np.ndarray, size: int) -> np.nda
     a full tie) until size remain.
 
     Each _distance_blocks row is argsorted once into its neighbour indices
-    and their distances. A row's distance vector is the distances of its
-    alive neighbours in that order, so a deletion only moves the head (the
-    first alive neighbour) of the rows that pointed at the victim, and the
-    candidates are compared one alive column at a time."""
+    (in the smallest unsigned type that holds n) and their distances. A
+    row's distance vector is the distances of its alive neighbours in that
+    order, so a deletion only moves the head (the first alive neighbour) of
+    the rows that pointed at the victim, and the candidates are compared one
+    alive column at a time."""
     n = len(keys)
-    neighbours, ordered = np.empty((n, n), dtype=np.intp), np.empty((n, n))
+    neighbours = np.empty((n, n), dtype=np.min_scalar_type(n))
+    ordered = np.empty((n, n))
     for rows, block in _distance_blocks(_density_coordinates(feasible, keys)):
-        neighbours[rows] = np.argsort(block, axis=1)
-        ordered[rows] = np.sqrt(np.take_along_axis(block, neighbours[rows], axis=1))
+        order = np.argsort(block, axis=1)
+        neighbours[rows] = order
+        ordered[rows] = np.sqrt(np.take_along_axis(block, order, axis=1))
     alive = np.ones(n, dtype=bool)
     head = np.zeros(n, dtype=np.intp)
     for remaining in range(n, size, -1):

@@ -7,7 +7,8 @@ kernel as per-field formulas that beam_fem's stacked-row kernel must match
 bit for bit, a dense view
 of the banded tangent, dominance of one objective vector over another,
 the broadcast dominance matrix that pareto's dominance sweep replaced,
-constraint domination one pair at a time, the per-level hypervolume that
+constraint domination one pair at a time, the NSGA-II tournament keys
+one front at a time, the per-level hypervolume that
 pareto's dimension sweep replaced, the full SPEA2 distance matrix and
 the truncation that re-sorts it every round, the Welzl loop on numpy
 norms that the float containment checks replaced, and the design
@@ -196,6 +197,48 @@ def domination_matrix(evals: list) -> np.ndarray:
                     dtype=bool).reshape(len(evals), len(evals))
 
 
+def crowding_distance(coords: np.ndarray) -> np.ndarray:
+    """Crowding distance within one front from its coordinate rows."""
+    n, m = coords.shape
+    distance = np.zeros(n)
+    if n <= 2:
+        return np.full(n, np.inf)
+    for j in range(m):
+        order = np.argsort(coords[:, j], kind="stable")
+        col = coords[order, j]
+        span = col[-1] - col[0]
+        distance[order[0]] = np.inf
+        distance[order[-1]] = np.inf
+        if span > 0.0:
+            interior = order[1:-1]
+            distance[interior] += (col[2:] - col[:-2]) / span
+    return distance
+
+
+def nsga2_keys(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """NSGA-II tournament keys (rank, -crowding) one front at a time: fronts
+    peeled off the whole constraint-domination matrix, infeasible members
+    included, and each crowded alone (over objectives for feasible fronts,
+    violation otherwise)."""
+    d = moo._domination_matrix(keys)
+    n_dom = d.sum(axis=0).astype(np.int64)
+    ranks = np.full(len(keys), -1, dtype=np.int64)
+    current = np.flatnonzero(n_dom == 0)
+    front = 0
+    while current.size:
+        ranks[current] = front
+        n_dom[current] = -1  # retired
+        n_dom -= d[current].sum(axis=0)
+        current = np.flatnonzero(n_dom == 0)
+        front += 1
+    tournament = np.column_stack([ranks, np.zeros(len(ranks))])
+    for front in range(int(ranks.max()) + 1):
+        idx = np.flatnonzero(ranks == front)
+        coords = keys[idx, 1:] if feasible[idx[0]] else keys[idx, :1]
+        tournament[idx, 1] = -crowding_distance(coords)
+    return tournament
+
+
 def staircase_area(points: np.ndarray, reference: np.ndarray) -> float:
     """Area dominated by 2D points up to the reference corner."""
     inside = np.all(points < reference[None, :], axis=1)
@@ -238,7 +281,7 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
 
 def distances(coords: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances with an infinite diagonal, the (n, n)
-    matrix that moo._distance_blocks yields 64 rows at a time. The squared
+    matrix that moo._distance_blocks yields in row blocks. The squared
     distance is summed one coordinate column at a time, in column order,
     so it equals np.linalg.norm over the (n, n, m) difference array bit for
     bit without building that array."""

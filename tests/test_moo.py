@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -8,6 +10,9 @@ import pytest
 from crosshinge import beam_fem, moo, pareto
 import oracles
 from zdt import ZDT1, BandedZDT1, generational_distance
+
+# the largest member count whose float64 distance rows fit one row block
+ONE_BLOCK = math.isqrt(moo._BLOCK_BYTES // 8)
 
 
 @dataclass(frozen=True)
@@ -176,12 +181,91 @@ class TestConstraintDomination:
             else:
                 evals.append(moo.Evaluation(y=None, feasible=False,
                                             violation=float(rng.random())))
-        ranks = moo.fast_nondominated_sort(moo._keys(evals)[1])
+        ranks = moo.fast_nondominated_sort(*moo._keys(evals))
         worst_feasible = max((r for r, e in zip(ranks, evals) if e.feasible),
                              default=-1)
         best_infeasible = min((r for r, e in zip(ranks, evals) if not e.feasible),
                               default=np.inf)
         assert worst_feasible < best_infeasible
+
+
+def _feasible(y):
+    return moo.Evaluation(y=np.asarray(y, dtype=float), feasible=True)
+
+
+def _infeasible(violation):
+    return moo.Evaluation(y=None, feasible=False, violation=float(violation))
+
+
+class TestNsga2Keys:
+    def _assert_matches_oracle(self, evals):
+        feasible, keys = moo._keys(evals)
+        got = moo._nsga2_keys(feasible, keys)
+        assert got.tobytes() == oracles.nsga2_keys(feasible, keys).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_per_front_oracle_on_random_pools(self, m):
+        # few distinct objective values and violations: duplicate keys,
+        # signed zeros, tied violations, fronts of every size
+        rng = np.random.default_rng(30 + m)
+        for _ in range(80):
+            p_feasible = rng.choice([0.0, 0.3, 0.7, 1.0])
+            evals = []
+            for _ in range(int(rng.integers(1, 60))):
+                if rng.random() < p_feasible:
+                    y = rng.integers(0, 4, size=m).astype(float)
+                    y[rng.random(m) < 0.2] *= -1.0
+                    evals.append(_feasible(y))
+                else:
+                    evals.append(_infeasible(rng.choice([0.0, 0.5, 1.0, rng.random()])))
+            self._assert_matches_oracle(evals)
+
+    def test_tied_violations(self):
+        self._assert_matches_oracle([_feasible([1, 2]), _infeasible(0.5), _feasible([2, 1]),
+                                     _infeasible(0.5), _infeasible(0.0), _infeasible(0.5),
+                                     _infeasible(0.0), _infeasible(0.5), _feasible([0, 3])])
+
+    def test_all_infeasible(self):
+        self._assert_matches_oracle([_infeasible(v) for v in (0.3, 0.1, 0.3, 0.3, 0.2, 0.1)])
+        self._assert_matches_oracle([_infeasible(0.7)])
+
+    def test_duplicate_keys(self):
+        ys = [[1, 2, 3], [1, 2, 3], [0, 0, 5], [-0.0, 0, 5], [2, 2, 2], [1, 2, 3], [3, 1, 2]]
+        self._assert_matches_oracle([_feasible(y) for y in ys] + [_infeasible(1.0)] * 3)
+
+    def test_one_and_two_member_fronts(self):
+        # a chain of single members, then pairs, then one-member infeasible
+        # fronts of distinct violations
+        chain = [_feasible([i, i]) for i in range(4)]
+        pairs = [_feasible(y) for i in range(4, 7) for y in ([i, i + 0.5], [i + 0.5, i])]
+        self._assert_matches_oracle(chain + pairs + [_infeasible(v) for v in (0.2, 0.1, 0.3)])
+
+
+class TestSelectionMemory:
+    def test_traced_peak_stays_near_one_bool_matrix(self):
+        # a mixed pool of 1,000: a non-dominated front of 500 on the DTLZ2
+        # sphere, 300 members it dominates and 200 infeasible ones with
+        # tied violations, so SPEA2 keeps the front without truncating; the
+        # n x n bool domination matrix is the one large array a selection
+        # holds, every other temporary a row block
+        rng = np.random.default_rng(5)
+        n = 1000
+        u = rng.random((500, 2)) * np.pi / 2
+        ys = np.column_stack([np.cos(u[:, 0]) * np.cos(u[:, 1]),
+                              np.cos(u[:, 0]) * np.sin(u[:, 1]), np.sin(u[:, 0])])
+        ys = np.concatenate([ys, ys[:300] + rng.random((300, 3))])
+        evals = [_feasible(y) for y in ys] + [_infeasible(v)
+                                             for v in np.round(rng.random(200), 2)]
+        evals = [evals[i] for i in rng.permutation(n)]
+        for survivors in (moo._nsga2_survivors, moo._spea2_environmental):
+            survivors(evals, n // 2)  # first-call allocations are not per generation
+            tracemalloc.start()
+            try:
+                survivors(evals, n // 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.6 * n * n, (survivors.__name__, peak)
 
 
 class TestMergeArchives:
@@ -228,11 +312,14 @@ class TestSpea2Selection:
 
     @pytest.mark.parametrize("seed, n", [*(pytest.param(seed, None, id=str(seed))
                                            for seed in range(6)),
-                                         pytest.param(6, 150, id="n150")])
+                                         pytest.param(6, 150, id="n150"),
+                                         pytest.param(7, 256, id="n256")])
     def test_truncation_matches_resorting_oracle(self, seed, n):
         # rounded coordinates give tied distances; infeasible members sit
-        # beyond the feasible cloud at their violation; n = 150 spans
-        # three 64-row distance blocks
+        # beyond the feasible cloud at their violation; n = 150 and n = 256
+        # span two and five distance blocks, and from n = 256 on the
+        # neighbour table holds uint16
+        assert n is None or n > ONE_BLOCK
         rng = np.random.default_rng(seed)
         n, m = n or int(rng.integers(20, 60)), int(rng.integers(2, 4))
         evals = [moo.Evaluation(y=np.round(rng.random(m), 1), feasible=True)
@@ -244,11 +331,12 @@ class TestSpea2Selection:
             np.testing.assert_array_equal(moo._spea2_truncate(feasible, keys, size),
                                           oracles.spea2_truncate(evals, size))
 
-    @pytest.mark.parametrize("n", [2, 3, 40, 64, 65, 200])
+    @pytest.mark.parametrize("n", [2, 3, 40, 64, 65, ONE_BLOCK, ONE_BLOCK + 1, 200])
     def test_blocked_kth_distance_matches_full_matrix(self, n):
-        # n below the 64-row block, equal to it and not a multiple of it;
-        # rounded coordinates give tied and zero distances; the blocks hold
-        # squared distances, so the selected values are rooted
+        # up to ONE_BLOCK the rows fit one block, exactly at ONE_BLOCK; one
+        # more needs two, and 200 several, the last one short; rounded
+        # coordinates give tied and zero distances; the blocks hold squared
+        # distances, so the selected values are rooted
         rng = np.random.default_rng(n)
         evals = [moo.Evaluation(y=np.round(rng.random(3), 1), feasible=True)
                  for _ in range(n - n // 5)]
@@ -491,7 +579,9 @@ class TestGenerationLoop:
 
     def test_two_block_truncation_digest_pinned(self, tmp_path):
         # truncation fires 13 times on pools of 72 to 119 non-dominated
-        # members, so its distance rows span two 64-row blocks
+        # members, whose distance rows fit one block, while the density of
+        # each 230-member pool spans four; the digest was taken with 64-row
+        # blocks, so it also pins that the block size moves no byte
         cfg = moo.MooConfig(algorithm="spea2", population=160, generations=25,
                             seed=4, archive_size=70)
         path = tmp_path / "archive.csv"
