@@ -31,9 +31,9 @@ element kernel: two matrix products with constant reference-element
 operators (the forces, and the upper triangle of the tangents), on
 field-major data (a row per field, a column per element, fields stacked
 in pairs so one ufunc serves two).
-Gather and scatter indices are built once per node count. The
-cantilever, probes and per-field reference kernel that check all this
-are in tests/oracles.py.
+Gather and scatter indices are built once per stack of node counts, a
+model alone being a stack of one. The cantilever, probes and per-field
+reference kernel that check all this are in tests/oracles.py.
 
 A sweep is one generator (_sweep) that yields each Newton iterate of a
 step's first attempt and is sent the assembly at it: run_sweep answers a
@@ -346,50 +346,66 @@ class SweepResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _topology(node_counts: tuple[int, ...]):
-    """Index arrays of a model that depend only on its flexures' node counts,
-    built once per count and read-only: per flexure the index of each nodal
-    displacement in the extended vector of BeamModel._extended, the element
-    gather, the scatters of the kernel outputs into the residual and the
-    band, and the unit right-hand sides of the condensation."""
-    base_master = 3 * (node_counts[0] - 2)
-    n = base_master + 3 + sum(3 * (m - 2) for m in node_counts[1:])
-    # reduced dof index per node and component, -1 marking eliminated dofs
-    # (edof), and the index in the extended vector (read)
-    edof, gather, reads = [], [], []
-    for k, n_nodes in enumerate(node_counts):
-        conn = 3 * np.arange((n_nodes - 1) // 3)[:, None] + np.arange(4)[None, :]
-        node_map = np.full((n_nodes, 3), -1, dtype=np.int64)
-        interior = np.arange(1, n_nodes - 1)
-        first = 3 * (interior - 1) if k == 0 else base_master + 3 + 3 * (n_nodes - 2 - interior)
-        node_map[interior] = first[:, None] + np.arange(3)
-        node_map[-1] = base_master + np.arange(3)
-        read = np.where(node_map >= 0, node_map, n)
-        if k == 1:
-            read[-1, :2] = (n + 1, n + 2)
-        edof.append(_grouped(node_map, conn))
-        gather.append(_grouped(read, conn))
-        reads.append(read)
+def _topology(stack: tuple[tuple[int, ...], ...]):
+    """Index arrays of a stack of models (_assemble) that depend only on
+    their node counts, built once per tuple and read-only; a model alone is
+    a stack of one. Each model's reduced dofs, extended-vector entries and
+    element columns are numbered after the previous model's. Per model: the
+    nodal reads of each flexure from its own extended vector
+    (BeamModel._extended), the unit right-hand sides of the condensation
+    and the index of its master triple. For the stack: the element gather,
+    the residual and band scatters, and per model its element columns,
+    residual and band slices and the band entry of its phi diagonal. Every
+    bin is one model's, and a row-major pass over the stacked columns visits
+    a model's terms in their order alone, so each model keeps its bytes."""
+    models, edof, gather = [], [], []
+    cols, dofs = [0], [0]
+    for counts in stack:
+        # reduced dofs: first flexure ascending, master triple, second flexure
+        # descending; eliminated dofs are -1 in edof and read the extended
+        # vector's 0 (clamped) or slaved tip
+        master = 3 * (counts[0] - 2)
+        n = master + 3 + sum(3 * (m - 2) for m in counts[1:])
+        reads = []
+        for k, n_nodes in enumerate(counts):
+            conn = 3 * np.arange((n_nodes - 1) // 3)[:, None] + np.arange(4)[None, :]
+            node_map = np.full((n_nodes, 3), -1, dtype=np.int64)
+            interior = np.arange(1, n_nodes - 1)
+            first = 3 * (interior - 1) if k == 0 else master + 3 + 3 * (n_nodes - 2 - interior)
+            node_map[interior] = first[:, None] + np.arange(3)
+            node_map[-1] = master + np.arange(3)
+            read = np.where(node_map >= 0, node_map, n)
+            if k == 1:
+                read[-1, :2] = (n + 1, n + 2)
+            edof.append(_grouped(np.where(node_map >= 0, node_map + dofs[-1], -1), conn))
+            gather.append(_grouped(read + dofs[-1] + 3 * len(models), conn))
+            reads.append(read)
+        unit_rhs = np.zeros((n, 3), order="F")
+        unit_rhs[master + np.arange(3), np.arange(3)] = 1.0
+        models.append((tuple(reads), unit_rhs, master))
+        cols.append(cols[-1] + sum((m - 1) // 3 for m in counts))
+        dofs.append(dofs[-1] + n)
 
     # static scatter patterns from the field-major kernel outputs into the
-    # residual and the band in LAPACK's column order; local pair (a, b),
+    # residuals and the bands in LAPACK's column order; local pair (a, b),
     # a <= b, lands on reduced (min, max)
     edof = np.concatenate(edof, axis=1)
     valid = edof >= 0
-    rows, cols = edof[_TRIU[0]], edof[_TRIU[1]]
-    pmask = (rows >= 0) & (cols >= 0)
-    i_idx = np.minimum(rows, cols)[pmask]
-    j_idx = np.maximum(rows, cols)[pmask]
+    rows, columns = edof[_TRIU[0]], edof[_TRIU[1]]
+    pmask = (rows >= 0) & (columns >= 0)
+    i_idx = np.minimum(rows, columns)[pmask]
+    j_idx = np.maximum(rows, columns)[pmask]
     if np.any(j_idx - i_idx > _BAND):
         raise AssertionError("band structure violated")
-    unit_rhs = np.zeros((n, 3), order="F")
-    unit_rhs[base_master + np.arange(3), np.arange(3)] = 1.0
-    reads = tuple(reads)
     arrays = (np.concatenate(gather, axis=1), np.flatnonzero(valid), edof[valid],
-              np.flatnonzero(pmask), j_idx * (_BAND + 1) + (_BAND + i_idx - j_idx), unit_rhs)
-    for array in (*reads, *arrays):
+              np.flatnonzero(pmask), j_idx * (_BAND + 1) + (_BAND + i_idx - j_idx))
+    for array in (*arrays, *(a for reads, rhs, _ in models for a in (*reads, rhs))):
         array.flags.writeable = False
-    return (reads, *arrays)
+    bands = [(_BAND + 1) * d for d in dofs]
+    slices = [[slice(a, b) for a, b in zip(bounds, bounds[1:])] for bounds in (cols, dofs, bands)]
+    phi_entries = [band + (master + 2) * (_BAND + 1) + _BAND
+                   for band, (_, _, master) in zip(bands, models)]
+    return (tuple(models), *arrays, *slices, phi_entries)
 
 
 def _slave_tip(rot: np.ndarray, forces: np.ndarray, tangents: np.ndarray, col: int) -> float:
@@ -426,13 +442,10 @@ class BeamModel:
         self._half_height = np.concatenate(
             [np.full(m.n_elements, m.height / 2.0) for m in meshes])
 
-        self.idx_mx = 3 * (meshes[0].n_nodes - 2)
-        self.idx_my = self.idx_mx + 1
-        self.idx_phi = self.idx_mx + 2
         self.node_counts = tuple(m.n_nodes for m in meshes)
-        topology = _topology(self.node_counts)
-        self._node_reads, self._unit_rhs = topology[0], topology[-1]
-        self._assembly = _stacked_topology((self.node_counts,))  # on the same arrays
+        self.topology = _topology((self.node_counts,))
+        ((self._node_reads, self._unit_rhs, self.idx_mx),) = self.topology[0]
+        self.idx_my, self.idx_phi = self.idx_mx + 1, self.idx_mx + 2
         self.n_reduced = len(self._unit_rhs)
         self.newton_tolerance = NEWTON_TOL_FACTOR * max(1.0, self.elements.stiffness[0].max())
 
@@ -479,7 +492,7 @@ class BeamModel:
         is F-contiguous (LAPACK's column order), so solvers copy it plainly.
         """
         z_ext, rot = self._extended(z)
-        residual, ab, kap = _assemble(self.elements, self._half_height, self._assembly,
+        residual, ab, kap = _assemble(self.elements, self._half_height, self.topology,
                                       z_ext, [rot])
         return residual, ab.reshape(self.n_reduced, _BAND + 1).T, float(kap.max())
 
@@ -708,41 +721,6 @@ def run_sweep(model: BeamModel, n_steps: int = DEFAULT_STEPS) -> SweepResult:
     return _alone(model, _sweep(model, n_steps))
 
 
-@functools.lru_cache(maxsize=8)
-def _stacked_topology(node_counts: tuple[tuple[int, ...], ...]):
-    """Index arrays of a stack of models (see _assemble) that depend only on
-    their node counts, built once per tuple and read-only: the gather from
-    their joined extended vectors, the scatters of the stacked kernel
-    outputs into the joined residuals and bands, whose bins each receive a
-    model's own terms in its own order, and per model its element columns,
-    residual and band slices and the band entry of its phi diagonal. A
-    stack of one model has its model's arrays (_topology)."""
-    parts = [_topology(counts) for counts in node_counts]
-    gathers, force_sels, force_idxs, band_sels, band_idxs = zip(*(p[1:6] for p in parts))
-    n_el = [gather.shape[1] for gather in gathers]
-    n = [len(p[6]) for p in parts]
-    width, cols, dofs = sum(n_el), np.cumsum([0] + n_el), np.cumsum([0] + n)
-    bands = (_BAND + 1) * dofs
-
-    def stacked(sels, idxs, offsets):  # flat indices in the stacked output, and their bins
-        return (np.concatenate([s // m * width + c + s % m for s, m, c in zip(sels, n_el, cols)]),
-                np.concatenate([i + o for i, o in zip(idxs, offsets)]))
-
-    if len(parts) == 1:
-        arrays = parts[0][1:6]
-    else:
-        extended = dofs[:-1] + 3 * np.arange(len(parts))  # offsets of the joined z_ext
-        arrays = (np.concatenate([g + o for g, o in zip(gathers, extended)], axis=1),
-                  *stacked(force_sels, force_idxs, dofs), *stacked(band_sels, band_idxs, bands))
-        for array in arrays:
-            array.flags.writeable = False
-    slices = [[slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
-              for bounds in (cols, dofs, bands)]
-    phi_entries = [int(band) + (3 * (counts[0] - 2) + 2) * (_BAND + 1) + _BAND
-                   for band, counts in zip(bands, node_counts)]
-    return (*arrays, *slices, phi_entries)
-
-
 def _assemble(elements: ElementData, half_height: np.ndarray, topology, z_ext: np.ndarray,
               rots: list, blocks=None):
     """The joined residuals, flat bands and outer-fiber bending strains at
@@ -751,9 +729,10 @@ def _assemble(elements: ElementData, half_height: np.ndarray, topology, z_ext: n
     element_kernel call on their stacked element columns (with blocks, each
     model's columns, so each model gets its own constant-operator products)
     and one scatter each for all residuals and all bands (topology: see
-    _stacked_topology). Every model's values keep the bytes of a stack of
+    _topology). Every model's values keep the bytes of a stack of
     that model alone, which is BeamModel.assemble."""
-    gather, force_sel, force_idx, band_sel, band_idx, cols, residuals, bands, phi_entries = topology
+    _, gather, force_sel, force_idx, band_sel, band_idx, cols, residuals, bands, phi_entries = \
+        topology
     forces, tangents, kap = element_kernel(elements, z_ext.take(gather), blocks)
     curvature = []
     for rot, col, entry in zip(rots, cols, phi_entries):
@@ -776,12 +755,12 @@ class _Stack:
         self.models = models
         self.elements = ElementData.stack([m.elements for m in models])
         self.half_height = np.concatenate([m._half_height for m in models])
-        self.topology = _stacked_topology(tuple(m.node_counts for m in models))
+        self.topology = _topology(tuple(m.node_counts for m in models))
 
     def assemble(self, zs: list[np.ndarray]) -> list[tuple]:
         """BeamModel.assemble's triple of each model at its state."""
         extended = [m._extended(z) for m, z in zip(self.models, zs)]
-        cols, residuals, bands = self.topology[5:8]
+        cols, residuals, bands = self.topology[6:9]
         residual, ab, kap = _assemble(self.elements, self.half_height, self.topology,
                                       np.concatenate([z_ext for z_ext, _ in extended]),
                                       [rot for _, rot in extended], blocks=cols)

@@ -12,7 +12,6 @@ import configparser
 import contextlib
 import csv
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -99,6 +98,8 @@ def sampling_bounds(settings: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_manifest(args, config: dict, inputs: list[Path]) -> dict:
+    import hashlib
+
     import scipy
     return {
         "command": args.command,
@@ -407,16 +408,16 @@ def cmd_merge(args) -> int:
     return EXIT_OK
 
 
-def _parse_weights(text: str) -> np.ndarray:
+def _parse_weights(text: str, flag: str) -> np.ndarray:
     weights = np.array([float(v) for v in text.split(",")])
     if weights.size != 3 or not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-        raise ValueError("target weights must be 3 finite non-negative values")
+        raise ValueError(f"{flag} must be 3 finite non-negative values")
     with np.errstate(over="ignore"):
         total = weights.sum()
     if not 0.0 < total < np.inf:
-        raise ValueError("target weights must have a positive, finite sum")
+        raise ValueError(f"{flag} must have a positive, finite sum")
     if abs(total - 1.0) > 1e-9:
-        print(f"warning: target weights sum to {total:.6g}; normalizing",
+        print(f"warning: {flag} sums to {total:.6g}; normalizing",
               file=sys.stderr)
         weights = weights / total
     return weights
@@ -424,7 +425,7 @@ def _parse_weights(text: str) -> np.ndarray:
 
 def cmd_select(args) -> int:
     archive = pareto.read_archive_csv(Path(args.archive))
-    target = _parse_weights(args.target_weights)
+    target = _parse_weights(args.target_weights, "--target-weights")
     index = pareto.select_by_target(archive, target)
     normalized = pareto.normalize_front(archive)
     weights = pareto.pseudo_weights(normalized)
@@ -457,10 +458,11 @@ def cmd_refine(args) -> int:
         index = args.row
         if index is None:
             target = _parse_weights(args.target_weights or "0.3333333333333333,"
-                                    "0.3333333333333333,0.3333333333333333")
+                                    "0.3333333333333333,0.3333333333333333",
+                                    "--target-weights")
             index = pareto.select_by_target(archive, target)
         start = archive_designs(archive, [index])[0]
-    weights = _parse_weights(args.weights) if args.weights else None
+    weights = _parse_weights(args.weights, "--weights") if args.weights else None
     start.validate()  # bad input is rejected before the pool opens
     kinetostatics.check_resolution(settings["elements"], settings["steps"])
     if args.iters < 0:

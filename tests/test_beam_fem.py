@@ -168,7 +168,7 @@ class TestKernelReference:
     def assert_kernel_bytes(model, states):
         for z in states:
             z_ext, _ = model._extended(z)
-            ue = z_ext[bf._topology(model.node_counts)[1]]
+            ue = z_ext[bf._topology((model.node_counts,))[1]]
             got = bf.element_kernel(model.elements, ue)
             want = oracles.element_kernel(model.elements, ue)
             for name, a, b in zip(("forces", "tangents", "kap"), got, want):
@@ -199,11 +199,13 @@ class TestKernelReference:
 class TestTopology:
     @staticmethod
     def arrays(model) -> list[np.ndarray]:
-        """The index arrays of the model's node counts: the node reads, the
+        """The index arrays of the model's stack of one: the node reads, the
         element gather, the residual and band scatters and the unit rhs."""
-        reads, *arrays = bf._topology(model.node_counts)
-        assert model._node_reads is reads and model._unit_rhs is arrays[-1]
-        return [*reads, *arrays]
+        topology = bf._topology((model.node_counts,))
+        ((reads, unit_rhs, master),) = topology[0]
+        assert model.topology is topology and model.idx_mx == master
+        assert model._node_reads is reads and model._unit_rhs is unit_rhs
+        return [*reads, *topology[1:6], unit_rhs]
 
     def test_index_arrays_shared_per_element_count_and_read_only(self):
         a = bf.assemble_model(geo.build_hinge(cross_hinge_design()), n_elements=5)
@@ -212,11 +214,36 @@ class TestTopology:
         shared = self.arrays(a)
         assert all(x is y for x, y in zip(shared, self.arrays(b), strict=True))
         assert not any(x is y for x, y in zip(shared, self.arrays(other), strict=True))
-        gather = bf._topology(other.node_counts)[1]
-        assert len(gather[0]) == 2 * 6 != len(bf._topology(a.node_counts)[1][0])
+        gather = bf._topology((other.node_counts,))[1]
+        assert len(gather[0]) == 2 * 6 != len(bf._topology((a.node_counts,))[1][0])
         for array in shared:
             with pytest.raises(ValueError):
                 array.flat[0] = 0
+
+    def test_stack_is_its_models_shifted(self):
+        """In a stack of models of 5 and 6 elements, each model's gather,
+        residual and band scatters and phi entry are its stack-of-one arrays
+        shifted by its offsets, in the same order."""
+        models = [bf.assemble_model(geo.build_hinge(cross_hinge_design()), n_elements=n)
+                  for n in (5, 6)]
+        stack = bf._topology(tuple(m.node_counts for m in models))
+        _, gather, force_sel, force_idx, band_sel, band_idx, cols, residuals, bands, phis = stack
+        width = gather.shape[1]
+        assert [c.stop - c.start for c in cols] == [2 * 5, 2 * 6]
+        for p, model in enumerate(models):
+            alone = bf._topology((model.node_counts,))
+            col, r, band = cols[p], residuals[p], bands[p]
+            assert r.stop - r.start == model.n_reduced and band.start == r.start * (bf._BAND + 1)
+            # the model's extended vector follows the previous models' (3 more entries each)
+            assert np.array_equal(gather[:, col], alone[1] + r.start + 3 * p)
+            for sel, idx, offset, one_sel, one_idx in ((force_sel, force_idx, r.start, *alone[2:4]),
+                                                       (band_sel, band_idx, band.start, *alone[4:6])):
+                mine = (sel % width >= col.start) & (sel % width < col.stop)
+                local = sel[mine] // width * (col.stop - col.start) + sel[mine] % width - col.start
+                assert np.array_equal(local, one_sel)
+                assert np.array_equal(idx[mine], one_idx + offset)
+            assert phis[p] == alone[-1][0] + band.start
+        assert residuals[-1].stop == sum(m.n_reduced for m in models)
 
     def test_band_is_fortran_ordered_and_solves_leave_it(self, cross_hinge_model):
         model = cross_hinge_model

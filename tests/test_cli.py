@@ -612,7 +612,8 @@ SELF_INTERSECTING_VALUES = ("2.001,-1.446,-2.884,-3.038,2.555,2.593,0.67,1.442,1
 # input (exit 2) leaves no {out} directory behind; {archive}, {two_rows},
 # {dominated}, {nan}, {short}, {degenerate}, {empty}, {config}, {nan_bounds},
 # {zero_workers}, the {trace_...} files, {dir} (an existing directory) and
-# {out} are filled with per-test paths
+# {out} are filled with per-test paths; a third item is text the error line
+# must contain
 BAD_INPUTS = {
     "select-dominated-row": (cli.EXIT_USAGE, [
         "select", "--archive", "{dominated}", "--target-weights", "0.4,0.3,0.3"]),
@@ -626,7 +627,11 @@ BAD_INPUTS = {
         "refine", "--archive", "{archive}", "--row", "0", "--weights", "a,b",
         "--iters", "1"]),
     "refine-short-target-weights": (cli.EXIT_USAGE, [
-        "refine", "--archive", "{archive}", "--target-weights", "1,2", "--iters", "1"]),
+        "refine", "--archive", "{archive}", "--target-weights", "1,2", "--iters", "1"],
+        "--target-weights"),
+    "refine-short-weights": (cli.EXIT_USAGE, [
+        "refine", "--archive", "{archive}", "--row", "0", "--weights", "1,1", "--iters", "1"],
+        "--weights"),
     "refine-negative-iters": (cli.EXIT_USAGE, [
         "refine", "--archive", "{archive}", "--row", "0", "--weights", "1,1,1",
         "--iters", "-1"]),
@@ -727,8 +732,9 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("expected, argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected, argv):
+@pytest.mark.parametrize("case", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, case):
+    expected, argv, *named = case
     sweeps = []
     for name in ("run_sweep", "run_sweeps"):
         monkeypatch.setattr(beam_fem, name, functools.partial(
@@ -765,7 +771,8 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, monkeypatch, expected
     rc = cli.main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert rc == expected
-    assert any(line.startswith("error: ") for line in captured.err.splitlines())
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and all(text in errors[0] for text in named)
     assert "Traceback" not in captured.err
     if expected == cli.EXIT_USAGE:
         # bad input is rejected before any work: no sweep runs, nothing is written
