@@ -12,6 +12,7 @@ import configparser
 import contextlib
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -342,24 +343,22 @@ def process_map(workers: int):
         yield pool_map
 
 
-@contextlib.contextmanager
-def _progress_log(path: Path):
-    """A moo.run progress callback printing each generation's line to stdout
-    and to the log at path. The log and its directory are created with the
-    first line, so a run that fails before generation 0 writes nothing."""
-    with contextlib.ExitStack() as files:
-        log = []
+def _progress_log(path: Path, out, files: contextlib.ExitStack):
+    """A moo.run progress callback printing each generation's line to the
+    stream out and to the log at path, which files opens, with its directory,
+    at the first line, so a run that fails before generation 0 writes nothing."""
+    log = []
 
-        def callback(stats: moo.GenerationStats) -> None:
-            line = (f"gen={stats.generation} feasible={stats.feasible} "
-                    f"archive={stats.archive_size} hv={stats.hypervolume:.9f}")
-            if not log:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                log.append(files.enter_context(path.open("w")))
-            for stream in (sys.stdout, *log):
-                print(line, file=stream)
-                stream.flush()
-        yield callback
+    def callback(stats: moo.GenerationStats) -> None:
+        line = (f"gen={stats.generation} feasible={stats.feasible} "
+                f"archive={stats.archive_size} hv={stats.hypervolume:.9f}")
+        if not log:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            log.append(files.enter_context(path.open("w")))
+        for stream in (out, *log):
+            print(line, file=stream)
+            stream.flush()
+    return callback
 
 
 def cmd_optimize(args) -> int:
@@ -376,19 +375,22 @@ def cmd_optimize(args) -> int:
 
     evaluator = kinetostatics.HingeEvaluator(n_elements=settings["elements"],
                                              n_steps=settings["steps"], lower=lower, upper=upper)
-    archives = []
-    with process_map(min(settings["workers"], moo_configs[0].population)) as pool_map:
-        # one pool and cache for both algorithms: their initial population is swept
-        # once, and a generation maps at most `population` new designs
-        engine = moo._EvaluationEngine(evaluator, pool_map)
-        for moo_cfg in moo_configs:
-            algorithm = moo_cfg.algorithm
-            print(f"[{algorithm}] pop={moo_cfg.population} gens={moo_cfg.generations} "
-                  f"seed={moo_cfg.seed} workers={settings['workers']}")
-            with _progress_log(out / f"progress_{algorithm}.log") as progress:
-                archive = moo.run(moo_cfg, evaluator, engine=engine, progress=progress)
-            archives.append(archive)
-            pareto.write_archive_csv(out / f"archive_{algorithm}.csv", archive)
+    # the first run prints live, a second one's lines after the first one's
+    streams = [sys.stdout] + [io.StringIO() for _ in moo_configs[1:]]
+    with process_map(min(settings["workers"], moo_configs[0].population)) as pool_map, \
+            contextlib.ExitStack() as logs:
+        for moo_cfg, stream in zip(moo_configs, streams):
+            print(f"[{moo_cfg.algorithm}] pop={moo_cfg.population} gens={moo_cfg.generations} "
+                  f"seed={moo_cfg.seed} workers={settings['workers']}", file=stream)
+        progresses = [_progress_log(out / f"progress_{moo_cfg.algorithm}.log", stream, logs)
+                      for moo_cfg, stream in zip(moo_configs, streams)]
+        # one pool, and one batch per generation for both runs: a design both draw is swept once
+        archives = moo.run_together(moo_configs, evaluator, progresses,
+                                    moo._EvaluationEngine(evaluator, pool_map))
+    for stream in streams[1:]:
+        sys.stdout.write(stream.getvalue())
+    for moo_cfg, archive in zip(moo_configs, archives):
+        pareto.write_archive_csv(out / f"archive_{moo_cfg.algorithm}.csv", archive)
 
     config = {section: {key: settings[key] for key in SETTINGS[section] if key != "out"}
               for section in ("global", "optimize")}

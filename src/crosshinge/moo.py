@@ -16,15 +16,15 @@ integer ranks per column, and clears the pairs of identical keys (the
 diagonal and the rows that sort next to an equal row). SPEA2's density
 reads squared distances and roots only the values it selects.
 
-Runs are bit-reproducible for a fixed seed: random draws happen only in
-the sequential generation loop, and evaluations go through a map
-function (the builtin map, or a process pool's) that returns them in
-index order.
+Runs are bit-reproducible for a fixed seed, alone or in lock-step with
+others: each run draws from its own generator in the sequential
+generation loop, and evaluations go through a map function (the builtin
+map, or a process pool's) that returns them in index order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,23 +69,29 @@ class MooConfig:
 
 
 class _EvaluationEngine:
-    """A cache of Evaluation records over an order-keeping map function (the
-    builtin map, or a process pool's), for one run or several. The designs
-    it has not seen go through kinetostatics.map_records: in chunks to an
-    evaluator with a batch call, one by one to any other."""
+    """Records over an order-keeping map function (the builtin map, or a
+    process pool's), for one run or several, keeping none between calls. A
+    batch maps each design it is not passed as known once, in first-occurrence
+    order, through kinetostatics.map_records. `computed` counts the designs
+    mapped; `cache` holds the latest batch's mapped records by design bytes."""
 
     def __init__(self, evaluator, map=map):
         self.evaluator = evaluator
         self.map = map
+        self.computed = 0
         self.cache: dict[bytes, Evaluation] = {}
 
-    def evaluate(self, xs: np.ndarray) -> list[Evaluation]:
-        keys = [np.ascontiguousarray(x).tobytes() for x in xs]
-        # designs not yet cached, each once, in first-occurrence order
-        batch = {key: x for key, x in zip(keys, xs) if key not in self.cache}
-        self.cache.update(zip(batch, map_records(self.evaluator, list(batch.values()),
-                                                  self.map)))
-        return [self.cache[key] for key in keys]
+    def evaluate(self, xs: np.ndarray, known: dict[bytes, Evaluation] | None = None,
+                 keys: list[bytes] | None = None) -> list[Evaluation]:
+        """The records of the rows of xs, in order. known maps designs' bytes to
+        their records; keys are the rows' bytes, when the caller has them."""
+        known = known or {}
+        keys = [x.tobytes() for x in xs] if keys is None else keys
+        batch = {key: x for key, x in zip(keys, xs) if key not in known}
+        self.cache = dict(zip(batch, map_records(self.evaluator, list(batch.values()),
+                                                 self.map)))
+        self.computed += len(self.cache)
+        return [known[key] if key in known else self.cache[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -429,52 +435,82 @@ def _progress_hv(archive: pareto.ParetoArchive) -> float:
     return pareto.hypervolume(squashed, np.ones(ys.shape[1]))
 
 
+@dataclass
+class _RunState:
+    """One run between generations; pool_keys are the pool designs' bytes."""
+    config: MooConfig
+    rng: np.random.Generator
+    pool_x: np.ndarray
+    pool: list[Evaluation] = field(default_factory=list)
+    pool_keys: list[bytes] = field(default_factory=list)
+    keys: np.ndarray | None = None  # tournament keys of the pool
+    archive: pareto.ParetoArchive = field(default_factory=pareto.ParetoArchive)
+    generation: int = 0             # the next one to evaluate
+
+
+def _offspring(state: _RunState, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The designs of the run's next generation: the initial population at
+    generation 0, then the variation of binary tournament winners."""
+    config, rng = state.config, state.rng
+    if state.generation == 0:
+        return rng.uniform(lower, upper, size=(config.population, len(lower)))
+    parents = state.pool_x[_binary_tournament(state.keys, config.population, rng)]
+    return variation(parents, config, rng, lower, upper)
+
+
+def _advance(state: _RunState, xs: np.ndarray, evals: list[Evaluation],
+             xs_keys: list[bytes]) -> GenerationStats:
+    """Advance the run by one generation, given its offspring, their records
+    and bytes: select the pool (at generation 0 NSGA-II keeps it whole) and
+    its tournament keys, and archive the feasible offspring."""
+    config = state.config
+    pool_x, pool = np.concatenate([state.pool_x, xs]), state.pool + evals
+    if config.algorithm == "nsga2" and state.generation == 0:
+        chosen, state.keys = np.arange(len(pool)), _nsga2_keys(*_keys(pool))
+    elif config.algorithm == "nsga2":
+        chosen, state.keys = _nsga2_survivors(pool, config.population)
+    else:
+        chosen, state.keys = _spea2_environmental(pool, config.archive_size or config.population)
+    pool_keys = state.pool_keys + xs_keys
+    state.pool_x, state.pool = pool_x[chosen], [pool[i] for i in chosen]
+    state.pool_keys = [pool_keys[i] for i in chosen]
+    feasible, batch = _keys(evals)
+    state.archive = pareto.archive_insert(state.archive, xs[feasible], batch[feasible, 1:])
+    state.generation += 1
+    return GenerationStats(state.generation - 1, int(feasible.sum()), len(state.archive),
+                           _progress_hv(state.archive))
+
+
+def run_together(configs: list[MooConfig], evaluator, progresses=None,
+                 engine=None) -> list[pareto.ParetoArchive]:
+    """Runs in lock-step: each generation, the offspring of every run in flight
+    go to one engine.evaluate call (engine: an _EvaluationEngine over evaluator,
+    default serial) with the runs' pools as known designs. A run draws from its
+    own generator only, so it keeps the bytes it has alone."""
+    lower, upper = np.asarray(evaluator.lower), np.asarray(evaluator.upper)
+    runs = [_RunState(config.validated(), np.random.default_rng(config.seed),
+                      np.empty((0, len(lower)))) for config in configs]
+    progresses = progresses or [None] * len(runs)
+    engine = engine or _EvaluationEngine(evaluator)
+    while flight := [(run, progress) for run, progress in zip(runs, progresses)
+                     if run.generation <= run.config.generations]:
+        offspring = [_offspring(run, lower, upper) for run, _ in flight]
+        xs = np.concatenate(offspring)
+        xs_keys = [x.tobytes() for x in xs]
+        evals = engine.evaluate(xs, {key: record for run, _ in flight
+                                     for key, record in zip(run.pool_keys, run.pool)}, xs_keys)
+        bounds = np.cumsum([0] + [len(batch) for batch in offspring])
+        for (run, progress), batch, start, stop in zip(flight, offspring, bounds, bounds[1:]):
+            stats = _advance(run, batch, evals[start:stop], xs_keys[start:stop])
+            if progress is not None:
+                progress(stats)
+    return [run.archive for run in runs]
+
+
 def run(config: MooConfig, evaluator, progress=None, engine=None) -> pareto.ParetoArchive:
     """NSGA-II or SPEA2 (config.algorithm) with constraint domination and an
-    external archive of all feasible evaluations.
-
-    Both share one generational loop over a pool held as a design array
-    plus its Evaluation records; selection returns pool indices and the
-    tournament keys ((rank, -crowding) or SPEA2 fitness) of the chosen
-    members. They differ in the start step (NSGA-II keeps the initial
-    population, SPEA2 selects its environmental archive from it), the
-    tournament key and the survivor selection over parents plus offspring.
-
-    A passed engine (an _EvaluationEngine over evaluator) serves the run and
-    its cache carries over; by default a fresh serial engine serves it.
-    """
-    config = config.validated()
-    nsga2 = config.algorithm == "nsga2"
-    rng = np.random.default_rng(config.seed)
-    lower, upper = np.asarray(evaluator.lower), np.asarray(evaluator.upper)
-    size = config.population if nsga2 else config.archive_size or config.population
-    survivors = _nsga2_survivors if nsga2 else _spea2_environmental
-    archive = pareto.ParetoArchive()
-
-    if engine is None:
-        engine = _EvaluationEngine(evaluator)
-    xs = rng.uniform(lower, upper, size=(config.population, len(lower)))
-    evals = engine.evaluate(xs)
-    chosen, keys = ((np.arange(len(xs)), _nsga2_keys(*_keys(evals))) if nsga2
-                    else _spea2_environmental(evals, size))
-    pool_x, pool = xs[chosen], [evals[i] for i in chosen]
-
-    for gen in range(config.generations + 1):
-        if gen > 0:
-            parents = pool_x[_binary_tournament(keys, config.population, rng)]
-            xs = variation(parents, config, rng, lower, upper)
-            evals = engine.evaluate(xs)
-            pool_x, pool = np.concatenate([pool_x, xs]), pool + evals
-            chosen, keys = survivors(pool, size)
-            pool_x, pool = pool_x[chosen], [pool[i] for i in chosen]
-        feasible, batch = _keys(evals)
-        archive = pareto.archive_insert(archive, xs[feasible], batch[feasible, 1:])
-        if progress is not None:
-            progress(GenerationStats(
-                generation=gen, feasible=int(feasible.sum()),
-                archive_size=len(archive), hypervolume=_progress_hv(archive)))
-
-    return archive
+    external archive of all feasible evaluations: run_together of one run."""
+    return run_together([config], evaluator, [progress], engine)[0]
 
 
 def merge_archives(a: pareto.ParetoArchive, b: pareto.ParetoArchive) -> pareto.ParetoArchive:

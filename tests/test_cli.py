@@ -302,6 +302,40 @@ class TestPinnedHingeResults:
             "ffd308c59e906e95611df4181b21804e2ba5ca1924b9dbb5bb6c71111d7a5564")
 
 
+class TestPinnedOptimizeOutputs:
+    """SHA-256 digests of what `optimize --algorithm both` writes, recorded
+    while the two algorithms still ran one after the other: stdout (the
+    output path replaced by a placeholder), both progress logs and the three
+    archives. stdout names the worker count; the files do not depend on it."""
+
+    STDOUT = {("1", "1"): "5cea4e6518028465e083146b2d9ba87a08f1aed2591e44aacc44b0342f0859e7",
+              ("1", "2"): "854dd65a50e5118711ad8580286ed3b4e70d181511296a12c45b987faace23de",
+              ("3", "1"): "1f3f33d13acbd93bbe38ff2029ec15a9ccd42cebacf4222db5353042cd03c951",
+              ("3", "2"): "32ec1fa37ee5936d4cf0b38b2cbf22f65076b81813d74ee0a7761d68ac78d2d5"}
+    FILES = {
+        "1": {"archive_nsga2.csv": "672bab4eb9b4fe8a7f61c6717a120f92c20b8b534bad4cde0f8806ec9640a277",
+              "archive_spea2.csv": "5c0758e088f9c9467f11f1f9877232a667896d9d021dddc7edba406a37222894",
+              "archive_merged.csv": "ffd308c59e906e95611df4181b21804e2ba5ca1924b9dbb5bb6c71111d7a5564",
+              "progress_nsga2.log": "42ea74ad8b286b77d16b00d542b15c28fe3a98be5232ce3aa41e3eaf3cbaf583",
+              "progress_spea2.log": "895175c1a0be2551cf3e327bdfd4e4a75433b78f843ce6f77522129e194be931"},
+        "3": {"archive_nsga2.csv": "2b463a47a85baa658ea4da6c48981901a9cd4fbb14b772657f47b348ac3070b5",
+              "archive_spea2.csv": "323093cf74dfc65124773945a5e8de92784c13b0766a8cfb945fb8dd6cff8235",
+              "archive_merged.csv": "6fb2e1d83cdf07abde61042d1f718d01bf2f8038616c35a9b350b13b9b51cd40",
+              "progress_nsga2.log": "043e0a48575abf69bfb0636bc85b7bf4cf697689a44e5602c3e46bf13f3b1169",
+              "progress_spea2.log": "8b66eaca9540db79168052a81c98addcd104b405663f7b77af9ce761eeead5b1"},
+    }
+
+    @pytest.mark.parametrize("gens, workers", sorted(STDOUT))
+    def test_both_outputs_pinned(self, tmp_path, capsys, gens, workers):
+        out = tmp_path / "run"
+        assert cli.main(TINY_OPTIMIZE + ["--gens", gens, "--algorithm", "both",
+                                         "--workers", workers, "--out", str(out)]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.STDOUT[gens, workers]
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in self.FILES[gens]} == self.FILES[gens]
+
+
 class TestMergeSelectFront:
     def test_merge_equals_nondominated_union(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

@@ -267,6 +267,25 @@ class TestSelectionMemory:
                 tracemalloc.stop()
             assert peak < 1.6 * n * n, (survivors.__name__, peak)
 
+    @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
+    def test_run_peak_does_not_grow_with_generations(self, algorithm):
+        # a run holds its pool, offspring and archive, not a record of every
+        # design it evaluated: ten times the generations, nearly the same
+        # peak. Sphere's archive is one point; ZDT1's would grow to ~1,500
+        # points over 200 generations, which the archive is meant to keep
+        def traced_peak(generations):
+            tracemalloc.start()
+            try:
+                moo.run(moo.MooConfig(algorithm=algorithm, population=40,
+                                      generations=generations, seed=1), Sphere(n_var=6))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(20)  # first-call allocations are not per generation
+        short, long = traced_peak(20), traced_peak(200)
+        assert long - short < 0.25 * 2**20, (short, long)
+
 
 class TestMergeArchives:
     def _random_archive(self, rng, n):
@@ -467,8 +486,8 @@ PINNED_ARCHIVES = [
 
 
 class TestEvaluationEngine:
-    """The engine is a cache over a map function: it maps each design it has
-    not seen once, and answers every row from the cache."""
+    """The engine keeps no records between calls: it maps each design of a
+    batch once, unless the caller passes it as known."""
 
     @staticmethod
     def engine():
@@ -492,13 +511,16 @@ class TestEvaluationEngine:
         assert maps == [[[2.0, 0.0], [1.0, 0.0], [3.0, 0.0]]]
         assert evaluated == maps[0]
 
-    def test_cached_batch_calls_no_evaluator(self):
-        engine, _, evaluated = self.engine()
+    def test_known_designs_not_mapped_and_returned_in_row_order(self):
+        engine, maps, evaluated = self.engine()
         xs = np.array([[2.0, 0.0], [1.0, 0.0]])
         first = engine.evaluate(xs)
-        again = engine.evaluate(xs[::-1])
-        assert len(evaluated) == 2
-        assert again == first[::-1]
+        known = {x.tobytes(): record for x, record in zip(xs, first)}
+        again = engine.evaluate(np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0], [1.0, 0.0]]),
+                                known)
+        assert maps[1] == [[3.0, 0.0]] and len(evaluated) == 3
+        assert again[0] is again[3] is first[1] and again[2] is first[0]
+        assert again[1].y.tolist() == [4.0, 1.0]
 
     def test_records_align_with_rows(self):
         engine, _, _ = self.engine()
@@ -507,12 +529,12 @@ class TestEvaluationEngine:
         records = engine.evaluate(xs)
         assert [r.y.tolist() for r in records] == (xs + 1.0).tolist()
 
-    def test_cache_counts_designs_computed(self):
+    def test_computed_counts_designs_mapped(self):
         engine, _, evaluated = self.engine()
         for xs in ([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]], [], [[2.0, 0.0]]):
             engine.evaluate(np.array(xs).reshape(-1, 2))
-            assert len(engine.cache) == len(evaluated)
-        assert len(engine.cache) == 2
+            assert engine.computed == len(evaluated)
+        assert engine.computed == 4
 
 
 @dataclass(frozen=True)
@@ -544,10 +566,10 @@ class TestChunkedEngine:
         assert np.array_equal(np.concatenate(chunks), xs[[0, 1, 3, 4, 5, 6, 8, 9, 10, 11]])
         assert [r.y.tolist() for r in records] == [
             BatchedBandedZDT1(n_var=2)(x).y.tolist() for x in xs]
-        # the cache counts the designs computed
-        assert len(engine.cache) == 10
-        engine.evaluate(xs[:3])
-        assert len(maps) == 2 and maps[1] == [] and len(engine.cache) == 10
+        # computed counts the designs mapped; known designs are not mapped
+        assert engine.computed == 10
+        engine.evaluate(xs[:3], {x.tobytes(): record for x, record in zip(xs, records)})
+        assert len(maps) == 2 and maps[1] == [] and engine.computed == 10
 
     @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
     def test_run_maps_chunks_and_writes_the_per_design_archive(self, tmp_path, algorithm):
@@ -560,7 +582,7 @@ class TestChunkedEngine:
             sizes = [len(chunk) for chunk in chunks]
             assert max(sizes) <= beam_fem.LOCKSTEP
             assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
-        assert len(engine.cache) == sum(len(chunk) for chunks in maps for chunk in chunks)
+        assert engine.computed == sum(len(chunk) for chunks in maps for chunk in chunks)
         plain = moo.run(cfg, BandedZDT1(n_var=6))
         for name, archive in (("chunked", chunked), ("plain", plain)):
             pareto.write_archive_csv(tmp_path / name, archive)
@@ -596,9 +618,9 @@ class TestGenerationLoop:
         batches = []
         evaluate = moo._EvaluationEngine.evaluate
 
-        def recording(engine, xs):
+        def recording(engine, xs, *args):
             batches.append(xs.copy())
-            return evaluate(engine, xs)
+            return evaluate(engine, xs, *args)
 
         monkeypatch.setattr(moo._EvaluationEngine, "evaluate", recording)
         # feasible only for x[-1] <= 0.2: early offspring are mostly
