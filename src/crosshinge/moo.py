@@ -14,7 +14,9 @@ tournament keys of the chosen members); nothing is written onto members.
 Keys are NaN-free. Constraint domination compares them through dense
 integer ranks per column, and clears the pairs of identical keys (the
 diagonal and the rows that sort next to an equal row). SPEA2's density
-reads squared distances and roots only the values it selects.
+reads squared distances and roots only the values it selects, and is
+computed only for the members selection can return (raw fitness at most
+the size-th smallest); the others' fitness is their raw fitness alone.
 
 Runs are bit-reproducible for a fixed seed, alone or in lock-step with
 others: each run draws from its own generator in the sequential
@@ -293,32 +295,36 @@ def _binary_tournament(keys: np.ndarray, n_parents: int,
 # ---------------------------------------------------------------------------
 # SPEA2 machinery
 
-def _distance_blocks(coords: np.ndarray):
-    """Pairwise squared Euclidean distances of the coordinate rows as (row
-    slice, block) pairs of _block_rows rows, each row's own entry inf. A
-    block sums its squared differences in column order into reused buffers;
-    the next block overwrites it, so no (n, n) array is held. The root is
-    monotone and correctly rounded, so a caller that roots a selected or
-    sorted value gets the bytes of the root taken first."""
+def _distance_blocks(coords: np.ndarray, rows: np.ndarray | None = None):
+    """Squared Euclidean distances of the coordinate rows listed in rows (all
+    by default) to every row, as (slice of rows, block) pairs of _block_rows
+    rows, each row's own entry inf. A block sums its squared differences in
+    column order into reused buffers; the next block overwrites it, so no
+    (n, n) array is held. The root is monotone and correctly rounded, so a
+    caller that roots a selected or sorted value gets the bytes of the root
+    taken first."""
     n = len(coords)
+    rows = np.arange(n) if rows is None else rows
     block = _block_rows(n, 8)
     squared, diff = np.empty((block, n)), np.empty((block, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        sq, df = squared[:stop - start], diff[:stop - start]
-        np.square(np.subtract(coords[start:stop, 0, None], coords[None, :, 0], out=sq),
-                  out=sq)
+    for start in range(0, len(rows), block):
+        at = rows[start:start + block]
+        sq, df = squared[:len(at)], diff[:len(at)]
+        np.square(np.subtract(coords[at, :1], coords[None, :, 0], out=sq), out=sq)
         for j in range(1, coords.shape[1]):
-            np.subtract(coords[start:stop, j, None], coords[None, :, j], out=df)
+            np.subtract(coords[at, j:j + 1], coords[None, :, j], out=df)
             sq += np.square(df, out=df)
-        sq[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        yield slice(start, stop), sq
+        sq[np.arange(len(at)), at] = np.inf
+        yield slice(start, start + len(at)), sq
 
 
-def _spea2_fitness(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _spea2_fitness(feasible: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     """Strength-based raw fitness plus k-nearest-neighbour density, with
     sigma_k the k-th smallest distance of a member's _distance_blocks row
-    and k the rounded root of the member count."""
+    and k the rounded root of the member count. Raw fitness is an integer
+    and density lies in (0, 0.5], so only the members whose raw fitness is
+    at most the size-th smallest can enter an archive of size: the density
+    is computed for them alone, and the others get their raw fitness."""
     d = _domination_matrix(keys)
     n = len(keys)
     # strengths are integer counts, so the sums are exact in any order
@@ -330,8 +336,11 @@ def _spea2_fitness(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
     sigma_k = np.zeros(n)
     if n > 1:  # then 1 <= k <= n - 1
         k = int(round(np.sqrt(n)))
-        for rows, block in _distance_blocks(_density_coordinates(feasible, keys)):
-            sigma_k[rows] = np.partition(block, k - 1, axis=1)[:, k - 1]
+        cutoff = np.partition(raw, size - 1)[size - 1] if size < n else np.inf
+        rows = np.flatnonzero(raw <= cutoff)
+        sigma_k[raw > cutoff] = np.inf
+        for part, block in _distance_blocks(_density_coordinates(feasible, keys), rows):
+            sigma_k[rows[part]] = np.partition(block, k - 1, axis=1)[:, k - 1]
         np.sqrt(sigma_k, out=sigma_k)
     density = 1.0 / (sigma_k + 2.0)
     return raw + density
@@ -402,7 +411,7 @@ def _spea2_environmental(evals: list[Evaluation], size: int):
     (n, 1) keys: the non-dominated members (fitness < 1), truncated to
     size or filled up with dominated members in stable fitness order."""
     feasible, keys = _keys(evals)
-    fitness = _spea2_fitness(feasible, keys)
+    fitness = _spea2_fitness(feasible, keys, size)
     chosen = np.flatnonzero(fitness < 1.0)
     if len(chosen) > size:
         chosen = chosen[_spea2_truncate(feasible[chosen], keys[chosen], size)]

@@ -9,8 +9,9 @@ of the banded tangent, dominance of one objective vector over another,
 the broadcast dominance matrix that pareto's dominance sweep replaced,
 constraint domination one pair at a time, the NSGA-II tournament keys
 one front at a time, the per-level hypervolume that
-pareto's dimension sweep replaced, the full SPEA2 distance matrix and
-the truncation that re-sorts it every round, the Welzl loop on numpy
+pareto's dimension sweep replaced, the full SPEA2 distance matrix, the
+truncation that re-sorts it every round and the environmental selection
+that gives every member a fitness from that matrix, the Welzl loop on numpy
 norms that the float containment checks replaced, and the design
 variables read back from realized geometry."""
 
@@ -306,6 +307,33 @@ def spea2_truncate(evals: list, size: int) -> np.ndarray:
         victim = np.lexsort(ordered.T[::-1])[0]
         del alive[victim]
     return np.array(alive)
+
+
+def spea2_environmental(evals: list, size: int):
+    """The SPEA2 environmental archive with every member's fitness taken
+    from the full distance matrix: raw fitness (the summed strengths of a
+    member's dominators, one pair at a time) plus 1 / (sigma_k + 2), sigma_k
+    the k-th smallest distance of its row, k the rounded root of n. The
+    non-dominated members (fitness < 1) are truncated by spea2_truncate, or
+    filled up with dominated members in stable fitness order. Returns the
+    indices and their fitness as (n, 1) keys."""
+    n = len(evals)
+    d = domination_matrix(evals)
+    raw = d.sum(axis=1).astype(float) @ d
+    sigma_k = np.zeros(n)
+    if n > 1:
+        k = int(round(np.sqrt(n)))
+        dist = distances(moo._density_coordinates(*moo._keys(evals)))
+        sigma_k = np.sort(dist, axis=1)[:, k - 1]
+    fitness = raw + 1.0 / (sigma_k + 2.0)
+    chosen = np.flatnonzero(fitness < 1.0)
+    if len(chosen) > size:
+        chosen = chosen[spea2_truncate([evals[i] for i in chosen], size)]
+    elif len(chosen) < size:
+        dominated = np.flatnonzero(fitness >= 1.0)
+        order = np.argsort(fitness[dominated], kind="stable")
+        chosen = np.concatenate([chosen, dominated[order[:size - len(chosen)]]])
+    return chosen, fitness[chosen, None]
 
 
 def min_enclosing_circle(points: np.ndarray):

@@ -242,21 +242,25 @@ class TestNsga2Keys:
 
 
 class TestSelectionMemory:
-    def test_traced_peak_stays_near_one_bool_matrix(self):
+    @staticmethod
+    def mixed_pool():
         # a mixed pool of 1,000: a non-dominated front of 500 on the DTLZ2
         # sphere, 300 members it dominates and 200 infeasible ones with
-        # tied violations, so SPEA2 keeps the front without truncating; the
-        # n x n bool domination matrix is the one large array a selection
-        # holds, every other temporary a row block
+        # tied violations, so SPEA2 keeps the front without truncating
         rng = np.random.default_rng(5)
-        n = 1000
         u = rng.random((500, 2)) * np.pi / 2
         ys = np.column_stack([np.cos(u[:, 0]) * np.cos(u[:, 1]),
                               np.cos(u[:, 0]) * np.sin(u[:, 1]), np.sin(u[:, 0])])
         ys = np.concatenate([ys, ys[:300] + rng.random((300, 3))])
         evals = [_feasible(y) for y in ys] + [_infeasible(v)
                                              for v in np.round(rng.random(200), 2)]
-        evals = [evals[i] for i in rng.permutation(n)]
+        return [evals[i] for i in rng.permutation(1000)]
+
+    def test_traced_peak_stays_near_one_bool_matrix(self):
+        # the n x n bool domination matrix is the one large array a
+        # selection holds, every other temporary a row block
+        evals = self.mixed_pool()
+        n = len(evals)
         for survivors in (moo._nsga2_survivors, moo._spea2_environmental):
             survivors(evals, n // 2)  # first-call allocations are not per generation
             tracemalloc.start()
@@ -266,6 +270,29 @@ class TestSelectionMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 1.6 * n * n, (survivors.__name__, peak)
+
+    @pytest.mark.parametrize("size", [500, 700])
+    def test_density_rows_only_for_members_selection_can_return(self, monkeypatch, size):
+        # a member whose raw fitness lies above the size-th smallest cannot
+        # enter the archive, so its distance row is never computed: at 500
+        # the cutoff is 0 and the rows are the front's 500; at 700 they
+        # add the dominated members that compete for the last 200 places
+        evals = self.mixed_pool()
+        d = moo._domination_matrix(moo._keys(evals)[1])
+        raw = d.sum(axis=1).astype(float) @ d
+        expected = np.flatnonzero(raw <= np.sort(raw)[size - 1])
+        assert size <= len(expected) < len(evals)
+        computed = []
+        distance_blocks = moo._distance_blocks
+
+        def recording(*args):
+            for part, block in distance_blocks(*args):
+                computed.extend(np.nonzero(np.isinf(block))[1])  # each row's own column
+                yield part, block
+
+        monkeypatch.setattr(moo, "_distance_blocks", recording)
+        moo._spea2_environmental(evals, size)
+        assert np.array_equal(computed, expected)
 
     @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
     def test_run_peak_does_not_grow_with_generations(self, algorithm):
@@ -363,11 +390,64 @@ class TestSpea2Selection:
                   for v in np.round(rng.random(n // 5), 1)]
         coords = moo._density_coordinates(*moo._keys(evals))
         dist = oracles.distances(coords)
+        # a subset of rows in no order: at n = 200 its 150 rows span two
+        # blocks of 80, and its slices index it
+        rows = rng.permutation(n)[:3 * n // 4]
         for k in sorted({1, max(1, round(np.sqrt(n))), n - 1}):
             full = np.partition(dist, k - 1, axis=1)[:, k - 1]
-            blocked = np.sqrt(np.concatenate([np.partition(block, k - 1, axis=1)[:, k - 1]
-                                              for _, block in moo._distance_blocks(coords)]))
-            assert blocked.tobytes() == full.tobytes()
+            for subset in (None, rows):
+                parts, kth = zip(*((part, np.partition(block, k - 1, axis=1)[:, k - 1])
+                                   for part, block in moo._distance_blocks(coords, subset)))
+                expected = full if subset is None else full[subset]
+                assert np.sqrt(np.concatenate(kth)).tobytes() == expected.tobytes()
+                assert np.array_equal(np.r_[parts], np.arange(len(expected)))
+
+    @staticmethod
+    def _assert_matches_oracle(evals, sizes):
+        for size in sizes:
+            chosen, fitness = moo._spea2_environmental(evals, size)
+            want_chosen, want_fitness = oracles.spea2_environmental(evals, size)
+            assert chosen.dtype == want_chosen.dtype and fitness.shape == want_fitness.shape
+            assert chosen.tobytes() == want_chosen.tobytes(), size
+            assert fitness.tobytes() == want_fitness.tobytes(), size
+
+    @pytest.mark.parametrize("seed, n", [*((seed, None) for seed in range(6)),
+                                         (6, ONE_BLOCK + 24)])
+    def test_selection_matches_full_matrix_oracle(self, seed, n):
+        # rounded coordinates give tied raw fitness and tied distances;
+        # sizes run from truncation through the exact fit of the
+        # non-dominated members, fill mode, the whole pool and beyond it
+        rng = np.random.default_rng(seed)
+        n, m = n or int(rng.integers(20, 60)), int(rng.integers(2, 4))
+        evals = [_feasible(np.round(rng.random(m), 1)) for _ in range(n)]
+        evals += [_infeasible(v) for v in np.round(rng.random(int(rng.integers(0, 8))), 1)]
+        front = int(np.sum(oracles.spea2_environmental(evals, len(evals))[1] < 1.0))
+        assert 1 < front < len(evals)
+        self._assert_matches_oracle(evals, sorted({2, front - 1, front, front + 1,
+                                                   (front + len(evals)) // 2,
+                                                   len(evals) - 1, len(evals),
+                                                   len(evals) + 3}))
+
+    def test_raw_ties_at_the_cutoff(self):
+        # a front of 6, then dominated members in groups of equal raw
+        # fitness: 4 points that only (1, 4) dominates, whose densities
+        # differ and order them against their index order, 4 copies of one
+        # point, and infeasible members with tied violations; most sizes
+        # cut through a tied group
+        front = [_feasible([i, 5 - i]) for i in range(6)]
+        segment = [_feasible([a, 6.0 - a]) for a in (1.9, 1.2, 1.7, 1.5)]
+        copies = [_feasible([3.5, 3.5])] * 4
+        spread = [_feasible([2.0 + i, 6.0]) for i in range(4)]
+        infeasible = [_infeasible(v) for v in (0.3, 0.1, 0.3, 0.3, 0.1, 0.3, 0.2)]
+        evals = [*front, *copies, *segment, *spread, *infeasible]
+        self._assert_matches_oracle(evals, [7, 8, 9, 10, 11, 13, 19, 22, 24, 25, 30])
+
+    def test_all_infeasible_and_one_member(self):
+        rng = np.random.default_rng(8)
+        evals = [_infeasible(v) for v in np.round(rng.random(30), 1)]
+        self._assert_matches_oracle(evals, [2, 5, 10, 29, 30, 40])
+        self._assert_matches_oracle([_infeasible(0.5)], [1, 2])
+        self._assert_matches_oracle([_feasible([1.0, 2.0])], [1, 2])
 
     def test_fill_from_dominated_when_underfull(self):
         ys = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
@@ -610,6 +690,18 @@ class TestGenerationLoop:
         pareto.write_archive_csv(path, moo.run(cfg, ZDT1(n_var=6)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "69b6eaa2f28a2e134c3124c4c5f34f7754c8527a63b3a597b886170eadfc01aa")
+
+    def test_archive_larger_than_pool_digest_pinned(self, tmp_path):
+        # an environmental archive of 20 is larger than the first pools (8
+        # and 16 members) and smaller than the later ones (24); the digest
+        # was taken before SPEA2's density skipped the members that cannot
+        # be chosen
+        cfg = moo.MooConfig(algorithm="spea2", population=8, generations=10,
+                            seed=4, archive_size=20)
+        path = tmp_path / "archive.csv"
+        pareto.write_archive_csv(path, moo.run(cfg, ZDT1(n_var=6)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5abab6e6700a3174cd2f6959980900999796f68bdce09699898300be99abdddf")
 
     @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
     def test_progress_counts_feasible_offspring(self, monkeypatch, algorithm):
