@@ -324,10 +324,10 @@ def process_map(workers: int):
     """The builtin map if one process would run at a time, else a map sending
     each call of two or more items to a pool of `workers` processes, at most
     one per CPU this process may run on (one item runs here). The pool's map
-    carries its process count as `width`, so kinetostatics.map_records cuts
-    a batch into at least one chunk per process. Callers cap `workers` at their
-    largest batch: a pool starts all its processes at once. Records do not
-    depend on the pool size. workers < 1 raises ValueError."""
+    carries its process count as `width`, so kinetostatics.map_records gives
+    each process as many chunks while designs last. Callers cap `workers` at
+    their largest batch: a pool starts all its processes at once. Records do
+    not depend on the pool size. workers < 1 raises ValueError."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

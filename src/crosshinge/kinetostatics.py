@@ -280,9 +280,9 @@ class HingeEvaluator:
 def map_records(evaluator, xs, map=map) -> list[Evaluation]:
     """The evaluator's records of designs xs, in order, through an
     order-keeping map (the builtin map, or a process pool's). An evaluator
-    with a batch call is mapped over chunks (see chunks), at least one per
+    with a batch call is mapped over chunks (see chunks), as many for each
     process of a pool's map (its width attribute, 1 if it has none); any
-    other is mapped over the designs."""
+    other is mapped over the designs. Records do not depend on the chunks."""
     batch = getattr(evaluator, "batch", None)
     if batch is None:
         return list(map(evaluator, xs))
@@ -292,8 +292,9 @@ def map_records(evaluator, xs, map=map) -> list[Evaluation]:
 
 def chunks(xs, width: int = 1) -> list[np.ndarray]:
     """Designs xs cut in index order into the fewest chunks of at most
-    beam_fem.LOCKSTEP designs, but at least `width` while designs last, so
-    each of a pool's `width` workers gets one; their sizes differ by at most
-    one (the larger first), so the workers get even shares."""
-    count = max(-(-len(xs) // beam_fem.LOCKSTEP), min(width, len(xs)))
+    beam_fem.LOCKSTEP designs that give each of a pool's `width` workers as
+    many while designs last (12 designs on 2: 3, 3, 3 and 3, not 4, 4, 4);
+    their sizes differ by at most one (the larger first), so the workers
+    get even shares."""
+    count = min(-(-len(xs) // beam_fem.LOCKSTEP // width) * width, len(xs))
     return np.array_split(np.asarray(xs), count) if count else []

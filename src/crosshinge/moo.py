@@ -9,14 +9,15 @@ whose non-dominated subset is the returned Pareto approximation.
 The population is a design array plus the list of its Evaluation
 records, one record type per evaluation. Records become numbers in one
 place (_keys: a feasibility mask and one constraint-domination key row per
-member); selection reads those arrays and returns index arrays (and the
-tournament keys of the chosen members); nothing is written onto members.
-Keys are NaN-free. Constraint domination compares them through dense
-integer ranks per column, and clears the pairs of identical keys (the
-diagonal and the rows that sort next to an equal row). SPEA2's density
-reads squared distances and roots only the values it selects, and is
-computed only for the members selection can return (raw fitness at most
-the size-th smallest); the others' fitness is their raw fitness alone.
+member), once: a run carries its pool's and joins the offspring's to them.
+Selection reads those arrays and returns index arrays (and the tournament
+keys of the chosen members); nothing is written onto members. Keys are
+NaN-free. Constraint domination compares them through dense integer ranks
+per column, and clears the pairs of identical keys (the diagonal and the
+rows that sort next to an equal row); domination counts sum bytes.
+SPEA2's density reads squared distances and roots only the values it
+selects, and is computed only for the members selection can return (raw
+fitness at most the size-th smallest); the others get their raw fitness.
 
 Runs are bit-reproducible for a fixed seed, alone or in lock-step with
 others: each run draws from its own generator in the sequential
@@ -177,6 +178,16 @@ def _keys(evals: list[Evaluation]):
     return feasible, keys
 
 
+def _joined_keys(feasible_a: np.ndarray, keys_a: np.ndarray, feasible_b: np.ndarray,
+                 keys_b: np.ndarray):
+    """_keys(a + b) from _keys(a) and _keys(b): the narrower keys, whose
+    records are all infeasible, padded with inf objective columns."""
+    keys = np.full((len(keys_a) + len(keys_b), max(keys_a.shape[1], keys_b.shape[1])), np.inf)
+    keys[:len(keys_a), :keys_a.shape[1]] = keys_a
+    keys[len(keys_a):, :keys_b.shape[1]] = keys_b
+    return np.concatenate([feasible_a, feasible_b]), keys
+
+
 # Selection works in row blocks of at most _BLOCK_BYTES, so that each
 # block-sized temporary, with malloc's chunk header, stays under glibc's
 # default mmap threshold of 128 KiB: the heap serves and reuses it, where a
@@ -223,6 +234,12 @@ def _domination_matrix(keys: np.ndarray) -> np.ndarray:
     return d
 
 
+def _counts(d: np.ndarray, axis: int) -> np.ndarray:
+    """d.sum(axis) of a bool matrix, summed as bytes in the smallest unsigned
+    type that holds the count (numpy sums bools in int64)."""
+    return d.view(np.uint8).sum(axis=axis, dtype=np.min_scalar_type(d.shape[axis]))
+
+
 def fast_nondominated_sort(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Front index per member under constraint domination. Fronts are
     peeled off the feasible members only: each of them dominates every
@@ -230,7 +247,7 @@ def fast_nondominated_sort(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray
     so their fronts follow the last feasible one as the dense ranks of
     their violations."""
     d = _domination_matrix(keys)
-    n_dom = np.where(feasible, d.sum(axis=0), -1)  # -1: retired or infeasible
+    n_dom = np.where(feasible, _counts(d, 0).astype(np.intp), -1)  # -1: retired or infeasible
     ranks = np.empty(len(keys), dtype=np.int64)
     current = np.flatnonzero(n_dom == 0)
     front, step = 0, _block_rows(len(keys), 1)
@@ -238,7 +255,7 @@ def fast_nondominated_sort(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray
         ranks[current] = front
         n_dom[current] = -1
         for start in range(0, len(current), step):
-            n_dom -= d[current[start:start + step]].sum(axis=0)
+            n_dom -= _counts(d[current[start:start + step]], 0)
         current = np.flatnonzero(n_dom == 0)
         front += 1
     ranks[~feasible] = front + np.unique(keys[~feasible, 0], return_inverse=True)[1]
@@ -277,11 +294,11 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(keys)), *keys.T[::-1]))
 
 
-def _nsga2_survivors(evals: list[Evaluation], size: int):
-    """Indices of the size best members by (rank, -crowding), and their keys."""
-    keys = _nsga2_keys(*_keys(evals))
-    chosen = _key_order(keys)[:size]
-    return chosen, keys[chosen]
+def _nsga2_survivors(feasible: np.ndarray, keys: np.ndarray, size: int):
+    """Indices of the size best members by (rank, -crowding), and their tournament keys."""
+    tournament = _nsga2_keys(feasible, keys)
+    chosen = _key_order(tournament)[:size]
+    return chosen, tournament[chosen]
 
 
 def _binary_tournament(keys: np.ndarray, n_parents: int,
@@ -328,7 +345,7 @@ def _spea2_fitness(feasible: np.ndarray, keys: np.ndarray, size: int) -> np.ndar
     d = _domination_matrix(keys)
     n = len(keys)
     # strengths are integer counts, so the sums are exact in any order
-    strength = d.sum(axis=1).astype(float)
+    strength = _counts(d, 1).astype(float)
     raw = np.zeros(n)
     step = _block_rows(n, 8)
     for start in range(0, n, step):
@@ -406,11 +423,10 @@ def _next_alive(neighbours: np.ndarray, alive: np.ndarray, rows: np.ndarray,
     return at
 
 
-def _spea2_environmental(evals: list[Evaluation], size: int):
+def _spea2_environmental(feasible: np.ndarray, keys: np.ndarray, size: int):
     """Indices of the SPEA2 environmental archive, and their fitness as
     (n, 1) keys: the non-dominated members (fitness < 1), truncated to
     size or filled up with dominated members in stable fitness order."""
-    feasible, keys = _keys(evals)
     fitness = _spea2_fitness(feasible, keys, size)
     chosen = np.flatnonzero(fitness < 1.0)
     if len(chosen) > size:
@@ -446,12 +462,15 @@ def _progress_hv(archive: pareto.ParetoArchive) -> float:
 
 @dataclass
 class _RunState:
-    """One run between generations; pool_keys are the pool designs' bytes."""
+    """One run between generations; pool_keys are the pool designs' bytes,
+    and pool_feasible and pool_rows are _keys(pool)."""
     config: MooConfig
     rng: np.random.Generator
     pool_x: np.ndarray
     pool: list[Evaluation] = field(default_factory=list)
     pool_keys: list[bytes] = field(default_factory=list)
+    pool_feasible: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
+    pool_rows: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
     keys: np.ndarray | None = None  # tournament keys of the pool
     archive: pareto.ParetoArchive = field(default_factory=pareto.ParetoArchive)
     generation: int = 0             # the next one to evaluate
@@ -471,19 +490,22 @@ def _advance(state: _RunState, xs: np.ndarray, evals: list[Evaluation],
              xs_keys: list[bytes]) -> GenerationStats:
     """Advance the run by one generation, given its offspring, their records
     and bytes: select the pool (at generation 0 NSGA-II keeps it whole) and
-    its tournament keys, and archive the feasible offspring."""
+    its tournament keys, and archive the feasible offspring. Only the
+    offspring's records are read; the pool's keys are carried."""
     config = state.config
+    feasible, batch = _keys(evals)
     pool_x, pool = np.concatenate([state.pool_x, xs]), state.pool + evals
+    rows = _joined_keys(state.pool_feasible, state.pool_rows, feasible, batch)
     if config.algorithm == "nsga2" and state.generation == 0:
-        chosen, state.keys = np.arange(len(pool)), _nsga2_keys(*_keys(pool))
+        chosen, state.keys = np.arange(len(pool)), _nsga2_keys(*rows)
     elif config.algorithm == "nsga2":
-        chosen, state.keys = _nsga2_survivors(pool, config.population)
+        chosen, state.keys = _nsga2_survivors(*rows, config.population)
     else:
-        chosen, state.keys = _spea2_environmental(pool, config.archive_size or config.population)
+        chosen, state.keys = _spea2_environmental(*rows, config.archive_size or config.population)
     pool_keys = state.pool_keys + xs_keys
     state.pool_x, state.pool = pool_x[chosen], [pool[i] for i in chosen]
     state.pool_keys = [pool_keys[i] for i in chosen]
-    feasible, batch = _keys(evals)
+    state.pool_feasible, state.pool_rows = rows[0][chosen], rows[1][chosen]
     state.archive = pareto.archive_insert(state.archive, xs[feasible], batch[feasible, 1:])
     state.generation += 1
     return GenerationStats(state.generation - 1, int(feasible.sum()), len(state.archive),

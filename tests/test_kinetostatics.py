@@ -452,12 +452,16 @@ class TestLockstep:
 
 class TestMapRecords:
     def test_chunks_in_index_order_with_even_sizes(self):
+        # a pool's workers get as many chunks each: 12 designs on 2 are four
+        # chunks of 3, where three chunks of 4 would leave one worker 8
         assert bf.LOCKSTEP == 4
         for n, width, sizes in ((0, 1, []), (1, 1, [1]), (4, 1, [4]), (5, 1, [3, 2]),
                                 (8, 1, [4, 4]), (10, 1, [4, 3, 3]), (13, 1, [4, 3, 3, 3]),
                                 (14, 1, [4, 4, 3, 3]), (8, 2, [4, 4]), (3, 2, [2, 1]),
                                 (8, 4, [2, 2, 2, 2]), (14, 8, [2] * 6 + [1] * 2),
-                                (3, 8, [1, 1, 1]), (0, 8, [])):
+                                (3, 8, [1, 1, 1]), (0, 8, []), (12, 2, [3, 3, 3, 3]),
+                                (10, 2, [3, 3, 2, 2]), (9, 2, [3, 2, 2, 2]),
+                                (20, 2, [4, 4, 3, 3, 3, 3])):
             xs = np.arange(2.0 * n).reshape(n, 2)
             chunks = ks.chunks(xs, width)
             assert [len(c) for c in chunks] == sizes, (n, width)

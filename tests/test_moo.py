@@ -241,6 +241,50 @@ class TestNsga2Keys:
         self._assert_matches_oracle(chain + pairs + [_infeasible(v) for v in (0.2, 0.1, 0.3)])
 
 
+class TestDominationCounts:
+    @staticmethod
+    def pools(n):
+        # n members each: a mixed pool whose first member dominates every
+        # other and whose last, the largest violation, every other
+        # dominates; an all-feasible pool with a member every other
+        # dominates; an all-infeasible pool of distinct violations
+        rng = np.random.default_rng(n)
+        front = [_feasible([t, 1.0 - t]) for t in np.round(rng.random(n - 2), 2)]
+        infeasible = [_infeasible(v) for v in np.round(rng.random(n // 4), 2)]
+        mixed = [_feasible([-1.0, -1.0]), *front[:n - 2 - len(infeasible)], *infeasible,
+                 _infeasible(2.0)]
+        feasible = [_feasible([-1.0, -1.0]), *front, _feasible([10.0, 10.0])]
+        return mixed, feasible, [_infeasible(v) for v in rng.permutation(n)]
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_byte_counts_equal_bool_sums(self, n):
+        # at n = 255 the counts are uint8 and reach 255 on a full matrix,
+        # from 256 on uint16
+        full = np.ones((n, n), dtype=bool)
+        for d in [full, full[:7]] + [moo._domination_matrix(moo._keys(evals)[1])
+                                     for evals in self.pools(n)]:
+            for axis in (0, 1):
+                assert np.array_equal(moo._counts(d, axis), d.sum(axis=axis))
+                assert moo._counts(d, axis).dtype == np.min_scalar_type(d.shape[axis])
+            if d is not full and d.shape == full.shape:
+                assert d.sum(axis=0).max() == d.sum(axis=1).max() == n - 1
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_sort_and_fitness_match_oracles(self, n):
+        # unsigned counts meet the -1 sentinel of the retired and infeasible
+        # members only after their cast to intp: numpy 2 rejects -1 as uint8
+        # or uint16
+        for evals in self.pools(n):
+            feasible, keys = moo._keys(evals)
+            expected = oracles.nsga2_keys(feasible, keys)
+            assert (moo.fast_nondominated_sort(feasible, keys).tobytes()
+                    == expected[:, 0].astype(np.int64).tobytes())
+            assert moo._nsga2_keys(feasible, keys).tobytes() == expected.tobytes()
+            chosen, fitness = oracles.spea2_environmental(evals, n)
+            assert sorted(chosen) == list(range(n))
+            assert moo._spea2_fitness(feasible, keys, n)[chosen].tobytes() == fitness.tobytes()
+
+
 class TestSelectionMemory:
     @staticmethod
     def mixed_pool():
@@ -262,10 +306,10 @@ class TestSelectionMemory:
         evals = self.mixed_pool()
         n = len(evals)
         for survivors in (moo._nsga2_survivors, moo._spea2_environmental):
-            survivors(evals, n // 2)  # first-call allocations are not per generation
+            survivors(*moo._keys(evals), n // 2)  # first-call allocations are not per generation
             tracemalloc.start()
             try:
-                survivors(evals, n // 2)
+                survivors(*moo._keys(evals), n // 2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -291,7 +335,7 @@ class TestSelectionMemory:
                 yield part, block
 
         monkeypatch.setattr(moo, "_distance_blocks", recording)
-        moo._spea2_environmental(evals, size)
+        moo._spea2_environmental(*moo._keys(evals), size)
         assert np.array_equal(computed, expected)
 
     @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
@@ -352,7 +396,7 @@ class TestSpea2Selection:
         evals = [moo.Evaluation(y=np.array([float(i), float(9 - i)]), feasible=True)
                  for i in range(10)]
         for size in (3, 5, 8):
-            chosen, fitness = moo._spea2_environmental(evals, size)
+            chosen, fitness = moo._spea2_environmental(*moo._keys(evals), size)
             assert len(chosen) == size
             assert fitness.shape == (size, 1)
 
@@ -405,7 +449,7 @@ class TestSpea2Selection:
     @staticmethod
     def _assert_matches_oracle(evals, sizes):
         for size in sizes:
-            chosen, fitness = moo._spea2_environmental(evals, size)
+            chosen, fitness = moo._spea2_environmental(*moo._keys(evals), size)
             want_chosen, want_fitness = oracles.spea2_environmental(evals, size)
             assert chosen.dtype == want_chosen.dtype and fitness.shape == want_fitness.shape
             assert chosen.tobytes() == want_chosen.tobytes(), size
@@ -452,7 +496,7 @@ class TestSpea2Selection:
     def test_fill_from_dominated_when_underfull(self):
         ys = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
         evals = [moo.Evaluation(y=y, feasible=True) for y in ys]
-        chosen, _ = moo._spea2_environmental(evals, 2)
+        chosen, _ = moo._spea2_environmental(*moo._keys(evals), 2)
         assert len(chosen) == 2
         assert evals[chosen[0]].y == pytest.approx([0.0, 0.0])
 
@@ -724,3 +768,60 @@ class TestGenerationLoop:
         assert [s.generation for s in stats] == list(range(9))
         expected = [sum(problem(x).feasible for x in xs) for xs in batches]
         assert [s.feasible for s in stats] == expected
+
+
+class Waking:
+    """ZDT1 whose first `asleep` calls return infeasible records (violation
+    x[0] rounded, so some tie): a run starts with one-column keys."""
+
+    def __init__(self, asleep: int, n_var: int = 6):
+        self.problem, self.asleep = ZDT1(n_var=n_var), asleep
+        self.lower, self.upper = self.problem.lower, self.problem.upper
+
+    def __call__(self, x):
+        self.asleep -= 1
+        if self.asleep >= 0:
+            return _infeasible(round(float(x[0]), 1))
+        return self.problem(x)
+
+
+class TestCarriedKeys:
+    @pytest.mark.parametrize("algorithm, archive_size", [("nsga2", None), ("spea2", None),
+                                                         ("spea2", 4)])
+    def test_carried_rows_are_the_pools_keys(self, monkeypatch, algorithm, archive_size):
+        # the first 30 records are infeasible (generations 0 and 1, half of
+        # 2), so the keys widen from 1 to 1 + 2 columns; an archive of 4
+        # truncates. After each generation the carried rows are _keys of the
+        # pool, and the pool and tournament keys those of selecting from
+        # _keys of the pool and offspring records
+        advance, truncate = moo._advance, moo._spea2_truncate
+        widths, truncations = set(), []
+
+        def checking(state, xs, evals, xs_keys):
+            config, pool_x = state.config, np.concatenate([state.pool_x, xs])
+            feasible, keys = moo._keys(state.pool + evals)
+            widths.add(keys.shape[1])
+            if algorithm == "nsga2" and state.generation == 0:
+                chosen, expected = np.arange(len(keys)), moo._nsga2_keys(feasible, keys)
+            elif algorithm == "nsga2":
+                chosen, expected = moo._nsga2_survivors(feasible, keys, config.population)
+            else:
+                chosen, expected = moo._spea2_environmental(
+                    feasible, keys, config.archive_size or config.population)
+            stats = advance(state, xs, evals, xs_keys)
+            carried = moo._keys(state.pool)
+            assert state.pool_feasible.tobytes() == carried[0].tobytes()
+            assert state.pool_rows.shape == carried[1].shape
+            assert state.pool_rows.tobytes() == carried[1].tobytes()
+            assert state.pool_x.tobytes() == pool_x[chosen].tobytes()
+            assert state.keys.tobytes() == expected.tobytes()
+            return stats
+
+        monkeypatch.setattr(moo, "_advance", checking)
+        monkeypatch.setattr(moo, "_spea2_truncate",
+                            lambda *args: truncations.append(args) or truncate(*args))
+        config = moo.MooConfig(algorithm=algorithm, population=12, generations=8, seed=3,
+                               archive_size=archive_size)
+        archive = moo.run(config, Waking(30))
+        assert widths == {1, 3} and len(archive) > 0
+        assert bool(truncations) == (archive_size is not None)
