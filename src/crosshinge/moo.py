@@ -4,17 +4,24 @@ Both algorithms share real-coded variation (simulated binary crossover
 plus polynomial mutation), constraint domination (a feasible individual
 always beats an infeasible one; infeasible individuals compare by
 violation) and an unbounded external archive of all feasible evaluations,
-whose non-dominated subset is the returned Pareto approximation.
+whose non-dominated subset is the returned Pareto approximation. The
+archive is offered only the feasible offspring that selection finds no
+member of the pool and offspring dominating; that loses nothing, since a
+dominated offspring is, by transitivity, dominated by an undominated
+member, offered with it or before it and so weakly dominated by an
+archive row.
 
 The population is a design array plus the list of its Evaluation
 records, one record type per evaluation. Records become numbers in one
 place (_keys: a feasibility mask and one constraint-domination key row per
 member), once: a run carries its pool's and joins the offspring's to them.
-Selection reads those arrays and returns index arrays (and the tournament
-keys of the chosen members); nothing is written onto members. Keys are
-NaN-free. Constraint domination compares them through dense integer ranks
-per column, and clears the pairs of identical keys (the diagonal and the
-rows that sort next to an equal row); domination counts sum bytes.
+Selection reads those arrays and returns index arrays (the tournament
+keys of the chosen members, and the mask of the undominated feasible
+members); nothing is written onto members. Keys are NaN-free. Constraint
+domination compares them through dense integer ranks per column, and
+clears the pairs of identical keys (the diagonal and the rows that sort
+next to an equal row); domination counts sum bytes. NSGA-II's survivor
+selection ranks and crowds only the fronts that fill the population.
 SPEA2's density reads squared distances and roots only the values it
 selects, and is computed only for the members selection can return (raw
 fitness at most the size-th smallest); the others get their raw fitness.
@@ -240,43 +247,56 @@ def _counts(d: np.ndarray, axis: int) -> np.ndarray:
     return d.view(np.uint8).sum(axis=axis, dtype=np.min_scalar_type(d.shape[axis]))
 
 
-def fast_nondominated_sort(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def fast_nondominated_sort(feasible: np.ndarray, keys: np.ndarray,
+                           size: int | None = None) -> np.ndarray:
     """Front index per member under constraint domination. Fronts are
     peeled off the feasible members only: each of them dominates every
     infeasible member, and infeasible members dominate by violation alone,
     so their fronts follow the last feasible one as the dense ranks of
-    their violations."""
+    their violations. With a size, peeling stops once at least size
+    members are ranked, and the unranked members share the next index."""
     d = _domination_matrix(keys)
     n_dom = np.where(feasible, _counts(d, 0).astype(np.intp), -1)  # -1: retired or infeasible
-    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks = np.full(len(keys), -1, dtype=np.int64)
     current = np.flatnonzero(n_dom == 0)
-    front, step = 0, _block_rows(len(keys), 1)
+    front, ranked, step = 0, 0, _block_rows(len(keys), 1)
+    limit = len(keys) if size is None else size
     while current.size:
         ranks[current] = front
+        front, ranked = front + 1, ranked + len(current)
+        if ranked >= limit:
+            break
         n_dom[current] = -1
         for start in range(0, len(current), step):
             n_dom -= _counts(d[current[start:start + step]], 0)
         current = np.flatnonzero(n_dom == 0)
-        front += 1
-    ranks[~feasible] = front + np.unique(keys[~feasible, 0], return_inverse=True)[1]
+    if ranked < limit:  # every feasible member is ranked
+        ranks[~feasible] = front + np.unique(keys[~feasible, 0], return_inverse=True)[1]
+    else:
+        ranks[ranks < 0] = front
     return ranks
 
 
-def _nsga2_keys(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _nsga2_keys(feasible: np.ndarray, keys: np.ndarray, size: int | None = None) -> np.ndarray:
     """Tournament keys, one (rank, -crowding) row per member: the front
     index under constraint domination, then the crowding distance within
     the front (over objectives for feasible fronts, violation otherwise).
+    With a size, only the fronts that fill size places are ranked apart and
+    crowded; the other members share the next rank, at crowding 0.
 
-    All fronts are crowded at once, one stable sort by (front, value) per
+    The fronts are crowded at once, one stable sort by (front, value) per
     coordinate column: the first and last member of a front are at inf, and
     an interior member adds the gap between its neighbours over the front's
     span (when positive), column after column, as a loop over fronts would."""
-    ranks = fast_nondominated_sort(feasible, keys)
+    ranks = fast_nondominated_sort(feasible, keys, size)
+    members = np.arange(len(keys))
+    if size is not None and size < len(keys):
+        members = np.flatnonzero(ranks <= np.partition(ranks, size - 1)[size - 1])
     coords = (np.where(feasible[:, None], keys[:, 1:], keys[:, :1]) if feasible.any()
               else keys)
     crowding = np.zeros(len(keys))
     for column in coords.T:
-        order = np.lexsort((column, ranks))
+        order = members[np.lexsort((column[members], ranks[members]))]
         value, front = column[order], ranks[order]
         first = np.r_[True, front[1:] != front[:-1]]
         last = np.r_[first[1:], True]
@@ -295,10 +315,11 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
 
 
 def _nsga2_survivors(feasible: np.ndarray, keys: np.ndarray, size: int):
-    """Indices of the size best members by (rank, -crowding), and their tournament keys."""
-    tournament = _nsga2_keys(feasible, keys)
+    """Indices of the size best members by (rank, -crowding), their tournament
+    keys, and the mask of the members no member dominates (feasible, rank 0)."""
+    tournament = _nsga2_keys(feasible, keys, size)
     chosen = _key_order(tournament)[:size]
-    return chosen, tournament[chosen]
+    return chosen, tournament[chosen], feasible & (tournament[:, 0] == 0)
 
 
 def _binary_tournament(keys: np.ndarray, n_parents: int,
@@ -424,18 +445,20 @@ def _next_alive(neighbours: np.ndarray, alive: np.ndarray, rows: np.ndarray,
 
 
 def _spea2_environmental(feasible: np.ndarray, keys: np.ndarray, size: int):
-    """Indices of the SPEA2 environmental archive, and their fitness as
-    (n, 1) keys: the non-dominated members (fitness < 1), truncated to
+    """Indices of the SPEA2 environmental archive, their fitness as (n, 1)
+    keys, and the mask of the feasible non-dominated members: the
+    non-dominated members (fitness < 1, raw fitness 0) are truncated to
     size or filled up with dominated members in stable fitness order."""
     fitness = _spea2_fitness(feasible, keys, size)
-    chosen = np.flatnonzero(fitness < 1.0)
+    undominated = fitness < 1.0
+    chosen = np.flatnonzero(undominated)
     if len(chosen) > size:
         chosen = chosen[_spea2_truncate(feasible[chosen], keys[chosen], size)]
     elif len(chosen) < size:
         dominated = np.flatnonzero(fitness >= 1.0)
         order = np.argsort(fitness[dominated], kind="stable")
         chosen = np.concatenate([chosen, dominated[order[:size - len(chosen)]]])
-    return chosen, fitness[chosen, None]
+    return chosen, fitness[chosen, None], feasible & undominated
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +513,28 @@ def _advance(state: _RunState, xs: np.ndarray, evals: list[Evaluation],
              xs_keys: list[bytes]) -> GenerationStats:
     """Advance the run by one generation, given its offspring, their records
     and bytes: select the pool (at generation 0 NSGA-II keeps it whole) and
-    its tournament keys, and archive the feasible offspring. Only the
-    offspring's records are read; the pool's keys are carried."""
+    its tournament keys, and archive the feasible offspring that no member
+    of the pool or offspring dominates. Only the offspring's records are
+    read; the pool's keys are carried."""
     config = state.config
     feasible, batch = _keys(evals)
     pool_x, pool = np.concatenate([state.pool_x, xs]), state.pool + evals
     rows = _joined_keys(state.pool_feasible, state.pool_rows, feasible, batch)
     if config.algorithm == "nsga2" and state.generation == 0:
         chosen, state.keys = np.arange(len(pool)), _nsga2_keys(*rows)
+        undominated = rows[0] & (state.keys[:, 0] == 0)
     elif config.algorithm == "nsga2":
-        chosen, state.keys = _nsga2_survivors(*rows, config.population)
+        chosen, state.keys, undominated = _nsga2_survivors(*rows, config.population)
     else:
-        chosen, state.keys = _spea2_environmental(*rows, config.archive_size or config.population)
+        chosen, state.keys, undominated = _spea2_environmental(
+            *rows, config.archive_size or config.population)
     pool_keys = state.pool_keys + xs_keys
     state.pool_x, state.pool = pool_x[chosen], [pool[i] for i in chosen]
     state.pool_keys = [pool_keys[i] for i in chosen]
     state.pool_feasible, state.pool_rows = rows[0][chosen], rows[1][chosen]
-    state.archive = pareto.archive_insert(state.archive, xs[feasible], batch[feasible, 1:])
+    new = undominated[len(pool) - len(evals):]  # the offspring's rows
+    if new.any():
+        state.archive = pareto.archive_insert(state.archive, xs[new], batch[new, 1:])
     state.generation += 1
     return GenerationStats(state.generation - 1, int(feasible.sum()), len(state.archive),
                            _progress_hv(state.archive))
@@ -545,5 +573,5 @@ def run(config: MooConfig, evaluator, progress=None, engine=None) -> pareto.Pare
 
 
 def merge_archives(a: pareto.ParetoArchive, b: pareto.ParetoArchive) -> pareto.ParetoArchive:
-    """Non-dominated union with refreshed ideal/nadir."""
+    """Non-dominated union of two archives, in canonical order."""
     return pareto.archive_insert(a, b.designs, b.objectives)

@@ -8,7 +8,8 @@ bit for bit, a dense view
 of the banded tangent, dominance of one objective vector over another,
 the broadcast dominance matrix that pareto's dominance sweep replaced,
 constraint domination one pair at a time, the NSGA-II tournament keys
-one front at a time, the per-level hypervolume that
+one front at a time and the survivors they give with every front ranked,
+the archive insert of every feasible offspring, the per-level hypervolume that
 pareto's dimension sweep replaced, the full SPEA2 distance matrix, the
 truncation that re-sorts it every round and the environmental selection
 that gives every member a fitness from that matrix, the Welzl loop on numpy
@@ -20,7 +21,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from crosshinge import beam_fem, kinetostatics, moo
+from crosshinge import beam_fem, kinetostatics, moo, pareto
 from crosshinge.geometry import DesignVector, Flexure, HingeGeometry, centerline
 
 
@@ -238,6 +239,23 @@ def nsga2_keys(feasible: np.ndarray, keys: np.ndarray) -> np.ndarray:
         coords = keys[idx, 1:] if feasible[idx[0]] else keys[idx, :1]
         tournament[idx, 1] = -crowding_distance(coords)
     return tournament
+
+
+def nsga2_survivors(feasible: np.ndarray, keys: np.ndarray, size: int):
+    """The size best members by nsga2_keys of the whole pool (rank, then
+    -crowding, then index), their tournament keys, and the mask of the
+    feasible rank-0 members."""
+    tournament = nsga2_keys(feasible, keys)
+    chosen = np.lexsort((np.arange(len(keys)), tournament[:, 1], tournament[:, 0]))[:size]
+    return chosen, tournament[chosen], feasible & (tournament[:, 0] == 0)
+
+
+def archive_every_feasible(archive: pareto.ParetoArchive, xs: np.ndarray,
+                           evals: list) -> pareto.ParetoArchive:
+    """The archive after offering it every feasible offspring record, where
+    moo._advance offers only those that selection finds undominated."""
+    feasible, keys = moo._keys(evals)
+    return pareto.archive_insert(archive, xs[feasible], keys[feasible, 1:])
 
 
 def staircase_area(points: np.ndarray, reference: np.ndarray) -> float:

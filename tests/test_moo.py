@@ -9,7 +9,7 @@ import pytest
 
 from crosshinge import beam_fem, moo, pareto
 import oracles
-from zdt import ZDT1, BandedZDT1, generational_distance
+from zdt import ZDT1, BandedZDT1, RoundedBandedZDT1, generational_distance
 
 # the largest member count whose float64 distance rows fit one row block
 ONE_BLOCK = math.isqrt(moo._BLOCK_BYTES // 8)
@@ -241,6 +241,71 @@ class TestNsga2Keys:
         self._assert_matches_oracle(chain + pairs + [_infeasible(v) for v in (0.2, 0.1, 0.3)])
 
 
+class TestNsga2Survivors:
+    """Survivor selection ranks and crowds only the fronts that fill the
+    population, and returns what ranking every front returns."""
+
+    @staticmethod
+    def _assert_matches_oracle(evals, size):
+        feasible, keys = moo._keys(evals)
+        got = moo._nsga2_survivors(feasible, keys, size)
+        for have, want in zip(got, oracles.nsga2_survivors(feasible, keys, size)):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_sizes_around_front_boundaries(self, m):
+        # small integer objectives give many fronts, duplicate keys and
+        # signed zeros; each size sits one below, at and one above the
+        # member count of fronts 0 to k
+        rng = np.random.default_rng(40 + m)
+        for _ in range(30):
+            p_feasible = rng.choice([0.5, 0.8, 1.0])
+            evals = []
+            for _ in range(int(rng.integers(10, 80))):
+                if rng.random() < p_feasible:
+                    y = rng.integers(0, 6, size=m).astype(float)
+                    y[rng.random(m) < 0.1] *= -1.0
+                    evals.append(_feasible(y))
+                else:
+                    evals.append(_infeasible(rng.choice([0.5, 1.0, rng.random()])))
+            ranks = oracles.nsga2_keys(*moo._keys(evals))[:, 0].astype(int)
+            for filled in np.cumsum(np.bincount(ranks))[:-1]:
+                for size in (filled - 1, filled, filled + 1):
+                    if size >= 1:
+                        self._assert_matches_oracle(evals, size)
+
+    def test_front_zero_larger_than_size(self):
+        front = [_feasible([i, 29 - i]) for i in range(30)]
+        dominated = [_feasible([i + 1, 30 - i]) for i in range(0, 30, 3)]
+        for size in (1, 4, 10, 29):
+            self._assert_matches_oracle(front + dominated + [_infeasible(0.2)], size)
+
+    def test_size_at_least_the_pool(self):
+        evals = [_feasible([i % 4, 3 - i % 4 + i // 4]) for i in range(12)]
+        evals += [_infeasible(v) for v in (0.3, 0.1, 0.3)]
+        for size in (len(evals), len(evals) + 3):
+            self._assert_matches_oracle(evals, size)
+
+    def test_all_infeasible_and_one_feasible(self):
+        infeasible = [_infeasible(v) for v in (0.3, 0.1, 0.3, 0.3, 0.2, 0.1)]
+        for evals in (infeasible, infeasible[:3] + [_feasible([1.0, 2.0])] + infeasible[3:]):
+            for size in (1, 2, 3, len(evals)):
+                self._assert_matches_oracle(evals, size)
+
+    def test_peeling_stops_at_the_front_that_fills_the_population(self, monkeypatch):
+        # ten nested fronts of 20 members (y1 + y2 = 19 + 2 f on front f) and
+        # 5 infeasible members: 50 survivors fill up on front 2, which the
+        # peel of front 1 ranks, so only fronts 0 and 1 are peeled
+        evals = [_feasible([i + f, 19 - i + f]) for f in range(10) for i in range(20)]
+        evals += [_infeasible(v) for v in (0.1, 0.2, 0.2, 0.3, 0.4)]
+        rows, counts = [], moo._counts
+        monkeypatch.setattr(moo, "_counts", lambda d, axis: rows.append(len(d)) or counts(d, axis))
+        self._assert_matches_oracle(evals, 50)
+        assert rows[0] == len(evals)  # every member's dominator count
+        assert sum(rows[1:]) == 40
+
+
 class TestDominationCounts:
     @staticmethod
     def pools(n):
@@ -396,7 +461,7 @@ class TestSpea2Selection:
         evals = [moo.Evaluation(y=np.array([float(i), float(9 - i)]), feasible=True)
                  for i in range(10)]
         for size in (3, 5, 8):
-            chosen, fitness = moo._spea2_environmental(*moo._keys(evals), size)
+            chosen, fitness, _ = moo._spea2_environmental(*moo._keys(evals), size)
             assert len(chosen) == size
             assert fitness.shape == (size, 1)
 
@@ -449,7 +514,7 @@ class TestSpea2Selection:
     @staticmethod
     def _assert_matches_oracle(evals, sizes):
         for size in sizes:
-            chosen, fitness = moo._spea2_environmental(*moo._keys(evals), size)
+            chosen, fitness, _ = moo._spea2_environmental(*moo._keys(evals), size)
             want_chosen, want_fitness = oracles.spea2_environmental(evals, size)
             assert chosen.dtype == want_chosen.dtype and fitness.shape == want_fitness.shape
             assert chosen.tobytes() == want_chosen.tobytes(), size
@@ -496,7 +561,7 @@ class TestSpea2Selection:
     def test_fill_from_dominated_when_underfull(self):
         ys = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
         evals = [moo.Evaluation(y=y, feasible=True) for y in ys]
-        chosen, _ = moo._spea2_environmental(*moo._keys(evals), 2)
+        chosen, _, _ = moo._spea2_environmental(*moo._keys(evals), 2)
         assert len(chosen) == 2
         assert evals[chosen[0]].y == pytest.approx([0.0, 0.0])
 
@@ -747,6 +812,30 @@ class TestGenerationLoop:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "5abab6e6700a3174cd2f6959980900999796f68bdce09699898300be99abdddf")
 
+    def test_front_larger_than_population_digest_pinned(self, tmp_path):
+        # the pool's front 0 holds 14 of its 24 members at generation 30,
+        # more than the 12 survivors; the digest was taken while the archive
+        # was offered every feasible offspring and NSGA-II ranked every front
+        cfg = moo.MooConfig(algorithm="nsga2", population=12, generations=30, seed=4)
+        path = tmp_path / "archive.csv"
+        pareto.write_archive_csv(path, moo.run(cfg, ZDT1(n_var=6)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2e7e1be8f8d648053d922becd8c209ba995f2c36215c220c8e304f57d0bea019")
+
+    def test_rounded_objective_ties_digest_pinned(self, tmp_path):
+        # objectives rounded to one decimal give different designs equal
+        # objectives (the archive keeps the smallest design) next to an
+        # infeasible band; both algorithms run in lock-step, and the digest
+        # covers both archives, taken while every feasible offspring was offered
+        configs = [moo.MooConfig(algorithm=algorithm, population=12, generations=10, seed=4)
+                   for algorithm in ("nsga2", "spea2")]
+        digest = hashlib.sha256()
+        for archive in moo.run_together(configs, RoundedBandedZDT1(n_var=6, decimals=1)):
+            pareto.write_archive_csv(tmp_path / "archive.csv", archive)
+            digest.update((tmp_path / "archive.csv").read_bytes())
+        assert digest.hexdigest() == (
+            "169080d985bd5851bd95f45ffa0a394056907459982dc3394473c26df8f0a936")
+
     @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
     def test_progress_counts_feasible_offspring(self, monkeypatch, algorithm):
         # each engine call evaluates one generation: the initial population,
@@ -785,6 +874,77 @@ class Waking:
         return self.problem(x)
 
 
+PROBLEMS = {
+    "zdt1": lambda: ZDT1(n_var=6),
+    "banded": lambda: BandedZDT1(n_var=6),
+    "waking": lambda: Waking(30),  # one-column keys for two and a half generations
+    "rounded": lambda: RoundedBandedZDT1(n_var=6, decimals=1),  # equal objectives
+}
+
+
+class TestArchiveCandidates:
+    """The archive is offered only the offspring that selection finds
+    undominated in the pool and offspring, and ends up as it would if it
+    were offered every feasible offspring."""
+
+    @staticmethod
+    def run_against_oracle(monkeypatch, configs, problem):
+        advance, expected = moo._advance, {}
+
+        def checking(state, xs, evals, xs_keys):
+            stats = advance(state, xs, evals, xs_keys)
+            archive = expected[id(state)] = oracles.archive_every_feasible(
+                expected.get(id(state), pareto.ParetoArchive()), xs, evals)
+            for have, want in ((state.archive.designs, archive.designs),
+                               (state.archive.objectives, archive.objectives)):
+                assert have.shape == want.shape and have.tobytes() == want.tobytes()
+            assert stats.archive_size == len(archive)
+            assert stats.hypervolume == moo._progress_hv(archive)
+            return stats
+
+        monkeypatch.setattr(moo, "_advance", checking)
+        archives = moo.run_together(configs, problem)
+        assert all(len(archive) > 0 for archive in archives)
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    @pytest.mark.parametrize("algorithm, archive_size", [("nsga2", None), ("spea2", None),
+                                                         ("spea2", 4)])
+    def test_archive_equals_every_feasible_offspring_offered(self, monkeypatch, algorithm,
+                                                             archive_size, problem):
+        config = moo.MooConfig(algorithm=algorithm, population=12, generations=10, seed=3,
+                               archive_size=archive_size)
+        self.run_against_oracle(monkeypatch, [config], PROBLEMS[problem]())
+
+    @pytest.mark.parametrize("problem", ["banded", "rounded"])
+    def test_run_together_equals_every_feasible_offspring_offered(self, monkeypatch, problem):
+        configs = [moo.MooConfig(algorithm=algorithm, population=12, generations=10, seed=3)
+                   for algorithm in ("nsga2", "spea2")]
+        self.run_against_oracle(monkeypatch, configs, PROBLEMS[problem]())
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
+    @pytest.mark.parametrize("problem", ["banded", "rounded"])
+    def test_no_dominated_offspring_offered(self, monkeypatch, algorithm, problem):
+        # each offered row is a feasible offspring that no member of the pool
+        # and offspring strictly dominates, and an empty offer is no call
+        advance, insert = moo._advance, pareto.archive_insert
+        joint = []
+
+        def recording(state, xs, evals, xs_keys):
+            feasible, keys = moo._keys(state.pool + evals)
+            joint[:] = [keys[feasible, 1:]]
+            return advance(state, xs, evals, xs_keys)
+
+        def checking(archive, xs, ys):
+            assert len(ys) > 0
+            assert not oracles.dominance(joint[0], ys).any()
+            return insert(archive, xs, ys)
+
+        monkeypatch.setattr(moo, "_advance", recording)
+        monkeypatch.setattr(pareto, "archive_insert", checking)
+        config = moo.MooConfig(algorithm=algorithm, population=12, generations=10, seed=3)
+        assert len(moo.run(config, PROBLEMS[problem]())) > 0
+
+
 class TestCarriedKeys:
     @pytest.mark.parametrize("algorithm, archive_size", [("nsga2", None), ("spea2", None),
                                                          ("spea2", 4)])
@@ -804,9 +964,9 @@ class TestCarriedKeys:
             if algorithm == "nsga2" and state.generation == 0:
                 chosen, expected = np.arange(len(keys)), moo._nsga2_keys(feasible, keys)
             elif algorithm == "nsga2":
-                chosen, expected = moo._nsga2_survivors(feasible, keys, config.population)
+                chosen, expected, _ = moo._nsga2_survivors(feasible, keys, config.population)
             else:
-                chosen, expected = moo._spea2_environmental(
+                chosen, expected, _ = moo._spea2_environmental(
                     feasible, keys, config.archive_size or config.population)
             stats = advance(state, xs, evals, xs_keys)
             carried = moo._keys(state.pool)

@@ -43,6 +43,20 @@ class BandedZDT1(ZDT1):
         return super().__call__(x)
 
 
+@dataclass(frozen=True)
+class RoundedBandedZDT1(BandedZDT1):
+    """BandedZDT1 with feasible objectives rounded to `decimals` places, so
+    different designs often have equal objectives."""
+
+    decimals: int = 1
+
+    def __call__(self, x: np.ndarray) -> moo.Evaluation:
+        record = super().__call__(x)
+        if not record.feasible:
+            return record
+        return moo.Evaluation(y=np.round(record.y, self.decimals), feasible=True)
+
+
 def generational_distance(archive, n_front: int = 2001) -> float:
     """Mean distance from archive points to the analytic ZDT1 front."""
     f1 = np.linspace(0.0, 1.0, n_front)
